@@ -32,7 +32,7 @@ from .kleingordon import (
     evolve,
     sigma3_metric,
 )
-from .linalg import KAPPA_MAX, eig_full, herm_residual
+from .linalg import KAPPA_MAX, herm_residual
 from .metrics import (
     OperatorClass,
     REALITY_TOL,
@@ -42,7 +42,6 @@ from .metrics import (
     build_positive_metric,
     classify,
     hermitize,
-    pair_spectrum,
     verify_intertwining,
 )
 from .physical import indefinite_physical_set, restrict_to_physical
@@ -130,17 +129,16 @@ def _spectrum_list(eigenvalues) -> list:
     return [[float(lam.real), float(lam.imag)] for lam in eigenvalues[order]]
 
 
-def _emit(report, args) -> None:
-    if getattr(args, "format", "json") == "json":
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+def _emit(report) -> None:
+    json.dump(report, sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
-def _attach_metric(report, H, S, pairing, kind) -> None:
-    if kind in (OperatorClass.HERMITIAN, OperatorClass.QUASI_HERMITIAN):
-        eta = build_positive_metric(S)
+def _attach_metric(report, H, cls) -> None:
+    if cls.kind in (OperatorClass.HERMITIAN, OperatorClass.QUASI_HERMITIAN):
+        eta = build_positive_metric(cls.spectrum, cls.pairing)
     else:
-        eta = build_general_metric(S, pairing)
+        eta = build_general_metric(cls.spectrum, cls.pairing)
     report["metric"] = matrix_to_json(eta.matrix)
     report["signature"] = list(eta.signature)
     report["residuals"]["intertwining"] = verify_intertwining(H, eta)
@@ -150,52 +148,47 @@ def _attach_metric(report, H, S, pairing, kind) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_classify(args) -> tuple[dict, int]:
+def _classified(args):
+    """Load the matrix argument and classify it: (H, classification, report)."""
     H, digest = load_matrix(args.path)
     report = _new_report(digest)
     cls = classify(H, tol=args.tol, kappa_max=args.kappa_max)
     report["classification"] = cls.kind.value
+    return H, cls, report
+
+
+def cmd_classify(args) -> tuple[dict, int]:
+    H, cls, report = _classified(args)
     report["residuals"]["hermiticity"] = cls.diagnostics["hermiticity_residual"]
     report["residuals"]["diag_score"] = cls.diagnostics["diag_score"]
-    S = eig_full(H)
-    report["spectrum"] = _spectrum_list(S.eigenvalues)
+    report["spectrum"] = _spectrum_list(cls.spectrum.eigenvalues)
     if args.emit_metric:
-        if cls.kind in (OperatorClass.NOT_PSEUDO_HERMITIAN,
-                        OperatorClass.NON_DIAGONALIZABLE):
+        if cls.pairing is None:
             report["notes"] = f"no metric emitted: operator is {cls.kind.value}"
         else:
-            _attach_metric(report, H, S, pair_spectrum(S, args.tol), cls.kind)
+            _attach_metric(report, H, cls)
     return report, EXIT_OK
 
 
 def cmd_metric(args) -> tuple[dict, int]:
-    H, digest = load_matrix(args.path)
-    report = _new_report(digest)
-    cls = classify(H, tol=args.tol, kappa_max=args.kappa_max)
-    report["classification"] = cls.kind.value
-    if cls.kind in (OperatorClass.NOT_PSEUDO_HERMITIAN,
-                    OperatorClass.NON_DIAGONALIZABLE):
+    H, cls, report = _classified(args)
+    if cls.pairing is None:
         report["notes"] = f"no metric operator exists: {cls.kind.value}"
         return report, EXIT_NUMERIC
-    S = eig_full(H)
-    report["spectrum"] = _spectrum_list(S.eigenvalues)
-    _attach_metric(report, H, S, pair_spectrum(S, args.tol), cls.kind)
+    report["spectrum"] = _spectrum_list(cls.spectrum.eigenvalues)
+    _attach_metric(report, H, cls)
     return report, EXIT_OK
 
 
 def cmd_hermitize(args) -> tuple[dict, int]:
-    H, digest = load_matrix(args.path)
-    report = _new_report(digest)
-    cls = classify(H, tol=args.tol, kappa_max=args.kappa_max)
-    report["classification"] = cls.kind.value
+    H, cls, report = _classified(args)
     if cls.kind not in (OperatorClass.HERMITIAN, OperatorClass.QUASI_HERMITIAN):
         report["notes"] = ("Hermitization needs a real diagonalizable spectrum; "
                            f"operator is {cls.kind.value}")
         return report, EXIT_NUMERIC
-    S = eig_full(H)
-    eta = build_positive_metric(S, args.tol)
+    eta = build_positive_metric(cls.spectrum, cls.pairing)
     rho, h = hermitize(H, eta)
-    report["spectrum"] = _spectrum_list(S.eigenvalues)
+    report["spectrum"] = _spectrum_list(cls.spectrum.eigenvalues)
     report["metric"] = matrix_to_json(eta.matrix)
     report["signature"] = list(eta.signature)
     report["rho"] = matrix_to_json(rho)
@@ -206,17 +199,12 @@ def cmd_hermitize(args) -> tuple[dict, int]:
 
 
 def cmd_symmetry(args) -> tuple[dict, int]:
-    H, digest = load_matrix(args.path)
-    report = _new_report(digest)
-    cls = classify(H, tol=args.tol, kappa_max=args.kappa_max)
-    report["classification"] = cls.kind.value
-    if cls.kind in (OperatorClass.NOT_PSEUDO_HERMITIAN,
-                    OperatorClass.NON_DIAGONALIZABLE):
+    H, cls, report = _classified(args)
+    if cls.pairing is None:
         report["notes"] = f"no antilinear symmetry constructed: {cls.kind.value}"
         return report, EXIT_NUMERIC
-    S = eig_full(H)
-    tau = antilinear_symmetry(S, pair_spectrum(S, args.tol))
-    report["spectrum"] = _spectrum_list(S.eigenvalues)
+    tau = antilinear_symmetry(cls.spectrum, cls.pairing)
+    report["spectrum"] = _spectrum_list(cls.spectrum.eigenvalues)
     report["antilinear"] = matrix_to_json(tau)
     report["residuals"]["antilinear_commutation"] = antilinear_residual(H, tau)
     return report, EXIT_OK
@@ -231,7 +219,8 @@ def cmd_kg(args) -> tuple[dict, int]:
     mu = args.mu if args.mu is not None else grid.m
     H = fv_hamiltonian(grid)
     eta3 = sigma3_metric(grid)
-    report["classification"] = classify(H).kind.value
+    cls = classify(H)
+    report["classification"] = cls.kind.value
     report["residuals"]["sigma3_intertwining"] = verify_intertwining(H, eta3)
 
     rng = np.random.default_rng(args.seed)
@@ -255,10 +244,9 @@ def cmd_kg(args) -> tuple[dict, int]:
     report["residuals"]["pd_positivity_min"] = float(pd_min)
     report["residuals"]["pd_mode_sum_deviation"] = mode_sum_dev
 
-    S = eig_full(H)
-    signs = indefinite_physical_set(S, eta3)
+    signs = indefinite_physical_set(cls.spectrum, eta3)
     positive_dim = sum(1 for _, s in signs if s > 0)
-    sub = restrict_to_physical(H)
+    sub = restrict_to_physical(H, cls)
     report["sector_dims"] = {"indefinite_metric": positive_dim,
                              "pseudo_hermitian": sub.dim}
     report["notes"] = (
@@ -309,36 +297,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_path=True):
-        if with_path:
-            p.add_argument("path", help="matrix file (JSON with dim/re/im)")
-        p.add_argument("--tol", type=float, default=REALITY_TOL,
-                       help="reality/hermiticity tolerance (default 1e-9)")
-        p.add_argument("--kappa-max", type=float, default=KAPPA_MAX,
-                       help="diagonalizability cutoff (default 1e8)")
-        p.add_argument("--format", choices=["json"], default="json")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    matrix_args = argparse.ArgumentParser(add_help=False)
+    matrix_args.add_argument("path", help="matrix file (JSON with dim/re/im)")
+    matrix_args.add_argument("--tol", type=float, default=REALITY_TOL,
+                             help="reality/hermiticity tolerance (default 1e-9)")
+    matrix_args.add_argument("--kappa-max", type=float, default=KAPPA_MAX,
+                             help="diagonalizability cutoff (default 1e8)")
+    seed_args = argparse.ArgumentParser(add_help=False)
+    seed_args.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    p = sub.add_parser("classify", help="classify a matrix")
-    common(p)
+    p = sub.add_parser("classify", parents=[matrix_args], help="classify a matrix")
     p.add_argument("--emit-metric", action="store_true",
                    help="attach a metric operator and its signature")
     p.set_defaults(handler=cmd_classify)
 
-    p = sub.add_parser("metric", help="construct a metric operator")
-    common(p)
+    p = sub.add_parser("metric", parents=[matrix_args], help="construct a metric operator")
     p.set_defaults(handler=cmd_metric)
 
-    p = sub.add_parser("hermitize", help="map to a Hermitian matrix via the positive metric")
-    common(p)
+    p = sub.add_parser("hermitize", parents=[matrix_args],
+                       help="map to a Hermitian matrix via the positive metric")
     p.set_defaults(handler=cmd_hermitize)
 
-    p = sub.add_parser("symmetry", help="construct an antilinear symmetry")
-    common(p)
+    p = sub.add_parser("symmetry", parents=[matrix_args],
+                       help="construct an antilinear symmetry")
     p.set_defaults(handler=cmd_symmetry)
 
-    p = sub.add_parser("kg", help="run the lattice Klein-Gordon pipeline")
-    common(p, with_path=False)
+    p = sub.add_parser("kg", parents=[seed_args], help="run the lattice Klein-Gordon pipeline")
     p.add_argument("--n", type=int, default=64, help="lattice sites")
     p.add_argument("--length", type=float, default=20 * np.pi, help="spatial period")
     p.add_argument("--mass", type=float, default=1.0)
@@ -348,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100)
     p.set_defaults(handler=cmd_kg)
 
-    p = sub.add_parser("verify", help="run the ensemble equivalence suites")
-    common(p, with_path=False)
+    p = sub.add_parser("verify", parents=[seed_args], help="run the ensemble equivalence suites")
     p.add_argument("--ensemble", default="mixed",
                    choices=["mixed", "quasi", "pseudo_nonquasi", "hermitian", "defective"])
     p.add_argument("--count", type=int, default=100)
@@ -376,7 +359,7 @@ def main(argv=None) -> int:
     except PseudohermError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    _emit(report, args)
+    _emit(report)
     return code
 
 

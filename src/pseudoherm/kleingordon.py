@@ -40,10 +40,6 @@ class FourierGrid:
     omega: np.ndarray  # sqrt(k^2 + m^2), >= m
 
     @property
-    def k_values(self) -> np.ndarray:
-        return self.k
-
-    @property
     def dx(self) -> float:
         return self.L / self.N
 

@@ -70,7 +70,6 @@ class Spectrum:
     right: np.ndarray         # columns psi_n
     left: np.ndarray          # columns phi_n, phi_m^dag psi_n = delta_mn
     diag_score: float
-    tol_used: float
 
     def gram_deviation(self) -> float:
         """max |phi_m^dag psi_n - delta_mn|, the biorthonormality defect."""
@@ -183,8 +182,7 @@ def eig_full(M, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
 
     if diag_score <= 1e12:
         _, left = biorthonormalize(V, left)
-    return Spectrum(dim=n, eigenvalues=w, right=V, left=left,
-                    diag_score=diag_score, tol_used=cluster_tol)
+    return Spectrum(dim=n, eigenvalues=w, right=V, left=left, diag_score=diag_score)
 
 
 def herm_sqrt(P, tol: float = 1e-10) -> np.ndarray:

@@ -3,17 +3,22 @@
 Implements the finite-dimensional theory: a matrix H is pseudo-Hermitian
 when some invertible self-adjoint eta satisfies H^dag = eta H eta^{-1};
 it is quasi-Hermitian when eta can be chosen positive-definite, which for
-diagonalizable matrices happens exactly when the spectrum is real.  The
-constructions here all run through the biorthonormal left system
-{phi_n}: eta_+ = sum phi_n phi_n^dag, general eta = signed/paired sums of
-the same projectors, and the antilinear symmetry tau maps conjugated
-eigenvectors onto their pairing partners.
+diagonalizable matrices happens exactly when the spectrum is real.
+
+classify decomposes H once and returns its Spectrum (right system Psi,
+biorthonormal left system Phi) with the PairingMap of its eigenvalues.
+Every metric and tau is a factor times the signed pairing M = diag(s) P,
+P the partner permutation (n -> index of conj(lambda_n)), s_n = +/-1 on
+real eigenvalues and +1 on pairs: eta = Phi M Phi^dag (eta_+ is the
+all-+1 case on a real spectrum) and tau = Psi M Phi^T with all s = +1.
+hermitize still maps through the square root of eta_+.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,12 +56,6 @@ class OperatorClass(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class Classification:
-    kind: OperatorClass
-    diagnostics: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class PairingMap:
     """Partition of eigenvalue indices into real ones and conjugate pairs.
 
@@ -71,16 +70,31 @@ class PairingMap:
     def all_real(self) -> bool:
         return len(self.pairs) == 0
 
+    @cached_property
+    def permutation(self) -> np.ndarray:
+        """Partner permutation p: p[n] carries conj(lambda_n), p[n] = n when real."""
+        p = np.arange(len(self.real_indices) + 2 * len(self.pairs))
+        if self.pairs:
+            a, b = np.array(self.pairs).T
+            p[a], p[b] = b, a
+        return p
+
     def partner(self, n: int) -> int:
         """Index carrying the conjugate of eigenvalue n (n itself when real)."""
-        if n in self.real_indices:
-            return n
-        for a, b in self.pairs:
-            if n == a:
-                return b
-            if n == b:
-                return a
-        raise KeyError(f"index {n} not covered by the pairing map")
+        if not 0 <= n < len(self.permutation):
+            raise KeyError(f"index {n} not covered by the pairing map")
+        return int(self.permutation[n])
+
+
+@dataclass(frozen=True)
+class Classification:
+    """Class of H with the decomposition and pairing that decided it;
+    pairing is None exactly for NonDiagonalizable and NotPseudoHermitian."""
+
+    kind: OperatorClass
+    spectrum: Spectrum
+    pairing: PairingMap | None
+    diagnostics: dict
 
 
 @dataclass(frozen=True)
@@ -176,7 +190,8 @@ def classify(H, tol: float = REALITY_TOL, kappa_max: float = KAPPA_MAX) -> Class
     (numerically defective; no spectral statement is attempted), Hermitian
     by direct residual, QuasiHermitian for a real spectrum, PseudoHermitianOnly
     when the spectrum is closed under conjugation with at least one genuine
-    pair, NotPseudoHermitian otherwise.
+    pair, NotPseudoHermitian otherwise.  The returned Classification carries
+    the Spectrum and PairingMap, so callers never decompose H again.
     """
     H = as_square_matrix(H)
     S = eig_full(H)
@@ -184,37 +199,43 @@ def classify(H, tol: float = REALITY_TOL, kappa_max: float = KAPPA_MAX) -> Class
         "diag_score": S.diag_score,
         "hermiticity_residual": herm_residual(H),
     }
+
+    def result(kind, pairing=None):
+        return Classification(kind, S, pairing, diagnostics)
+
     if S.diag_score > kappa_max:
-        return Classification(OperatorClass.NON_DIAGONALIZABLE, diagnostics)
+        return result(OperatorClass.NON_DIAGONALIZABLE)
     if diagnostics["hermiticity_residual"] <= tol:
-        return Classification(OperatorClass.HERMITIAN, diagnostics)
+        # A Hermitian spectrum is real: every eigenvalue is its own partner.
+        return result(OperatorClass.HERMITIAN, PairingMap(tuple(range(S.dim)), (), tol))
     try:
         pairing = pair_spectrum(S, tol)
     except UnpairedEigenvalue as exc:
         diagnostics["unpaired_eigenvalue"] = exc.eigenvalue
-        return Classification(OperatorClass.NOT_PSEUDO_HERMITIAN, diagnostics)
+        return result(OperatorClass.NOT_PSEUDO_HERMITIAN)
     diagnostics["n_real"] = len(pairing.real_indices)
     diagnostics["n_pairs"] = len(pairing.pairs)
     if pairing.all_real:
-        return Classification(OperatorClass.QUASI_HERMITIAN, diagnostics)
-    return Classification(OperatorClass.PSEUDO_HERMITIAN_ONLY, diagnostics)
+        return result(OperatorClass.QUASI_HERMITIAN, pairing)
+    return result(OperatorClass.PSEUDO_HERMITIAN_ONLY, pairing)
 
 
-def build_positive_metric(S: Spectrum, tol: float = REALITY_TOL) -> MetricOperator:
-    """Positive metric eta_+ = sum_n phi_n phi_n^dag from the left system.
+def build_positive_metric(S: Spectrum, pairing: PairingMap | None = None,
+                          tol: float = REALITY_TOL) -> MetricOperator:
+    """Positive metric eta_+ = Phi Phi^dag = sum_n phi_n phi_n^dag.
 
-    Exists iff the spectrum is real (after pairing within tol); raises
-    NoPositiveMetric when any conjugate pair is present.  The result is
-    self-adjoint positive-definite and intertwines H with H^dag.
+    The all-+1 case of build_general_metric on a real spectrum.  pairing is
+    the spectrum's PairingMap, computed here within tol when not given.
+    Raises NoPositiveMetric when any conjugate pair is present.  The result
+    is self-adjoint positive-definite and intertwines H with H^dag.
     """
-    pairing = pair_spectrum(S, tol)
+    if pairing is None:
+        pairing = pair_spectrum(S, tol)
     if not pairing.all_real:
         raise NoPositiveMetric(
             f"spectrum has {len(pairing.pairs)} complex pair(s); no positive metric exists"
         )
-    eta = S.left @ S.left.conj().T
-    eta = 0.5 * (eta + eta.conj().T)
-    metric = MetricOperator.from_matrix(eta)
+    metric = build_general_metric(S, pairing)
     if not metric.positive_definite:
         raise NotPositiveDefinite("constructed metric is not positive-definite")
     return metric
@@ -223,13 +244,14 @@ def build_positive_metric(S: Spectrum, tol: float = REALITY_TOL) -> MetricOperat
 def build_general_metric(S: Spectrum, pairing: PairingMap, signs=None) -> MetricOperator:
     """Canonical member of the metric family for a paired spectrum.
 
-    eta = sum_{n real} s_n phi_n phi_n^dag
+    eta = Phi M Phi^dag = sum_n s_n phi_n phi_{p(n)}^dag
+        = sum_{n real} s_n phi_n phi_n^dag
         + sum_{(n,nbar)} (phi_n phi_nbar^dag + phi_nbar phi_n^dag),
 
-    one sign s_n = +/-1 per real eigenvalue (all +1 by default, which
-    coincides with the positive metric when the spectrum is real).  Pair
-    blocks carry no free phase; the rest of the metric family is reachable
-    through transform_metric.  By Sylvester's law the signature equals
+    p the partner permutation, one sign s_n = +/-1 per real eigenvalue (all
+    +1 by default: the positive metric on a real spectrum), s = +1 on pairs.
+    Pair blocks carry no free phase; the rest of the metric family is
+    reachable through transform_metric.  By Sylvester's law the signature is
     (#positive signs + #pairs, #negative signs + #pairs).
     """
     if signs is None:
@@ -239,13 +261,9 @@ def build_general_metric(S: Spectrum, pairing: PairingMap, signs=None) -> Metric
     if any(s not in (-1, 1) for s in signs):
         raise ValueError("signs must be +1 or -1")
 
-    phi = S.left
-    eta = np.zeros((S.dim, S.dim), dtype=complex)
-    for s, n in zip(signs, pairing.real_indices):
-        eta += s * np.outer(phi[:, n], phi[:, n].conj())
-    for n, nbar in pairing.pairs:
-        eta += np.outer(phi[:, n], phi[:, nbar].conj())
-        eta += np.outer(phi[:, nbar], phi[:, n].conj())
+    s = np.ones(S.dim)
+    s[list(pairing.real_indices)] = signs
+    eta = (S.left * s) @ S.left[:, pairing.permutation].conj().T
     eta = 0.5 * (eta + eta.conj().T)
     try:
         return MetricOperator.from_matrix(eta)
@@ -316,21 +334,15 @@ def antilinear_symmetry(S: Spectrum, pairing: PairingMap) -> np.ndarray:
     H tau = tau conj(H) as matrices.  Construction: tau sends conj(phi_n)
     coordinates onto the eigenvector of the partner eigenvalue,
 
-        tau = sum_{n real} psi_n phi_n^T
+        tau = Psi M Phi^T = sum_n psi_n phi_{p(n)}^T
+            = sum_{n real} psi_n phi_n^T
             + sum_{(n,nbar)} (psi_n phi_nbar^T + psi_nbar phi_n^T),
 
     which satisfies the commutation relation on a full basis by the pairing
     property and is invertible because it is (right vectors) x permutation x
     (left vectors)^T.
     """
-    psi, phi = S.right, S.left
-    tau = np.zeros((S.dim, S.dim), dtype=complex)
-    for n in pairing.real_indices:
-        tau += np.outer(psi[:, n], phi[:, n])
-    for n, nbar in pairing.pairs:
-        tau += np.outer(psi[:, n], phi[:, nbar])
-        tau += np.outer(psi[:, nbar], phi[:, n])
-    return tau
+    return S.right @ S.left[:, pairing.permutation].T
 
 
 def antilinear_residual(H, tau) -> float:

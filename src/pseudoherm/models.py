@@ -49,7 +49,7 @@ def jordan_block(n: int, lam: complex) -> np.ndarray:
     return lam * np.eye(n, dtype=complex) + np.eye(n, k=1, dtype=complex)
 
 
-def _spec_args(spec_or_dim, seed, conditioning_cap, kind):
+def _spec_args(spec_or_dim, seed, conditioning_cap):
     if isinstance(spec_or_dim, EnsembleSpec):
         return spec_or_dim.dim, spec_or_dim.seed, spec_or_dim.conditioning_cap
     dim = int(spec_or_dim)
@@ -81,7 +81,7 @@ def random_quasi(spec_or_dim, seed=None, conditioning_cap=1e3):
     condition number <= conditioning_cap.  Accepts either an EnsembleSpec or
     a plain dimension plus seed.
     """
-    dim, seed, cap = _spec_args(spec_or_dim, seed, conditioning_cap, "quasi")
+    dim, seed, cap = _spec_args(spec_or_dim, seed, conditioning_cap)
     rng = np.random.default_rng(seed)
     lam = np.sort(_gap_separated_reals(rng, dim))
     S = _random_similarity(rng, dim, cap)
@@ -96,7 +96,7 @@ def random_pseudo_nonquasi(spec_or_dim, seed=None, conditioning_cap=1e3):
     Im lambda >= 1e-2, plus real fill; H is built by the same capped
     similarity as random_quasi.  Returns (H, planted eigenvalues, S).
     """
-    dim, seed, cap = _spec_args(spec_or_dim, seed, conditioning_cap, "pseudo_nonquasi")
+    dim, seed, cap = _spec_args(spec_or_dim, seed, conditioning_cap)
     if dim < 2:
         raise ValueError("need dim >= 2 for a conjugate pair")
     rng = np.random.default_rng(seed)
@@ -117,7 +117,7 @@ def random_pseudo_nonquasi(spec_or_dim, seed=None, conditioning_cap=1e3):
 
 def random_hermitian(spec_or_dim, seed=None):
     """Hermitian control instance (complex Gaussian, symmetrized)."""
-    dim, seed, _ = _spec_args(spec_or_dim, seed, None, "hermitian")
+    dim, seed, _ = _spec_args(spec_or_dim, seed, None)
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return 0.5 * (G + G.conj().T)
@@ -125,7 +125,7 @@ def random_hermitian(spec_or_dim, seed=None):
 
 def random_defective(spec_or_dim, seed=None):
     """Defective control instance: a Jordan block with a random eigenvalue."""
-    dim, seed, _ = _spec_args(spec_or_dim, seed, None, "defective")
+    dim, seed, _ = _spec_args(spec_or_dim, seed, None)
     if dim < 2:
         raise ValueError("defective instances need dim >= 2")
     rng = np.random.default_rng(seed)

@@ -13,15 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyPhysicalSpace, NonDiagonalizableError
-from .linalg import KAPPA_MAX, Spectrum, as_square_matrix, eig_full, spectral_norm
+from .errors import EmptyPhysicalSpace, NonDiagonalizableError, UnpairedEigenvalue
+from .linalg import Spectrum, as_square_matrix, eig_full, spectral_norm
 from .metrics import (
+    Classification,
     MetricOperator,
+    OperatorClass,
     PairingMap,
-    REALITY_TOL,
     build_positive_metric,
+    classify,
     eta_inner,
-    pair_spectrum,
 )
 
 
@@ -51,24 +52,27 @@ def real_span(S: Spectrum, pairing: PairingMap) -> np.ndarray:
     return S.right[:, list(pairing.real_indices)]
 
 
-def restrict_to_physical(H, tol: float = REALITY_TOL,
-                         kappa_max: float = KAPPA_MAX) -> PhysicalSubspace:
+def restrict_to_physical(H, cls: Classification | None = None) -> PhysicalSubspace:
     """Restrict H to the span of its real-eigenvalue eigenvectors.
 
-    The restricted operator solves H B = B R in the least-squares sense
-    (exact for an invariant subspace); it is quasi-Hermitian by construction
-    and eta_plus is the positive metric of its own spectrum.
+    cls is H's classification (classify(H) when not given); its spectrum
+    and pairing pick the span.  The restricted operator solves H B = B R in
+    the least-squares sense (exact for an invariant subspace); it is
+    quasi-Hermitian by construction and eta_plus is the positive metric of
+    its own spectrum, paired within the same tolerance.
     """
     H = as_square_matrix(H)
-    S = eig_full(H)
-    if S.diag_score > kappa_max:
+    if cls is None:
+        cls = classify(H)
+    if cls.kind is OperatorClass.NON_DIAGONALIZABLE:
         raise NonDiagonalizableError(
-            f"diag_score {S.diag_score:.3e} exceeds kappa_max {kappa_max:g}"
+            f"diag_score {cls.spectrum.diag_score:.3e} exceeds the diagonalizability cutoff"
         )
-    pairing = pair_spectrum(S, tol)
-    basis = real_span(S, pairing)
+    if cls.pairing is None:
+        raise UnpairedEigenvalue(cls.diagnostics["unpaired_eigenvalue"])
+    basis = real_span(cls.spectrum, cls.pairing)
     restricted, *_ = np.linalg.lstsq(basis, H @ basis, rcond=None)
-    eta_plus = build_positive_metric(eig_full(restricted), tol)
+    eta_plus = build_positive_metric(eig_full(restricted), tol=cls.pairing.tol)
     return PhysicalSubspace(parent_dim=H.shape[0], basis=basis,
                             restricted_op=restricted, eta_plus=eta_plus)
 

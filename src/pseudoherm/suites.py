@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoPositiveMetric, PseudohermError, UnpairedEigenvalue
-from .linalg import KAPPA_MAX, eig_full, herm_residual, spectral_norm
+from .errors import PseudohermError
+from .linalg import herm_residual, spectral_norm
 from .metrics import (
     INTERTWINE_TOL,
+    Classification,
     OperatorClass,
     antilinear_residual,
     antilinear_symmetry,
@@ -24,7 +25,6 @@ from .metrics import (
     classify,
     eta_inner,
     hermitize,
-    pair_spectrum,
     verify_intertwining,
 )
 from .models import EnsembleSpec, generate
@@ -52,26 +52,23 @@ def _instance_matrix(spec: EnsembleSpec) -> np.ndarray:
     return out[0] if isinstance(out, tuple) else out
 
 
-def check_conjugation_equivalence(H, tol=1e-9) -> dict:
+def check_conjugation_equivalence(H, cls: Classification) -> dict:
     """Legs of the metric-existence equivalence for one matrix.
 
-    a: spectrum closed under conjugation; b: constructed metric intertwines
-    within 1e-8; c: constructed antilinear symmetry commutes within 1e-8.
-    A failed pairing leaves no construction to attempt, so legs b and c
-    fail alongside leg a.
+    cls is classify(H).  a: spectrum closed under conjugation; b:
+    constructed metric intertwines within 1e-8; c: constructed antilinear
+    symmetry commutes within 1e-8.  A failed pairing leaves no construction
+    to attempt, so legs b and c fail alongside leg a.
     """
-    S = eig_full(H)
+    S, pairing = cls.spectrum, cls.pairing
     result = {"diag_score": S.diag_score, "skipped": False}
-    if S.diag_score > KAPPA_MAX:
+    if cls.kind is OperatorClass.NON_DIAGONALIZABLE:
         result["skipped"] = True
         return result
 
-    try:
-        pairing = pair_spectrum(S, tol)
-        result["pair_ok"] = True
-    except UnpairedEigenvalue:
-        result.update(pair_ok=False, metric_ok=False, antilinear_ok=False,
-                      agree=True)
+    result["pair_ok"] = pairing is not None
+    if not result["pair_ok"]:
+        result.update(metric_ok=False, antilinear_ok=False, agree=True)
         return result
 
     try:
@@ -90,36 +87,38 @@ def check_conjugation_equivalence(H, tol=1e-9) -> dict:
     return result
 
 
-def check_positive_metric_equivalence(H, tol=1e-9, seed=0) -> dict:
+def check_positive_metric_equivalence(H, cls: Classification, seed=0) -> dict:
     """Legs of the real-spectrum/positive-metric equivalence for one matrix.
 
-    a: classified (quasi-)Hermitian; b: positive metric built with positive
-    spectrum; c: Hermitization residual and spectrum preservation within
-    1e-8; d: Hermiticity in the metric inner product on random vector pairs.
+    cls is classify(H).  a: classified (quasi-)Hermitian; b: positive metric
+    built with positive spectrum; c: Hermitization residual and spectrum
+    preservation within 1e-8; d: Hermiticity in the metric inner product on
+    random vector pairs.
     """
-    result = {"skipped": False}
-    cls = classify(H, tol)
-    result["classification"] = cls.kind.value
+    result = {"skipped": False, "classification": cls.kind.value}
     if cls.kind is OperatorClass.NON_DIAGONALIZABLE:
         result["skipped"] = True
         return result
     result["real_spectrum"] = cls.kind in (OperatorClass.HERMITIAN,
                                            OperatorClass.QUASI_HERMITIAN)
 
-    S = eig_full(H)
-    try:
-        eta = build_positive_metric(S, tol)
-        result["positive_ok"] = eta.positive_definite
-        result["metric_min_eig"] = eta.min_abs_eigenvalue
-    except (NoPositiveMetric, PseudohermError):
+    eta = None
+    if cls.pairing is not None:
+        try:
+            eta = build_positive_metric(cls.spectrum, cls.pairing)
+        except PseudohermError:
+            pass
+    if eta is None:
         result.update(positive_ok=False, hermitize_ok=False, inner_ok=False)
         result["agree"] = (result["real_spectrum"] == result["positive_ok"])
         return result
+    result["positive_ok"] = eta.positive_definite
+    result["metric_min_eig"] = eta.min_abs_eigenvalue
 
     try:
         rho, h = hermitize(H, eta)
         result["hermiticity_residual"] = herm_residual(h)
-        spec_in = np.sort_complex(np.linalg.eigvals(H))
+        spec_in = np.sort_complex(cls.spectrum.eigenvalues)
         spec_out = np.sort_complex(np.linalg.eigvals(h))
         result["spectrum_drift"] = float(np.max(np.abs(spec_out - spec_in)
                                                 / (1.0 + np.abs(spec_in))))
@@ -167,8 +166,9 @@ def run_equivalence_suite(specs) -> dict:
 
     for spec in specs:
         H = _instance_matrix(spec)
-        one = check_conjugation_equivalence(H)
-        two = check_positive_metric_equivalence(H, seed=spec.seed)
+        cls = classify(H)
+        one = check_conjugation_equivalence(H, cls)
+        two = check_positive_metric_equivalence(H, cls, seed=spec.seed)
         rec = {"kind": spec.kind, "dim": spec.dim, "seed": spec.seed,
                "conjugation": one, "positive": two}
         records.append(rec)

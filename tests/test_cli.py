@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -104,6 +105,20 @@ def test_classify_report_is_reproducible(matrix_file, capsys):
     out2 = capsys.readouterr().out
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
+
+
+def test_metric_commands_use_the_classification_tolerance(matrix_file, capsys):
+    # One eigenvalue 1e-7 off the real axis: real at --tol 1e-6, unpaired at 1e-9.
+    rng = np.random.default_rng(1)
+    S = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    H = S @ np.diag([-1, -0.3 + 1e-7j, 0.4, 0.9]) @ np.linalg.inv(S)
+    path = matrix_file(H)
+    for argv in (["classify", path, "--tol", "1e-6", "--emit-metric"],
+                 ["metric", path, "--tol", "1e-6"]):
+        code, report = run_cli(capsys, argv)
+        assert code == EXIT_OK, argv
+        assert report["classification"] == "QuasiHermitian"
+        assert report["signature"] == [4, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -218,3 +233,52 @@ def test_dims_parsing(capsys):
     code, report = run_cli(capsys, ["verify", "--ensemble", "quasi",
                                     "--count", "4", "--dims", "3"])
     assert code == EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# flags and decompositions per command
+
+@pytest.mark.parametrize("argv", [
+    [cmd, "MATRIX", "--format", "json"] for cmd in ("classify", "metric", "hermitize", "symmetry")
+] + [
+    [cmd, "MATRIX", "--seed", "1"] for cmd in ("classify", "metric", "hermitize", "symmetry")
+] + [
+    [cmd, flag, value] for cmd in ("kg", "verify")
+    for flag, value in (("--tol", "1e-9"), ("--kappa-max", "1e8"), ("--format", "json"))
+], ids=" ".join)
+def test_unread_flags_are_rejected(matrix_file, capsys, argv):
+    argv = [matrix_file(SIGMA1) if arg == "MATRIX" else arg for arg in argv]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    capsys.readouterr()
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv, decompositions", [
+    (["classify", "MATRIX", "--emit-metric"], 1),
+    (["metric", "MATRIX"], 1),
+    (["hermitize", "MATRIX"], 1),
+    (["symmetry", "MATRIX"], 1),
+    (["kg", "--n", "8", "--samples", "2"], 2),     # H and its restriction
+    (["verify", "--count", "12", "--dims", "2-4"], 12),
+], ids=["classify", "metric", "hermitize", "symmetry", "kg", "verify"])
+def test_one_decomposition_per_matrix(matrix_file, capsys, monkeypatch, argv, decompositions):
+    import pseudoherm.linalg as linalg
+
+    original = linalg.eig_full
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "pseudoherm" or name.startswith("pseudoherm."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    H, _, _ = random_quasi(4, seed=3)
+    argv = [matrix_file(H) if arg == "MATRIX" else arg for arg in argv]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert len(calls) == decompositions

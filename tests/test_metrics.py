@@ -170,6 +170,26 @@ def test_general_metric_with_plus_signs_equals_positive():
     assert spectral_norm(eta_gen.matrix - eta_pos.matrix) < 1e-10
 
 
+def test_pairing_products_match_outer_product_sums():
+    # Reference: eta and tau summed term by term over the pairing.
+    H, _, _ = random_pseudo_nonquasi(9, seed=5)
+    S = eig_full(H)
+    P = pair_spectrum(S)
+    signs = [(-1) ** k for k in range(len(P.real_indices))]
+    phi, psi = S.left, S.right
+    eta_ref = sum(s * np.outer(phi[:, n], phi[:, n].conj())
+                  for s, n in zip(signs, P.real_indices))
+    tau_ref = sum(np.outer(psi[:, n], phi[:, n]) for n in P.real_indices)
+    for n, nbar in P.pairs:
+        for a, b in ((n, nbar), (nbar, n)):
+            eta_ref = eta_ref + np.outer(phi[:, a], phi[:, b].conj())
+            tau_ref = tau_ref + np.outer(psi[:, a], phi[:, b])
+    eta = build_general_metric(S, P, signs=signs).matrix
+    tau = antilinear_symmetry(S, P)
+    assert spectral_norm(eta - eta_ref) <= 1e-12 * spectral_norm(eta_ref)
+    assert spectral_norm(tau - tau_ref) <= 1e-12 * spectral_norm(tau_ref)
+
+
 def test_general_metric_antidiagonal_for_imaginary_pair():
     H = np.diag([1j, -1j])
     S = eig_full(H)
