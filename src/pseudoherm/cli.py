@@ -160,7 +160,9 @@ def _classified(args):
 def cmd_classify(args) -> tuple[dict, int]:
     H, cls, report = _classified(args)
     report["residuals"]["hermiticity"] = cls.diagnostics["hermiticity_residual"]
-    report["residuals"]["diag_score"] = cls.diagnostics["diag_score"]
+    score = cls.diagnostics["diag_score"]
+    # A singular eigenvector matrix has no finite score; JSON has no infinity.
+    report["residuals"]["diag_score"] = score if np.isfinite(score) else None
     report["spectrum"] = _spectrum_list(cls.spectrum.eigenvalues)
     if args.emit_metric:
         if cls.pairing is None:
@@ -289,6 +291,17 @@ def cmd_verify(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 # parser / entry point
 
+def _positive_int(text) -> int:
+    """argparse type of the counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pseudoherm",
@@ -329,13 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=None,
                    help="inner-product scale (default: the mass)")
     p.add_argument("--t-final", type=float, default=10.0)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_positive_int, default=100)
     p.set_defaults(handler=cmd_kg)
 
     p = sub.add_parser("verify", parents=[seed_args], help="run the ensemble equivalence suites")
     p.add_argument("--ensemble", default="mixed",
                    choices=["mixed", "quasi", "pseudo_nonquasi", "hermitian", "defective"])
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_positive_int, default=100)
     p.add_argument("--dims", default="2-8")
     p.set_defaults(handler=cmd_verify)
     return parser

@@ -1,10 +1,14 @@
 """Physical subspaces of a non-Hermitian Hamiltonian, two ways.
 
 Construction one keeps every eigenvector with a real eigenvalue: the span K
-is invariant, the restriction of H to K is quasi-Hermitian, and a positive
-metric on K turns it into a genuine Hilbert space.  Construction two fixes
-an indefinite metric eta up front and keeps only eigenvectors of positive
-eta-norm.  The two generally differ, which is the point of comparing them.
+of the columns Psi_K is invariant, and the biorthonormal left system gives
+the restriction of H to K as R = Phi_K^dag H Psi_K (diag(lambda_K) up to
+roundoff).  The canonical metric Phi M Phi^dag of H restricted to K is
+Psi_K^dag Phi M Phi^dag Psi_K = I, since Phi^dag Psi = I and M is +1 on
+every real eigenvalue: in eigenvector coordinates K is already a genuine
+Hilbert space.  Construction two fixes an indefinite metric eta up front
+and keeps only eigenvectors of positive eta-norm.  The two generally
+differ, which is the point of comparing them.
 """
 
 from __future__ import annotations
@@ -14,15 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyPhysicalSpace, NonDiagonalizableError, UnpairedEigenvalue
-from .linalg import Spectrum, as_square_matrix, eig_full, spectral_norm
+from .linalg import Spectrum, as_square_matrix, spectral_norm
 from .metrics import (
     Classification,
     MetricOperator,
     OperatorClass,
     PairingMap,
-    build_positive_metric,
     classify,
-    eta_inner,
 )
 
 
@@ -56,10 +58,11 @@ def restrict_to_physical(H, cls: Classification | None = None) -> PhysicalSubspa
     """Restrict H to the span of its real-eigenvalue eigenvectors.
 
     cls is H's classification (classify(H) when not given); its spectrum
-    and pairing pick the span.  The restricted operator solves H B = B R in
-    the least-squares sense (exact for an invariant subspace); it is
-    quasi-Hermitian by construction and eta_plus is the positive metric of
-    its own spectrum, paired within the same tolerance.
+    and pairing pick the span K with basis B = Psi_K.  The restricted
+    operator is the oblique projection R = Phi_K^dag H Psi_K through the
+    biorthonormal left system, exact for the invariant K and diag(lambda_K)
+    up to roundoff.  eta_plus is the identity: the restriction of the
+    canonical metric Phi M Phi^dag to K, B^dag Phi M Phi^dag B = I.
     """
     H = as_square_matrix(H)
     if cls is None:
@@ -71,8 +74,10 @@ def restrict_to_physical(H, cls: Classification | None = None) -> PhysicalSubspa
     if cls.pairing is None:
         raise UnpairedEigenvalue(cls.diagnostics["unpaired_eigenvalue"])
     basis = real_span(cls.spectrum, cls.pairing)
-    restricted, *_ = np.linalg.lstsq(basis, H @ basis, rcond=None)
-    eta_plus = build_positive_metric(eig_full(restricted), tol=cls.pairing.tol)
+    left = cls.spectrum.left[:, list(cls.pairing.real_indices)]
+    restricted = left.conj().T @ (H @ basis)
+    k = basis.shape[1]
+    eta_plus = MetricOperator(np.eye(k, dtype=complex), (k, 0), 0.0, 1.0)
     return PhysicalSubspace(parent_dim=H.shape[0], basis=basis,
                             restricted_op=restricted, eta_plus=eta_plus)
 
@@ -80,23 +85,17 @@ def restrict_to_physical(H, cls: Classification | None = None) -> PhysicalSubspa
 def indefinite_physical_set(S: Spectrum, eta, zero_tol: float = 1e-10):
     """Sign of the eta-norm of every eigenvector: list of (index, sign).
 
-    sign is +1 / 0 / -1; |norm| <= zero_tol * ||psi||^2 * ||eta|| counts as
-    zero.  Under a fixed indefinite metric only the +1 eigenvectors span the
-    physical space; zero-norm vectors are excluded along with the negative
-    ones.
+    sign is +1 / 0 / -1 from diag(Psi^dag eta Psi); |norm| <=
+    zero_tol * ||psi||^2 * max(||eta||, 1) counts as zero.  Under a fixed
+    indefinite metric only the +1 eigenvectors span the physical space;
+    zero-norm vectors are excluded along with the negative ones.
     """
     E = eta.matrix if isinstance(eta, MetricOperator) else as_square_matrix(eta)
-    scale = spectral_norm(E)
-    out = []
-    for n in range(S.dim):
-        psi = S.right[:, n]
-        norm = eta_inner(E, psi, psi).real
-        cutoff = zero_tol * float(np.vdot(psi, psi).real) * max(scale, 1.0)
-        if abs(norm) <= cutoff:
-            out.append((n, 0))
-        else:
-            out.append((n, 1 if norm > 0 else -1))
-    return out
+    psi = S.right
+    norms = np.sum(psi.conj() * (E @ psi), axis=0).real
+    cutoff = zero_tol * np.sum(np.abs(psi) ** 2, axis=0) * max(spectral_norm(E), 1.0)
+    signs = np.where(np.abs(norms) <= cutoff, 0, np.sign(norms)).astype(int)
+    return list(enumerate(signs.tolist()))
 
 
 def positive_norm_span(S: Spectrum, eta, zero_tol: float = 1e-10) -> np.ndarray:

@@ -14,7 +14,7 @@ from pseudoherm.cli import (
     save_matrix,
 )
 from pseudoherm.errors import ParseError
-from pseudoherm.models import pt2x2, random_quasi
+from pseudoherm.models import jordan_block, pt2x2, random_quasi
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -28,10 +28,14 @@ def matrix_file(tmp_path):
     return write
 
 
+def _reject_constant(name):
+    raise ValueError(f"report holds the non-standard JSON constant {name}")
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out) if out.strip() else None
+    return code, json.loads(out, parse_constant=_reject_constant) if out.strip() else None
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +71,14 @@ def test_classify_hermitian(matrix_file, capsys):
     assert report["schema"] == 1
     assert report["classification"] == "Hermitian"
     assert len(report["spectrum"]) == 2
+
+
+def test_classify_defective_reports_null_diag_score(matrix_file, capsys):
+    # The eigenvector matrix of a Jordan block is singular: no finite score.
+    code, report = run_cli(capsys, ["classify", matrix_file(jordan_block(3, 0))])
+    assert code == EXIT_OK
+    assert report["classification"] == "NonDiagonalizable"
+    assert report["residuals"]["diag_score"] is None
 
 
 def test_classify_emit_metric_for_complex_pair(matrix_file, capsys):
@@ -245,6 +257,9 @@ def test_dims_parsing(capsys):
 ] + [
     [cmd, flag, value] for cmd in ("kg", "verify")
     for flag, value in (("--tol", "1e-9"), ("--kappa-max", "1e8"), ("--format", "json"))
+] + [
+    ["kg", "--n", "8", "--samples", "0"],     # counts must be at least 1
+    ["verify", "--count", "0"],
 ], ids=" ".join)
 def test_unread_flags_are_rejected(matrix_file, capsys, argv):
     argv = [matrix_file(SIGMA1) if arg == "MATRIX" else arg for arg in argv]
@@ -259,7 +274,7 @@ def test_unread_flags_are_rejected(matrix_file, capsys, argv):
     (["metric", "MATRIX"], 1),
     (["hermitize", "MATRIX"], 1),
     (["symmetry", "MATRIX"], 1),
-    (["kg", "--n", "8", "--samples", "2"], 2),     # H and its restriction
+    (["kg", "--n", "8", "--samples", "2"], 1),     # H only
     (["verify", "--count", "12", "--dims", "2-4"], 12),
 ], ids=["classify", "metric", "hermitize", "symmetry", "kg", "verify"])
 def test_one_decomposition_per_matrix(matrix_file, capsys, monkeypatch, argv, decompositions):

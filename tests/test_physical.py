@@ -4,9 +4,11 @@ import pytest
 from pseudoherm import (
     EmptyPhysicalSpace,
     NonDiagonalizableError,
+    build_general_metric,
     build_positive_metric,
     classify,
     eig_full,
+    eta_inner,
     herm_residual,
     hermitize,
     indefinite_physical_set,
@@ -74,6 +76,24 @@ def test_restrict_discards_complex_pair_block():
     assert spectra_mismatch(np.linalg.eigvals(sub.restricted_op), [0.0, np.sqrt(3)]) < 1e-9
 
 
+@pytest.mark.parametrize("H", [
+    random_quasi(5, seed=8)[0],
+    random_quasi(40, seed=3)[0],
+    block_diag(pt2x2(1, np.pi / 6, 1), pt2x2(1, np.pi / 2, 0.5)),
+], ids=["quasi5", "quasi40", "pt_blocks"])
+def test_restriction_is_the_parent_metric_on_k(H):
+    cls = classify(H)
+    sub = restrict_to_physical(H, cls)
+    B = sub.basis
+    # eta_plus is the canonical metric Phi M Phi^dag of H seen through B: I_k
+    parent = build_general_metric(cls.spectrum, cls.pairing).matrix
+    assert np.array_equal(sub.eta_plus.matrix, np.eye(sub.dim))
+    assert spectral_norm(B.conj().T @ parent @ B - sub.eta_plus.matrix) <= 1e-10
+    lam = cls.spectrum.eigenvalues[list(cls.pairing.real_indices)]
+    drift = spectral_norm(sub.restricted_op - np.diag(lam))
+    assert drift / spectral_norm(H) <= 1e-10
+
+
 def test_restrict_invariants():
     H = block_diag(pt2x2(1, np.pi / 6, 1), pt2x2(1, np.pi / 2, 0.5))
     sub = restrict_to_physical(H)
@@ -120,6 +140,41 @@ def test_hermitized_spectrum_independent_of_metric_choice():
     lam1 = np.sort(np.linalg.eigvalsh(0.5 * (h1 + h1.conj().T)))
     lam2 = np.sort(np.linalg.eigvalsh(0.5 * (h2 + h2.conj().T)))
     assert np.max(np.abs(lam1 - lam2) / (1 + np.abs(lam1))) <= 1e-8
+
+
+def _sign_loop(S, E, zero_tol=1e-10):
+    """One eta_inner per eigenvector: the reference for indefinite_physical_set."""
+    scale = max(spectral_norm(E), 1.0)
+    out = []
+    for n in range(S.dim):
+        psi = S.right[:, n]
+        norm = eta_inner(E, psi, psi).real
+        if abs(norm) <= zero_tol * float(np.vdot(psi, psi).real) * scale:
+            out.append((n, 0))
+        else:
+            out.append((n, 1 if norm > 0 else -1))
+    return out
+
+
+def _random_indefinite_diagonal(n, seed):
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(0.5, 2.0, n) * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    return np.diag(rng.permutation(d)).astype(complex)
+
+
+@pytest.mark.parametrize("S, E, occurring", [
+    (eig_full(fv_hamiltonian(make_grid(8, 2 * np.pi, 1.0))),
+     sigma3_metric(make_grid(8, 2 * np.pi, 1.0)), {1, -1}),
+    (eig_full(random_quasi(6, seed=0)[0]), _random_indefinite_diagonal(6, seed=0), {1, -1}),
+    (eig_full(np.diag([1.0, 2.0]).astype(complex)), SIGMA1, {0}),
+    # norms of +/-1e-13, inside the zero band
+    (eig_full(np.diag([1.0, 2.0]).astype(complex)), SIGMA1 + 1e-13 * SIGMA3, {0}),
+], ids=["kg8_sigma3", "quasi6_diagonal", "zero_norm_sigma1", "near_zero_sigma1"])
+def test_indefinite_set_matches_per_vector_loop(S, E, occurring):
+    signs = indefinite_physical_set(S, E)
+    assert signs == _sign_loop(S, E)
+    assert all(type(n) is int and type(s) is int for n, s in signs)
+    assert {s for _, s in signs} == occurring
 
 
 def test_indefinite_set_identity_metric_all_positive():
