@@ -69,7 +69,8 @@ class KGState:
     """Klein-Gordon field as per-mode frequency amplitudes at time t.
 
     a_k multiplies e^{-i omega_k t} (positive frequency), b_k multiplies
-    e^{+i omega_k t} (negative frequency); both arrays have length grid.N.
+    e^{+i omega_k t} (negative frequency).  a and b share a shape (..., N):
+    (N,) is one state, leading axes stack states on one grid at one time t.
     """
 
     grid: FourierGrid
@@ -78,16 +79,19 @@ class KGState:
     t: float = 0.0
 
     def __post_init__(self):
-        if self.a.shape != (self.grid.N,) or self.b.shape != (self.grid.N,):
-            raise ValueError("amplitude arrays must have length N")
+        if self.a.shape != self.b.shape or self.a.shape[-1:] != (self.grid.N,):
+            raise ValueError("amplitude arrays must have the same shape (..., N)")
 
 
-def random_state(grid: FourierGrid, seed=None, rng=None) -> KGState:
-    """State with standard complex Gaussian amplitudes (for sampling checks)."""
+def random_state(grid: FourierGrid, seed=None, rng=None, size=()) -> KGState:
+    """State with standard complex Gaussian amplitudes (for sampling checks);
+    size (int or shape) stacks that many successive single draws, row-major."""
     if rng is None:
         rng = np.random.default_rng(seed)
-    a = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
-    b = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
+    shape = (size,) if np.ndim(size) == 0 else tuple(size)
+    z = rng.standard_normal((*shape, 4, grid.N))
+    a = z[..., 0, :] + 1j * z[..., 1, :]
+    b = z[..., 2, :] + 1j * z[..., 3, :]
     return KGState(grid=grid, a=a, b=b, t=0.0)
 
 
@@ -99,7 +103,7 @@ def _check_same_frame(s1: KGState, s2: KGState):
 
 
 def _mode_values(state: KGState):
-    """Instantaneous mode coefficients (A_k, dA_k/dt) at the state's time."""
+    """Instantaneous mode coefficients (A_k, dA_k/dt) at the state's time (last axis k)."""
     w = state.grid.omega
     ep = np.exp(-1j * w * state.t)
     em = np.exp(+1j * w * state.t)
@@ -109,21 +113,21 @@ def _mode_values(state: KGState):
 
 
 def position_fields(state: KGState):
-    """Samples (psi(x), d_t psi(x)) on the lattice at the state's time."""
+    """Samples (psi(x), d_t psi(x)) on the lattice at the state's time (last axis x)."""
     A, Adot = _mode_values(state)
     scale = state.grid.N / np.sqrt(state.grid.L)
     return np.fft.ifft(A) * scale, np.fft.ifft(Adot) * scale
 
 
 def d_power(grid: FourierGrid, s: float, field: np.ndarray) -> np.ndarray:
-    """Apply D^s = (-d_x^2 + m^2)^s to per-mode coefficients.
+    """Apply D^s = (-d_x^2 + m^2)^s to per-mode coefficients (last axis).
 
     Diagonal functional calculus: mode k is multiplied by (k^2 + m^2)^s,
     well-defined for any real s since m > 0.
     """
     field = np.asarray(field, dtype=complex)
-    if field.shape != (grid.N,):
-        raise ValueError(f"field must have length {grid.N}")
+    if field.shape[-1:] != (grid.N,):
+        raise ValueError(f"field must have length {grid.N} on its last axis")
     return (grid.k**2 + grid.m**2) ** s * field
 
 
@@ -136,17 +140,13 @@ def fv_hamiltonian(grid: FourierGrid) -> np.ndarray:
     come in +/- omega_k pairs.
     """
     T = np.diag(grid.k**2 / (2 * grid.m)).astype(complex)
-    I = np.eye(grid.N, dtype=complex)
-    m = grid.m
-    top = np.hstack([T + m * I, T])
-    bot = np.hstack([-T, -T - m * I])
-    return np.vstack([top, bot])
+    mI = grid.m * np.eye(grid.N, dtype=complex)
+    return np.block([[T + mI, T], [-T, -T - mI]])
 
 
 def sigma3_metric(grid: FourierGrid) -> np.ndarray:
     """The indefinite block metric sigma3 x identity on the two-component space."""
-    I = np.eye(grid.N)
-    return np.block([[I, np.zeros_like(I)], [np.zeros_like(I), -I]]).astype(complex)
+    return np.diag(np.repeat([1.0, -1.0], grid.N)).astype(complex)
 
 
 def fv_components(state: KGState) -> np.ndarray:
@@ -157,7 +157,7 @@ def fv_components(state: KGState) -> np.ndarray:
     A, Adot = _mode_values(state)
     phi = 0.5 * (A + 1j * Adot / state.grid.m)
     chi = 0.5 * (A - 1j * Adot / state.grid.m)
-    return np.concatenate([phi, chi])
+    return np.concatenate([phi, chi], axis=-1)
 
 
 def evolve(state: KGState, dt: float) -> KGState:
@@ -169,7 +169,7 @@ def evolve(state: KGState, dt: float) -> KGState:
     return replace(state, t=state.t + dt)
 
 
-def pd_inner(psi1: KGState, psi2: KGState, mu: float | None = None) -> complex:
+def pd_inner(psi1: KGState, psi2: KGState, mu: float | None = None) -> complex | np.ndarray:
     """Positive-definite inner product of two fields at equal time.
 
     Discrete form of (1/2 mu) * integral of
@@ -177,6 +177,8 @@ def pd_inner(psi1: KGState, psi2: KGState, mu: float | None = None) -> complex:
     mu > 0 only sets the overall scale and defaults to the mass.  Equals
     (1/mu) sum_k omega_k (conj(a1) a2 + conj(b1) b2), hence conserved and
     positive-definite on nonzero states.
+    Stacks (..., N) pair elementwise: one pair gives a complex, stacks an
+    ndarray of the (broadcast) leading shape.
     """
     _check_same_frame(psi1, psi2)
     grid = psi1.grid
@@ -188,11 +190,12 @@ def pd_inner(psi1: KGState, psi2: KGState, mu: float | None = None) -> complex:
     f2, g2 = position_fields(psi2)
     half = np.fft.ifft(d_power(grid, 0.5, np.fft.fft(f2)))
     minus_half = np.fft.ifft(d_power(grid, -0.5, np.fft.fft(g2)))
-    total = np.sum(np.conj(f1) * half) + np.sum(np.conj(g1) * minus_half)
-    return complex(total * grid.dx / (2 * mu))
+    total = np.sum(np.conj(f1) * half, axis=-1) + np.sum(np.conj(g1) * minus_half, axis=-1)
+    total = total * grid.dx / (2 * mu)
+    return complex(total) if np.ndim(total) == 0 else total
 
 
-def kg_inner(psi1: KGState, psi2: KGState) -> complex:
+def kg_inner(psi1: KGState, psi2: KGState) -> complex | np.ndarray:
     """Conserved indefinite (Klein-Gordon) inner product at equal time.
 
     i * integral of [psi1^* d_t psi2 - (d_t psi1)^* psi2] with dx = L/N;
@@ -200,13 +203,15 @@ def kg_inner(psi1: KGState, psi2: KGState) -> complex:
     2 sum_k omega_k (conj(a1) a2 - conj(b1) b2): positive on pure
     positive-frequency states, negative on pure negative-frequency ones,
     and zero on the mixed null vectors that witness indefiniteness.
+    Shapes and return type as in pd_inner.
     """
     _check_same_frame(psi1, psi2)
     grid = psi1.grid
     f1, g1 = position_fields(psi1)
     f2, g2 = position_fields(psi2)
-    total = np.sum(np.conj(f1) * g2) - np.sum(np.conj(g1) * f2)
-    return complex(1j * grid.dx * total)
+    total = np.sum(np.conj(f1) * g2, axis=-1) - np.sum(np.conj(g1) * f2, axis=-1)
+    total = 1j * grid.dx * total
+    return complex(total) if np.ndim(total) == 0 else total
 
 
 def sector_decompose(state: KGState) -> tuple[KGState, KGState]:

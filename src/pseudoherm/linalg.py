@@ -85,10 +85,12 @@ class Spectrum:
 def _cluster_indices(eigenvalues: np.ndarray, tol: float) -> list[list[int]]:
     """Group eigenvalue indices whose values coincide within tol*(1+|lambda|).
 
-    Closeness is not transitive, so take the transitive closure (union-find);
-    cluster membership must not depend on eigenvalue ordering.
+    Closeness is not transitive, so take the transitive closure (union-find
+    over close pairs); cluster membership must not depend on eigenvalue ordering.
     """
-    n = len(eigenvalues)
+    w = np.asarray(eigenvalues)
+    n = len(w)
+    close = np.abs(w[:, None] - w[None, :]) <= tol * (1.0 + np.abs(w))[:, None]
     parent = list(range(n))
 
     def find(i):
@@ -97,13 +99,11 @@ def _cluster_indices(eigenvalues: np.ndarray, tol: float) -> list[list[int]]:
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = abs(eigenvalues[i] - eigenvalues[j])
-            if gap <= tol * (1.0 + abs(eigenvalues[i])):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+    rows, cols = np.nonzero(np.triu(close, 1))
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
     clusters: dict[int, list[int]] = {}
     for i in range(n):
         clusters.setdefault(find(i), []).append(i)

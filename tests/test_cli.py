@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pseudoherm.cli import (
+    DEFAULT_SEED,
     EXIT_INPUT,
     EXIT_NUMERIC,
     EXIT_OK,
@@ -14,6 +15,7 @@ from pseudoherm.cli import (
     save_matrix,
 )
 from pseudoherm.errors import ParseError
+from pseudoherm.kleingordon import evolve, kg_inner, make_grid, pd_inner, random_state
 from pseudoherm.models import jordan_block, pt2x2, random_quasi
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -194,6 +196,39 @@ def test_kg_command_small(capsys):
     assert report["sector_dims"] == {"indefinite_metric": 16, "pseudo_hermitian": 32}
 
 
+@pytest.mark.parametrize("argv", [
+    ["kg", "--n", "8", "--samples", "5"],
+    ["kg", "--n", "16", "--samples", "3", "--t-final", "3"],
+], ids=" ".join)
+def test_kg_report_matches_per_sample_loop(capsys, argv):
+    code, report = run_cli(capsys, argv)
+    assert code == EXIT_OK
+    # Reference: one state at a time, as the command sampled before batching.
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    grid = make_grid(int(opts["--n"]), 20 * np.pi, 1.0)
+    mu = grid.m
+    rng = np.random.default_rng(DEFAULT_SEED)
+    pd_drift = kg_drift = mode_sum_dev = 0.0
+    pd_min = np.inf
+    for _ in range(int(opts["--samples"])):
+        state = random_state(grid, rng=rng)
+        weight = np.abs(state.a) ** 2 + np.abs(state.b) ** 2
+        scale = float(np.sum(grid.omega * weight))
+        pd0 = pd_inner(state, state, mu)
+        kg0 = kg_inner(state, state)
+        pd_min = min(pd_min, pd0.real / float(np.sum(weight)))
+        mode_sum_dev = max(mode_sum_dev, abs(pd0 - scale / mu) / (scale / mu))
+        for t in np.linspace(0.0, float(opts.get("--t-final", 10.0)), 9)[1:]:
+            moved = evolve(state, float(t))
+            pd_drift = max(pd_drift, abs(pd_inner(moved, moved, mu) - pd0) / (scale / mu))
+            kg_drift = max(kg_drift, abs(kg_inner(moved, moved) - kg0) / (2 * scale))
+    res = report["residuals"]
+    assert res["pd_positivity_min"] == pytest.approx(pd_min, rel=1e-12)
+    assert res["pd_mode_sum_deviation"] == pytest.approx(mode_sum_dev, rel=1e-12)
+    assert res["pd_conservation_drift"] <= 1e-14 and pd_drift <= 1e-14
+    assert res["kg_conservation_drift"] <= 1e-14 and kg_drift <= 1e-14
+
+
 def test_kg_command_rejects_massless(capsys):
     assert main(["kg", "--n", "8", "--mass", "0"]) == EXIT_INPUT
     capsys.readouterr()
@@ -260,6 +295,16 @@ def test_dims_parsing(capsys):
 ] + [
     ["kg", "--n", "8", "--samples", "0"],     # counts must be at least 1
     ["verify", "--count", "0"],
+] + [
+    ["classify", "MATRIX", "--tol", value] for value in ("nan", "-1")  # finite and > 0
+] + [
+    ["metric", "MATRIX", "--kappa-max", "inf"],
+    ["kg", "--t-final", "nan"],
+    ["kg", "--t-final", "inf"],
+    ["kg", "--length", "inf"],
+    ["kg", "--mass", "inf"],
+    ["kg", "--mu", "inf"],
+    ["kg", "--mu", "0"],
 ], ids=" ".join)
 def test_unread_flags_are_rejected(matrix_file, capsys, argv):
     argv = [matrix_file(SIGMA1) if arg == "MATRIX" else arg for arg in argv]

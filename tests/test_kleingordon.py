@@ -185,11 +185,13 @@ def test_pd_inner_mu_scaling_and_validation():
 def test_inner_products_reject_mismatched_frames():
     g1 = make_grid(8, 2 * np.pi, 1.0)
     g2 = make_grid(8, 2 * np.pi, 2.0)
-    with pytest.raises(GridMismatch):
-        pd_inner(random_state(g1, seed=0), random_state(g2, seed=0))
-    s = random_state(g1, seed=1)
-    with pytest.raises(TimeMismatch):
-        kg_inner(s, evolve(s, 1.0))
+    for size in ((), 3):   # one state and a stack
+        s = random_state(g1, seed=1, size=size)
+        for inner in (pd_inner, kg_inner):
+            with pytest.raises(GridMismatch):
+                inner(s, random_state(g2, seed=0, size=size))
+            with pytest.raises(TimeMismatch):
+                inner(s, evolve(s, 1.0))
 
 
 def test_kg_inner_sector_signs():
@@ -229,6 +231,61 @@ def test_kg_inner_conserved_under_evolution():
     for t in np.linspace(0.5, 10.0, 7):
         moved = evolve(s, float(t))
         assert abs(kg_inner(moved, moved) - base) <= 1e-10 * scale
+
+
+# ---------------------------------------------------------------------------
+# stacks of states
+
+def _members(stack):
+    """The single states of a stack, in row-major order of its leading shape."""
+    return [KGState(grid=stack.grid, a=stack.a[i], b=stack.b[i], t=stack.t)
+            for i in np.ndindex(stack.a.shape[:-1])]
+
+
+@pytest.mark.parametrize("N", [16, 64])
+@pytest.mark.parametrize("shape", [(5,), (2, 3)])
+@pytest.mark.parametrize("dt", [0.0, 3.7])
+def test_stacked_inner_products_match_single_state_calls(N, shape, dt):
+    grid = make_grid(N, 13.0, 0.8)
+    rng = np.random.default_rng(N + len(shape))
+    s1 = evolve(random_state(grid, rng=rng, size=shape), dt)
+    s2 = evolve(random_state(grid, rng=rng, size=shape), dt)
+    for inner, args in ((pd_inner, (1.7,)), (kg_inner, ())):
+        for left, right in ((s1, s1), (s1, s2)):
+            got = inner(left, right, *args)
+            assert isinstance(got, np.ndarray) and got.shape == shape
+            want = [inner(x, y, *args) for x, y in zip(_members(left), _members(right))]
+            assert all(isinstance(w, complex) for w in want)
+            want = np.reshape(want, shape)
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+        # one state against a stack broadcasts over the stack
+        first = _members(s1)[0]
+        got = inner(first, s2, *args)
+        want = np.reshape([inner(first, y, *args) for y in _members(s2)], shape)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def test_random_state_stack_equals_successive_draws():
+    grid = make_grid(16, 9.0, 1.0)
+    for size in (4, (2, 3)):
+        stack = random_state(grid, rng=np.random.default_rng(21), size=size)
+        rng = np.random.default_rng(21)
+        singles = [random_state(grid, rng=rng) for _ in range(int(np.prod(size)))]
+        assert stack.a.shape == np.empty(size).shape + (grid.N,)
+        for member, single in zip(_members(stack), singles):
+            assert np.array_equal(member.a, single.a)
+            assert np.array_equal(member.b, single.b)
+    one = random_state(grid, seed=5)
+    assert one.a.shape == (grid.N,)
+    assert np.array_equal(random_state(grid, seed=5, size=1).a[0], one.a)
+
+
+def test_kg_state_rejects_mismatched_shapes():
+    grid = make_grid(8, 2 * np.pi, 1.0)
+    z = np.zeros((3, 8), dtype=complex)
+    for a, b in ((z, z[:2]), (z, z[0]), (z[:, :4], z[:, :4]), (z[0, 0], z[0, 0])):
+        with pytest.raises(ValueError):
+            KGState(grid=grid, a=a, b=b)
 
 
 # ---------------------------------------------------------------------------

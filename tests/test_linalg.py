@@ -9,7 +9,7 @@ from pseudoherm import (
     herm_sqrt,
     spectral_norm,
 )
-from pseudoherm.linalg import KAPPA_MAX
+from pseudoherm.linalg import KAPPA_MAX, _cluster_indices
 from pseudoherm.models import pt2x2, random_hermitian, random_quasi
 
 EPS = np.finfo(float).eps
@@ -148,3 +148,52 @@ def test_herm_sqrt_rejects_bad_input():
         herm_sqrt(np.diag([1.0, -1.0]).astype(complex))
     with pytest.raises(NotPositiveDefinite):
         herm_sqrt(np.array([[1, 1], [0, 1]], dtype=complex))  # not self-adjoint
+
+
+def _pairwise_clusters(eigenvalues, tol):
+    """Reference: the union-find over an explicit double loop of pairs."""
+    n = len(eigenvalues)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(eigenvalues[i] - eigenvalues[j]) <= tol * (1.0 + abs(eigenvalues[i])):
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    clusters = {}
+    for i in range(n):
+        clusters.setdefault(find(i), []).append(i)
+    return list(clusters.values())
+
+
+def _partition(clusters, labels):
+    return sorted(sorted(labels[i] for i in c) for c in clusters)
+
+
+def test_cluster_indices_matches_pairwise_loop():
+    rng = np.random.default_rng(14)
+    tol = 1e-8
+    for trial in range(20):
+        # chains of 5e-9 steps: neighbours are close, chain ends are not
+        starts = rng.standard_normal(4) + 1j * rng.standard_normal(4) * (trial % 2)
+        chains = [z + 5e-9 * np.arange(rng.integers(2, 16)) for z in starts]
+        loose = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        w = np.concatenate(chains + [loose, loose[:2]])
+        got = _cluster_indices(w, tol)
+        assert got == _pairwise_clusters(w, tol)
+        # some cluster joins ends that are not close to each other
+        assert any(abs(w[c[-1]] - w[c[0]]) > tol * (1.0 + abs(w[c[0]])) for c in got)
+        perm = rng.permutation(len(w))
+        assert (_partition(_cluster_indices(w[perm], tol), perm)
+                == _partition(got, np.arange(len(w))))
+    assert _cluster_indices(np.array([2.5 + 1j]), tol) == [[0]]
+    # closeness is measured against |w_i| of the earlier index i < j
+    assert _cluster_indices(np.array([1.0, 3.0]), 0.6) == [[0], [1]]
+    assert _cluster_indices(np.array([3.0, 1.0]), 0.6) == [[0, 1]]
