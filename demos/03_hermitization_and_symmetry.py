@@ -26,7 +26,7 @@ print(__doc__)
 H, planted, _ = random_quasi(5, seed=11)
 S = eig_full(H)
 eta = build_positive_metric(S)
-rho, h = hermitize(H, eta)
+rho, h, _ = hermitize(H, eta)
 
 print("Random quasi-Hermitian 5x5 with planted real spectrum:")
 print(f"    hermiticity residual of H : {herm_residual(H):.3f}   (plainly non-Hermitian)")

@@ -48,6 +48,7 @@ from .metrics import (
     build_general_metric,
     build_positive_metric,
     classify,
+    decide_class,
     eta_inner,
     hermitize,
     metric_signature,
@@ -58,17 +59,20 @@ from .metrics import (
 from .physical import (
     PhysicalSubspace,
     indefinite_physical_set,
+    norm_signs,
     positive_norm_span,
     real_span,
     restrict_to_physical,
 )
 from .kleingordon import (
     FourierGrid,
+    FVModes,
     KGState,
     d_power,
     evolve,
     fv_components,
     fv_hamiltonian,
+    fv_modes,
     kg_inner,
     kg_state_from_json,
     kg_state_to_json,

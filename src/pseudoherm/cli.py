@@ -20,17 +20,17 @@ from . import __version__
 from .errors import (
     EigFailure,
     InvalidGrid,
+    NonDiagonalizableError,
     ParseError,
     PseudohermError,
 )
 from .kleingordon import (
-    fv_hamiltonian,
+    fv_modes,
     make_grid,
     pd_inner,
     kg_inner,
     random_state,
     evolve,
-    sigma3_metric,
 )
 from .linalg import KAPPA_MAX, herm_residual
 from .metrics import (
@@ -41,10 +41,11 @@ from .metrics import (
     build_general_metric,
     build_positive_metric,
     classify,
+    decide_class,
     hermitize,
     verify_intertwining,
 )
-from .physical import indefinite_physical_set, restrict_to_physical
+from .physical import norm_signs
 from .suites import make_ensemble, run_equivalence_suite
 
 EXIT_OK = 0
@@ -189,13 +190,13 @@ def cmd_hermitize(args) -> tuple[dict, int]:
                            f"operator is {cls.kind.value}")
         return report, EXIT_NUMERIC
     eta = build_positive_metric(cls.spectrum, cls.pairing)
-    rho, h = hermitize(H, eta)
+    rho, h, intertwining = hermitize(H, eta)
     report["spectrum"] = _spectrum_list(cls.spectrum.eigenvalues)
     report["metric"] = matrix_to_json(eta.matrix)
     report["signature"] = list(eta.signature)
     report["rho"] = matrix_to_json(rho)
     report["hermitized"] = matrix_to_json(h)
-    report["residuals"]["intertwining"] = verify_intertwining(H, eta)
+    report["residuals"]["intertwining"] = intertwining
     report["residuals"]["hermiticity_of_h"] = herm_residual(h)
     return report, EXIT_OK
 
@@ -219,11 +220,25 @@ def cmd_kg(args) -> tuple[dict, int]:
     report = _new_report(_params_digest(params))
     grid = make_grid(args.n, args.length, args.mass)
     mu = args.mu if args.mu is not None else grid.m
-    H = fv_hamiltonian(grid)
-    eta3 = sigma3_metric(grid)
-    cls = classify(H)
-    report["classification"] = cls.kind.value
-    report["residuals"]["sigma3_intertwining"] = verify_intertwining(H, eta3)
+    # H = fv_hamiltonian(grid) one 2x2 mode block at a time; the spectral norm
+    # of a block-diagonal matrix is its largest block norm.
+    modes = fv_modes(grid)
+    h, psi, sigma3 = modes.blocks, modes.right, np.diag([1.0, -1.0])
+    h_dag = h.swapaxes(-1, -2).conj()
+
+    def norm(blocks):
+        return float(np.max(np.linalg.norm(blocks, 2, axis=(-2, -1))))
+
+    sv = np.linalg.svd(psi / np.linalg.norm(psi, axis=-2, keepdims=True), compute_uv=False)
+    diag_score = float(sv.max() / sv.min())   # cond of the unit-column eigenvector matrix
+    h_norm = norm(h)
+    kind, pairing, _ = decide_class(modes.eigenvalues.ravel(), diag_score,
+                                    norm(h - h_dag) / h_norm)
+    if pairing is None:   # +/- omega_k are real: only NonDiagonalizable lands here
+        raise NonDiagonalizableError(
+            f"diag_score {diag_score:.3e} exceeds the diagonalizability cutoff")
+    report["classification"] = kind.value
+    report["residuals"]["sigma3_intertwining"] = norm(h_dag @ sigma3 - sigma3 @ h) / h_norm
 
     # All samples as one stack, one checkpoint at a time: memory stays O(samples * N).
     states = random_state(grid, rng=np.random.default_rng(args.seed), size=args.samples)
@@ -241,14 +256,14 @@ def cmd_kg(args) -> tuple[dict, int]:
         pd_positivity_min=float(np.min(pd0.real / np.sum(weight, axis=-1))),
         pd_mode_sum_deviation=float(np.max(np.abs(pd0 - scale / mu) / (scale / mu))))
 
-    signs = indefinite_physical_set(cls.spectrum, eta3)
-    positive_dim = sum(1 for _, s in signs if s > 0)
-    sub = restrict_to_physical(H, cls)
+    signs = norm_signs(psi, sigma3 @ psi, 1.0)   # sigma3-norms; ||sigma3|| = 1
+    positive_dim = int(np.sum(signs > 0))
+    real_dim = len(pairing.real_indices)
     report["sector_dims"] = {"indefinite_metric": positive_dim,
-                             "pseudo_hermitian": sub.dim}
+                             "pseudo_hermitian": real_dim}
     report["notes"] = (
         f"indefinite-metric physical space keeps {positive_dim} of {2 * grid.N} "
-        f"directions (positive-energy only); the real-spectrum construction keeps all {sub.dim}"
+        f"directions (positive-energy only); the real-spectrum construction keeps all {real_dim}"
     )
     return report, EXIT_OK
 

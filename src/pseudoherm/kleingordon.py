@@ -10,7 +10,8 @@ against its mode-sum form.  The two-component (Feshbach-Villars) reduction
 turns the field equation into i d_t Psi = H Psi with
 H = (sigma3 + i sigma2) p^2/(2m) + m sigma3, which is Hermitian with
 respect to the indefinite sigma3 block metric and has spectrum
-+/- omega_k, omega_k = sqrt(k^2 + m^2).
++/- omega_k, omega_k = sqrt(k^2 + m^2).  fv_modes gives H as one 2x2 block
+per mode with closed-form eigenpairs; fv_hamiltonian is its dense oracle.
 
 Conventions: mode amplitudes reconstruct the position-space field as
 psi(x, t) = L^{-1/2} sum_k (a_k e^{-i omega_k t} + b_k e^{+i omega_k t})
@@ -132,16 +133,45 @@ def d_power(grid: FourierGrid, s: float, field: np.ndarray) -> np.ndarray:
 
 
 def fv_hamiltonian(grid: FourierGrid) -> np.ndarray:
-    """Two-component Hamiltonian (2N x 2N) in the Fourier basis.
+    """Two-component Hamiltonian (2N x 2N) in the Fourier basis, dense.
 
     H = (sigma3 + i sigma2) x p^2/(2m) + m (sigma3 x 1) with p^2 = diag(k^2);
     block layout [[T + m, T], [-T, -T - m]] with T = diag(k^2/(2m)).
     sigma3 x 1 intertwines H with its adjoint exactly, and the eigenvalues
-    come in +/- omega_k pairs.
+    come in +/- omega_k pairs.  The dense oracle of fv_modes.
     """
     T = np.diag(grid.k**2 / (2 * grid.m)).astype(complex)
     mI = grid.m * np.eye(grid.N, dtype=complex)
     return np.block([[T + mI, T], [-T, -T - mI]])
+
+
+@dataclass(frozen=True)
+class FVModes:
+    """fv_hamiltonian as (N, ...) stacks of its 2x2 mode blocks; block k acts
+    on (phi_k, chi_k), rows and columns (k, N + k) of the dense matrix."""
+
+    blocks: np.ndarray        # (N, 2, 2) h_k = [[t + m, t], [-t, -t - m]], t = k^2/(2m)
+    eigenvalues: np.ndarray   # (N, 2) (+omega_k, -omega_k)
+    right: np.ndarray         # (N, 2, 2) columns psi_+ = (c, -t), psi_- = (-t, c)
+    left: np.ndarray          # (N, 2, 2) right^{-dag} = [[c, t], [t, c]] / (c^2 - t^2)
+
+    @property
+    def eta_plus(self) -> np.ndarray:
+        """Blocks of the positive metric eta_+ = Phi Phi^dag of fv_hamiltonian."""
+        return self.left @ self.left.conj().swapaxes(-1, -2)
+
+
+def fv_modes(grid: FourierGrid) -> FVModes:
+    """Closed-form eigensystem of every mode block, all entries real: tr h_k = 0
+    and det h_k = -omega_k^2 give +/- omega_k; c = omega_k + t + m >= 2m keeps
+    both eigenvectors nonzero at k = 0, and c^2 - t^2 = (omega_k + m)(c + t)."""
+    m, w = grid.m, grid.omega
+    t = grid.k**2 / (2 * m)
+    c = w + t + m
+    return FVModes(blocks=np.array([[t + m, t], [-t, -t - m]]).transpose(2, 0, 1),
+                   eigenvalues=np.stack([w, -w], axis=-1),
+                   right=np.array([[c, -t], [-t, c]]).transpose(2, 0, 1),
+                   left=(np.array([[c, t], [t, c]]) / ((w + m) * (c + t))).transpose(2, 0, 1))
 
 
 def sigma3_metric(grid: FourierGrid) -> np.ndarray:

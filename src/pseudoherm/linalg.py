@@ -24,8 +24,8 @@ from .errors import DegenerateSystem, EigFailure, NotPositiveDefinite
 # treated as numerically defective.
 KAPPA_MAX = 1e8
 
-# Eigenvalues closer than CLUSTER_TOL*(1+|lambda|) are treated as one
-# degenerate cluster when building the biorthonormal system.
+# Eigenvalues closer than CLUSTER_TOL*(1+|lambda|), the larger |lambda| of the
+# two, are one degenerate cluster when building the biorthonormal system.
 CLUSTER_TOL = 1e-8
 
 
@@ -83,14 +83,16 @@ class Spectrum:
 
 
 def _cluster_indices(eigenvalues: np.ndarray, tol: float) -> list[list[int]]:
-    """Group eigenvalue indices whose values coincide within tol*(1+|lambda|).
+    """Group eigenvalue indices whose values coincide within
+    tol*(1 + max(|lambda_i|, |lambda_j|)), a rule symmetric in the pair.
 
     Closeness is not transitive, so take the transitive closure (union-find
     over close pairs); cluster membership must not depend on eigenvalue ordering.
     """
     w = np.asarray(eigenvalues)
     n = len(w)
-    close = np.abs(w[:, None] - w[None, :]) <= tol * (1.0 + np.abs(w))[:, None]
+    size = np.abs(w)
+    close = np.abs(w[:, None] - w[None, :]) <= tol * (1.0 + np.maximum.outer(size, size))
     parent = list(range(n))
 
     def find(i):

@@ -145,8 +145,8 @@ def _metric_matrix(eta) -> np.ndarray:
     return as_square_matrix(eta)
 
 
-def pair_spectrum(S: Spectrum, tol: float = REALITY_TOL) -> PairingMap:
-    """Split a spectrum into real eigenvalues and conjugate pairs.
+def pair_spectrum(S: Spectrum | np.ndarray, tol: float = REALITY_TOL) -> PairingMap:
+    """Split a Spectrum, or an array of eigenvalues, into real ones and conjugate pairs.
 
     Eigenvalues with |Im| <= tol*(1+|lambda|) count as real; the rest are
     matched greedily to the nearest conjugate within the same scaled
@@ -154,11 +154,12 @@ def pair_spectrum(S: Spectrum, tol: float = REALITY_TOL) -> PairingMap:
     forcing a pairing: an unpaired complex eigenvalue certifies that no
     metric operator exists.
     """
-    w = S.eigenvalues
+    w = S.eigenvalues if isinstance(S, Spectrum) else np.asarray(S)
     real_indices = []
     upper = []   # Im > 0
     lower = []   # Im < 0
-    for n, lam in enumerate(w):
+    # Python scalars: the loop costs less than array calls on small spectra.
+    for n, lam in enumerate(w.tolist()):
         if abs(lam.imag) <= tol * (1.0 + abs(lam)):
             real_indices.append(n)
         elif lam.imag > 0:
@@ -183,41 +184,44 @@ def pair_spectrum(S: Spectrum, tol: float = REALITY_TOL) -> PairingMap:
     return PairingMap(real_indices=tuple(real_indices), pairs=tuple(pairs), tol=tol)
 
 
-def classify(H, tol: float = REALITY_TOL, kappa_max: float = KAPPA_MAX) -> Classification:
-    """Place H in the chain Hermitian < quasi-Hermitian < pseudo-Hermitian.
+def decide_class(eigenvalues, diag_score: float, hermiticity_residual: float,
+                 tol: float = REALITY_TOL, kappa_max: float = KAPPA_MAX):
+    """The class rule of classify from its three inputs: (kind, pairing, diagnostics).
 
-    NonDiagonalizable when the eigenvector conditioning exceeds kappa_max
-    (numerically defective; no spectral statement is attempted), Hermitian
-    by direct residual, QuasiHermitian for a real spectrum, PseudoHermitianOnly
-    when the spectrum is closed under conjugation with at least one genuine
-    pair, NotPseudoHermitian otherwise.  The returned Classification carries
-    the Spectrum and PairingMap, so callers never decompose H again.
+    NonDiagonalizable (pairing None) when diag_score, the eigenvector
+    conditioning, exceeds kappa_max; Hermitian by direct residual;
+    QuasiHermitian for a real spectrum; PseudoHermitianOnly when the spectrum
+    is closed under conjugation with at least one genuine pair;
+    NotPseudoHermitian (pairing None) otherwise.
     """
-    H = as_square_matrix(H)
-    S = eig_full(H)
-    diagnostics = {
-        "diag_score": S.diag_score,
-        "hermiticity_residual": herm_residual(H),
-    }
-
-    def result(kind, pairing=None):
-        return Classification(kind, S, pairing, diagnostics)
-
-    if S.diag_score > kappa_max:
-        return result(OperatorClass.NON_DIAGONALIZABLE)
-    if diagnostics["hermiticity_residual"] <= tol:
+    diagnostics = {"diag_score": diag_score, "hermiticity_residual": hermiticity_residual}
+    if diag_score > kappa_max:
+        return OperatorClass.NON_DIAGONALIZABLE, None, diagnostics
+    if hermiticity_residual <= tol:
         # A Hermitian spectrum is real: every eigenvalue is its own partner.
-        return result(OperatorClass.HERMITIAN, PairingMap(tuple(range(S.dim)), (), tol))
+        pairing = PairingMap(tuple(range(len(eigenvalues))), (), tol)
+        return OperatorClass.HERMITIAN, pairing, diagnostics
     try:
-        pairing = pair_spectrum(S, tol)
+        pairing = pair_spectrum(eigenvalues, tol)
     except UnpairedEigenvalue as exc:
         diagnostics["unpaired_eigenvalue"] = exc.eigenvalue
-        return result(OperatorClass.NOT_PSEUDO_HERMITIAN)
+        return OperatorClass.NOT_PSEUDO_HERMITIAN, None, diagnostics
     diagnostics["n_real"] = len(pairing.real_indices)
     diagnostics["n_pairs"] = len(pairing.pairs)
     if pairing.all_real:
-        return result(OperatorClass.QUASI_HERMITIAN, pairing)
-    return result(OperatorClass.PSEUDO_HERMITIAN_ONLY, pairing)
+        return OperatorClass.QUASI_HERMITIAN, pairing, diagnostics
+    return OperatorClass.PSEUDO_HERMITIAN_ONLY, pairing, diagnostics
+
+
+def classify(H, tol: float = REALITY_TOL, kappa_max: float = KAPPA_MAX) -> Classification:
+    """Place H in the chain Hermitian < quasi-Hermitian < pseudo-Hermitian
+    by decide_class.  The Classification carries the Spectrum and PairingMap
+    of the one decomposition, so callers never decompose H again."""
+    H = as_square_matrix(H)
+    S = eig_full(H)
+    kind, pairing, diagnostics = decide_class(S.eigenvalues, S.diag_score,
+                                              herm_residual(H), tol, kappa_max)
+    return Classification(kind, S, pairing, diagnostics)
 
 
 def build_positive_metric(S: Spectrum, pairing: PairingMap | None = None,
@@ -308,12 +312,12 @@ def eta_inner(eta, psi, chi) -> complex:
     return complex(np.vdot(psi, E @ chi))
 
 
-def hermitize(H, eta_plus) -> tuple[np.ndarray, np.ndarray]:
+def hermitize(H, eta_plus) -> tuple[np.ndarray, np.ndarray, float]:
     """Similarity map to a Hermitian matrix: rho = eta_+^{1/2}, h = rho H rho^{-1}.
 
     Requires eta_plus positive-definite and intertwining for H (checked);
     h is Hermitian up to conditioning roundoff and isospectral with H.
-    Returns (rho, h).
+    Returns (rho, h, the verify_intertwining residual the check measured).
     """
     H = as_square_matrix(H)
     E = _metric_matrix(eta_plus)
@@ -324,7 +328,7 @@ def hermitize(H, eta_plus) -> tuple[np.ndarray, np.ndarray]:
         )
     rho = herm_sqrt(E)
     h = rho @ H @ np.linalg.inv(rho)
-    return rho, h
+    return rho, h, residual
 
 
 def antilinear_symmetry(S: Spectrum, pairing: PairingMap) -> np.ndarray:

@@ -91,11 +91,16 @@ def indefinite_physical_set(S: Spectrum, eta, zero_tol: float = 1e-10):
     zero-norm vectors are excluded along with the negative ones.
     """
     E = eta.matrix if isinstance(eta, MetricOperator) else as_square_matrix(eta)
-    psi = S.right
-    norms = np.sum(psi.conj() * (E @ psi), axis=0).real
-    cutoff = zero_tol * np.sum(np.abs(psi) ** 2, axis=0) * max(spectral_norm(E), 1.0)
-    signs = np.where(np.abs(norms) <= cutoff, 0, np.sign(norms)).astype(int)
+    signs = norm_signs(S.right, E @ S.right, spectral_norm(E), zero_tol)
     return list(enumerate(signs.tolist()))
+
+
+def norm_signs(psi, eta_psi, eta_norm: float, zero_tol: float = 1e-10) -> np.ndarray:
+    """Signs of the eta-norms psi^dag eta psi of the columns of psi (stacks allowed),
+    given eta_psi = eta psi and ||eta||, under indefinite_physical_set's zero band."""
+    norms = np.sum(psi.conj() * eta_psi, axis=-2).real
+    cutoff = zero_tol * np.sum(np.abs(psi) ** 2, axis=-2) * max(eta_norm, 1.0)
+    return np.where(np.abs(norms) <= cutoff, 0, np.sign(norms)).astype(int)
 
 
 def positive_norm_span(S: Spectrum, eta, zero_tol: float = 1e-10) -> np.ndarray:

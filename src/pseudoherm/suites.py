@@ -116,7 +116,7 @@ def check_positive_metric_equivalence(H, cls: Classification, seed=0) -> dict:
     result["metric_min_eig"] = eta.min_abs_eigenvalue
 
     try:
-        rho, h = hermitize(H, eta)
+        rho, h, _ = hermitize(H, eta)
         result["hermiticity_residual"] = herm_residual(h)
         spec_in = np.sort_complex(cls.spectrum.eigenvalues)
         spec_out = np.sort_complex(np.linalg.eigvals(h))

@@ -127,7 +127,7 @@ def test_criterion_2_positive_metric_equivalence(ensemble500):
             eta = build_positive_metric(S)
             assert eta.min_abs_eigenvalue > 0 and eta.positive_definite, spec
 
-            rho, h = hermitize(H, eta)
+            rho, h, _ = hermitize(H, eta)
             assert herm_residual(h) <= RESIDUAL_TOL, spec
             lam_in = np.linalg.eigvals(H)
             drift = spectra_mismatch(np.linalg.eigvals(h), lam_in)

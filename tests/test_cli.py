@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,17 @@ from pseudoherm.cli import (
     save_matrix,
 )
 from pseudoherm.errors import ParseError
-from pseudoherm.kleingordon import evolve, kg_inner, make_grid, pd_inner, random_state
+from pseudoherm.kleingordon import (
+    evolve,
+    fv_hamiltonian,
+    kg_inner,
+    make_grid,
+    pd_inner,
+    random_state,
+    sigma3_metric,
+)
+from pseudoherm.metrics import classify
+from pseudoherm.physical import indefinite_physical_set, restrict_to_physical
 from pseudoherm.models import jordan_block, pt2x2, random_quasi
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -314,18 +325,8 @@ def test_unread_flags_are_rejected(matrix_file, capsys, argv):
     assert info.value.code == 2
 
 
-@pytest.mark.parametrize("argv, decompositions", [
-    (["classify", "MATRIX", "--emit-metric"], 1),
-    (["metric", "MATRIX"], 1),
-    (["hermitize", "MATRIX"], 1),
-    (["symmetry", "MATRIX"], 1),
-    (["kg", "--n", "8", "--samples", "2"], 1),     # H only
-    (["verify", "--count", "12", "--dims", "2-4"], 12),
-], ids=["classify", "metric", "hermitize", "symmetry", "kg", "verify"])
-def test_one_decomposition_per_matrix(matrix_file, capsys, monkeypatch, argv, decompositions):
-    import pseudoherm.linalg as linalg
-
-    original = linalg.eig_full
+def count_calls(monkeypatch, original):
+    """Replace original wherever a pseudoherm module binds it; returns the call log."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -337,8 +338,83 @@ def test_one_decomposition_per_matrix(matrix_file, capsys, monkeypatch, argv, de
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("argv, decompositions", [
+    (["classify", "MATRIX", "--emit-metric"], 1),
+    (["metric", "MATRIX"], 1),
+    (["hermitize", "MATRIX"], 1),
+    (["symmetry", "MATRIX"], 1),
+    (["kg", "--n", "8", "--samples", "2"], 0),     # closed-form 2x2 mode blocks
+    (["verify", "--count", "12", "--dims", "2-4"], 12),
+], ids=["classify", "metric", "hermitize", "symmetry", "kg", "verify"])
+def test_one_decomposition_per_matrix(matrix_file, capsys, monkeypatch, argv, decompositions):
+    import pseudoherm.linalg as linalg
+
+    calls = count_calls(monkeypatch, linalg.eig_full)
     H, _, _ = random_quasi(4, seed=3)
     argv = [matrix_file(H) if arg == "MATRIX" else arg for arg in argv]
     assert main(argv) == EXIT_OK
     capsys.readouterr()
     assert len(calls) == decompositions
+
+
+@pytest.mark.parametrize("argv, checks", [
+    (["hermitize", "MATRIX"], 1),     # the residual hermitize measured is the one reported
+], ids=["hermitize"])
+def test_one_intertwining_check_per_command(matrix_file, capsys, monkeypatch, argv, checks):
+    import pseudoherm.metrics as metrics
+
+    calls = count_calls(monkeypatch, metrics.verify_intertwining)
+    H, _, _ = random_quasi(4, seed=3)
+    argv = [matrix_file(H) if arg == "MATRIX" else arg for arg in argv]
+    code, report = run_cli(capsys, argv)
+    assert code == EXIT_OK
+    assert len(calls) == checks
+    assert report["residuals"]["intertwining"] <= 1e-8
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_kg_report_matches_dense_oracle(capsys, monkeypatch, n):
+    import pseudoherm.linalg as linalg
+    import pseudoherm.physical as physical
+
+    # The dense route the command took before the per-mode path: classify the
+    # 2N x 2N Hamiltonian, sigma3 signs of its eigenvectors, restriction to K.
+    grid = make_grid(n, 20 * np.pi, 1.0)
+    H = fv_hamiltonian(grid)
+    cls = classify(H)
+    signs = indefinite_physical_set(cls.spectrum, sigma3_metric(grid))
+    positive = sum(1 for _, s in signs if s > 0)
+    kept = restrict_to_physical(H, cls).dim
+    dense_calls = [count_calls(monkeypatch, fn) for fn in (
+        linalg.eig_full, linalg.spectral_norm, physical.restrict_to_physical,
+        physical.indefinite_physical_set)]
+    code, report = run_cli(capsys, ["kg", "--n", str(n), "--samples", "3", "--seed", "11"])
+    assert code == EXIT_OK
+    assert [len(calls) for calls in dense_calls] == [0, 0, 0, 0]
+    assert list(report) == ["schema", "input_digest", "classification", "residuals",
+                            "metric", "signature", "spectrum", "notes", "sector_dims"]
+    assert list(report["residuals"]) == [
+        "sigma3_intertwining", "pd_conservation_drift", "kg_conservation_drift",
+        "pd_positivity_min", "pd_mode_sum_deviation"]
+    assert report["classification"] == cls.kind.value == "QuasiHermitian"
+    assert report["sector_dims"] == {"indefinite_metric": positive, "pseudo_hermitian": kept}
+    assert report["notes"] == (
+        f"indefinite-metric physical space keeps {positive} of {2 * n} directions "
+        f"(positive-energy only); the real-spectrum construction keeps all {kept}")
+    assert report["residuals"]["sigma3_intertwining"] <= 1e-12
+
+
+def test_kg_forms_no_dense_matrix(capsys):
+    # fv_hamiltonian at N = 2048 alone is a 4096 x 4096 complex array, 268 MB.
+    tracemalloc.start()
+    try:
+        code = main(["kg", "--n", "2048", "--samples", "2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert peak < 64 * 2**20

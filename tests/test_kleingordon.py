@@ -15,10 +15,13 @@ from pseudoherm import (
     evolve,
     fv_components,
     fv_hamiltonian,
+    fv_modes,
+    indefinite_physical_set,
     kg_inner,
     kg_state_from_json,
     kg_state_to_json,
     make_grid,
+    norm_signs,
     pd_inner,
     position_fields,
     random_state,
@@ -29,6 +32,8 @@ from pseudoherm import (
 
 from oracles import (
     direct_fields,
+    fv_mode_eigenvectors,
+    fv_sign_table,
     mode_sum_kg,
     mode_sum_pd,
     quadrature_kg_inner,
@@ -116,6 +121,44 @@ def test_fv_hamiltonian_spectrum_is_dispersion():
 def test_fv_hamiltonian_is_quasi_hermitian():
     grid = make_grid(8, 2 * np.pi, 1.0)
     assert classify(fv_hamiltonian(grid)).kind is OperatorClass.QUASI_HERMITIAN
+
+
+def scatter(blocks):
+    """Dense 2N x 2N matrix with block k on rows and columns (k, N + k)."""
+    N = len(blocks)
+    dense = np.zeros((2, N, 2, N), dtype=complex)
+    dense[:, np.arange(N), :, np.arange(N)] = blocks
+    return dense.reshape(2 * N, 2 * N)
+
+
+@pytest.mark.parametrize("N, L, m", [(8, 7.0, 0.8), (16, 20 * np.pi, 1.0), (64, 10.0, 0.5)])
+def test_fv_modes_match_dense_oracle(N, L, m):
+    grid = make_grid(N, L, m)
+    H = fv_hamiltonian(grid)
+    modes = fv_modes(grid)
+    assert np.array_equal(scatter(modes.blocks), H)
+    # eigenvalues: +/- omega_k exactly, and the dense eigensolver's spectrum
+    assert np.array_equal(modes.eigenvalues, np.stack([grid.omega, -grid.omega], axis=-1))
+    S = eig_full(H)
+    assert spectra_mismatch(modes.eigenvalues.ravel(), S.eigenvalues) <= 1e-12 * np.abs(H).max()
+    # eigenvectors: parallel to the oracle's, and biorthonormal to the left system
+    for k in range(N):
+        for j, ref in enumerate(fv_mode_eigenvectors(grid.omega[k], grid.m)):
+            psi = modes.right[k, :, j]
+            cross = psi[0] * ref[1] - psi[1] * ref[0]
+            assert abs(cross) <= 1e-14 * np.linalg.norm(psi) * np.linalg.norm(ref)
+    gram = modes.left.conj().swapaxes(-1, -2) @ modes.right
+    assert np.max(np.abs(gram - np.eye(2))) <= 1e-13
+    # eta_+ blocks: a positive-definite metric of the dense H
+    eta = scatter(modes.eta_plus)
+    assert np.linalg.eigvalsh(eta).min() > 0
+    assert verify_intertwining(H, eta) <= 1e-12
+    # sigma3-norm signs: + on +omega_k, - on -omega_k, as on the dense spectrum
+    signs = norm_signs(modes.right, np.diag([1.0, -1.0]) @ modes.right, 1.0)
+    assert signs.tolist() == [[1, -1]] * N
+    dense = indefinite_physical_set(S, sigma3_metric(grid))
+    assert [s for _, s in dense] == np.sign(S.eigenvalues.real).astype(int).tolist()
+    assert set(fv_sign_table(grid).values()) == {(1.0, -1.0)}
 
 
 def test_fv_components_follow_matrix_dynamics():

@@ -163,7 +163,8 @@ def _pairwise_clusters(eigenvalues, tol):
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(eigenvalues[i] - eigenvalues[j]) <= tol * (1.0 + abs(eigenvalues[i])):
+            size = max(abs(eigenvalues[i]), abs(eigenvalues[j]))
+            if abs(eigenvalues[i] - eigenvalues[j]) <= tol * (1.0 + size):
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj
@@ -189,11 +190,12 @@ def test_cluster_indices_matches_pairwise_loop():
         got = _cluster_indices(w, tol)
         assert got == _pairwise_clusters(w, tol)
         # some cluster joins ends that are not close to each other
-        assert any(abs(w[c[-1]] - w[c[0]]) > tol * (1.0 + abs(w[c[0]])) for c in got)
+        assert any(abs(w[c[-1]] - w[c[0]]) > tol * (1.0 + max(abs(w[c[0]]), abs(w[c[-1]])))
+                   for c in got)
         perm = rng.permutation(len(w))
         assert (_partition(_cluster_indices(w[perm], tol), perm)
                 == _partition(got, np.arange(len(w))))
     assert _cluster_indices(np.array([2.5 + 1j]), tol) == [[0]]
-    # closeness is measured against |w_i| of the earlier index i < j
-    assert _cluster_indices(np.array([1.0, 3.0]), 0.6) == [[0], [1]]
+    # closeness is symmetric in the pair: the gap 2 is within 0.6 * (1 + 3) in either order
+    assert _cluster_indices(np.array([1.0, 3.0]), 0.6) == [[0, 1]]
     assert _cluster_indices(np.array([3.0, 1.0]), 0.6) == [[0, 1]]

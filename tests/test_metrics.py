@@ -120,7 +120,7 @@ def test_inclusion_chain_hermitian_passes_quasi_checks():
         eta = build_positive_metric(S)
         assert eta.positive_definite
         assert verify_intertwining(H, eta) <= 1e-8
-        rho, h = hermitize(H, eta)
+        rho, h, _ = hermitize(H, eta)
         assert herm_residual(h) <= 1e-8
 
 
@@ -301,7 +301,7 @@ def test_eta_inner_conjugate_linear_first_slot():
 
 def test_hermitize_identity_metric_is_identity_map():
     H = random_hermitian(3, seed=4)
-    rho, h = hermitize(H, np.eye(3, dtype=complex))
+    rho, h, _ = hermitize(H, np.eye(3, dtype=complex))
     assert np.allclose(rho, np.eye(3))
     assert np.allclose(h, H)
 
@@ -309,7 +309,7 @@ def test_hermitize_identity_metric_is_identity_map():
 def test_hermitize_pt_real_phase():
     H = pt2x2(1, np.pi / 6, 1)
     eta = build_positive_metric(eig_full(H))
-    rho, h = hermitize(H, eta)
+    rho, h, _ = hermitize(H, eta)
     assert herm_residual(h) <= 1e-8
     assert spectra_mismatch(np.linalg.eigvals(h), [0.0, np.sqrt(3)]) < 1e-10
 
@@ -317,7 +317,7 @@ def test_hermitize_pt_real_phase():
 def test_hermitize_preserves_planted_spectrum():
     H, lam, _ = random_quasi(6, seed=3)
     eta = build_positive_metric(eig_full(H))
-    rho, h = hermitize(H, eta)
+    rho, h, _ = hermitize(H, eta)
     assert herm_residual(h) <= 1e-8
     assert spectra_mismatch(np.linalg.eigvals(h), lam) <= 1e-8 * (1 + np.max(np.abs(lam)))
 

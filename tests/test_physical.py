@@ -127,7 +127,7 @@ def test_restriction_always_hermitizable():
     ]
     for H in cases:
         sub = restrict_to_physical(H)
-        rho, h = hermitize(sub.restricted_op, sub.eta_plus)
+        rho, h, _ = hermitize(sub.restricted_op, sub.eta_plus)
         assert herm_residual(h) <= 1e-8
 
 
@@ -135,8 +135,8 @@ def test_hermitized_spectrum_independent_of_metric_choice():
     H, _, _ = random_quasi(5, seed=77)
     eta = build_positive_metric(eig_full(H))
     moved = transform_metric(eta, H @ H + np.eye(5), H)
-    _, h1 = hermitize(H, eta)
-    _, h2 = hermitize(H, moved)
+    _, h1, _ = hermitize(H, eta)
+    _, h2, _ = hermitize(H, moved)
     lam1 = np.sort(np.linalg.eigvalsh(0.5 * (h1 + h1.conj().T)))
     lam2 = np.sort(np.linalg.eigvalsh(0.5 * (h2 + h2.conj().T)))
     assert np.max(np.abs(lam1 - lam2) / (1 + np.abs(lam1))) <= 1e-8
@@ -169,7 +169,10 @@ def _random_indefinite_diagonal(n, seed):
     (eig_full(np.diag([1.0, 2.0]).astype(complex)), SIGMA1, {0}),
     # norms of +/-1e-13, inside the zero band
     (eig_full(np.diag([1.0, 2.0]).astype(complex)), SIGMA1 + 1e-13 * SIGMA3, {0}),
-], ids=["kg8_sigma3", "quasi6_diagonal", "zero_norm_sigma1", "near_zero_sigma1"])
+    # norms of +/-1e-9: inside the band only through the factor ||eta|| = 100
+    (eig_full(np.diag([1.0, 2.0]).astype(complex)), 100 * SIGMA1 + 1e-9 * SIGMA3, {0}),
+], ids=["kg8_sigma3", "quasi6_diagonal", "zero_norm_sigma1", "near_zero_sigma1",
+        "scaled_sigma1"])
 def test_indefinite_set_matches_per_vector_loop(S, E, occurring):
     signs = indefinite_physical_set(S, E)
     assert signs == _sign_loop(S, E)
