@@ -47,13 +47,15 @@ def spectral_norm(A) -> float:
     return float(np.linalg.norm(A, 2))
 
 
-def herm_residual(A) -> float:
-    """Relative deviation from self-adjointness, ||A - A^dag|| / ||A||."""
+def herm_residual(A, norm: float | None = None) -> float:
+    """Relative deviation from self-adjointness, ||A - A^dag|| / ||A||; norm is
+    ||A|| when the caller has it.  Exactly self-adjoint A gives 0.0 with no SVD."""
     A = np.asarray(A, dtype=complex)
-    nrm = spectral_norm(A)
-    if nrm == 0.0:
+    skew = A - A.conj().T
+    if not skew.any():
         return 0.0
-    return spectral_norm(A - A.conj().T) / nrm
+    nrm = spectral_norm(A) if norm is None else norm
+    return spectral_norm(skew) / nrm if nrm != 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -196,10 +198,10 @@ def herm_sqrt(P, tol: float = 1e-10) -> np.ndarray:
     positive-metric construction upstream.
     """
     P = as_square_matrix(P)
-    if herm_residual(P) > tol:
+    residual = herm_residual(P)
+    if residual > tol:
         raise NotPositiveDefinite(
-            f"matrix is not self-adjoint within {tol:g} (residual {herm_residual(P):.3e})"
-        )
+            f"matrix is not self-adjoint within {tol:g} (residual {residual:.3e})")
     evals, U = np.linalg.eigh(0.5 * (P + P.conj().T))
     if evals[0] <= tol * max(1.0, evals[-1]):
         raise NotPositiveDefinite(

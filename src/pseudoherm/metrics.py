@@ -105,6 +105,7 @@ class MetricOperator:
     signature: tuple            # (n_plus, n_minus)
     selfadjoint_residual: float
     min_abs_eigenvalue: float
+    norm: float                 # ||eta|| = max |eigenvalue|
 
     @classmethod
     def from_matrix(cls, eta, selfadjoint_tol: float = 1e-10,
@@ -123,7 +124,7 @@ class MetricOperator:
         n_minus = int(np.sum(evals < 0))
         return cls(matrix=eta, signature=(n_plus, n_minus),
                    selfadjoint_residual=residual,
-                   min_abs_eigenvalue=float(np.min(np.abs(evals))))
+                   min_abs_eigenvalue=float(np.min(np.abs(evals))), norm=float(scale))
 
     @property
     def dim(self) -> int:
@@ -216,11 +217,14 @@ def decide_class(eigenvalues, diag_score: float, hermiticity_residual: float,
 def classify(H, tol: float = REALITY_TOL, kappa_max: float = KAPPA_MAX) -> Classification:
     """Place H in the chain Hermitian < quasi-Hermitian < pseudo-Hermitian
     by decide_class.  The Classification carries the Spectrum and PairingMap
-    of the one decomposition, so callers never decompose H again."""
+    of the one decomposition, so callers never decompose H again, and
+    ||H|| as diagnostics["norm"] for the residual helpers."""
     H = as_square_matrix(H)
     S = eig_full(H)
+    norm = spectral_norm(H)
     kind, pairing, diagnostics = decide_class(S.eigenvalues, S.diag_score,
-                                              herm_residual(H), tol, kappa_max)
+                                              herm_residual(H, norm), tol, kappa_max)
+    diagnostics["norm"] = norm
     return Classification(kind, S, pairing, diagnostics)
 
 
@@ -275,15 +279,17 @@ def build_general_metric(S: Spectrum, pairing: PairingMap, signs=None) -> Metric
         raise DegenerateSystem(f"constructed metric is singular: {exc}") from exc
 
 
-def verify_intertwining(H, eta) -> float:
+def verify_intertwining(H, eta, h_norm: float | None = None) -> float:
     """Relative residual ||H^dag eta - eta H|| / (||H|| ||eta||).
 
     Zero (up to roundoff) certifies eta as a metric operator for H;
-    membership is declared at <= 1e-8.
+    membership is declared at <= 1e-8.  h_norm is ||H|| when the caller has
+    it (classify's diagnostics["norm"]); a MetricOperator supplies ||eta||.
     """
     H = as_square_matrix(H)
     E = _metric_matrix(eta)
-    denom = spectral_norm(H) * spectral_norm(E)
+    eta_norm = eta.norm if isinstance(eta, MetricOperator) else spectral_norm(E)
+    denom = (spectral_norm(H) if h_norm is None else h_norm) * eta_norm
     if denom == 0.0:
         return 0.0
     return spectral_norm(H.conj().T @ E - E @ H) / denom
@@ -312,21 +318,20 @@ def eta_inner(eta, psi, chi) -> complex:
     return complex(np.vdot(psi, E @ chi))
 
 
-def hermitize(H, eta_plus) -> tuple[np.ndarray, np.ndarray, float]:
+def hermitize(H, eta_plus, h_norm: float | None = None) -> tuple[np.ndarray, np.ndarray, float]:
     """Similarity map to a Hermitian matrix: rho = eta_+^{1/2}, h = rho H rho^{-1}.
 
     Requires eta_plus positive-definite and intertwining for H (checked);
     h is Hermitian up to conditioning roundoff and isospectral with H.
-    Returns (rho, h, the verify_intertwining residual the check measured).
+    Returns (rho, h, the residual of verify_intertwining(H, eta_plus, h_norm)).
     """
     H = as_square_matrix(H)
-    E = _metric_matrix(eta_plus)
-    residual = verify_intertwining(H, E)
+    residual = verify_intertwining(H, eta_plus, h_norm)
     if residual > INTERTWINE_TOL:
         raise NotAMetric(
             f"eta does not intertwine H (residual {residual:.3e} > {INTERTWINE_TOL:g})"
         )
-    rho = herm_sqrt(E)
+    rho = herm_sqrt(_metric_matrix(eta_plus))
     h = rho @ H @ np.linalg.inv(rho)
     return rho, h, residual
 
@@ -349,11 +354,12 @@ def antilinear_symmetry(S: Spectrum, pairing: PairingMap) -> np.ndarray:
     return S.right @ S.left[:, pairing.permutation].T
 
 
-def antilinear_residual(H, tau) -> float:
-    """Relative residual ||H tau - tau conj(H)|| / (||H|| ||tau||)."""
+def antilinear_residual(H, tau, h_norm: float | None = None) -> float:
+    """Relative residual ||H tau - tau conj(H)|| / (||H|| ||tau||); h_norm is
+    ||H|| when the caller has it."""
     H = as_square_matrix(H)
     tau = as_square_matrix(tau)
-    denom = spectral_norm(H) * spectral_norm(tau)
+    denom = (spectral_norm(H) if h_norm is None else h_norm) * spectral_norm(tau)
     if denom == 0.0:
         return 0.0
     return spectral_norm(H @ tau - tau @ H.conj()) / denom
@@ -371,7 +377,7 @@ def transform_metric(eta, A, H, commute_tol: float = INTERTWINE_TOL) -> MetricOp
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[-1] <= 1e-12 * sv[0]:
         raise NotInvertible("transformation A is singular within tolerance")
-    denom = spectral_norm(A) * spectral_norm(H)
+    denom = sv[0] * spectral_norm(H)
     if denom > 0:
         comm = spectral_norm(A @ H - H @ A) / denom
         if comm > commute_tol:

@@ -77,7 +77,7 @@ def restrict_to_physical(H, cls: Classification | None = None) -> PhysicalSubspa
     left = cls.spectrum.left[:, list(cls.pairing.real_indices)]
     restricted = left.conj().T @ (H @ basis)
     k = basis.shape[1]
-    eta_plus = MetricOperator(np.eye(k, dtype=complex), (k, 0), 0.0, 1.0)
+    eta_plus = MetricOperator(np.eye(k, dtype=complex), (k, 0), 0.0, 1.0, 1.0)
     return PhysicalSubspace(parent_dim=H.shape[0], basis=basis,
                             restricted_op=restricted, eta_plus=eta_plus)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PseudohermError
-from .linalg import herm_residual, spectral_norm
+from .linalg import herm_residual
 from .metrics import (
     INTERTWINE_TOL,
     Classification,
@@ -73,14 +73,14 @@ def check_conjugation_equivalence(H, cls: Classification) -> dict:
 
     try:
         eta = build_general_metric(S, pairing)
-        result["metric_residual"] = verify_intertwining(H, eta)
+        result["metric_residual"] = verify_intertwining(H, eta, cls.diagnostics["norm"])
         result["metric_ok"] = result["metric_residual"] <= INTERTWINE_TOL
     except PseudohermError:
         result["metric_ok"] = False
 
     tau = antilinear_symmetry(S, pairing)
     sv = np.linalg.svd(tau, compute_uv=False)
-    result["antilinear_residual"] = antilinear_residual(H, tau)
+    result["antilinear_residual"] = antilinear_residual(H, tau, cls.diagnostics["norm"])
     result["antilinear_ok"] = (result["antilinear_residual"] <= INTERTWINE_TOL
                                and sv[-1] > 1e-12 * sv[0])
     result["agree"] = (result["pair_ok"] == result["metric_ok"] == result["antilinear_ok"])
@@ -116,7 +116,7 @@ def check_positive_metric_equivalence(H, cls: Classification, seed=0) -> dict:
     result["metric_min_eig"] = eta.min_abs_eigenvalue
 
     try:
-        rho, h, _ = hermitize(H, eta)
+        rho, h, _ = hermitize(H, eta, cls.diagnostics["norm"])
         result["hermiticity_residual"] = herm_residual(h)
         spec_in = np.sort_complex(cls.spectrum.eigenvalues)
         spec_out = np.sort_complex(np.linalg.eigvals(h))
@@ -129,7 +129,7 @@ def check_positive_metric_equivalence(H, cls: Classification, seed=0) -> dict:
 
     rng = np.random.default_rng([seed, 0xA5])
     n = H.shape[0]
-    scale = spectral_norm(H) * spectral_norm(eta.matrix)
+    scale = cls.diagnostics["norm"] * eta.norm
     worst = 0.0
     for _ in range(INNER_PAIRS):
         psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)

@@ -25,6 +25,7 @@ from pseudoherm.kleingordon import (
     random_state,
     sigma3_metric,
 )
+from pseudoherm.linalg import spectral_norm
 from pseudoherm.metrics import classify
 from pseudoherm.physical import indefinite_physical_set, restrict_to_physical
 from pseudoherm.models import jordan_block, pt2x2, random_quasi
@@ -373,6 +374,44 @@ def test_one_intertwining_check_per_command(matrix_file, capsys, monkeypatch, ar
     assert code == EXIT_OK
     assert len(calls) == checks
     assert report["residuals"]["intertwining"] <= 1e-8
+
+
+@pytest.mark.parametrize("argv, norms", [
+    (["classify", "MATRIX", "--emit-metric"], 3),   # ||H||, H - H^dag, intertwining
+    (["metric", "MATRIX"], 3),
+    (["symmetry", "MATRIX"], 4),                    # ... ||tau||, commutation
+    (["hermitize", "MATRIX"], 5),                   # ... intertwining, ||h||, h - h^dag
+], ids=["classify", "metric", "symmetry", "hermitize"])
+def test_norms_computed_once(matrix_file, capsys, monkeypatch, argv, norms):
+    import pseudoherm.linalg as linalg
+
+    H, _, _ = random_quasi(4, seed=3)
+    argv = [matrix_file(H) if arg == "MATRIX" else arg for arg in argv]
+    calls = count_calls(monkeypatch, linalg.spectral_norm)
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert len(calls) == norms
+    assert out.count("\n") == 1 and out.endswith("\n")   # one compact line
+    report = json.loads(out, parse_constant=_reject_constant)
+
+    # Every residual by its definition, each norm its own SVD.
+    def rel(numerator, *factors):
+        return spectral_norm(numerator) / np.prod([spectral_norm(f) for f in factors])
+
+    H, _ = load_matrix(argv[1])
+    E, T, h = (matrix_from_json(report[key]) if report.get(key) else None
+               for key in ("metric", "antilinear", "hermitized"))
+    formulas = {
+        "hermiticity": lambda: rel(H - H.conj().T, H),
+        "intertwining": lambda: rel(H.conj().T @ E - E @ H, H, E),
+        "metric_selfadjoint": lambda: rel(E - E.conj().T, E),
+        "antilinear_commutation": lambda: rel(H @ T - T @ H.conj(), H, T),
+        "hermiticity_of_h": lambda: rel(h - h.conj().T, h),
+    }
+    residuals = {k: v for k, v in report["residuals"].items() if k != "diag_score"}
+    assert residuals
+    for key, value in residuals.items():
+        assert value == pytest.approx(formulas[key](), rel=1e-12, abs=0), key
 
 
 @pytest.mark.parametrize("n", [8, 16, 64])

@@ -5,7 +5,10 @@ from pseudoherm import (
     DegenerateSystem,
     NotPositiveDefinite,
     biorthonormalize,
+    build_positive_metric,
+    classify,
     eig_full,
+    herm_residual,
     herm_sqrt,
     spectral_norm,
 )
@@ -148,6 +151,30 @@ def test_herm_sqrt_rejects_bad_input():
         herm_sqrt(np.diag([1.0, -1.0]).astype(complex))
     with pytest.raises(NotPositiveDefinite):
         herm_sqrt(np.array([[1, 1], [0, 1]], dtype=complex))  # not self-adjoint
+
+
+def test_herm_residual_of_exactly_self_adjoint_input_needs_no_svd(monkeypatch):
+    import pseudoherm.linalg as linalg
+
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    H, _, _ = random_quasi(5, seed=2)
+    cls = classify(H)
+    inputs = {"hermitian": X + X.conj().T,   # Hermitian bit for bit
+              "built metric": build_positive_metric(cls.spectrum, cls.pairing).matrix}
+    calls = []
+    monkeypatch.setattr(linalg, "spectral_norm", lambda A: calls.append(A) or spectral_norm(A))
+    for name, A in inputs.items():
+        assert herm_residual(A) == 0.0, name
+        assert calls == [], name
+        # Off the diagonal by 1e-14 i: the two-SVD formula, bit for bit.
+        perturbed = A.copy()
+        perturbed[0, 1] += 1e-14j
+        expected = spectral_norm(perturbed - perturbed.conj().T) / spectral_norm(perturbed)
+        assert expected > 0.0, name
+        assert herm_residual(perturbed) == expected, name
+        assert herm_residual(perturbed, spectral_norm(perturbed)) == expected, name
+        calls.clear()
 
 
 def _pairwise_clusters(eigenvalues, tol):

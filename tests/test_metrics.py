@@ -72,6 +72,15 @@ def test_pair_spectrum_unpaired_raises():
     assert abs(info.value.eigenvalue - 2j) < 1e-12
 
 
+def test_pair_spectrum_tolerance_scales_with_magnitude():
+    # |Im| = 1e-4 is above tol = 1e-9 but within tol * (1 + |lambda|) ~ 1e-3.
+    P = pair_spectrum(np.array([1e6 + 1e-4j, 2.0]), tol=1e-9)
+    assert P.all_real and P.real_indices == (0, 1)
+    # A partner 1e-4 off conj(lambda) is matched under the same scaling.
+    P = pair_spectrum(np.array([1e6 + 1j, 1e6 - 1j + 1e-4]), tol=1e-9)
+    assert P.pairs == ((0, 1),)
+
+
 def test_pairing_partitions_indices():
     for seed in range(6):
         H, _, _ = random_pseudo_nonquasi(6, seed=seed)
