@@ -29,33 +29,38 @@ KAPPA_MAX = 1e8
 CLUSTER_TOL = 1e-8
 
 
-def as_square_matrix(M) -> np.ndarray:
-    """Validate and return M as a square complex128 array with finite entries."""
+def as_square_matrix(M, stack: bool = False) -> np.ndarray:
+    """Validate and return M as a square complex128 array with finite entries;
+    with stack, a (k, n, n) stack of square matrices passes too."""
     A = np.asarray(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim not in ((2, 3) if stack else (2,)) or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
         raise ValueError("matrix has non-finite entries")
     return A
 
 
-def spectral_norm(A) -> float:
-    """Largest singular value; the operator norm used for all residuals."""
+def spectral_norm(A):
+    """Largest singular value; the operator norm used for all residuals.
+    A (k, n, n) stack gives the (k,) array of its norms."""
     A = np.asarray(A, dtype=complex)
     if A.size == 0:
-        return 0.0
-    return float(np.linalg.norm(A, 2))
+        return 0.0 if A.ndim == 2 else np.zeros(A.shape[0])
+    norms = np.linalg.svd(A, compute_uv=False)[..., 0]
+    return float(norms) if norms.ndim == 0 else norms
 
 
-def herm_residual(A, norm: float | None = None) -> float:
+def herm_residual(A, norm=None):
     """Relative deviation from self-adjointness, ||A - A^dag|| / ||A||; norm is
-    ||A|| when the caller has it.  Exactly self-adjoint A gives 0.0 with no SVD."""
+    ||A|| when the caller has it.  Exactly self-adjoint A gives 0.0 with no SVD.
+    A (k, n, n) stack gives the (k,) array of residuals."""
     A = np.asarray(A, dtype=complex)
-    skew = A - A.conj().T
+    skew = A - np.swapaxes(A.conj(), -1, -2)
     if not skew.any():
-        return 0.0
-    nrm = spectral_norm(A) if norm is None else norm
-    return spectral_norm(skew) / nrm if nrm != 0.0 else 0.0
+        return 0.0 if A.ndim == 2 else np.zeros(A.shape[0])
+    nrm = np.asarray(spectral_norm(A) if norm is None else norm)
+    residual = np.divide(spectral_norm(skew), nrm, out=np.zeros(nrm.shape), where=nrm != 0.0)
+    return float(residual) if residual.ndim == 0 else residual
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,9 @@ class Spectrum:
     left: np.ndarray          # columns phi_n, phi_m^dag psi_n = delta_mn
     diag_score: float
 
+    # eig_full of a (k, n, n) stack gives (k, n) eigenvalues, (k, n, n)
+    # systems and (k,) diag_scores; the methods below take a single spectrum.
+
     def gram_deviation(self) -> float:
         """max |phi_m^dag psi_n - delta_mn|, the biorthonormality defect."""
         G = self.left.conj().T @ self.right
@@ -84,6 +92,14 @@ class Spectrum:
         return (self.right * self.eigenvalues) @ self.left.conj().T
 
 
+def _close_pairs(w: np.ndarray, tol: float) -> np.ndarray:
+    """(..., n, n) booleans over the last axis of w: |lambda_i - lambda_j| <=
+    tol*(1 + max(|lambda_i|, |lambda_j|))."""
+    size = np.abs(w)
+    gap = np.abs(w[..., :, None] - w[..., None, :])
+    return gap <= tol * (1.0 + np.maximum(size[..., :, None], size[..., None, :]))
+
+
 def _cluster_indices(eigenvalues: np.ndarray, tol: float) -> list[list[int]]:
     """Group eigenvalue indices whose values coincide within
     tol*(1 + max(|lambda_i|, |lambda_j|)), a rule symmetric in the pair.
@@ -91,10 +107,8 @@ def _cluster_indices(eigenvalues: np.ndarray, tol: float) -> list[list[int]]:
     Closeness is not transitive, so take the transitive closure (union-find
     over close pairs); cluster membership must not depend on eigenvalue ordering.
     """
-    w = np.asarray(eigenvalues)
-    n = len(w)
-    size = np.abs(w)
-    close = np.abs(w[:, None] - w[None, :]) <= tol * (1.0 + np.maximum.outer(size, size))
+    n = len(eigenvalues)
+    close = _close_pairs(np.asarray(eigenvalues), tol)
     parent = list(range(n))
 
     def find(i):
@@ -151,23 +165,9 @@ def biorthonormalize(right: np.ndarray, left: np.ndarray, tol: float = 1e-10):
     return right, best
 
 
-def eig_full(M, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
-    """Two-sided eigendecomposition of a general complex matrix.
-
-    Right vectors come from the dense eigensolver; degenerate clusters are
-    orthonormalized among themselves (stabilizes everything built from
-    near-degenerate systems, e.g. +k/-k lattice modes); the left system is
-    the conjugated inverse of the right matrix, polished by
-    ``biorthonormalize``.  diag_score is the condition number of the *raw*
-    eigenvector matrix so defective inputs keep their tell-tale blow-up.
-    """
-    M = as_square_matrix(M)
-    n = M.shape[0]
-    try:
-        w, V = np.linalg.eig(M)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
-        raise EigFailure(str(exc)) from exc
-
+def _left_system(w: np.ndarray, V: np.ndarray, cluster_tol: float):
+    """The single-matrix steps of eig_full after the eigensolve: returns
+    (left, diag_score) and orthonormalizes V's degenerate clusters in place."""
     diag_score = float(np.linalg.cond(V, 2))
     if not np.isfinite(diag_score):
         diag_score = np.inf
@@ -186,6 +186,51 @@ def eig_full(M, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
 
     if diag_score <= 1e12:
         _, left = biorthonormalize(V, left)
+    return left, diag_score
+
+
+def eig_full(M, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
+    """Two-sided eigendecomposition of a general complex matrix.
+
+    Right vectors come from the dense eigensolver; degenerate clusters are
+    orthonormalized among themselves (stabilizes everything built from
+    near-degenerate systems, e.g. +k/-k lattice modes); the left system is
+    the conjugated inverse of the right matrix, polished by
+    ``biorthonormalize``.  diag_score is the condition number of the *raw*
+    eigenvector matrix so defective inputs keep their tell-tale blow-up.
+
+    M may be a (k, n, n) stack; each matrix's entries of the stacked
+    Spectrum are bit-identical to its own eig_full.  eig, cond and inv run
+    once over the stack, and only a matrix with a degenerate cluster, a
+    diag_score past 1e12 or a left system the polish must correct takes the
+    single-matrix steps.
+    """
+    M = as_square_matrix(M, stack=True)
+    n = M.shape[-1]
+    try:
+        w, V = np.linalg.eig(M)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
+        raise EigFailure(str(exc)) from exc
+    if M.ndim == 2:
+        left, diag_score = _left_system(w, V, cluster_tol)
+        return Spectrum(dim=n, eigenvalues=w, right=V, left=left, diag_score=diag_score)
+
+    diag_score = np.linalg.cond(V, 2)
+    diag_score[~np.isfinite(diag_score)] = np.inf
+    clustered = np.count_nonzero(_close_pairs(w, cluster_tol), axis=(-2, -1)) > n
+    single = clustered | (diag_score > 1e12)
+    left = np.empty_like(V)
+    plain = np.flatnonzero(~single)
+    try:
+        W = np.linalg.inv(V[plain])
+    except np.linalg.LinAlgError:   # an exactly singular V: every matrix goes alone
+        single[:] = True
+    else:
+        left[plain] = np.swapaxes(W.conj(), -1, -2)
+        defect = np.max(np.abs(W @ V[plain] - np.eye(n)), axis=(-2, -1))
+        single[plain] = defect > 10 * np.finfo(float).eps * n   # biorthonormalize's own test
+    for i in np.flatnonzero(single):
+        left[i], diag_score[i] = _left_system(w[i], V[i], cluster_tol)
     return Spectrum(dim=n, eigenvalues=w, right=V, left=left, diag_score=diag_score)
 
 

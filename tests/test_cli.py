@@ -235,8 +235,8 @@ def test_kg_report_matches_per_sample_loop(capsys, argv):
             pd_drift = max(pd_drift, abs(pd_inner(moved, moved, mu) - pd0) / (scale / mu))
             kg_drift = max(kg_drift, abs(kg_inner(moved, moved) - kg0) / (2 * scale))
     res = report["residuals"]
-    assert res["pd_positivity_min"] == pytest.approx(pd_min, rel=1e-12)
-    assert res["pd_mode_sum_deviation"] == pytest.approx(mode_sum_dev, rel=1e-12)
+    assert res["pd_positivity_min"] == pytest.approx(pd_min, rel=1e-12, abs=0)
+    assert res["pd_mode_sum_deviation"] == pytest.approx(mode_sum_dev, rel=1e-12, abs=0)
     assert res["pd_conservation_drift"] <= 1e-14 and pd_drift <= 1e-14
     assert res["kg_conservation_drift"] <= 1e-14 and kg_drift <= 1e-14
 
@@ -342,15 +342,16 @@ def count_calls(monkeypatch, original):
     return calls
 
 
-@pytest.mark.parametrize("argv, decompositions", [
-    (["classify", "MATRIX", "--emit-metric"], 1),
-    (["metric", "MATRIX"], 1),
-    (["hermitize", "MATRIX"], 1),
-    (["symmetry", "MATRIX"], 1),
-    (["kg", "--n", "8", "--samples", "2"], 0),     # closed-form 2x2 mode blocks
-    (["verify", "--count", "12", "--dims", "2-4"], 12),
+@pytest.mark.parametrize("argv, decompositions, matrices", [
+    (["classify", "MATRIX", "--emit-metric"], 1, 1),
+    (["metric", "MATRIX"], 1, 1),
+    (["hermitize", "MATRIX"], 1, 1),
+    (["symmetry", "MATRIX"], 1, 1),
+    (["kg", "--n", "8", "--samples", "2"], 0, 0),     # closed-form 2x2 mode blocks
+    (["verify", "--count", "12", "--dims", "2-4"], 3, 12),   # one stack per dim
 ], ids=["classify", "metric", "hermitize", "symmetry", "kg", "verify"])
-def test_one_decomposition_per_matrix(matrix_file, capsys, monkeypatch, argv, decompositions):
+def test_one_decomposition_per_matrix(matrix_file, capsys, monkeypatch, argv, decompositions,
+                                      matrices):
     import pseudoherm.linalg as linalg
 
     calls = count_calls(monkeypatch, linalg.eig_full)
@@ -359,6 +360,7 @@ def test_one_decomposition_per_matrix(matrix_file, capsys, monkeypatch, argv, de
     assert main(argv) == EXIT_OK
     capsys.readouterr()
     assert len(calls) == decompositions
+    assert sum(len(M) if np.ndim(M) == 3 else 1 for M, *_ in calls) == matrices
 
 
 @pytest.mark.parametrize("argv, checks", [
