@@ -74,8 +74,6 @@ from .kleingordon import (
     fv_hamiltonian,
     fv_modes,
     kg_inner,
-    kg_state_from_json,
-    kg_state_to_json,
     make_grid,
     pd_inner,
     position_fields,

@@ -24,6 +24,7 @@ to 2 sum_k omega_k (conj(a1) a2 - conj(b1) b2).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,9 @@ class KGState:
     a_k multiplies e^{-i omega_k t} (positive frequency), b_k multiplies
     e^{+i omega_k t} (negative frequency).  a and b share a shape (..., N):
     (N,) is one state, leading axes stack states on one grid at one time t.
+    The mode values and position fields are computed once per state and
+    returned read-only, so a and b must not be mutated in place: build a new
+    state (evolve, sector_decompose, dataclasses.replace) instead.
     """
 
     grid: FourierGrid
@@ -82,6 +86,30 @@ class KGState:
     def __post_init__(self):
         if self.a.shape != self.b.shape or self.a.shape[-1:] != (self.grid.N,):
             raise ValueError("amplitude arrays must have the same shape (..., N)")
+
+    @cached_property
+    def _modes(self):
+        """Instantaneous mode coefficients (A_k, dA_k/dt) at time t (last axis k)."""
+        w = self.grid.omega
+        ep = np.exp(-1j * w * self.t)
+        em = np.exp(+1j * w * self.t)
+        return _read_only(self.a * ep + self.b * em, -1j * w * (self.a * ep - self.b * em))
+
+    @cached_property
+    def _fields(self):
+        """(psi(x), d_t psi(x)) on the lattice at time t (last axis x)."""
+        return _read_only(*(_synthesize(self.grid, c) for c in self._modes))
+
+
+def _read_only(*arrays):
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
+def _synthesize(grid: FourierGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Lattice samples L^{-1/2} sum_k c_k e^{ikx} of per-mode coefficients."""
+    return np.fft.ifft(coeffs) * (grid.N / np.sqrt(grid.L))
 
 
 def random_state(grid: FourierGrid, seed=None, rng=None, size=()) -> KGState:
@@ -103,21 +131,10 @@ def _check_same_frame(s1: KGState, s2: KGState):
         raise TimeMismatch(f"states at different times {s1.t} vs {s2.t}")
 
 
-def _mode_values(state: KGState):
-    """Instantaneous mode coefficients (A_k, dA_k/dt) at the state's time (last axis k)."""
-    w = state.grid.omega
-    ep = np.exp(-1j * w * state.t)
-    em = np.exp(+1j * w * state.t)
-    A = state.a * ep + state.b * em
-    Adot = -1j * w * (state.a * ep - state.b * em)
-    return A, Adot
-
-
 def position_fields(state: KGState):
-    """Samples (psi(x), d_t psi(x)) on the lattice at the state's time (last axis x)."""
-    A, Adot = _mode_values(state)
-    scale = state.grid.N / np.sqrt(state.grid.L)
-    return np.fft.ifft(A) * scale, np.fft.ifft(Adot) * scale
+    """Samples (psi(x), d_t psi(x)) on the lattice at the state's time (last axis x);
+    read-only arrays, computed once per state."""
+    return state._fields
 
 
 def d_power(grid: FourierGrid, s: float, field: np.ndarray) -> np.ndarray:
@@ -184,7 +201,7 @@ def fv_components(state: KGState) -> np.ndarray:
 
     Satisfies i d_t Psi = fv_hamiltonian(grid) Psi along the exact evolution.
     """
-    A, Adot = _mode_values(state)
+    A, Adot = state._modes
     phi = 0.5 * (A + 1j * Adot / state.grid.m)
     chi = 0.5 * (A - 1j * Adot / state.grid.m)
     return np.concatenate([phi, chi], axis=-1)
@@ -208,7 +225,8 @@ def pd_inner(psi1: KGState, psi2: KGState, mu: float | None = None) -> complex |
     (1/mu) sum_k omega_k (conj(a1) a2 + conj(b1) b2), hence conserved and
     positive-definite on nonzero states.
     Stacks (..., N) pair elementwise: one pair gives a complex, stacks an
-    ndarray of the (broadcast) leading shape.
+    ndarray of the (broadcast) leading shape.  D^{+/-1/2} acts on psi2's
+    mode values, which are its fields' Fourier coefficients up to N/sqrt(L).
     """
     _check_same_frame(psi1, psi2)
     grid = psi1.grid
@@ -217,9 +235,9 @@ def pd_inner(psi1: KGState, psi2: KGState, mu: float | None = None) -> complex |
     if not (mu > 0):
         raise ValueError("mu must be positive")
     f1, g1 = position_fields(psi1)
-    f2, g2 = position_fields(psi2)
-    half = np.fft.ifft(d_power(grid, 0.5, np.fft.fft(f2)))
-    minus_half = np.fft.ifft(d_power(grid, -0.5, np.fft.fft(g2)))
+    A2, Adot2 = psi2._modes
+    half = _synthesize(grid, d_power(grid, 0.5, A2))
+    minus_half = _synthesize(grid, d_power(grid, -0.5, Adot2))
     total = np.sum(np.conj(f1) * half, axis=-1) + np.sum(np.conj(g1) * minus_half, axis=-1)
     total = total * grid.dx / (2 * mu)
     return complex(total) if np.ndim(total) == 0 else total
@@ -254,25 +272,3 @@ def sector_decompose(state: KGState) -> tuple[KGState, KGState]:
     positive = replace(state, a=state.a.copy(), b=zero)
     negative = replace(state, a=zero.copy(), b=state.b.copy())
     return positive, negative
-
-
-def kg_state_to_json(state: KGState) -> dict:
-    """Serializable form: {N, L, m, t, a_re[], a_im[], b_re[], b_im[]}."""
-    return {
-        "N": state.grid.N,
-        "L": state.grid.L,
-        "m": state.grid.m,
-        "t": state.t,
-        "a_re": state.a.real.tolist(),
-        "a_im": state.a.imag.tolist(),
-        "b_re": state.b.real.tolist(),
-        "b_im": state.b.imag.tolist(),
-    }
-
-
-def kg_state_from_json(data: dict) -> KGState:
-    """Inverse of kg_state_to_json."""
-    grid = make_grid(data["N"], data["L"], data["m"])
-    a = np.asarray(data["a_re"], dtype=float) + 1j * np.asarray(data["a_im"], dtype=float)
-    b = np.asarray(data["b_re"], dtype=float) + 1j * np.asarray(data["b_im"], dtype=float)
-    return KGState(grid=grid, a=a, b=b, t=float(data["t"]))

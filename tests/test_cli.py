@@ -241,6 +241,24 @@ def test_kg_report_matches_per_sample_loop(capsys, argv):
     assert res["kg_conservation_drift"] <= 1e-14 and kg_drift <= 1e-14
 
 
+def test_kg_fft_count(capsys, monkeypatch):
+    # 9 checkpoints x 4 FFTs: psi and d_t psi once per state, and D^{+/-1/2}
+    # applied in mode space for pd_inner; the fields are shared with kg_inner.
+    calls = []
+    for name in ("fft", "ifft"):
+        original = getattr(np.fft, name)
+
+        def counting(*args, _original=original, **kwargs):
+            calls.append(args[0].shape)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    code, report = run_cli(capsys, ["kg", "--n", "8", "--samples", "2"])
+    assert code == EXIT_OK
+    assert len(calls) == 36
+    assert set(calls) == {(2, 8)}
+
+
 def test_kg_command_rejects_massless(capsys):
     assert main(["kg", "--n", "8", "--mass", "0"]) == EXIT_INPUT
     capsys.readouterr()

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -18,8 +16,6 @@ from pseudoherm import (
     fv_modes,
     indefinite_physical_set,
     kg_inner,
-    kg_state_from_json,
-    kg_state_to_json,
     make_grid,
     norm_signs,
     pd_inner,
@@ -308,6 +304,33 @@ def test_stacked_inner_products_match_single_state_calls(N, shape, dt):
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
+def fft_pd_inner(psi1, psi2, mu):
+    """pd_inner as written before the fields were cached: every field through
+    position_fields, and D^{+/-1/2} applied after an FFT back to mode space."""
+    grid = psi1.grid
+    f1, g1 = position_fields(psi1)
+    f2, g2 = position_fields(psi2)
+    half = np.fft.ifft(d_power(grid, 0.5, np.fft.fft(f2)))
+    minus_half = np.fft.ifft(d_power(grid, -0.5, np.fft.fft(g2)))
+    total = np.sum(np.conj(f1) * half, axis=-1) + np.sum(np.conj(g1) * minus_half, axis=-1)
+    return total * grid.dx / (2 * mu)
+
+
+@pytest.mark.parametrize("N", [16, 64])
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+@pytest.mark.parametrize("dt", [0.0, 3.7])
+def test_pd_inner_matches_fft_round_trip_oracle(N, shape, dt):
+    grid = make_grid(N, 13.0, 0.8)
+    rng = np.random.default_rng(3 * N + len(shape))
+    s1 = evolve(random_state(grid, rng=rng, size=shape), dt)
+    s2 = evolve(random_state(grid, rng=rng, size=shape), dt)
+    for left, right in ((s1, s1), (s1, s2), (s2, s1)):
+        got = np.asarray(pd_inner(left, right, 1.7))
+        want = fft_pd_inner(left, right, 1.7)
+        assert got.shape == want.shape == shape
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+
 def test_random_state_stack_equals_successive_draws():
     grid = make_grid(16, 9.0, 1.0)
     for size in (4, (2, 3)):
@@ -401,16 +424,36 @@ def test_sector_decompose_additivity():
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# cached fields
 
-def test_state_json_round_trip():
+def test_cached_fields_are_read_only():
     grid = make_grid(8, 2 * np.pi, 1.0)
-    s = evolve(random_state(grid, seed=6), 1.25)
-    data = kg_state_to_json(s)
-    text = json.dumps(data)
-    back = kg_state_from_json(json.loads(text))
-    assert back.grid.compatible(s.grid)
-    assert back.t == s.t
-    assert np.array_equal(back.a, s.a)
-    assert np.array_equal(back.b, s.b)
-    assert set(data) == {"N", "L", "m", "t", "a_re", "a_im", "b_re", "b_im"}
+    for size in ((), 3):
+        s = random_state(grid, seed=7, size=size)
+        base = pd_inner(s, s), kg_inner(s, s)
+        f, g = position_fields(s)
+        assert position_fields(s)[0] is f   # computed once per state
+        for field in (f, g):
+            with pytest.raises(ValueError):
+                field[...] = 1.0
+        assert np.array_equal(pd_inner(s, s), base[0])
+        assert np.array_equal(kg_inner(s, s), base[1])
+
+
+def test_derived_states_recompute_their_fields():
+    grid = make_grid(16, 7.0, 1.2)
+    s = random_state(grid, seed=12)
+    f0, g0 = position_fields(s)   # fill the cache of s first
+    phi0 = fv_components(s)
+    moved = evolve(s, 0.9)
+    pos, neg = sector_decompose(s)
+    for derived in (moved, pos, neg):
+        f, g = position_fields(derived)
+        assert f is not f0 and g is not g0
+        want_f, want_g = direct_fields(derived)
+        assert np.max(np.abs(f - want_f)) < 1e-12
+        assert np.max(np.abs(g - want_g)) < 1e-12
+        assert np.max(np.abs(f - f0)) > 1e-3   # not the parent's values
+    assert np.max(np.abs(fv_components(moved) - phi0)) > 1e-3
+    # the two sectors add up to the parent's fields
+    assert np.max(np.abs(position_fields(pos)[0] + position_fields(neg)[0] - f0)) < 1e-12
