@@ -17,7 +17,6 @@ from pseudoherm import (
     build_general_metric,
     build_positive_metric,
     eig_full,
-    metric_signature,
     pair_spectrum,
     pt2x2,
     random_quasi,
@@ -50,7 +49,7 @@ Sc = eig_full(Hc)
 eta_c = build_general_metric(Sc, pair_spectrum(Sc))
 print("diag(i, -i) has a conjugate pair; the pair block produces sigma1:")
 print(np.round(eta_c.matrix, 6))
-print(f"    signature {metric_signature(eta_c)}: no positive metric exists here.")
+print(f"    signature {eta_c.signature}: no positive metric exists here.")
 print()
 
 print("Transporting a positive metric along the commutant (A = H^2 + 1):")

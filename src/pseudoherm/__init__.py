@@ -51,7 +51,6 @@ from .metrics import (
     decide_class,
     eta_inner,
     hermitize,
-    metric_signature,
     pair_spectrum,
     transform_metric,
     verify_intertwining,

@@ -31,9 +31,10 @@ import numpy as np
 from .errors import GridMismatch, InvalidGrid, TimeMismatch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierGrid:
-    """Periodic lattice of N sites on [0, L) with mass m and dispersion table."""
+    """Periodic lattice of N sites on [0, L) with mass m and dispersion table.
+    Grids compare by identity; compatible() compares their parameters."""
 
     N: int
     L: float
@@ -66,7 +67,7 @@ def make_grid(N: int, L: float, m: float) -> FourierGrid:
     return FourierGrid(N=N, L=float(L), m=float(m), k=k, omega=np.sqrt(k**2 + m**2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KGState:
     """Klein-Gordon field as per-mode frequency amplitudes at time t.
 
@@ -75,7 +76,8 @@ class KGState:
     (N,) is one state, leading axes stack states on one grid at one time t.
     The mode values and position fields are computed once per state and
     returned read-only, so a and b must not be mutated in place: build a new
-    state (evolve, sector_decompose, dataclasses.replace) instead.
+    state (evolve, sector_decompose, dataclasses.replace) instead.  States
+    compare and hash by identity.
     """
 
     grid: FourierGrid
@@ -91,9 +93,12 @@ class KGState:
     def _modes(self):
         """Instantaneous mode coefficients (A_k, dA_k/dt) at time t (last axis k)."""
         w = self.grid.omega
-        ep = np.exp(-1j * w * self.t)
-        em = np.exp(+1j * w * self.t)
-        return _read_only(self.a * ep + self.b * em, -1j * w * (self.a * ep - self.b * em))
+        phase = np.exp(-1j * w * self.t)       # e^{+i omega t} is its conjugate
+        a_term, b_term = self.a * phase, self.b * phase.conj()
+        A = a_term + b_term
+        a_term -= b_term       # a_term becomes dA/dt in place
+        a_term *= -1j * w
+        return _read_only(A, a_term)
 
     @cached_property
     def _fields(self):
@@ -109,7 +114,9 @@ def _read_only(*arrays):
 
 def _synthesize(grid: FourierGrid, coeffs: np.ndarray) -> np.ndarray:
     """Lattice samples L^{-1/2} sum_k c_k e^{ikx} of per-mode coefficients."""
-    return np.fft.ifft(coeffs) * (grid.N / np.sqrt(grid.L))
+    samples = np.fft.ifft(coeffs, norm="forward")
+    samples *= 1 / np.sqrt(grid.L)
+    return samples
 
 
 def random_state(grid: FourierGrid, seed=None, rng=None, size=()) -> KGState:
@@ -119,8 +126,8 @@ def random_state(grid: FourierGrid, seed=None, rng=None, size=()) -> KGState:
         rng = np.random.default_rng(seed)
     shape = (size,) if np.ndim(size) == 0 else tuple(size)
     z = rng.standard_normal((*shape, 4, grid.N))
-    a = z[..., 0, :] + 1j * z[..., 1, :]
-    b = z[..., 2, :] + 1j * z[..., 3, :]
+    a, b = np.empty((2, *shape, grid.N), dtype=complex)
+    a.real, a.imag, b.real, b.imag = (z[..., j, :] for j in range(4))
     return KGState(grid=grid, a=a, b=b, t=0.0)
 
 
@@ -226,7 +233,8 @@ def pd_inner(psi1: KGState, psi2: KGState, mu: float | None = None) -> complex |
     positive-definite on nonzero states.
     Stacks (..., N) pair elementwise: one pair gives a complex, stacks an
     ndarray of the (broadcast) leading shape.  D^{+/-1/2} acts on psi2's
-    mode values, which are its fields' Fourier coefficients up to N/sqrt(L).
+    mode values, which are its fields' Fourier coefficients up to N/sqrt(L);
+    the 1/sqrt(L) of their synthesis is folded into the final scalar.
     """
     _check_same_frame(psi1, psi2)
     grid = psi1.grid
@@ -236,10 +244,10 @@ def pd_inner(psi1: KGState, psi2: KGState, mu: float | None = None) -> complex |
         raise ValueError("mu must be positive")
     f1, g1 = position_fields(psi1)
     A2, Adot2 = psi2._modes
-    half = _synthesize(grid, d_power(grid, 0.5, A2))
-    minus_half = _synthesize(grid, d_power(grid, -0.5, Adot2))
-    total = np.sum(np.conj(f1) * half, axis=-1) + np.sum(np.conj(g1) * minus_half, axis=-1)
-    total = total * grid.dx / (2 * mu)
+    half = np.fft.ifft(d_power(grid, 0.5, A2), norm="forward")
+    minus_half = np.fft.ifft(d_power(grid, -0.5, Adot2), norm="forward")
+    total = np.vecdot(f1, half) + np.vecdot(g1, minus_half)
+    total = total * (grid.dx / (2 * mu * np.sqrt(grid.L)))
     return complex(total) if np.ndim(total) == 0 else total
 
 
@@ -257,8 +265,7 @@ def kg_inner(psi1: KGState, psi2: KGState) -> complex | np.ndarray:
     grid = psi1.grid
     f1, g1 = position_fields(psi1)
     f2, g2 = position_fields(psi2)
-    total = np.sum(np.conj(f1) * g2, axis=-1) - np.sum(np.conj(g1) * f2, axis=-1)
-    total = 1j * grid.dx * total
+    total = 1j * grid.dx * (np.vecdot(f1, g2) - np.vecdot(g1, f2))
     return complex(total) if np.ndim(total) == 0 else total
 
 

@@ -295,17 +295,6 @@ def verify_intertwining(H, eta, h_norm: float | None = None) -> float:
     return spectral_norm(H.conj().T @ E - E @ H) / denom
 
 
-def metric_signature(eta, invertibility_tol: float = 1e-12):
-    """Counts (n_plus, n_minus) of positive/negative metric eigenvalues.
-
-    The metric is indefinite iff both counts are nonzero.  Raises
-    NotInvertible if an eigenvalue sits within tolerance of zero.
-    """
-    if isinstance(eta, MetricOperator):
-        return eta.signature
-    return MetricOperator.from_matrix(eta, invertibility_tol=invertibility_tol).signature
-
-
 def eta_inner(eta, psi, chi) -> complex:
     """Metric inner product <psi, eta chi>, conjugate-linear in psi.
 

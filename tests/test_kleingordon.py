@@ -331,6 +331,34 @@ def test_pd_inner_matches_fft_round_trip_oracle(N, shape, dt):
         assert got == pytest.approx(want, rel=1e-13, abs=0)
 
 
+def sum_kg_inner(psi1, psi2):
+    """kg_inner as written before the fused reductions: explicit conjugate
+    products of the position fields, summed over the last axis.  Also returns
+    the sums' forward-error scale dx * sum(|f1||g2| + |g1||f2|)."""
+    f1, g1 = position_fields(psi1)
+    f2, g2 = position_fields(psi2)
+    total = np.sum(np.conj(f1) * g2, axis=-1) - np.sum(np.conj(g1) * f2, axis=-1)
+    scale = np.sum(np.abs(f1 * g2) + np.abs(g1 * f2), axis=-1)
+    return 1j * psi1.grid.dx * total, psi1.grid.dx * scale
+
+
+@pytest.mark.parametrize("N", [16, 64])
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+@pytest.mark.parametrize("dt", [0.0, 3.7])
+def test_kg_inner_matches_field_sum_oracle(N, shape, dt):
+    grid = make_grid(N, 13.0, 0.8)
+    rng = np.random.default_rng(5 * N + len(shape))
+    s1 = evolve(random_state(grid, rng=rng, size=shape), dt)
+    s2 = evolve(random_state(grid, rng=rng, size=shape), dt)
+    for left, right in ((s1, s1), (s1, s2), (s2, s1)):
+        got = np.asarray(kg_inner(left, right))
+        want, scale = sum_kg_inner(left, right)
+        assert got.shape == want.shape == shape
+        # relative to the terms, not the value: kg_inner has null vectors, and
+        # a self-product can cancel to a small fraction of its terms
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
 def test_random_state_stack_equals_successive_draws():
     grid = make_grid(16, 9.0, 1.0)
     for size in (4, (2, 3)):
@@ -344,6 +372,18 @@ def test_random_state_stack_equals_successive_draws():
     one = random_state(grid, seed=5)
     assert one.a.shape == (grid.N,)
     assert np.array_equal(random_state(grid, seed=5, size=1).a[0], one.a)
+
+
+def test_states_and_grids_compare_by_identity():
+    grid = make_grid(8, 5.0, 1.0)
+    s1, s2 = random_state(grid, seed=1), random_state(grid, seed=2)
+    assert (s1 == s2) is False
+    assert s1 == s1
+    assert hash(s1) == hash(s1)
+    assert len({s1, s2, s1}) == 2
+    twin = make_grid(8, 5.0, 1.0)
+    assert grid == grid and (grid != twin) and grid.compatible(twin)
+    assert len({grid, twin}) == 2
 
 
 def test_kg_state_rejects_mismatched_shapes():

@@ -17,7 +17,6 @@ from pseudoherm import (
     eta_inner,
     herm_residual,
     hermitize,
-    metric_signature,
     pair_spectrum,
     pt2x2,
     random_hermitian,
@@ -259,8 +258,8 @@ def test_verify_intertwining_values():
 
 
 def test_metric_signature_values():
-    assert metric_signature(np.eye(4, dtype=complex)) == (4, 0)
-    assert metric_signature(SIGMA3) == (1, 1)
+    assert MetricOperator.from_matrix(np.eye(4, dtype=complex)).signature == (4, 0)
+    assert MetricOperator.from_matrix(SIGMA3).signature == (1, 1)
     S = eig_full(pt2x2(1, np.pi / 2, 0.5))
     eta = build_general_metric(S, pair_spectrum(S))
     assert eta.signature == (1, 1)
@@ -268,7 +267,7 @@ def test_metric_signature_values():
 
 def test_metric_signature_rejects_singular():
     with pytest.raises(NotInvertible):
-        metric_signature(np.diag([1.0, 0.0]).astype(complex))
+        MetricOperator.from_matrix(np.diag([1.0, 0.0]).astype(complex))
 
 
 def test_metric_operator_rejects_nonselfadjoint():
