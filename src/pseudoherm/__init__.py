@@ -60,7 +60,6 @@ from .physical import (
     indefinite_physical_set,
     norm_signs,
     positive_norm_span,
-    real_span,
     restrict_to_physical,
 )
 from .kleingordon import (

@@ -28,6 +28,16 @@ KAPPA_MAX = 1e8
 # two, are one degenerate cluster when building the biorthonormal system.
 CLUSTER_TOL = 1e-8
 
+# A matrix is singular when sigma_min <= INVERTIBILITY_TOL * sigma_max.
+INVERTIBILITY_TOL = 1e-12
+
+# Largest self-adjointness residual ||A - A^dag|| / ||A|| of a metric or of
+# herm_sqrt's input.
+SELFADJOINT_TOL = 1e-10
+
+# herm_sqrt refuses lambda_min <= POSITIVITY_TOL * max(1, lambda_max).
+POSITIVITY_TOL = 1e-10
+
 
 def as_square_matrix(M, stack: bool = False) -> np.ndarray:
     """Validate and return M as a square complex128 array with finite entries;
@@ -38,6 +48,17 @@ def as_square_matrix(M, stack: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
         raise ValueError("matrix has non-finite entries")
     return A
+
+
+def dagger(A):
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.swapaxes(A.conj(), -1, -2)
+
+
+def ratio(numerator, denominator) -> np.ndarray:
+    """numerator / denominator elementwise, 0.0 where the denominator is 0."""
+    return np.divide(numerator, denominator, out=np.zeros(np.shape(denominator)),
+                     where=denominator != 0.0)
 
 
 def spectral_norm(A):
@@ -55,11 +76,10 @@ def herm_residual(A, norm=None):
     ||A|| when the caller has it.  Exactly self-adjoint A gives 0.0 with no SVD.
     A (k, n, n) stack gives the (k,) array of residuals."""
     A = np.asarray(A, dtype=complex)
-    skew = A - np.swapaxes(A.conj(), -1, -2)
+    skew = A - dagger(A)
     if not skew.any():
         return 0.0 if A.ndim == 2 else np.zeros(A.shape[0])
-    nrm = np.asarray(spectral_norm(A) if norm is None else norm)
-    residual = np.divide(spectral_norm(skew), nrm, out=np.zeros(nrm.shape), where=nrm != 0.0)
+    residual = ratio(spectral_norm(skew), spectral_norm(A) if norm is None else norm)
     return float(residual) if residual.ndim == 0 else residual
 
 
@@ -104,137 +124,112 @@ def _cluster_indices(eigenvalues: np.ndarray, tol: float) -> list[list[int]]:
     """Group eigenvalue indices whose values coincide within
     tol*(1 + max(|lambda_i|, |lambda_j|)), a rule symmetric in the pair.
 
-    Closeness is not transitive, so take the transitive closure (union-find
-    over close pairs); cluster membership must not depend on eigenvalue ordering.
+    Closeness is not transitive, so take the transitive closure: each index
+    takes the smallest label among its close partners until no label moves.
+    Cluster membership must not depend on eigenvalue ordering.
     """
-    n = len(eigenvalues)
     close = _close_pairs(np.asarray(eigenvalues), tol)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    rows, cols = np.nonzero(np.triu(close, 1))
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    clusters: dict[int, list[int]] = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
-    return list(clusters.values())
+    label = np.arange(len(close))
+    while True:
+        moved = np.where(close, label, len(close)).min(axis=1)
+        moved = moved[moved]   # pointer jumping: a chain of m closes in O(log m) rounds
+        if np.array_equal(moved, label):
+            return [np.flatnonzero(label == m).tolist() for m in np.unique(label)]
+        label = moved
 
 
-def biorthonormalize(right: np.ndarray, left: np.ndarray, tol: float = 1e-10):
+def biorthonormalize(right: np.ndarray, left: np.ndarray):
     """Rescale the left system so that left^dag . right = identity.
 
     Only the left factor is adjusted (left' = left . G^{-dag} with
     G = left^dag right), so both column spans are unchanged.  Iterates the
-    correction until the Gram defect stops improving; one pass already gives
-    a defect of order machine epsilon times the conditioning of G.
+    correction, at most three times, until the Gram defect stops improving;
+    one pass already gives a defect of order machine epsilon times the
+    conditioning of G.  A (k, n, n) stack runs each matrix by its own stop
+    rule, every pass one product over the matrices still improving.
 
     Raises DegenerateSystem when G is singular beyond tolerance, which
     signals a defective or mis-paired system.
     """
-    right = as_square_matrix(right)
-    left = as_square_matrix(left)
+    right = as_square_matrix(right, stack=True)
+    left = as_square_matrix(left, stack=True)
     if right.shape != left.shape:
         raise ValueError("left/right shape mismatch")
-    n = right.shape[0]
+    n = right.shape[-1]
+    R = right.reshape(-1, n, n)
+    best = left.reshape(-1, n, n).copy()
     eye = np.eye(n)
+    floor = 10 * np.finfo(float).eps * n
 
-    best = left
-    best_dev = float(np.max(np.abs(best.conj().T @ right - eye)))
+    best_dev = np.max(np.abs(dagger(best) @ R - eye), axis=(-2, -1))
+    idx = np.flatnonzero(best_dev > floor)   # the matrices still to polish
     for _ in range(3):
-        if best_dev <= 10 * np.finfo(float).eps * n:
+        if idx.size == 0:
             break
-        G = best.conj().T @ right
+        G = dagger(best[idx]) @ R[idx]
         sv = np.linalg.svd(G, compute_uv=False)
-        if sv[-1] <= 1e-12 * sv[0]:
-            raise DegenerateSystem(
-                f"left^dag.right is singular within tolerance (sigma_min/sigma_max = {sv[-1] / sv[0]:.3e})"
-            )
-        candidate = best @ np.linalg.inv(G).conj().T
-        dev = float(np.max(np.abs(candidate.conj().T @ right - eye)))
-        if dev >= best_dev:
-            break
-        best, best_dev = candidate, dev
-    return right, best
+        singular = sv[:, -1] <= INVERTIBILITY_TOL * sv[:, 0]
+        if singular.any():
+            raise DegenerateSystem(f"left^dag.right of matrix {idx[singular][0]} is singular "
+                                   f"within tolerance (sigma_min {sv[singular][0, -1]:.3e})")
+        candidate = best[idx] @ dagger(np.linalg.inv(G))
+        dev = np.max(np.abs(dagger(candidate) @ R[idx] - eye), axis=(-2, -1))
+        improved = dev < best_dev[idx]
+        idx = idx[improved]
+        best[idx], best_dev[idx] = candidate[improved], dev[improved]
+        idx = idx[best_dev[idx] > floor]
+    return right, best.reshape(left.shape)
 
 
-def _left_system(w: np.ndarray, V: np.ndarray, cluster_tol: float):
-    """The single-matrix steps of eig_full after the eigensolve: returns
-    (left, diag_score) and orthonormalizes V's degenerate clusters in place."""
-    diag_score = float(np.linalg.cond(V, 2))
-    if not np.isfinite(diag_score):
-        diag_score = np.inf
-
-    for cluster in _cluster_indices(w, cluster_tol):
-        if len(cluster) > 1:
-            Q, _ = np.linalg.qr(V[:, cluster])
-            V[:, cluster] = Q
-
-    try:
-        W = np.linalg.inv(V)
-    except np.linalg.LinAlgError:
-        W = np.linalg.pinv(V)
-        diag_score = np.inf
-    left = W.conj().T
-
-    if diag_score <= 1e12:
-        _, left = biorthonormalize(V, left)
-    return left, diag_score
-
-
-def eig_full(M, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
+def eig_full(M) -> Spectrum:
     """Two-sided eigendecomposition of a general complex matrix.
 
     Right vectors come from the dense eigensolver; degenerate clusters are
     orthonormalized among themselves (stabilizes everything built from
     near-degenerate systems, e.g. +k/-k lattice modes); the left system is
     the conjugated inverse of the right matrix, polished by
-    ``biorthonormalize``.  diag_score is the condition number of the *raw*
-    eigenvector matrix so defective inputs keep their tell-tale blow-up.
+    ``biorthonormalize`` unless diag_score is past 1e12.  diag_score is the
+    condition number of the *raw* eigenvector matrix so defective inputs
+    keep their tell-tale blow-up.
 
-    M may be a (k, n, n) stack; each matrix's entries of the stacked
-    Spectrum are bit-identical to its own eig_full.  eig, cond and inv run
-    once over the stack, and only a matrix with a degenerate cluster, a
-    diag_score past 1e12 or a left system the polish must correct takes the
-    single-matrix steps.
+    M may be a (k, n, n) stack: a single matrix runs as a stack of one, each
+    step runs once over the stack, and each matrix's entries are
+    bit-identical to its own eig_full.
     """
     M = as_square_matrix(M, stack=True)
     n = M.shape[-1]
     try:
-        w, V = np.linalg.eig(M)
+        w, V = np.linalg.eig(M.reshape(-1, n, n))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
         raise EigFailure(str(exc)) from exc
-    if M.ndim == 2:
-        left, diag_score = _left_system(w, V, cluster_tol)
-        return Spectrum(dim=n, eigenvalues=w, right=V, left=left, diag_score=diag_score)
-
     diag_score = np.linalg.cond(V, 2)
     diag_score[~np.isfinite(diag_score)] = np.inf
-    clustered = np.count_nonzero(_close_pairs(w, cluster_tol), axis=(-2, -1)) > n
-    single = clustered | (diag_score > 1e12)
-    left = np.empty_like(V)
-    plain = np.flatnonzero(~single)
+
+    for i in np.flatnonzero(np.count_nonzero(_close_pairs(w, CLUSTER_TOL), axis=(-2, -1)) > n):
+        for cluster in _cluster_indices(w[i], CLUSTER_TOL):
+            if len(cluster) > 1:
+                V[i][:, cluster] = np.linalg.qr(V[i][:, cluster])[0]
+
     try:
-        W = np.linalg.inv(V[plain])
-    except np.linalg.LinAlgError:   # an exactly singular V: every matrix goes alone
-        single[:] = True
-    else:
-        left[plain] = np.swapaxes(W.conj(), -1, -2)
-        defect = np.max(np.abs(W @ V[plain] - np.eye(n)), axis=(-2, -1))
-        single[plain] = defect > 10 * np.finfo(float).eps * n   # biorthonormalize's own test
-    for i in np.flatnonzero(single):
-        left[i], diag_score[i] = _left_system(w[i], V[i], cluster_tol)
+        W = np.linalg.inv(V)
+    except np.linalg.LinAlgError:   # an exactly singular V: invert matrix by matrix
+        W = np.empty_like(V)
+        for i, Vi in enumerate(V):
+            try:
+                W[i] = np.linalg.inv(Vi)
+            except np.linalg.LinAlgError:
+                W[i] = np.linalg.pinv(Vi)
+                diag_score[i] = np.inf
+    left = dagger(W)
+
+    polish = diag_score <= 1e12
+    _, left[polish] = biorthonormalize(V[polish], left[polish])
+    if M.ndim == 2:   # unwrap the stack of one
+        w, V, left, diag_score = w[0], V[0], left[0], float(diag_score[0])
     return Spectrum(dim=n, eigenvalues=w, right=V, left=left, diag_score=diag_score)
 
 
-def herm_sqrt(P, tol: float = 1e-10) -> np.ndarray:
+def herm_sqrt(P) -> np.ndarray:
     """Positive-definite square root of a Hermitian positive-definite matrix.
 
     Standard spectral functional calculus: eigendecompose, take sqrt of the
@@ -244,11 +239,11 @@ def herm_sqrt(P, tol: float = 1e-10) -> np.ndarray:
     """
     P = as_square_matrix(P)
     residual = herm_residual(P)
-    if residual > tol:
+    if residual > SELFADJOINT_TOL:
         raise NotPositiveDefinite(
-            f"matrix is not self-adjoint within {tol:g} (residual {residual:.3e})")
+            f"matrix is not self-adjoint within {SELFADJOINT_TOL:g} (residual {residual:.3e})")
     evals, U = np.linalg.eigh(0.5 * (P + P.conj().T))
-    if evals[0] <= tol * max(1.0, evals[-1]):
+    if evals[0] <= POSITIVITY_TOL * max(1.0, evals[-1]):
         raise NotPositiveDefinite(
             f"minimum eigenvalue {evals[0]:.3e} is not positive"
         )

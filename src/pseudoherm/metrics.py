@@ -32,7 +32,9 @@ from .errors import (
     UnpairedEigenvalue,
 )
 from .linalg import (
+    INVERTIBILITY_TOL,
     KAPPA_MAX,
+    SELFADJOINT_TOL,
     Spectrum,
     as_square_matrix,
     eig_full,
@@ -108,17 +110,16 @@ class MetricOperator:
     norm: float                 # ||eta|| = max |eigenvalue|
 
     @classmethod
-    def from_matrix(cls, eta, selfadjoint_tol: float = 1e-10,
-                    invertibility_tol: float = 1e-12) -> "MetricOperator":
+    def from_matrix(cls, eta) -> "MetricOperator":
         eta = as_square_matrix(eta)
         residual = herm_residual(eta)
-        if residual > selfadjoint_tol:
+        if residual > SELFADJOINT_TOL:
             raise NotAMetric(f"not self-adjoint: residual {residual:.3e}")
         evals = np.linalg.eigvalsh(0.5 * (eta + eta.conj().T))
         scale = np.max(np.abs(evals))
-        if scale == 0.0 or np.min(np.abs(evals)) <= invertibility_tol * scale:
+        if scale == 0.0 or np.min(np.abs(evals)) <= INVERTIBILITY_TOL * scale:
             raise NotInvertible(
-                f"metric has an eigenvalue within {invertibility_tol:g} of zero"
+                f"metric has an eigenvalue within {INVERTIBILITY_TOL:g} of zero"
             )
         n_plus = int(np.sum(evals > 0))
         n_minus = int(np.sum(evals < 0))
@@ -228,17 +229,16 @@ def classify(H, tol: float = REALITY_TOL, kappa_max: float = KAPPA_MAX) -> Class
     return Classification(kind, S, pairing, diagnostics)
 
 
-def build_positive_metric(S: Spectrum, pairing: PairingMap | None = None,
-                          tol: float = REALITY_TOL) -> MetricOperator:
+def build_positive_metric(S: Spectrum, pairing: PairingMap | None = None) -> MetricOperator:
     """Positive metric eta_+ = Phi Phi^dag = sum_n phi_n phi_n^dag.
 
     The all-+1 case of build_general_metric on a real spectrum.  pairing is
-    the spectrum's PairingMap, computed here within tol when not given.
+    the spectrum's PairingMap, computed here when not given.
     Raises NoPositiveMetric when any conjugate pair is present.  The result
     is self-adjoint positive-definite and intertwines H with H^dag.
     """
     if pairing is None:
-        pairing = pair_spectrum(S, tol)
+        pairing = pair_spectrum(S)
     if not pairing.all_real:
         raise NoPositiveMetric(
             f"spectrum has {len(pairing.pairs)} complex pair(s); no positive metric exists"
@@ -354,7 +354,7 @@ def antilinear_residual(H, tau, h_norm: float | None = None) -> float:
     return spectral_norm(H @ tau - tau @ H.conj()) / denom
 
 
-def transform_metric(eta, A, H, commute_tol: float = INTERTWINE_TOL) -> MetricOperator:
+def transform_metric(eta, A, H) -> MetricOperator:
     """Move along the metric family: eta' = A^dag eta A for A commuting with H.
 
     Checks that A is invertible and commutes with H within tolerance; the
@@ -364,11 +364,11 @@ def transform_metric(eta, A, H, commute_tol: float = INTERTWINE_TOL) -> MetricOp
     A = as_square_matrix(A)
     E = _metric_matrix(eta)
     sv = np.linalg.svd(A, compute_uv=False)
-    if sv[-1] <= 1e-12 * sv[0]:
+    if sv[-1] <= INVERTIBILITY_TOL * sv[0]:
         raise NotInvertible("transformation A is singular within tolerance")
     denom = sv[0] * spectral_norm(H)
     if denom > 0:
         comm = spectral_norm(A @ H - H @ A) / denom
-        if comm > commute_tol:
-            raise NotCommuting(f"[A, H] residual {comm:.3e} exceeds {commute_tol:g}")
+        if comm > INTERTWINE_TOL:
+            raise NotCommuting(f"[A, H] residual {comm:.3e} exceeds {INTERTWINE_TOL:g}")
     return MetricOperator.from_matrix(A.conj().T @ E @ A)

@@ -19,13 +19,10 @@ import numpy as np
 
 from .errors import EmptyPhysicalSpace, NonDiagonalizableError, UnpairedEigenvalue
 from .linalg import Spectrum, as_square_matrix, spectral_norm
-from .metrics import (
-    Classification,
-    MetricOperator,
-    OperatorClass,
-    PairingMap,
-    classify,
-)
+from .metrics import Classification, MetricOperator, OperatorClass, classify
+
+# An eta-norm within ZERO_NORM_TOL * ||psi||^2 * max(||eta||, 1) of zero is zero.
+ZERO_NORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -43,17 +40,6 @@ class PhysicalSubspace:
         return self.basis.shape[1]
 
 
-def real_span(S: Spectrum, pairing: PairingMap) -> np.ndarray:
-    """Columns: the right eigenvectors whose eigenvalues are real.
-
-    Raises EmptyPhysicalSpace when the spectrum has no real eigenvalue at
-    all, since the construction would yield the zero space.
-    """
-    if not pairing.real_indices:
-        raise EmptyPhysicalSpace("no real eigenvalues: physical span is {0}")
-    return S.right[:, list(pairing.real_indices)]
-
-
 def restrict_to_physical(H, cls: Classification | None = None) -> PhysicalSubspace:
     """Restrict H to the span of its real-eigenvalue eigenvectors.
 
@@ -63,6 +49,8 @@ def restrict_to_physical(H, cls: Classification | None = None) -> PhysicalSubspa
     biorthonormal left system, exact for the invariant K and diag(lambda_K)
     up to roundoff.  eta_plus is the identity: the restriction of the
     canonical metric Phi M Phi^dag to K, B^dag Phi M Phi^dag B = I.
+    Raises EmptyPhysicalSpace when the spectrum has no real eigenvalue,
+    since K would be the zero space.
     """
     H = as_square_matrix(H)
     if cls is None:
@@ -73,8 +61,11 @@ def restrict_to_physical(H, cls: Classification | None = None) -> PhysicalSubspa
         )
     if cls.pairing is None:
         raise UnpairedEigenvalue(cls.diagnostics["unpaired_eigenvalue"])
-    basis = real_span(cls.spectrum, cls.pairing)
-    left = cls.spectrum.left[:, list(cls.pairing.real_indices)]
+    real = list(cls.pairing.real_indices)
+    if not real:
+        raise EmptyPhysicalSpace("no real eigenvalues: physical span is {0}")
+    basis = cls.spectrum.right[:, real]
+    left = cls.spectrum.left[:, real]
     restricted = left.conj().T @ (H @ basis)
     k = basis.shape[1]
     eta_plus = MetricOperator(np.eye(k, dtype=complex), (k, 0), 0.0, 1.0, 1.0)
@@ -82,30 +73,30 @@ def restrict_to_physical(H, cls: Classification | None = None) -> PhysicalSubspa
                             restricted_op=restricted, eta_plus=eta_plus)
 
 
-def indefinite_physical_set(S: Spectrum, eta, zero_tol: float = 1e-10):
+def indefinite_physical_set(S: Spectrum, eta):
     """Sign of the eta-norm of every eigenvector: list of (index, sign).
 
     sign is +1 / 0 / -1 from diag(Psi^dag eta Psi); |norm| <=
-    zero_tol * ||psi||^2 * max(||eta||, 1) counts as zero.  Under a fixed
+    ZERO_NORM_TOL * ||psi||^2 * max(||eta||, 1) counts as zero.  Under a fixed
     indefinite metric only the +1 eigenvectors span the physical space;
     zero-norm vectors are excluded along with the negative ones.
     """
     E = eta.matrix if isinstance(eta, MetricOperator) else as_square_matrix(eta)
-    signs = norm_signs(S.right, E @ S.right, spectral_norm(E), zero_tol)
+    signs = norm_signs(S.right, E @ S.right, spectral_norm(E))
     return list(enumerate(signs.tolist()))
 
 
-def norm_signs(psi, eta_psi, eta_norm: float, zero_tol: float = 1e-10) -> np.ndarray:
+def norm_signs(psi, eta_psi, eta_norm: float) -> np.ndarray:
     """Signs of the eta-norms psi^dag eta psi of the columns of psi (stacks allowed),
     given eta_psi = eta psi and ||eta||, under indefinite_physical_set's zero band."""
     norms = np.sum(psi.conj() * eta_psi, axis=-2).real
-    cutoff = zero_tol * np.sum(np.abs(psi) ** 2, axis=-2) * max(eta_norm, 1.0)
+    cutoff = ZERO_NORM_TOL * np.sum(np.abs(psi) ** 2, axis=-2) * max(eta_norm, 1.0)
     return np.where(np.abs(norms) <= cutoff, 0, np.sign(norms)).astype(int)
 
 
-def positive_norm_span(S: Spectrum, eta, zero_tol: float = 1e-10) -> np.ndarray:
+def positive_norm_span(S: Spectrum, eta) -> np.ndarray:
     """Basis (columns) of the span of positive-eta-norm eigenvectors."""
-    signs = indefinite_physical_set(S, eta, zero_tol)
+    signs = indefinite_physical_set(S, eta)
     keep = [n for n, s in signs if s > 0]
     if not keep:
         raise EmptyPhysicalSpace("no eigenvector has positive eta-norm")

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Spectrum, eig_full, herm_residual, spectral_norm
+from .linalg import (INVERTIBILITY_TOL, POSITIVITY_TOL, Spectrum, dagger, eig_full,
+                     herm_residual, ratio, spectral_norm)
 from .metrics import INTERTWINE_TOL, OperatorClass, decide_class
 from .models import EnsembleSpec, generate
 
@@ -48,16 +49,6 @@ def make_ensemble(kinds, count, dims, base_seed=0, conditioning_cap=1e3):
 def _instance_matrix(spec: EnsembleSpec) -> np.ndarray:
     out = generate(spec)
     return out[0] if isinstance(out, tuple) else out
-
-
-def _ratio(numerator, denominator) -> np.ndarray:
-    """numerator / denominator elementwise, 0.0 where the denominator is 0."""
-    return np.divide(numerator, denominator, out=np.zeros(np.shape(denominator)),
-                     where=denominator != 0.0)
-
-
-def _dagger(A):
-    return np.swapaxes(A.conj(), -1, -2)
 
 
 @dataclass(frozen=True)
@@ -105,14 +96,14 @@ def canonical_metrics(group: Group) -> CanonicalMetrics:
     index = np.array([i for i, p in enumerate(group.pairings) if p is not None], dtype=int)
     perm = np.array([group.pairings[i].permutation for i in index], dtype=int).reshape(-1, n)
     partner = np.take_along_axis(group.spectrum.left[index], perm[:, None, :], axis=2)
-    eta = group.spectrum.left[index] @ _dagger(partner)
-    eta = 0.5 * (eta + _dagger(eta))    # Hermitian bit for bit, so from_matrix's
+    eta = group.spectrum.left[index] @ dagger(partner)
+    eta = 0.5 * (eta + dagger(eta))    # Hermitian bit for bit, so from_matrix's
     evals = np.linalg.eigvalsh(eta)     # self-adjointness residual is 0.0
     size = np.abs(evals)
     scale = size.max(axis=-1)
-    invertible = (scale != 0.0) & (size.min(axis=-1) > 1e-12 * scale)
+    invertible = (scale != 0.0) & (size.min(axis=-1) > INVERTIBILITY_TOL * scale)
     H = group.H[index]
-    residual = _ratio(spectral_norm(_dagger(H) @ eta - eta @ H), group.norm[index] * scale)
+    residual = ratio(spectral_norm(dagger(H) @ eta - eta @ H), group.norm[index] * scale)
     return CanonicalMetrics(index, partner, eta, evals, invertible, scale, residual)
 
 
@@ -137,8 +128,8 @@ def check_conjugation_equivalence(group: Group, metrics: CanonicalMetrics) -> li
     H = group.H[index]
     tau = group.spectrum.right[index] @ np.swapaxes(metrics.partner, -1, -2)
     sv = np.linalg.svd(tau, compute_uv=False)   # sv[:, 0] is ||tau||
-    antilinear = _ratio(spectral_norm(H @ tau - tau @ H.conj()), group.norm[index] * sv[:, 0])
-    antilinear_ok = (antilinear <= INTERTWINE_TOL) & (sv[:, -1] > 1e-12 * sv[:, 0])
+    antilinear = ratio(spectral_norm(H @ tau - tau @ H.conj()), group.norm[index] * sv[:, 0])
+    antilinear_ok = (antilinear <= INTERTWINE_TOL) & (sv[:, -1] > INVERTIBILITY_TOL * sv[:, 0])
     for i, invertible, residual, commutation, commutes in zip(
             index.tolist(), metrics.invertible.tolist(), metrics.residual.tolist(),
             antilinear.tolist(), antilinear_ok.tolist()):
@@ -186,10 +177,10 @@ def check_positive_metric_equivalence(group: Group, metrics: CanonicalMetrics,
     # herm_sqrt's positivity test on the eigh of eta_+.
     mapped = np.flatnonzero(metrics.residual[built] <= INTERTWINE_TOL)
     w, U = np.linalg.eigh(eta[mapped])
-    rooted = w[:, 0] > 1e-10 * np.maximum(1.0, w[:, -1])
+    rooted = w[:, 0] > POSITIVITY_TOL * np.maximum(1.0, w[:, -1])
     mapped, w, U = mapped[rooted], w[rooted], U[rooted]
-    Q = (U * np.sqrt(w)[:, None, :]) @ _dagger(U)
-    rho = 0.5 * (Q + _dagger(Q))
+    Q = (U * np.sqrt(w)[:, None, :]) @ dagger(U)
+    rho = 0.5 * (Q + dagger(Q))
     h = rho @ H[mapped] @ np.linalg.inv(rho)
     hermiticity = herm_residual(h)
     spec_in = np.sort_complex(group.spectrum.eigenvalues[index[mapped]])

@@ -12,8 +12,8 @@ from pseudoherm import (
     herm_sqrt,
     spectral_norm,
 )
-from pseudoherm.linalg import KAPPA_MAX, _cluster_indices
-from pseudoherm.models import pt2x2, random_hermitian, random_quasi
+from pseudoherm.linalg import CLUSTER_TOL, KAPPA_MAX, _cluster_indices, dagger
+from pseudoherm.models import jordan_block, pt2x2, random_hermitian, random_quasi
 
 EPS = np.finfo(float).eps
 
@@ -226,3 +226,181 @@ def test_cluster_indices_matches_pairwise_loop():
     # closeness is symmetric in the pair: the gap 2 is within 0.6 * (1 + 3) in either order
     assert _cluster_indices(np.array([1.0, 3.0]), 0.6) == [[0, 1]]
     assert _cluster_indices(np.array([3.0, 1.0]), 0.6) == [[0, 1]]
+
+
+# ---------------------------------------------------------------------------
+# eig_full against a per-matrix reference
+
+def _reference_biorthonormalize(right, left):
+    """The single-matrix polish: at most three passes, each kept only while
+    the Gram defect falls."""
+    n = right.shape[0]
+    eye = np.eye(n)
+    best = left
+    best_dev = float(np.max(np.abs(best.conj().T @ right - eye)))
+    for _ in range(3):
+        if best_dev <= 10 * EPS * n:
+            break
+        G = best.conj().T @ right
+        sv = np.linalg.svd(G, compute_uv=False)
+        if sv[-1] <= 1e-12 * sv[0]:
+            raise DegenerateSystem("singular pairing")
+        candidate = best @ np.linalg.inv(G).conj().T
+        dev = float(np.max(np.abs(candidate.conj().T @ right - eye)))
+        if dev >= best_dev:
+            break
+        best, best_dev = candidate, dev
+    return best
+
+
+def _reference_eig_full(M):
+    """(eigenvalues, right, left, diag_score) of one matrix, step by step:
+    eig, cond of the raw V, QR of each degenerate cluster, inv (pinv for a
+    singular V) and the polish when diag_score <= 1e12."""
+    w, V = np.linalg.eig(M)
+    diag_score = float(np.linalg.cond(V, 2))
+    if not np.isfinite(diag_score):
+        diag_score = np.inf
+    for cluster in _pairwise_clusters(w, CLUSTER_TOL):
+        if len(cluster) > 1:
+            V[:, cluster] = np.linalg.qr(V[:, cluster])[0]
+    try:
+        W = np.linalg.inv(V)
+    except np.linalg.LinAlgError:
+        W = np.linalg.pinv(V)
+        diag_score = np.inf
+    left = W.conj().T
+    if diag_score <= 1e12:
+        left = _reference_biorthonormalize(V, left)
+    return w, V, left, diag_score
+
+
+def _planted(rng, eigenvalues, kappa):
+    """S diag(eigenvalues) S^-1 with S = U diag(sigma) W, U and W unitary and
+    sigma log-spaced on [1, kappa], so cond(S) = kappa."""
+    n = len(eigenvalues)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    W, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    S = (U * np.geomspace(1.0, kappa, n)) @ W
+    return (S * eigenvalues) @ np.linalg.inv(S)
+
+
+def _planted_spectrum(rng, n, paired):
+    """n reals, one per cell of [-1, 1]; paired turns the first max(1, n // 4)
+    into conjugate pairs."""
+    lam = (-1.0 + 2.0 * (np.arange(n) + rng.uniform(0.25, 0.75, n)) / n).astype(complex)
+    if paired:
+        p = max(1, n // 4)
+        lam[p:2 * p] = lam[:p] - 1j * rng.uniform(0.1, 1.0, p)
+        lam[:p] = lam[p:2 * p].conj()
+    return lam
+
+
+def _reference_sweep():
+    """name -> stack: planted real and paired inputs at every kappa for
+    n = 2, 6 and 32; n = 6 stacks with a degenerate cluster, a Jordan block
+    (one cluster, raw cond(V) past 1e12) and an input whose left system the
+    polish corrects; and an n = 7 stack with an input past the polish cutoff,
+    eigenvalues 3e-3 apart on a unit superdiagonal."""
+    rng = np.random.default_rng(23)
+    stacks = {f"planted_n{n}": np.stack([
+        _planted(rng, _planted_spectrum(rng, n, paired), kappa)
+        for kappa in (1e1, 1e2, 1e3, 1e5, 1e7) for paired in (False, True)]) for n in (2, 6, 32)}
+    cluster = _planted(rng, np.array([1.0, 1.0, 2.0, -0.5, 3.0, 4.0]), 10.0)
+    polish = _planted(rng, _planted_spectrum(rng, 6, False), 1e5)
+    stacks["cluster_polish"] = np.stack([cluster, polish])
+    stacks["cluster_jordan_polish"] = np.stack([cluster, jordan_block(6, 0.3 - 0.2j), polish])
+    cutoff = np.diag(3e-3 * np.arange(7)).astype(complex) + np.eye(7, k=1)
+    stacks["cutoff"] = np.stack([cutoff, _planted(rng, _planted_spectrum(rng, 7, False), 1e3)])
+    return stacks
+
+
+REFERENCE_SWEEP = _reference_sweep()
+
+
+def test_reference_sweep_takes_every_step():
+    cluster, jordan, polish = REFERENCE_SWEEP["cluster_jordan_polish"]
+    cutoff = REFERENCE_SWEEP["cutoff"][0]
+    assert max(map(len, _cluster_indices(np.linalg.eigvals(cluster), CLUSTER_TOL))) > 1
+    assert _cluster_indices(np.linalg.eigvals(jordan), CLUSTER_TOL) == [list(range(6))]
+    assert _reference_eig_full(jordan)[3] > 1e12
+    assert 1e12 < _reference_eig_full(cutoff)[3] < np.inf
+    for M in (cutoff, polish):   # the polish changes the left system of both
+        V = np.linalg.eig(M)[1]
+        left = np.linalg.inv(V).conj().T
+        assert not np.array_equal(_reference_biorthonormalize(V, left), left)
+
+
+def _assert_matches_reference(stack):
+    stacked = eig_full(stack)
+    for i, M in enumerate(stack):
+        w, right, left, diag_score = _reference_eig_full(M.copy())
+        one = eig_full(M)
+        assert type(one.diag_score) is float and one.diag_score == diag_score, i
+        assert stacked.diag_score[i] == diag_score, i
+        for got in ((one.eigenvalues, one.right, one.left),
+                    (stacked.eigenvalues[i], stacked.right[i], stacked.left[i])):
+            assert np.array_equal(got[0], w), i
+            assert np.array_equal(got[1], right), i
+            assert np.array_equal(got[2], left), i
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SWEEP))
+def test_eig_full_matches_per_matrix_reference(name):
+    _assert_matches_reference(REFERENCE_SWEEP[name])
+
+
+def test_eig_full_inverts_a_refused_v_alone(monkeypatch):
+    # No input was found that reaches LAPACK's exact-singularity refusal once
+    # clusters are orthonormalized, so refuse one planted V: that matrix alone
+    # takes pinv, with diag_score inf, in a stack as on its own.
+    stack = REFERENCE_SWEEP["planted_n6"][2:6]
+    refused = np.linalg.eig(stack[1])[1]
+    inv = np.linalg.inv
+
+    def refusing_inv(A):
+        if np.all(A == refused, axis=(-2, -1)).any():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(A)
+
+    monkeypatch.setattr(np.linalg, "inv", refusing_inv)
+    _assert_matches_reference(stack)
+    assert eig_full(stack).diag_score.tolist().count(np.inf) == 1
+
+
+def test_stacked_eig_full_polishes_in_one_call(monkeypatch):
+    import pseudoherm.linalg as linalg
+
+    rng = np.random.default_rng(11)
+    n = 6
+    stack = np.stack([_planted(rng, _planted_spectrum(rng, n, i % 2), 1e3) for i in range(48)])
+    V = np.linalg.eig(stack)[1]
+    defect = np.max(np.abs(np.linalg.inv(V) @ V - np.eye(n)), axis=(-2, -1))
+    # Most matrices need the polish; they share one call.
+    assert np.count_nonzero(defect > 10 * EPS * n) >= 40
+    calls = []
+    monkeypatch.setattr(linalg, "biorthonormalize",
+                        lambda right, left: calls.append(len(right)) or biorthonormalize(right, left))
+    eig_full(stack)
+    assert calls == [48]
+
+
+def test_stacked_biorthonormalize_matches_per_matrix_calls():
+    rng = np.random.default_rng(3)
+    n = 5
+    right = np.stack([np.linalg.eig(_planted(rng, _planted_spectrum(rng, n, False), kappa))[1]
+                      for kappa in (1.0, 1e1, 1e3, 1e5, 1e7)])
+    # A perturbed inverse: the five matrices take 0, 1, 3, 2 and 3 polish passes.
+    noise = rng.standard_normal(right.shape) + 1j * rng.standard_normal(right.shape)
+    left = dagger(np.linalg.inv(right)) * (1.0 + 1e-6 * noise * np.arange(5)[:, None, None])
+    before = left.copy()
+    out_right, stacked = biorthonormalize(right, left)
+    assert out_right is right and np.array_equal(left, before)
+    for i in range(len(right)):
+        _, one = biorthonormalize(right[i], left[i])
+        assert np.array_equal(stacked[i], one), i
+        assert np.array_equal(one, _reference_biorthonormalize(right[i], left[i])), i
+
+    left[2][:, -1] = left[2][:, 0]   # rank-deficient pairing in one matrix of the stack
+    with pytest.raises(DegenerateSystem):
+        biorthonormalize(right, left)

@@ -17,7 +17,6 @@ from pseudoherm import (
     positive_norm_span,
     pt2x2,
     random_quasi,
-    real_span,
     restrict_to_physical,
     spectral_norm,
     transform_metric,
@@ -36,24 +35,16 @@ def _projector(columns):
     return Q @ Q.conj().T
 
 
-def test_real_span_full_for_real_spectrum():
+def test_restrict_basis_full_for_real_spectrum():
     H, _, _ = random_quasi(4, seed=1)
-    S = eig_full(H)
-    B = real_span(S, pair_spectrum(S))
+    B = restrict_to_physical(H).basis
     assert B.shape == (4, 4)
     assert np.linalg.cond(B, 2) < 1e6  # square and invertible
 
 
-def test_real_span_empty_raises():
-    S = eig_full(np.diag([1j, -1j]))
-    with pytest.raises(EmptyPhysicalSpace):
-        real_span(S, pair_spectrum(S))
-
-
-def test_real_span_block_embedding():
+def test_restrict_basis_block_embedding():
     H = block_diag(SIGMA1, np.diag([1j, -1j]))
-    S = eig_full(H)
-    B = real_span(S, pair_spectrum(S))
+    B = restrict_to_physical(H).basis
     assert B.shape == (4, 2)
     # spanned by sigma1's eigenvectors embedded in the first two coordinates
     expect = np.zeros((4, 2), dtype=complex)
