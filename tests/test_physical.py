@@ -42,6 +42,15 @@ def test_restrict_basis_full_for_real_spectrum():
     assert np.linalg.cond(B, 2) < 1e6  # square and invertible
 
 
+def test_real_span_empty_raises():
+    # the real span is picked from a given classification's spectrum and pairing
+    H = np.diag([1j, -1j])
+    cls = classify(H)
+    assert cls.pairing is not None and not cls.pairing.real_indices
+    with pytest.raises(EmptyPhysicalSpace):
+        restrict_to_physical(H, cls)
+
+
 def test_restrict_basis_block_embedding():
     H = block_diag(SIGMA1, np.diag([1j, -1j]))
     B = restrict_to_physical(H).basis
