@@ -55,10 +55,12 @@ def dagger(A):
     return np.swapaxes(A.conj(), -1, -2)
 
 
-def ratio(numerator, denominator) -> np.ndarray:
-    """numerator / denominator elementwise, 0.0 where the denominator is 0."""
-    return np.divide(numerator, denominator, out=np.zeros(np.shape(denominator)),
-                     where=denominator != 0.0)
+def ratio(numerator, denominator):
+    """numerator / denominator elementwise, 0.0 where the denominator is 0;
+    a float for scalars."""
+    out = np.divide(numerator, denominator, out=np.zeros(np.shape(denominator)),
+                    where=denominator != 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def spectral_norm(A):
@@ -79,8 +81,7 @@ def herm_residual(A, norm=None):
     skew = A - dagger(A)
     if not skew.any():
         return 0.0 if A.ndim == 2 else np.zeros(A.shape[0])
-    residual = ratio(spectral_norm(skew), spectral_norm(A) if norm is None else norm)
-    return float(residual) if residual.ndim == 0 else residual
+    return ratio(spectral_norm(skew), spectral_norm(A) if norm is None else norm)
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,8 @@ class Spectrum:
 
     diag_score is the condition number of the raw right-eigenvector matrix
     (before any within-cluster orthonormalization); it stays huge for
-    defective matrices and is the diagnostic classify() cuts on.
+    defective matrices and is the diagnostic classify() cuts on.  For a
+    stack every field but dim, and every method's result, leads with (k,).
     """
 
     dim: int
@@ -98,18 +100,15 @@ class Spectrum:
     left: np.ndarray          # columns phi_n, phi_m^dag psi_n = delta_mn
     diag_score: float
 
-    # eig_full of a (k, n, n) stack gives (k, n) eigenvalues, (k, n, n)
-    # systems and (k,) diag_scores; the methods below take a single spectrum.
-
-    def gram_deviation(self) -> float:
+    def gram_deviation(self):
         """max |phi_m^dag psi_n - delta_mn|, the biorthonormality defect."""
-        G = self.left.conj().T @ self.right
-        return float(np.max(np.abs(G - np.eye(self.dim))))
+        G = dagger(self.left) @ self.right
+        return np.max(np.abs(G - np.eye(self.dim)), axis=(-2, -1))
 
     def reconstruct(self) -> np.ndarray:
         """sum_n lambda_n psi_n phi_n^dag; equals the original matrix when
         diag_score is moderate."""
-        return (self.right * self.eigenvalues) @ self.left.conj().T
+        return (self.right * self.eigenvalues[..., None, :]) @ dagger(self.left)
 
 
 def _close_pairs(w: np.ndarray, tol: float) -> np.ndarray:

@@ -12,6 +12,10 @@ P the partner permutation (n -> index of conj(lambda_n)), s_n = +/-1 on
 real eigenvalues and +1 on pairs: eta = Phi M Phi^dag (eta_+ is the
 all-+1 case on a real spectrum) and tau = Psi M Phi^T with all s = +1.
 hermitize still maps through the square root of eta_+.
+
+classify, MetricOperator.from_matrix, build_general_metric,
+verify_intertwining, antilinear_symmetry and antilinear_residual take a
+(k, n, n) stack too, as eig_full does, and give per-matrix lists or arrays.
 """
 
 from __future__ import annotations
@@ -37,9 +41,11 @@ from .linalg import (
     SELFADJOINT_TOL,
     Spectrum,
     as_square_matrix,
+    dagger,
     eig_full,
     herm_residual,
     herm_sqrt,
+    ratio,
     spectral_norm,
 )
 
@@ -91,7 +97,8 @@ class PairingMap:
 @dataclass(frozen=True)
 class Classification:
     """Class of H with the decomposition and pairing that decided it;
-    pairing is None exactly for NonDiagonalizable and NotPseudoHermitian."""
+    pairing is None exactly for NonDiagonalizable and NotPseudoHermitian.
+    For a stack, kind, pairing and diagnostics are lists, one per matrix."""
 
     kind: OperatorClass
     spectrum: Spectrum
@@ -101,50 +108,49 @@ class Classification:
 
 @dataclass(frozen=True)
 class MetricOperator:
-    """Invertible self-adjoint eta with cached signature and diagnostics."""
+    """Invertible self-adjoint eta with cached signature and diagnostics.  For
+    a stack the fields are arrays, and invertible marks the matrices that
+    from_matrix refuses as NotInvertible when given one alone."""
 
     matrix: np.ndarray
     signature: tuple            # (n_plus, n_minus)
     selfadjoint_residual: float
     min_abs_eigenvalue: float
     norm: float                 # ||eta|| = max |eigenvalue|
+    invertible: bool = True
 
     @classmethod
     def from_matrix(cls, eta) -> "MetricOperator":
-        eta = as_square_matrix(eta)
+        eta = as_square_matrix(eta, stack=True)
         residual = herm_residual(eta)
-        if residual > SELFADJOINT_TOL:
-            raise NotAMetric(f"not self-adjoint: residual {residual:.3e}")
-        evals = np.linalg.eigvalsh(0.5 * (eta + eta.conj().T))
-        scale = np.max(np.abs(evals))
-        if scale == 0.0 or np.min(np.abs(evals)) <= INVERTIBILITY_TOL * scale:
-            raise NotInvertible(
-                f"metric has an eigenvalue within {INVERTIBILITY_TOL:g} of zero"
-            )
-        n_plus = int(np.sum(evals > 0))
-        n_minus = int(np.sum(evals < 0))
-        return cls(matrix=eta, signature=(n_plus, n_minus),
-                   selfadjoint_residual=residual,
-                   min_abs_eigenvalue=float(np.min(np.abs(evals))), norm=float(scale))
+        if np.any(residual > SELFADJOINT_TOL):
+            raise NotAMetric(f"not self-adjoint: residual {np.max(residual):.3e}")
+        evals = np.linalg.eigvalsh(0.5 * (eta + dagger(eta)))
+        size = np.abs(evals)
+        scale, smallest = size.max(axis=-1), size.min(axis=-1)
+        invertible = (scale != 0.0) & (smallest > INVERTIBILITY_TOL * scale)
+        signature = np.stack([np.sum(evals > 0, axis=-1), np.sum(evals < 0, axis=-1)], axis=-1)
+        if eta.ndim == 2:   # a single matrix: refuse a singular metric
+            if not invertible:
+                raise NotInvertible(
+                    f"metric has an eigenvalue within {INVERTIBILITY_TOL:g} of zero")
+            return cls(eta, tuple(signature.tolist()), residual, float(smallest), float(scale))
+        return cls(eta, signature, residual, smallest, scale, invertible)
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    def positive_definite(self):
+        return np.asarray(self.signature)[..., 1] == 0
 
     @property
-    def positive_definite(self) -> bool:
-        return self.signature[1] == 0
-
-    @property
-    def indefinite(self) -> bool:
-        return self.signature[0] > 0 and self.signature[1] > 0
+    def indefinite(self):
+        return np.all(np.asarray(self.signature) > 0, axis=-1)
 
 
 def _metric_matrix(eta) -> np.ndarray:
     """Accept MetricOperator or a plain array wherever a metric is consumed."""
     if isinstance(eta, MetricOperator):
         return eta.matrix
-    return as_square_matrix(eta)
+    return as_square_matrix(eta, stack=True)
 
 
 def pair_spectrum(S: Spectrum | np.ndarray, tol: float = REALITY_TOL) -> PairingMap:
@@ -219,13 +225,19 @@ def classify(H, tol: float = REALITY_TOL, kappa_max: float = KAPPA_MAX) -> Class
     """Place H in the chain Hermitian < quasi-Hermitian < pseudo-Hermitian
     by decide_class.  The Classification carries the Spectrum and PairingMap
     of the one decomposition, so callers never decompose H again, and
-    ||H|| as diagnostics["norm"] for the residual helpers."""
-    H = as_square_matrix(H)
+    ||H|| as diagnostics["norm"] for the residual helpers.  A (k, n, n) stack
+    is decomposed and normed once and decided matrix by matrix."""
+    H = as_square_matrix(H, stack=True)
     S = eig_full(H)
     norm = spectral_norm(H)
-    kind, pairing, diagnostics = decide_class(S.eigenvalues, S.diag_score,
-                                              herm_residual(H, norm), tol, kappa_max)
-    diagnostics["norm"] = norm
+    decisions = [decide_class(w, score, residual, tol, kappa_max) for w, score, residual in zip(
+        S.eigenvalues.reshape(-1, S.dim), np.reshape(S.diag_score, -1).tolist(),
+        np.reshape(herm_residual(H, norm), -1).tolist())]
+    for (_, _, diagnostics), size in zip(decisions, np.reshape(norm, -1).tolist()):
+        diagnostics["norm"] = size
+    kind, pairing, diagnostics = ([d[j] for d in decisions] for j in range(3))
+    if H.ndim == 2:   # a single matrix
+        return Classification(kind[0], S, pairing[0], diagnostics[0])
     return Classification(kind, S, pairing, diagnostics)
 
 
@@ -249,7 +261,14 @@ def build_positive_metric(S: Spectrum, pairing: PairingMap | None = None) -> Met
     return metric
 
 
-def build_general_metric(S: Spectrum, pairing: PairingMap, signs=None) -> MetricOperator:
+def _partner(A, pairings) -> np.ndarray:
+    """A[..., :, p]: the columns of each matrix of A in the partner order p of
+    its PairingMap in pairings (one for a single matrix)."""
+    perm = np.array([p.permutation for p in pairings], dtype=int)
+    return np.take_along_axis(A, perm.reshape(A.shape[:-2] + (1, A.shape[-1])), axis=-1)
+
+
+def build_general_metric(S: Spectrum, pairing: PairingMap | list, signs=None) -> MetricOperator:
     """Canonical member of the metric family for a paired spectrum.
 
     eta = Phi M Phi^dag = sum_n s_n phi_n phi_{p(n)}^dag
@@ -261,38 +280,40 @@ def build_general_metric(S: Spectrum, pairing: PairingMap, signs=None) -> Metric
     Pair blocks carry no free phase; the rest of the metric family is
     reachable through transform_metric.  By Sylvester's law the signature is
     (#positive signs + #pairs, #negative signs + #pairs).
-    """
-    if signs is None:
-        signs = [1] * len(pairing.real_indices)
-    if len(signs) != len(pairing.real_indices):
-        raise ValueError("need exactly one sign per real eigenvalue")
-    if any(s not in (-1, 1) for s in signs):
-        raise ValueError("signs must be +1 or -1")
 
-    s = np.ones(S.dim)
-    s[list(pairing.real_indices)] = signs
-    eta = (S.left * s) @ S.left[:, pairing.permutation].conj().T
-    eta = 0.5 * (eta + eta.conj().T)
+    On a stack, pairing holds one PairingMap per matrix, signs run over the
+    real eigenvalues matrix by matrix, and a singular metric is not raised.
+    """
+    pairings = [pairing] if isinstance(pairing, PairingMap) else pairing
+    s = np.ones((len(pairings), S.dim))
+    if signs is not None:
+        real = [(i, n) for i, p in enumerate(pairings) for n in p.real_indices]
+        if len(signs) != len(real):
+            raise ValueError("need exactly one sign per real eigenvalue")
+        if any(x not in (-1, 1) for x in signs):
+            raise ValueError("signs must be +1 or -1")
+        s[[i for i, _ in real], [n for _, n in real]] = signs
+    eta = (S.left * s.reshape(S.left.shape[:-2] + (1, S.dim))) @ dagger(_partner(S.left, pairings))
+    eta = 0.5 * (eta + dagger(eta))
     try:
         return MetricOperator.from_matrix(eta)
     except NotInvertible as exc:
         raise DegenerateSystem(f"constructed metric is singular: {exc}") from exc
 
 
-def verify_intertwining(H, eta, h_norm: float | None = None) -> float:
+def verify_intertwining(H, eta, h_norm=None):
     """Relative residual ||H^dag eta - eta H|| / (||H|| ||eta||).
 
     Zero (up to roundoff) certifies eta as a metric operator for H;
     membership is declared at <= 1e-8.  h_norm is ||H|| when the caller has
     it (classify's diagnostics["norm"]); a MetricOperator supplies ||eta||.
+    A float for a single H, the (k,) array of residuals for a (k, n, n) stack.
     """
-    H = as_square_matrix(H)
+    H = as_square_matrix(H, stack=True)
     E = _metric_matrix(eta)
     eta_norm = eta.norm if isinstance(eta, MetricOperator) else spectral_norm(E)
     denom = (spectral_norm(H) if h_norm is None else h_norm) * eta_norm
-    if denom == 0.0:
-        return 0.0
-    return spectral_norm(H.conj().T @ E - E @ H) / denom
+    return ratio(spectral_norm(dagger(H) @ E - E @ H), denom)
 
 
 def eta_inner(eta, psi, chi) -> complex:
@@ -325,7 +346,7 @@ def hermitize(H, eta_plus, h_norm: float | None = None) -> tuple[np.ndarray, np.
     return rho, h, residual
 
 
-def antilinear_symmetry(S: Spectrum, pairing: PairingMap) -> np.ndarray:
+def antilinear_symmetry(S: Spectrum, pairing: PairingMap | list) -> np.ndarray:
     """Matrix tau of an invertible antilinear map commuting with H.
 
     The antilinear operator is x -> tau conj(x); commutation with H reads
@@ -338,20 +359,21 @@ def antilinear_symmetry(S: Spectrum, pairing: PairingMap) -> np.ndarray:
 
     which satisfies the commutation relation on a full basis by the pairing
     property and is invertible because it is (right vectors) x permutation x
-    (left vectors)^T.
+    (left vectors)^T.  For a stacked Spectrum, pairing holds one PairingMap
+    per matrix and tau is the (k, n, n) stack.
     """
-    return S.right @ S.left[:, pairing.permutation].T
+    pairings = [pairing] if isinstance(pairing, PairingMap) else pairing
+    return S.right @ np.swapaxes(_partner(S.left, pairings), -1, -2)
 
 
-def antilinear_residual(H, tau, h_norm: float | None = None) -> float:
+def antilinear_residual(H, tau, h_norm=None):
     """Relative residual ||H tau - tau conj(H)|| / (||H|| ||tau||); h_norm is
-    ||H|| when the caller has it."""
-    H = as_square_matrix(H)
-    tau = as_square_matrix(tau)
+    ||H|| when the caller has it.  A float for a single H, the (k,) array of
+    residuals for a (k, n, n) stack."""
+    H = as_square_matrix(H, stack=True)
+    tau = as_square_matrix(tau, stack=True)
     denom = (spectral_norm(H) if h_norm is None else h_norm) * spectral_norm(tau)
-    if denom == 0.0:
-        return 0.0
-    return spectral_norm(H @ tau - tau @ H.conj()) / denom
+    return ratio(spectral_norm(H @ tau - tau @ H.conj()), denom)
 
 
 def transform_metric(eta, A, H) -> MetricOperator:
@@ -366,9 +388,7 @@ def transform_metric(eta, A, H) -> MetricOperator:
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[-1] <= INVERTIBILITY_TOL * sv[0]:
         raise NotInvertible("transformation A is singular within tolerance")
-    denom = sv[0] * spectral_norm(H)
-    if denom > 0:
-        comm = spectral_norm(A @ H - H @ A) / denom
-        if comm > INTERTWINE_TOL:
-            raise NotCommuting(f"[A, H] residual {comm:.3e} exceeds {INTERTWINE_TOL:g}")
+    comm = ratio(spectral_norm(A @ H - H @ A), sv[0] * spectral_norm(H))
+    if comm > INTERTWINE_TOL:
+        raise NotCommuting(f"[A, H] residual {comm:.3e} exceeds {INTERTWINE_TOL:g}")
     return MetricOperator.from_matrix(A.conj().T @ E @ A)

@@ -8,11 +8,11 @@ exists iff the spectrum is real, in which case Hermitization by the metric
 square root works and the operator is Hermitian in the metric inner product.
 
 The suite runs by dimension.  Instances of one size are stacked as a
-(k, n, n) array, and every numeric step of both checks (eig, cond, inv,
-norms, the canonical metric and its eigvalsh, the residuals, the eigh square
-root, eigvals of h, the inner products) runs once over the stack.  The legs,
-thresholds and refusals are those of a per-instance check; generation, the
-class decision and the pairing still run instance by instance.
+(k, n, n) array and go once through the metrics functions: classify, then
+build_general_metric, verify_intertwining, antilinear_symmetry and
+antilinear_residual on the stack of paired matrices.  What is left here is
+the bookkeeping of the legs, and the stacked eigh square root, eigvals of h
+and inner products of the positive-metric legs.
 """
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (INVERTIBILITY_TOL, POSITIVITY_TOL, Spectrum, dagger, eig_full,
-                     herm_residual, ratio, spectral_norm)
-from .metrics import INTERTWINE_TOL, OperatorClass, decide_class
+from .linalg import INVERTIBILITY_TOL, POSITIVITY_TOL, Spectrum, dagger, herm_residual
+from .metrics import (INTERTWINE_TOL, Classification, MetricOperator, OperatorClass,
+                      antilinear_residual, antilinear_symmetry, build_general_metric,
+                      classify, verify_intertwining)
 from .models import EnsembleSpec, generate
 
 INNER_PAIRS = 20
@@ -53,61 +54,34 @@ def _instance_matrix(spec: EnsembleSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Group:
-    """Instances of one size as a stack, classified as classify would:
-    H (k, n, n), its stacked Spectrum, ||H|| per matrix (k,), and the class
-    and PairingMap (None when unpaired) of each matrix."""
+    """Instances of one size: their Classification and, for those with a
+    PairingMap (at positions paired), H, Spectrum, PairingMaps, ||H||, the
+    canonical metric (all signs +1) and its intertwining residual."""
 
+    cls: Classification
+    paired: np.ndarray
     H: np.ndarray
     spectrum: Spectrum
-    norm: np.ndarray
-    kinds: list
     pairings: list
+    norm: np.ndarray
+    metric: MetricOperator
+    residual: np.ndarray
 
 
 def classify_group(H) -> Group:
-    """classify over a (k, n, n) stack: one eig_full, ||H|| and Hermiticity
-    residual for the stack, decide_class matrix by matrix."""
-    S = eig_full(H)
-    norm = spectral_norm(H)
-    decisions = [decide_class(w, score, residual) for w, score, residual in
-                 zip(S.eigenvalues, S.diag_score.tolist(), herm_residual(H, norm).tolist())]
-    return Group(H, S, norm, [d[0] for d in decisions], [d[1] for d in decisions])
+    """classify a stack and build the canonical metric of its paired matrices."""
+    cls = classify(H)
+    paired = np.array([i for i, p in enumerate(cls.pairing) if p is not None], dtype=int)
+    S = cls.spectrum
+    S = Spectrum(S.dim, *(a[paired] for a in (S.eigenvalues, S.right, S.left, S.diag_score)))
+    pairings = [cls.pairing[i] for i in paired]
+    norm = np.array([d["norm"] for d in cls.diagnostics])[paired]
+    metric = build_general_metric(S, pairings)
+    return Group(cls, paired, H[paired], S, pairings, norm, metric,
+                 verify_intertwining(H[paired], metric, norm))
 
 
-@dataclass(frozen=True)
-class CanonicalMetrics:
-    """build_general_metric's eta = Phi M Phi^dag (all signs +1) for the
-    paired matrices of a group, with what MetricOperator.from_matrix and
-    verify_intertwining derive from it."""
-
-    index: np.ndarray       # (m,) positions of the paired matrices in the group
-    partner: np.ndarray     # (m, n, n) Phi[:, p], the left system in partner order
-    eta: np.ndarray         # (m, n, n)
-    evals: np.ndarray       # (m, n) eigvalsh(eta)
-    invertible: np.ndarray  # (m,) from_matrix's invertibility test
-    norm: np.ndarray        # (m,) ||eta|| = max |eigenvalue|
-    residual: np.ndarray    # (m,) ||H^dag eta - eta H|| / (||H|| ||eta||)
-
-
-def canonical_metrics(group: Group) -> CanonicalMetrics:
-    """The canonical metric of every paired matrix in the group, in one
-    product over the stack."""
-    n = group.H.shape[-1]
-    index = np.array([i for i, p in enumerate(group.pairings) if p is not None], dtype=int)
-    perm = np.array([group.pairings[i].permutation for i in index], dtype=int).reshape(-1, n)
-    partner = np.take_along_axis(group.spectrum.left[index], perm[:, None, :], axis=2)
-    eta = group.spectrum.left[index] @ dagger(partner)
-    eta = 0.5 * (eta + dagger(eta))    # Hermitian bit for bit, so from_matrix's
-    evals = np.linalg.eigvalsh(eta)     # self-adjointness residual is 0.0
-    size = np.abs(evals)
-    scale = size.max(axis=-1)
-    invertible = (scale != 0.0) & (size.min(axis=-1) > INVERTIBILITY_TOL * scale)
-    H = group.H[index]
-    residual = ratio(spectral_norm(dagger(H) @ eta - eta @ H), group.norm[index] * scale)
-    return CanonicalMetrics(index, partner, eta, evals, invertible, scale, residual)
-
-
-def check_conjugation_equivalence(group: Group, metrics: CanonicalMetrics) -> list[dict]:
+def check_conjugation_equivalence(group: Group) -> list[dict]:
     """Legs of the metric-existence equivalence for each matrix of a group.
 
     a: spectrum closed under conjugation; b: the canonical metric is
@@ -117,36 +91,30 @@ def check_conjugation_equivalence(group: Group, metrics: CanonicalMetrics) -> li
     alongside leg a.
     """
     results = []
-    for score, kind, pairing in zip(group.spectrum.diag_score.tolist(), group.kinds,
-                                    group.pairings):
+    for score, kind, pairing in zip(group.cls.spectrum.diag_score.tolist(), group.cls.kind,
+                                    group.cls.pairing):
         result = {"diag_score": score, "skipped": kind is OperatorClass.NON_DIAGONALIZABLE}
         if not result["skipped"] and pairing is None:
             result.update(pair_ok=False, metric_ok=False, antilinear_ok=False, agree=True)
         results.append(result)
 
-    index = metrics.index
-    H = group.H[index]
-    tau = group.spectrum.right[index] @ np.swapaxes(metrics.partner, -1, -2)
-    sv = np.linalg.svd(tau, compute_uv=False)   # sv[:, 0] is ||tau||
-    antilinear = ratio(spectral_norm(H @ tau - tau @ H.conj()), group.norm[index] * sv[:, 0])
+    tau = antilinear_symmetry(group.spectrum, group.pairings)
+    sv = np.linalg.svd(tau, compute_uv=False)
+    antilinear = antilinear_residual(group.H, tau, group.norm)
     antilinear_ok = (antilinear <= INTERTWINE_TOL) & (sv[:, -1] > INVERTIBILITY_TOL * sv[:, 0])
     for i, invertible, residual, commutation, commutes in zip(
-            index.tolist(), metrics.invertible.tolist(), metrics.residual.tolist(),
+            group.paired.tolist(), group.metric.invertible.tolist(), group.residual.tolist(),
             antilinear.tolist(), antilinear_ok.tolist()):
         result = results[i]
-        result["pair_ok"] = True
-        result["metric_ok"] = False
+        result.update(pair_ok=True, metric_ok=invertible and residual <= INTERTWINE_TOL)
         if invertible:
             result["metric_residual"] = residual
-            result["metric_ok"] = residual <= INTERTWINE_TOL
-        result["antilinear_residual"] = commutation
-        result["antilinear_ok"] = commutes
-        result["agree"] = result["pair_ok"] == result["metric_ok"] == commutes
+        result.update(antilinear_residual=commutation, antilinear_ok=commutes,
+                      agree=result["metric_ok"] and commutes)   # pair_ok == metric_ok == commutes
     return results
 
 
-def check_positive_metric_equivalence(group: Group, metrics: CanonicalMetrics,
-                                      seeds) -> list[dict]:
+def check_positive_metric_equivalence(group: Group, seeds) -> list[dict]:
     """Legs of the real-spectrum/positive-metric equivalence for each matrix
     of a group; seeds holds one inner-product seed per matrix.
 
@@ -157,7 +125,7 @@ def check_positive_metric_equivalence(group: Group, metrics: CanonicalMetrics,
     Hermiticity of H in the eta_+ inner product on random vector pairs.
     """
     results = []
-    for kind in group.kinds:
+    for kind in group.cls.kind:
         result = {"skipped": kind is OperatorClass.NON_DIAGONALIZABLE,
                   "classification": kind.value}
         if not result["skipped"]:
@@ -166,16 +134,16 @@ def check_positive_metric_equivalence(group: Group, metrics: CanonicalMetrics,
             result.update(positive_ok=False, hermitize_ok=False, inner_ok=False)
         results.append(result)
 
-    all_real = np.array([group.pairings[i].all_real for i in metrics.index], dtype=bool)
-    built = np.flatnonzero(all_real & metrics.invertible & ~(metrics.evals < 0).any(axis=-1))
-    index = metrics.index[built]
-    eta, eta_norm = metrics.eta[built], metrics.norm[built]
-    H = group.H[index]
+    metric = group.metric
+    all_real = np.array([p.all_real for p in group.pairings], dtype=bool)
+    built = np.flatnonzero(all_real & metric.invertible & metric.positive_definite)
+    index = group.paired[built]
+    eta, eta_norm, H = metric.matrix[built], metric.norm[built], group.H[built]
     n = H.shape[-1]
 
     # Leg c, as hermitize: the intertwining gate is leg b's residual, then
     # herm_sqrt's positivity test on the eigh of eta_+.
-    mapped = np.flatnonzero(metrics.residual[built] <= INTERTWINE_TOL)
+    mapped = np.flatnonzero(group.residual[built] <= INTERTWINE_TOL)
     w, U = np.linalg.eigh(eta[mapped])
     rooted = w[:, 0] > POSITIVITY_TOL * np.maximum(1.0, w[:, -1])
     mapped, w, U = mapped[rooted], w[rooted], U[rooted]
@@ -183,7 +151,7 @@ def check_positive_metric_equivalence(group: Group, metrics: CanonicalMetrics,
     rho = 0.5 * (Q + dagger(Q))
     h = rho @ H[mapped] @ np.linalg.inv(rho)
     hermiticity = herm_residual(h)
-    spec_in = np.sort_complex(group.spectrum.eigenvalues[index[mapped]])
+    spec_in = np.sort_complex(group.spectrum.eigenvalues[built[mapped]])
     spec_out = np.sort_complex(np.linalg.eigvals(h))
     drift = np.max(np.abs(spec_out - spec_in) / (1.0 + np.abs(spec_in)), axis=-1)
 
@@ -198,10 +166,10 @@ def check_positive_metric_equivalence(group: Group, metrics: CanonicalMetrics,
     HT, etaT = np.swapaxes(H, -1, -2), np.swapaxes(eta, -1, -2)
     lhs = np.sum(psi.conj() * (chi @ HT @ etaT), axis=-1)          # <psi, eta H chi>
     rhs = np.sum(chi.conj() * (psi @ HT @ etaT), axis=-1).conj()   # <chi, eta H psi>*
-    inner = np.max(np.abs(lhs - rhs), axis=-1) / (group.norm[index] * eta_norm)
+    inner = np.max(np.abs(lhs - rhs), axis=-1) / (group.norm[built] * eta_norm)
 
-    min_eig = np.abs(metrics.evals[built]).min(axis=-1)
-    for i, smallest, deviation in zip(index.tolist(), min_eig.tolist(), inner.tolist()):
+    for i, smallest, deviation in zip(index.tolist(), metric.min_abs_eigenvalue[built].tolist(),
+                                      inner.tolist()):
         results[i].update(positive_ok=True, metric_min_eig=smallest,
                           inner_deviation=deviation, inner_ok=deviation <= INTERTWINE_TOL)
     for i, residual, shift in zip(index[mapped].tolist(), hermiticity.tolist(), drift.tolist()):
@@ -241,9 +209,8 @@ def run_equivalence_suite(specs) -> dict:
     records = [None] * len(specs)
     for positions in by_dim.values():
         group = classify_group(np.stack([_instance_matrix(specs[i]) for i in positions]))
-        metrics = canonical_metrics(group)
-        one = check_conjugation_equivalence(group, metrics)
-        two = check_positive_metric_equivalence(group, metrics, [specs[i].seed for i in positions])
+        one = check_conjugation_equivalence(group)
+        two = check_positive_metric_equivalence(group, [specs[i].seed for i in positions])
         for i, conjugation, positive in zip(positions, one, two):
             spec = specs[i]
             records[i] = {"kind": spec.kind, "dim": spec.dim, "seed": spec.seed,

@@ -360,25 +360,33 @@ def count_calls(monkeypatch, original):
     return calls
 
 
-@pytest.mark.parametrize("argv, decompositions, matrices", [
-    (["classify", "MATRIX", "--emit-metric"], 1, 1),
-    (["metric", "MATRIX"], 1, 1),
-    (["hermitize", "MATRIX"], 1, 1),
-    (["symmetry", "MATRIX"], 1, 1),
-    (["kg", "--n", "8", "--samples", "2"], 0, 0),     # closed-form 2x2 mode blocks
-    (["verify", "--count", "12", "--dims", "2-4"], 3, 12),   # one stack per dim
-], ids=["classify", "metric", "hermitize", "symmetry", "kg", "verify"])
-def test_one_decomposition_per_matrix(matrix_file, capsys, monkeypatch, argv, decompositions,
-                                      matrices):
-    import pseudoherm.linalg as linalg
+VERIFY_12 = ["verify", "--count", "12", "--dims", "2-4"]
 
-    calls = count_calls(monkeypatch, linalg.eig_full)
+
+@pytest.mark.parametrize("argv, counted, decompositions, matrices", [
+    (["classify", "MATRIX", "--emit-metric"], "linalg.eig_full", 1, 1),
+    (["metric", "MATRIX"], "linalg.eig_full", 1, 1),
+    (["hermitize", "MATRIX"], "linalg.eig_full", 1, 1),
+    (["symmetry", "MATRIX"], "linalg.eig_full", 1, 1),
+    (["kg", "--n", "8", "--samples", "2"], "linalg.eig_full", 0, 0),   # closed-form 2x2 blocks
+    (VERIFY_12, "linalg.eig_full", 3, 12),                 # one stack per dim
+    (VERIFY_12, "metrics.classify", 3, 12),                # verify routes each stack through
+    (VERIFY_12, "metrics.build_general_metric", 3, 12),    # the metrics functions, once each
+], ids=["classify", "metric", "hermitize", "symmetry", "kg", "verify", "verify-classify",
+        "verify-build_general_metric"])
+def test_one_decomposition_per_matrix(matrix_file, capsys, monkeypatch, argv, counted,
+                                      decompositions, matrices):
+    import pseudoherm
+
+    module, name = counted.split(".")
+    calls = count_calls(monkeypatch, getattr(getattr(pseudoherm, module), name))
     H, _, _ = random_quasi(4, seed=3)
     argv = [matrix_file(H) if arg == "MATRIX" else arg for arg in argv]
     assert main(argv) == EXIT_OK
     capsys.readouterr()
     assert len(calls) == decompositions
-    assert sum(len(M) if np.ndim(M) == 3 else 1 for M, *_ in calls) == matrices
+    stacks = [getattr(M, "left", M) for M, *_ in calls]   # a matrix, a stack or a Spectrum
+    assert sum(len(M) if np.ndim(M) == 3 else 1 for M in stacks) == matrices
 
 
 @pytest.mark.parametrize("argv, checks", [

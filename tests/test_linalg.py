@@ -77,6 +77,23 @@ def test_reconstruction_from_eigensystem():
         assert err <= 1e-8
 
 
+@pytest.mark.parametrize("k", [3, 4], ids=["k=n", "k!=n"])
+def test_stacked_spectrum_methods_match_per_matrix(k):
+    # With k = n a whole-array transpose would also reverse the stack axis
+    # without a shape error; with k != n it would raise.
+    n = 3
+    rng = np.random.default_rng(17)
+    stack = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+    S = eig_full(stack)
+    singles = [eig_full(M) for M in stack]
+    deviation, rebuilt = S.gram_deviation(), S.reconstruct()
+    assert deviation.shape == (k,) and rebuilt.shape == (k, n, n)
+    for i, one in enumerate(singles):
+        assert deviation[i] == one.gram_deviation(), i
+        assert np.array_equal(rebuilt[i], one.reconstruct()), i
+        assert np.max(np.abs(rebuilt[i] - stack[i])) <= 1e-12, i
+
+
 def test_selfadjoint_input_gives_real_eigenvalues():
     for seed in range(6):
         H = random_hermitian(4 + seed % 4, seed=seed)

@@ -26,6 +26,7 @@ from pseudoherm import (
     transform_metric,
     verify_intertwining,
 )
+from pseudoherm.linalg import Spectrum
 from pseudoherm.metrics import MetricOperator
 
 from oracles import signature_by_eigenvalues, spectra_mismatch
@@ -416,3 +417,82 @@ def test_generic_matrix_fails_all_equivalence_legs():
             with pytest.raises(UnpairedEigenvalue):
                 pair_spectrum(eig_full(H))
     assert hits >= 8  # unpaired spectra are generic for Gaussian matrices
+
+
+# ---------------------------------------------------------------------------
+# stacks: the same steps as single calls, matrix by matrix
+
+def test_stacked_metrics_functions_match_single_calls():
+    n = 4
+    quasi, _, _ = random_quasi(n, seed=2)
+    paired, _, _ = random_pseudo_nonquasi(n, seed=3)
+    unpaired = np.diag([1 + 1j, 2.0, 3.0, 4 - 0.5j])
+    stack = np.stack([quasi, paired, random_hermitian(n, seed=1), unpaired, quasi.T])
+    cls = classify(stack)
+    singles = [classify(M) for M in stack]
+    assert [one.kind for one in singles] == [
+        OperatorClass.QUASI_HERMITIAN, OperatorClass.PSEUDO_HERMITIAN_ONLY,
+        OperatorClass.HERMITIAN, OperatorClass.NOT_PSEUDO_HERMITIAN,
+        OperatorClass.QUASI_HERMITIAN]
+    for i, one in enumerate(singles):
+        assert cls.kind[i] is one.kind and cls.pairing[i] == one.pairing, i
+        assert cls.diagnostics[i] == one.diagnostics, i
+        assert np.array_equal(cls.spectrum.left[i], one.spectrum.left), i
+
+    keep = [0, 1, 2, 4]
+    S = Spectrum(n, *(a[keep] for a in (cls.spectrum.eigenvalues, cls.spectrum.right,
+                                        cls.spectrum.left, cls.spectrum.diag_score)))
+    pairings = [cls.pairing[i] for i in keep]
+    assert [len(p.real_indices) for p in pairings] == [4, 0, 4, 4]
+    signs = [[1, -1, 1, 1], [], [-1, -1, 1, -1], [1, 1, -1, 1]]   # one per real eigenvalue
+    norms = np.array([cls.diagnostics[i]["norm"] for i in keep])
+    eta = build_general_metric(S, pairings)
+    signed = build_general_metric(S, pairings, [s for row in signs for s in row])
+    tau = antilinear_symmetry(S, pairings)
+    residual = verify_intertwining(stack[keep], eta, norms)
+    commutation = antilinear_residual(stack[keep], tau, norms)
+    for j, i in enumerate(keep):
+        one, H = singles[i], stack[i]
+        for got, want in ((eta, build_general_metric(one.spectrum, one.pairing)),
+                          (signed, build_general_metric(one.spectrum, one.pairing, signs[j]))):
+            assert np.array_equal(got.matrix[j], want.matrix), i
+            assert tuple(got.signature[j].tolist()) == want.signature, i
+            assert got.selfadjoint_residual[j] == want.selfadjoint_residual, i
+            assert got.min_abs_eigenvalue[j] == want.min_abs_eigenvalue, i
+            assert got.norm[j] == want.norm and got.invertible[j], i
+        single_eta = build_general_metric(one.spectrum, one.pairing)
+        assert residual[j] == verify_intertwining(H, single_eta, one.diagnostics["norm"]), i
+        assert (verify_intertwining(stack[keep], eta.matrix)[j]
+                == verify_intertwining(H, single_eta.matrix)), i
+        single_tau = antilinear_symmetry(one.spectrum, one.pairing)
+        assert np.array_equal(tau[j], single_tau), i
+        assert commutation[j] == antilinear_residual(H, single_tau, one.diagnostics["norm"]), i
+        assert antilinear_residual(stack[keep], tau)[j] == antilinear_residual(H, single_tau), i
+
+    # A group with no paired matrix is a (0, n, n) stack.
+    none = np.zeros((0, n, n), dtype=complex)
+    empty = classify(none)
+    assert empty.kind == empty.pairing == empty.diagnostics == []
+    eta = build_general_metric(empty.spectrum, [])
+    tau = antilinear_symmetry(empty.spectrum, [])
+    assert eta.matrix.shape == tau.shape == (0, n, n)
+    assert eta.signature.shape == (0, 2) and eta.invertible.shape == (0,)
+    assert verify_intertwining(none, eta, np.zeros(0)).shape == (0,)
+    assert antilinear_residual(none, tau, np.zeros(0)).shape == (0,)
+
+
+def test_stacked_from_matrix_marks_what_a_single_call_refuses():
+    singular = np.diag([1.0, 0.0]).astype(complex)
+    metric = MetricOperator.from_matrix(np.stack([SIGMA3, singular, np.eye(2)]))
+    assert metric.invertible.tolist() == [True, False, True]
+    assert metric.signature.tolist() == [[1, 1], [1, 0], [2, 0]]
+    assert metric.positive_definite.tolist() == [False, True, True]
+    assert metric.indefinite.tolist() == [True, False, False]
+    single = MetricOperator.from_matrix(SIGMA3)
+    assert (metric.min_abs_eigenvalue[0], metric.norm[0]) == (single.min_abs_eigenvalue,
+                                                              single.norm)
+    with pytest.raises(NotInvertible):
+        MetricOperator.from_matrix(singular)
+    # Not self-adjoint is no metric at all, for a stack as for one matrix.
+    with pytest.raises(NotAMetric):
+        MetricOperator.from_matrix(np.stack([SIGMA3, np.array([[0, 1], [0, 0]], dtype=complex)]))
