@@ -84,7 +84,7 @@ def herm_residual(A, norm=None):
     return ratio(spectral_norm(skew), spectral_norm(A) if norm is None else norm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues with a biorthonormalized right/left eigenvector system.
 

@@ -94,7 +94,7 @@ class PairingMap:
         return int(self.permutation[n])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Classification:
     """Class of H with the decomposition and pairing that decided it;
     pairing is None exactly for NonDiagonalizable and NotPseudoHermitian.
@@ -106,7 +106,7 @@ class Classification:
     diagnostics: dict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricOperator:
     """Invertible self-adjoint eta with cached signature and diagnostics.  For
     a stack the fields are arrays, and invertible marks the matrices that

@@ -2,14 +2,20 @@
 
 Every generator returns enough information to check the downstream
 machinery against construction-time facts: planted spectra, planted
-similarity transforms, closed-form eigenvalues.
+similarity transforms, closed-form eigenvalues.  generate builds the
+matrices of one dimension as a (k, n, n) stack: each spec draws from its
+own default_rng(seed) as it would alone, the rejection tests and
+S diag(lambda) S^{-1} run once per pass over the stack, and only rejected
+instances draw again.  The random_* generators are its k = 1 case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .linalg import dagger
 
 KINDS = ("quasi", "pseudo_nonquasi", "hermitian", "defective")
 
@@ -26,8 +32,10 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
+        if self.dim < (2 if self.kind in ("pseudo_nonquasi", "defective") else 1):
+            raise ValueError(f"dim {self.dim} is too small for kind {self.kind!r}")
+        if not 1.0 < self.conditioning_cap < np.inf:   # cond_2(S) >= 1 for every S
+            raise ValueError(f"conditioning_cap must be finite and > 1: {self.conditioning_cap}")
 
 
 def pt2x2(r: float, theta: float, s: float) -> np.ndarray:
@@ -49,28 +57,52 @@ def jordan_block(n: int, lam: complex) -> np.ndarray:
     return lam * np.eye(n, dtype=complex) + np.eye(n, k=1, dtype=complex)
 
 
-def _spec_args(spec_or_dim, seed, conditioning_cap):
+def _spec(spec_or_dim, seed, kind, conditioning_cap=1e3) -> EnsembleSpec:
     if isinstance(spec_or_dim, EnsembleSpec):
-        return spec_or_dim.dim, spec_or_dim.seed, spec_or_dim.conditioning_cap
-    dim = int(spec_or_dim)
-    return dim, (0 if seed is None else int(seed)), conditioning_cap
+        return replace(spec_or_dim, kind=kind)
+    return EnsembleSpec(int(spec_or_dim), int(seed or 0), kind, conditioning_cap)
 
 
-def _random_similarity(rng, dim, conditioning_cap):
-    # Rejection keeps the planted conditioning under the cap so 1e-8 residual
-    # targets stay reachable at double precision.
-    while True:
-        S = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        S /= np.sqrt(2 * dim)
-        if np.linalg.cond(S, 2) <= conditioning_cap:
-            return S
+def _gap_separated_reals(rngs, count, gap=1e-3):
+    """count uniform draws on [-1, 1] per generator, drawn again until >= gap apart."""
+    vals = np.empty((len(rngs), count))
+    todo = np.arange(len(rngs))
+    while todo.size:
+        vals[todo] = [rng.uniform(-1.0, 1.0, size=count) for rng in rngs[todo]]
+        gaps = np.diff(np.sort(vals[todo]), axis=-1).min(axis=-1, initial=np.inf)
+        todo = todo[gaps < gap]
+    return vals
 
 
-def _gap_separated_reals(rng, count, gap=1e-3):
-    while True:
-        vals = rng.uniform(-1.0, 1.0, size=count)
-        if count < 2 or np.min(np.diff(np.sort(vals))) >= gap:
-            return vals
+def _paired_spectra(rngs, dim):
+    """Per generator: n_pairs >= 1 pairs (lambda, conj(lambda)), Im lambda >= 1e-2,
+    and real fill, drawn again until all eigenvalues are >= 1e-3 apart."""
+    n_pairs = np.array([rng.integers(1, dim // 2 + 1) for rng in rngs], dtype=int)
+    lam = np.empty((len(rngs), dim), dtype=complex)
+    for p in np.unique(n_pairs):
+        todo = np.flatnonzero(n_pairs == p)
+        while todo.size:
+            re, im = np.array([(rng.uniform(-1.0, 1.0, size=p), rng.uniform(1e-2, 1.0, size=p))
+                               for rng in rngs[todo]]).transpose(1, 0, 2)
+            reals = _gap_separated_reals(rngs[todo], dim - 2 * p)
+            lam[todo] = np.concatenate([re + 1j * im, re - 1j * im, reals], axis=-1)
+            dist = np.abs(lam[todo, :, None] - lam[todo, None, :]) + np.eye(dim)
+            todo = todo[dist.min(axis=(1, 2)) < 1e-3]
+    return lam
+
+
+def _similar(rngs, lam, caps):
+    """(S diag(lam) S^{-1}, S) per row of lam, S drawn again until cond_2(S) <= its
+    cap, which keeps 1e-8 residual targets reachable at double precision."""
+    k, n = lam.shape
+    S = np.empty((k, n, n), dtype=complex)
+    todo = np.arange(k)
+    while todo.size:
+        S[todo] = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                   for rng in rngs[todo]]
+        S[todo] /= np.sqrt(2 * n)
+        todo = todo[~(np.linalg.cond(S[todo], 2) <= caps[todo])]
+    return (S * lam[:, None, :]) @ np.linalg.inv(S), S
 
 
 def random_quasi(spec_or_dim, seed=None, conditioning_cap=1e3):
@@ -81,12 +113,7 @@ def random_quasi(spec_or_dim, seed=None, conditioning_cap=1e3):
     condition number <= conditioning_cap.  Accepts either an EnsembleSpec or
     a plain dimension plus seed.
     """
-    dim, seed, cap = _spec_args(spec_or_dim, seed, conditioning_cap)
-    rng = np.random.default_rng(seed)
-    lam = np.sort(_gap_separated_reals(rng, dim))
-    S = _random_similarity(rng, dim, cap)
-    H = (S * lam) @ np.linalg.inv(S)
-    return H, lam.astype(complex), S
+    return generate(_spec(spec_or_dim, seed, "quasi", conditioning_cap))
 
 
 def random_pseudo_nonquasi(spec_or_dim, seed=None, conditioning_cap=1e3):
@@ -96,50 +123,42 @@ def random_pseudo_nonquasi(spec_or_dim, seed=None, conditioning_cap=1e3):
     Im lambda >= 1e-2, plus real fill; H is built by the same capped
     similarity as random_quasi.  Returns (H, planted eigenvalues, S).
     """
-    dim, seed, cap = _spec_args(spec_or_dim, seed, conditioning_cap)
-    if dim < 2:
-        raise ValueError("need dim >= 2 for a conjugate pair")
-    rng = np.random.default_rng(seed)
-    n_pairs = int(rng.integers(1, dim // 2 + 1))
-    while True:
-        re = rng.uniform(-1.0, 1.0, size=n_pairs)
-        im = rng.uniform(1e-2, 1.0, size=n_pairs)
-        pairs = np.concatenate([re + 1j * im, re - 1j * im])
-        reals = _gap_separated_reals(rng, dim - 2 * n_pairs).astype(complex)
-        lam = np.concatenate([pairs, reals])
-        dist = np.abs(lam[:, None] - lam[None, :]) + np.eye(dim)
-        if dist.min() >= 1e-3:
-            break
-    S = _random_similarity(rng, dim, cap)
-    H = (S * lam) @ np.linalg.inv(S)
-    return H, lam, S
+    return generate(_spec(spec_or_dim, seed, "pseudo_nonquasi", conditioning_cap))
 
 
 def random_hermitian(spec_or_dim, seed=None):
     """Hermitian control instance (complex Gaussian, symmetrized)."""
-    dim, seed, _ = _spec_args(spec_or_dim, seed, None)
-    rng = np.random.default_rng(seed)
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return 0.5 * (G + G.conj().T)
+    return generate(_spec(spec_or_dim, seed, "hermitian"))
 
 
-def random_defective(spec_or_dim, seed=None):
-    """Defective control instance: a Jordan block with a random eigenvalue."""
-    dim, seed, _ = _spec_args(spec_or_dim, seed, None)
-    if dim < 2:
-        raise ValueError("defective instances need dim >= 2")
-    rng = np.random.default_rng(seed)
-    lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    return jordan_block(dim, lam)
+def generate(specs):
+    """The matrices of one EnsembleSpec, or the (k, n, n) stack of a sequence
+    of specs of one dim, in spec order with kinds mixed.
 
-
-def generate(spec: EnsembleSpec):
-    """Dispatch on spec.kind; returns the matrix (plus plantation for the
-    similarity-built kinds)."""
-    if spec.kind == "quasi":
-        return random_quasi(spec)
-    if spec.kind == "pseudo_nonquasi":
-        return random_pseudo_nonquasi(spec)
-    if spec.kind == "hermitian":
-        return random_hermitian(spec)
-    return random_defective(spec)
+    One spec returns (H, planted eigenvalues, S) for quasi and
+    pseudo_nonquasi, H for hermitian and defective (a Jordan block with a
+    random eigenvalue).  Each matrix of a stack equals its spec's alone.
+    """
+    single = isinstance(specs, EnsembleSpec)
+    specs = [specs] if single else list(specs)
+    if not specs or len({spec.dim for spec in specs}) > 1:
+        raise ValueError("generate takes one spec or a nonempty sequence of specs of one dim")
+    n = specs[0].dim
+    rngs = np.array([np.random.default_rng(spec.seed) for spec in specs])
+    kinds = np.array([spec.kind for spec in specs])
+    quasi, paired, hermitian, defective = (np.flatnonzero(kinds == kind) for kind in KINDS)
+    similar = np.union1d(quasi, paired)
+    caps = np.array([spec.conditioning_cap for spec in specs])
+    lam = np.empty((len(specs), n), dtype=complex)
+    lam[quasi] = np.sort(_gap_separated_reals(rngs[quasi], n), axis=-1)
+    lam[paired] = _paired_spectra(rngs[paired], n)
+    H = np.empty((len(specs), n, n), dtype=complex)
+    H[similar], S = _similar(rngs[similar], lam[similar], caps[similar])
+    G = np.array([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                  for rng in rngs[hermitian]], dtype=complex).reshape(-1, n, n)
+    H[hermitian] = 0.5 * (G + dagger(G))
+    for i in defective:
+        H[i] = jordan_block(n, complex(rngs[i].uniform(-1, 1), rngs[i].uniform(-1, 1)))
+    if single:
+        return (H[0], lam[0], S[0]) if similar.size else H[0]
+    return H

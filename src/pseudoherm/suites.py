@@ -7,10 +7,10 @@ the three legs must succeed or fail together.  The second: a positive metric
 exists iff the spectrum is real, in which case Hermitization by the metric
 square root works and the operator is Hermitian in the metric inner product.
 
-The suite runs by dimension.  Instances of one size are stacked as a
-(k, n, n) array and go once through the metrics functions: classify, then
-build_general_metric, verify_intertwining, antilinear_symmetry and
-antilinear_residual on the stack of paired matrices.  What is left here is
+The suite runs by dimension.  models.generate builds the instances of one
+size as one (k, n, n) stack, which goes once through the metrics functions:
+classify, then build_general_metric, verify_intertwining, antilinear_symmetry
+and antilinear_residual on the stack of paired matrices.  What is left here is
 the bookkeeping of the legs, and the stacked eigh square root, eigvals of h
 and inner products of the positive-metric legs.
 """
@@ -45,11 +45,6 @@ def make_ensemble(kinds, count, dims, base_seed=0, conditioning_cap=1e3):
         specs.append(EnsembleSpec(dim=dim, seed=base_seed + i, kind=kind,
                                   conditioning_cap=conditioning_cap))
     return specs
-
-
-def _instance_matrix(spec: EnsembleSpec) -> np.ndarray:
-    out = generate(spec)
-    return out[0] if isinstance(out, tuple) else out
 
 
 @dataclass(frozen=True)
@@ -208,7 +203,7 @@ def run_equivalence_suite(specs) -> dict:
         by_dim.setdefault(spec.dim, []).append(i)
     records = [None] * len(specs)
     for positions in by_dim.values():
-        group = classify_group(np.stack([_instance_matrix(specs[i]) for i in positions]))
+        group = classify_group(generate([specs[i] for i in positions]))
         one = check_conjugation_equivalence(group)
         two = check_positive_metric_equivalence(group, [specs[i].seed for i in positions])
         for i, conjugation, positive in zip(positions, one, two):

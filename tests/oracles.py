@@ -128,3 +128,81 @@ def fv_sign_table(grid):
         signs[w] = (np.sign(abs(plus[0]) ** 2 - abs(plus[1]) ** 2),
                     np.sign(abs(minus[0]) ** 2 - abs(minus[1]) ** 2))
     return signs
+
+
+# ---------------------------------------------------------------------------
+# per-instance ensemble samplers
+
+# A frozen copy of the per-instance generators that models.generate replaced
+# by a stacked one.  Each draws from its own default_rng(seed), spectrum
+# attempts first, then similarity attempts; redraws counts the rejected
+# attempts per (kind, stage), so a test can show that its specs took each
+# rejection branch.
+
+def _random_similarity(rng, dim, conditioning_cap, redraws, kind):
+    while True:
+        S = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        S /= np.sqrt(2 * dim)
+        if np.linalg.cond(S, 2) <= conditioning_cap:
+            return S
+        redraws[kind, "similarity"] += 1
+
+
+def _gap_separated_reals(rng, count, redraws, kind, gap=1e-3):
+    while True:
+        vals = rng.uniform(-1.0, 1.0, size=count)
+        if count < 2 or np.min(np.diff(np.sort(vals))) >= gap:
+            return vals
+        redraws[kind, "gaps"] += 1
+
+
+def random_quasi(spec, redraws):
+    rng = np.random.default_rng(spec.seed)
+    lam = np.sort(_gap_separated_reals(rng, spec.dim, redraws, "quasi"))
+    S = _random_similarity(rng, spec.dim, spec.conditioning_cap, redraws, "quasi")
+    H = (S * lam) @ np.linalg.inv(S)
+    return H, lam.astype(complex), S
+
+
+def random_pseudo_nonquasi(spec, redraws):
+    dim = spec.dim
+    rng = np.random.default_rng(spec.seed)
+    n_pairs = int(rng.integers(1, dim // 2 + 1))
+    while True:
+        re = rng.uniform(-1.0, 1.0, size=n_pairs)
+        im = rng.uniform(1e-2, 1.0, size=n_pairs)
+        pairs = np.concatenate([re + 1j * im, re - 1j * im])
+        reals = _gap_separated_reals(rng, dim - 2 * n_pairs, redraws,
+                                     "pseudo_nonquasi").astype(complex)
+        lam = np.concatenate([pairs, reals])
+        dist = np.abs(lam[:, None] - lam[None, :]) + np.eye(dim)
+        if dist.min() >= 1e-3:
+            break
+        redraws["pseudo_nonquasi", "distances"] += 1
+    S = _random_similarity(rng, dim, spec.conditioning_cap, redraws, "pseudo_nonquasi")
+    H = (S * lam) @ np.linalg.inv(S)
+    return H, lam, S
+
+
+def random_hermitian(spec):
+    rng = np.random.default_rng(spec.seed)
+    G = rng.standard_normal((spec.dim, spec.dim)) + 1j * rng.standard_normal((spec.dim, spec.dim))
+    return 0.5 * (G + G.conj().T)
+
+
+def random_defective(spec):
+    rng = np.random.default_rng(spec.seed)
+    lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return lam * np.eye(spec.dim, dtype=complex) + np.eye(spec.dim, k=1, dtype=complex)
+
+
+def sample_instance(spec, redraws):
+    """The per-instance generator of spec.kind: (H, planted eigenvalues, S)
+    for quasi and pseudo_nonquasi, H for hermitian and defective."""
+    if spec.kind == "quasi":
+        return random_quasi(spec, redraws)
+    if spec.kind == "pseudo_nonquasi":
+        return random_pseudo_nonquasi(spec, redraws)
+    if spec.kind == "hermitian":
+        return random_hermitian(spec)
+    return random_defective(spec)

@@ -496,3 +496,15 @@ def test_stacked_from_matrix_marks_what_a_single_call_refuses():
     # Not self-adjoint is no metric at all, for a stack as for one matrix.
     with pytest.raises(NotAMetric):
         MetricOperator.from_matrix(np.stack([SIGMA3, np.array([[0, 1], [0, 0]], dtype=complex)]))
+
+
+def test_array_records_compare_by_identity():
+    # Equal-valued records hold equal arrays; a generated __eq__ would
+    # compare those arrays and raise on their ambiguous truth value.
+    eta1, eta2 = MetricOperator.from_matrix(np.eye(2)), MetricOperator.from_matrix(np.eye(2))
+    H = pt2x2(1.0, np.pi / 6, 1.0)
+    cls1, cls2 = classify(H), classify(H)
+    for one, two in ((eta1, eta2), (cls1, cls2), (cls1.spectrum, cls2.spectrum)):
+        assert (one == two) is False and one != two
+        assert one == one
+        assert len({one, two, one}) == 2

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,9 @@ from pseudoherm import (
     verify_intertwining,
 )
 from pseudoherm.linalg import KAPPA_MAX
-from pseudoherm.models import generate, random_hermitian
+from pseudoherm.models import KINDS, generate, random_hermitian
 
+import oracles
 from oracles import pt2x2_eigenvalues, spectra_mismatch
 
 
@@ -119,6 +122,60 @@ def test_ensemble_spec_validation():
         EnsembleSpec(dim=0, seed=0, kind="quasi")
     with pytest.raises(ValueError):
         random_pseudo_nonquasi(1, seed=0)
+    with pytest.raises(ValueError):
+        EnsembleSpec(dim=1, seed=0, kind="defective")
+
+
+@pytest.mark.parametrize("cap", [1.0, 0.5, -2.0, np.nan, np.inf])
+def test_ensemble_spec_refuses_a_cap_no_similarity_meets(cap):
+    # cond_2(S) >= 1 for every S, so a cap <= 1 or NaN would make the
+    # similarity rejection loop run forever; an infinite cap is no cap.
+    with pytest.raises(ValueError, match="conditioning_cap"):
+        EnsembleSpec(dim=3, seed=0, kind="quasi", conditioning_cap=cap)
+    with pytest.raises(ValueError, match="conditioning_cap"):
+        random_quasi(3, seed=0, conditioning_cap=cap)
+
+
+def test_generate_refuses_empty_and_mixed_dims():
+    with pytest.raises(ValueError):
+        generate([])
+    with pytest.raises(ValueError):
+        generate([EnsembleSpec(3, 0), EnsembleSpec(4, 1, "hermitian")])
+
+
+# Mixed-kind stacks: dims 1-8 and 40, and a dim-6 stack in which every other
+# spec has conditioning_cap=8, which rejects most similarity draws.
+ORACLE_STACKS = {
+    f"dim {dim}": [EnsembleSpec(dim, 97 * dim + i, kinds[i % len(kinds)])
+                   for i in range(32 if dim == 40 else 24)]
+    for dim in (1, 2, 3, 4, 5, 6, 7, 8, 40)
+    for kinds in [KINDS if dim > 1 else ("quasi", "hermitian")]
+}
+ORACLE_STACKS["dim 6, caps 8 and 1e3"] = [
+    EnsembleSpec(6, 700 + i, KINDS[i % 4], 8.0 if i % 8 < 4 else 1e3) for i in range(24)]
+
+
+def test_stacked_generate_matches_per_instance_samplers():
+    redraws = Counter()
+    for name, specs in ORACLE_STACKS.items():
+        stack = generate(specs)
+        assert stack.shape == (len(specs), specs[0].dim, specs[0].dim), name
+        for H, spec in zip(stack, specs):
+            want = oracles.sample_instance(spec, redraws)
+            got = generate(spec)
+            if isinstance(want, tuple):
+                assert isinstance(got, tuple) and len(got) == 3, spec
+                assert np.array_equal(H, want[0]), spec
+            else:
+                assert isinstance(got, np.ndarray), spec
+                want, got = (want,), (got,)
+                assert np.array_equal(H, want[0]), spec
+            for one, other in zip(got, want):
+                assert one.dtype == other.dtype and np.array_equal(one, other), spec
+    # Every rejection branch of the similarity-built kinds ran.
+    for kind in ("quasi", "pseudo_nonquasi"):
+        for stage in ("gaps", "similarity"):
+            assert redraws[kind, stage] > 0, (kind, stage)
 
 
 def test_reality_threshold_coarse_scan():
