@@ -169,7 +169,7 @@ def fv_hamiltonian(grid: FourierGrid) -> np.ndarray:
     return np.block([[T + mI, T], [-T, -T - mI]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FVModes:
     """fv_hamiltonian as (N, ...) stacks of its 2x2 mode blocks; block k acts
     on (phi_k, chi_k), rows and columns (k, N + k) of the dense matrix."""

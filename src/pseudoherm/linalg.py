@@ -35,7 +35,7 @@ INVERTIBILITY_TOL = 1e-12
 # herm_sqrt's input.
 SELFADJOINT_TOL = 1e-10
 
-# herm_sqrt refuses lambda_min <= POSITIVITY_TOL * max(1, lambda_max).
+# herm_sqrt refuses lambda_min <= POSITIVITY_TOL * lambda_max.
 POSITIVITY_TOL = 1e-10
 
 
@@ -242,7 +242,7 @@ def herm_sqrt(P) -> np.ndarray:
         raise NotPositiveDefinite(
             f"matrix is not self-adjoint within {SELFADJOINT_TOL:g} (residual {residual:.3e})")
     evals, U = np.linalg.eigh(0.5 * (P + P.conj().T))
-    if evals[0] <= POSITIVITY_TOL * max(1.0, evals[-1]):
+    if evals[0] <= POSITIVITY_TOL * evals[-1]:
         raise NotPositiveDefinite(
             f"minimum eigenvalue {evals[0]:.3e} is not positive"
         )

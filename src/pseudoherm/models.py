@@ -4,9 +4,9 @@ Every generator returns enough information to check the downstream
 machinery against construction-time facts: planted spectra, planted
 similarity transforms, closed-form eigenvalues.  generate builds the
 matrices of one dimension as a (k, n, n) stack: each spec draws from its
-own default_rng(seed) as it would alone, the rejection tests and
-S diag(lambda) S^{-1} run once per pass over the stack, and only rejected
-instances draw again.  The random_* generators are its k = 1 case.
+own default_rng(seed) as it would alone, and every draw is built into its
+planted property, with no test and no redraw.  The random_* generators are
+its k = 1 case.
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ import numpy as np
 from .linalg import dagger
 
 KINDS = ("quasi", "pseudo_nonquasi", "hermitian", "defective")
+
+# Smallest distance between two planted eigenvalues of quasi and pseudo_nonquasi.
+GAP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -34,6 +37,8 @@ class EnsembleSpec:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         if self.dim < (2 if self.kind in ("pseudo_nonquasi", "defective") else 1):
             raise ValueError(f"dim {self.dim} is too small for kind {self.kind!r}")
+        if self.kind in ("quasi", "pseudo_nonquasi") and (self.dim - 1) * GAP > 2.0:
+            raise ValueError(f"dim {self.dim} eigenvalues {GAP:g} apart do not fit in [-1, 1]")
         if not 1.0 < self.conditioning_cap < np.inf:   # cond_2(S) >= 1 for every S
             raise ValueError(f"conditioning_cap must be finite and > 1: {self.conditioning_cap}")
 
@@ -63,45 +68,39 @@ def _spec(spec_or_dim, seed, kind, conditioning_cap=1e3) -> EnsembleSpec:
     return EnsembleSpec(int(spec_or_dim), int(seed or 0), kind, conditioning_cap)
 
 
-def _gap_separated_reals(rngs, count, gap=1e-3):
-    """count uniform draws on [-1, 1] per generator, drawn again until >= gap apart."""
-    vals = np.empty((len(rngs), count))
-    todo = np.arange(len(rngs))
-    while todo.size:
-        vals[todo] = [rng.uniform(-1.0, 1.0, size=count) for rng in rngs[todo]]
-        gaps = np.diff(np.sort(vals[todo]), axis=-1).min(axis=-1, initial=np.inf)
-        todo = todo[gaps < gap]
-    return vals
+def _spaced(rngs, count):
+    """Per generator, count uniforms on [-1, 1] conditioned on pairwise gaps >= GAP:
+    draws on [-1, 1 - (count - 1) GAP], each raised by GAP times its rank."""
+    top = 1.0 - max(count - 1, 0) * GAP
+    u = np.array([rng.uniform(-1.0, top, size=count) for rng in rngs]).reshape(len(rngs), count)
+    return u + GAP * np.argsort(np.argsort(u, axis=-1), axis=-1)
 
 
 def _paired_spectra(rngs, dim):
-    """Per generator: n_pairs >= 1 pairs (lambda, conj(lambda)), Im lambda >= 1e-2,
-    and real fill, drawn again until all eigenvalues are >= 1e-3 apart."""
+    """Per generator: n_pairs >= 1 pairs (lambda, conj(lambda)), Im lambda >= 1e-2, and
+    real fill; centres and fill are each _spaced, so all are >= GAP apart."""
     n_pairs = np.array([rng.integers(1, dim // 2 + 1) for rng in rngs], dtype=int)
     lam = np.empty((len(rngs), dim), dtype=complex)
     for p in np.unique(n_pairs):
-        todo = np.flatnonzero(n_pairs == p)
-        while todo.size:
-            re, im = np.array([(rng.uniform(-1.0, 1.0, size=p), rng.uniform(1e-2, 1.0, size=p))
-                               for rng in rngs[todo]]).transpose(1, 0, 2)
-            reals = _gap_separated_reals(rngs[todo], dim - 2 * p)
-            lam[todo] = np.concatenate([re + 1j * im, re - 1j * im, reals], axis=-1)
-            dist = np.abs(lam[todo, :, None] - lam[todo, None, :]) + np.eye(dim)
-            todo = todo[dist.min(axis=(1, 2)) < 1e-3]
+        at = np.flatnonzero(n_pairs == p)
+        re = _spaced(rngs[at], p)
+        im = np.array([rng.uniform(1e-2, 1.0, size=p) for rng in rngs[at]])
+        lam[at] = np.concatenate([re + 1j * im, re - 1j * im, _spaced(rngs[at], dim - 2 * p)],
+                                 axis=-1)
     return lam
 
 
 def _similar(rngs, lam, caps):
-    """(S diag(lam) S^{-1}, S) per row of lam, S drawn again until cond_2(S) <= its
-    cap, which keeps 1e-8 residual targets reachable at double precision."""
+    """(S diag(lam) S^{-1}, S) per row of lam: S is G / sqrt(2n), G Gaussian, with
+    singular values floored at sigma_max / cap, so cond_2(S) <= cap keeps 1e-8
+    residual targets reachable; S = G where that holds."""
     k, n = lam.shape
-    S = np.empty((k, n, n), dtype=complex)
-    todo = np.arange(k)
-    while todo.size:
-        S[todo] = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                   for rng in rngs[todo]]
-        S[todo] /= np.sqrt(2 * n)
-        todo = todo[~(np.linalg.cond(S[todo], 2) <= caps[todo])]
+    S = np.array([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                  for rng in rngs]).reshape(k, n, n) / np.sqrt(2 * n)
+    sv = np.linalg.svd(S, compute_uv=False)
+    over = np.flatnonzero(~(sv[:, 0] / sv[:, -1] <= caps))
+    U, sv, Wh = np.linalg.svd(S[over])
+    S[over] = (U * np.maximum(sv, sv[:, :1] / caps[over, None])[:, None, :]) @ Wh
     return (S * lam[:, None, :]) @ np.linalg.inv(S), S
 
 
@@ -150,7 +149,7 @@ def generate(specs):
     similar = np.union1d(quasi, paired)
     caps = np.array([spec.conditioning_cap for spec in specs])
     lam = np.empty((len(specs), n), dtype=complex)
-    lam[quasi] = np.sort(_gap_separated_reals(rngs[quasi], n), axis=-1)
+    lam[quasi] = np.sort(_spaced(rngs[quasi], n), axis=-1)
     lam[paired] = _paired_spectra(rngs[paired], n)
     H = np.empty((len(specs), n, n), dtype=complex)
     H[similar], S = _similar(rngs[similar], lam[similar], caps[similar])

@@ -21,11 +21,11 @@ from .errors import EmptyPhysicalSpace, NonDiagonalizableError, UnpairedEigenval
 from .linalg import Spectrum, as_square_matrix, spectral_norm
 from .metrics import Classification, MetricOperator, OperatorClass, classify
 
-# An eta-norm within ZERO_NORM_TOL * ||psi||^2 * max(||eta||, 1) of zero is zero.
+# An eta-norm within ZERO_NORM_TOL * ||psi||^2 * ||eta|| of zero is zero.
 ZERO_NORM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhysicalSubspace:
     """Span of the real-eigenvalue eigenvectors, with the restricted operator
     and a positive metric making that restriction Hermitian."""
@@ -77,7 +77,7 @@ def indefinite_physical_set(S: Spectrum, eta):
     """Sign of the eta-norm of every eigenvector: list of (index, sign).
 
     sign is +1 / 0 / -1 from diag(Psi^dag eta Psi); |norm| <=
-    ZERO_NORM_TOL * ||psi||^2 * max(||eta||, 1) counts as zero.  Under a fixed
+    ZERO_NORM_TOL * ||psi||^2 * ||eta|| counts as zero.  Under a fixed
     indefinite metric only the +1 eigenvectors span the physical space;
     zero-norm vectors are excluded along with the negative ones.
     """
@@ -90,7 +90,7 @@ def norm_signs(psi, eta_psi, eta_norm: float) -> np.ndarray:
     """Signs of the eta-norms psi^dag eta psi of the columns of psi (stacks allowed),
     given eta_psi = eta psi and ||eta||, under indefinite_physical_set's zero band."""
     norms = np.sum(psi.conj() * eta_psi, axis=-2).real
-    cutoff = ZERO_NORM_TOL * np.sum(np.abs(psi) ** 2, axis=-2) * max(eta_norm, 1.0)
+    cutoff = ZERO_NORM_TOL * np.sum(np.abs(psi) ** 2, axis=-2) * eta_norm
     return np.where(np.abs(norms) <= cutoff, 0, np.sign(norms)).astype(int)
 
 

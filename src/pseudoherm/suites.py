@@ -47,7 +47,7 @@ def make_ensemble(kinds, count, dims, base_seed=0, conditioning_cap=1e3):
     return specs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Group:
     """Instances of one size: their Classification and, for those with a
     PairingMap (at positions paired), H, Spectrum, PairingMaps, ||H||, the
@@ -140,7 +140,7 @@ def check_positive_metric_equivalence(group: Group, seeds) -> list[dict]:
     # herm_sqrt's positivity test on the eigh of eta_+.
     mapped = np.flatnonzero(group.residual[built] <= INTERTWINE_TOL)
     w, U = np.linalg.eigh(eta[mapped])
-    rooted = w[:, 0] > POSITIVITY_TOL * np.maximum(1.0, w[:, -1])
+    rooted = w[:, 0] > POSITIVITY_TOL * w[:, -1]
     mapped, w, U = mapped[rooted], w[rooted], U[rooted]
     Q = (U * np.sqrt(w)[:, None, :]) @ dagger(U)
     rho = 0.5 * (Q + dagger(Q))

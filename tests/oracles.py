@@ -133,11 +133,11 @@ def fv_sign_table(grid):
 # ---------------------------------------------------------------------------
 # per-instance ensemble samplers
 
-# A frozen copy of the per-instance generators that models.generate replaced
-# by a stacked one.  Each draws from its own default_rng(seed), spectrum
-# attempts first, then similarity attempts; redraws counts the rejected
-# attempts per (kind, stage), so a test can show that its specs took each
-# rejection branch.
+# A frozen copy of the per-instance rejection samplers that models.generate
+# replaced by constructive draws.  Each draws from its own default_rng(seed),
+# spectrum attempts first, then similarity attempts; redraws counts the
+# rejected attempts per (kind, stage), so a test can tell the specs whose
+# first attempt was accepted, whose draws generate keeps.
 
 def _random_similarity(rng, dim, conditioning_cap, redraws, kind):
     while True:

@@ -163,6 +163,15 @@ def test_herm_sqrt_is_involutive_on_squares():
     assert spectral_norm(back - Q) / spectral_norm(Q) <= 1e-9
 
 
+def test_herm_sqrt_is_scale_covariant():
+    # The positivity test is relative to lambda_max: sqrt(c P) = sqrt(c) sqrt(P).
+    P = np.diag([1.0, 4.0]).astype(complex)
+    for c in (1e-14, 1e-11, 1e6):
+        assert np.allclose(herm_sqrt(c * P), np.sqrt(c) * np.diag([1.0, 2.0]), rtol=1e-14, atol=0)
+    with pytest.raises(NotPositiveDefinite):
+        herm_sqrt(1e-14 * np.diag([1e-11, 1.0]).astype(complex))
+
+
 def test_herm_sqrt_rejects_bad_input():
     with pytest.raises(NotPositiveDefinite):
         herm_sqrt(np.diag([1.0, -1.0]).astype(complex))

@@ -26,8 +26,11 @@ from pseudoherm import (
     transform_metric,
     verify_intertwining,
 )
+from pseudoherm.kleingordon import fv_modes, make_grid
 from pseudoherm.linalg import Spectrum
 from pseudoherm.metrics import MetricOperator
+from pseudoherm.physical import restrict_to_physical
+from pseudoherm.suites import classify_group
 
 from oracles import signature_by_eigenvalues, spectra_mismatch
 
@@ -331,6 +334,20 @@ def test_hermitize_preserves_planted_spectrum():
     assert spectra_mismatch(np.linalg.eigvals(h), lam) <= 1e-8 * (1 + np.max(np.abs(lam)))
 
 
+def test_hermitize_is_scale_free_in_eta():
+    # c eta_+ is as good a metric as eta_+, and rho H rho^{-1} does not see c;
+    # from_matrix accepts 1e-11 eta_+, so hermitize must too.
+    H, lam, _ = random_quasi(4, seed=3)
+    eta = build_positive_metric(eig_full(H))
+    _, h, _ = hermitize(H, eta)
+    for c in (1e-11, 1e-14):
+        small = MetricOperator.from_matrix(c * eta.matrix)
+        assert small.positive_definite
+        _, h_small, residual = hermitize(H, small)
+        assert residual <= 1e-12 and herm_residual(h_small) <= 1e-8
+        assert spectral_norm(h_small - h) <= 1e-10 * spectral_norm(h)
+
+
 def test_hermitize_rejects_non_metric():
     H = pt2x2(1, np.pi / 6, 1)   # non-normal, identity does not intertwine
     with pytest.raises(NotAMetric):
@@ -504,7 +521,13 @@ def test_array_records_compare_by_identity():
     eta1, eta2 = MetricOperator.from_matrix(np.eye(2)), MetricOperator.from_matrix(np.eye(2))
     H = pt2x2(1.0, np.pi / 6, 1.0)
     cls1, cls2 = classify(H), classify(H)
-    for one, two in ((eta1, eta2), (cls1, cls2), (cls1.spectrum, cls2.spectrum)):
+    grid = make_grid(4, 5.0, 1.0)
+    D = np.diag([1.0, 2.0])
+    stack = np.stack([H, D])
+    for one, two in ((eta1, eta2), (cls1, cls2), (cls1.spectrum, cls2.spectrum),
+                     (fv_modes(grid), fv_modes(grid)),
+                     (restrict_to_physical(D), restrict_to_physical(D)),
+                     (classify_group(stack), classify_group(stack))):
         assert (one == two) is False and one != two
         assert one == one
         assert len({one, two, one}) == 2

@@ -17,10 +17,13 @@ from pseudoherm import (
     verify_intertwining,
 )
 from pseudoherm.linalg import KAPPA_MAX
-from pseudoherm.models import KINDS, generate, random_hermitian
+import pseudoherm.models as models
+from pseudoherm.models import GAP, KINDS, generate, random_hermitian
 
 import oracles
 from oracles import pt2x2_eigenvalues, spectra_mismatch
+
+EPS = np.finfo(float).eps
 
 
 def test_pt2x2_entries():
@@ -128,12 +131,25 @@ def test_ensemble_spec_validation():
 
 @pytest.mark.parametrize("cap", [1.0, 0.5, -2.0, np.nan, np.inf])
 def test_ensemble_spec_refuses_a_cap_no_similarity_meets(cap):
-    # cond_2(S) >= 1 for every S, so a cap <= 1 or NaN would make the
-    # similarity rejection loop run forever; an infinite cap is no cap.
+    # cond_2(S) >= 1 for every S, so no S meets a cap <= 1 or NaN; an
+    # infinite cap is no cap.
     with pytest.raises(ValueError, match="conditioning_cap"):
         EnsembleSpec(dim=3, seed=0, kind="quasi", conditioning_cap=cap)
     with pytest.raises(ValueError, match="conditioning_cap"):
         random_quasi(3, seed=0, conditioning_cap=cap)
+
+
+def test_ensemble_spec_refuses_dims_the_gaps_do_not_fit():
+    # 2001 eigenvalues GAP = 1e-3 apart fill [-1, 1] exactly; 2002 do not fit.
+    for kind in ("quasi", "pseudo_nonquasi"):
+        EnsembleSpec(dim=2001, seed=0, kind=kind)
+        with pytest.raises(ValueError, match="do not fit"):
+            EnsembleSpec(dim=2002, seed=0, kind=kind)
+    for kind in ("hermitian", "defective"):
+        EnsembleSpec(dim=2002, seed=0, kind=kind)
+    vals = models._spaced(np.array([np.random.default_rng(1)]), 2001)[0]
+    assert vals.min() >= -1.0 and vals.max() <= 1.0
+    assert np.diff(np.sort(vals)).min() >= GAP * (1 - 1e-9)
 
 
 def test_generate_refuses_empty_and_mixed_dims():
@@ -144,7 +160,7 @@ def test_generate_refuses_empty_and_mixed_dims():
 
 
 # Mixed-kind stacks: dims 1-8 and 40, and a dim-6 stack in which every other
-# spec has conditioning_cap=8, which rejects most similarity draws.
+# spec has conditioning_cap=8, where most Gaussian draws exceed the cap.
 ORACLE_STACKS = {
     f"dim {dim}": [EnsembleSpec(dim, 97 * dim + i, kinds[i % len(kinds)])
                    for i in range(32 if dim == 40 else 24)]
@@ -155,27 +171,98 @@ ORACLE_STACKS["dim 6, caps 8 and 1e3"] = [
     EnsembleSpec(6, 700 + i, KINDS[i % 4], 8.0 if i % 8 < 4 else 1e3) for i in range(24)]
 
 
-def test_stacked_generate_matches_per_instance_samplers():
-    redraws = Counter()
+def assert_planted(spec, H, lam=None, S=None):
+    """The properties generate plants for spec, checked on its output."""
+    n = spec.dim
+    if spec.kind == "hermitian":
+        assert np.array_equal(H, H.conj().T), spec
+        return
+    if spec.kind == "defective":
+        mu = H[0, 0]
+        assert max(abs(mu.real), abs(mu.imag)) <= 1.0, spec
+        assert np.array_equal(H, jordan_block(n, mu)), spec
+        return
+    dist = np.abs(lam[:, None] - lam[None, :]) + np.eye(n)
+    assert dist.min() >= GAP and np.abs(lam.real).max() <= 1.0, spec
+    if spec.kind == "quasi":
+        assert np.all(lam.imag == 0) and np.all(np.diff(lam.real) > 0), spec
+    else:
+        pairs = np.count_nonzero(lam.imag)
+        assert pairs >= 2 and np.abs(lam.imag[:pairs]).min() >= 1e-2, spec
+        assert np.array_equal(lam[pairs // 2:pairs], lam[:pairs // 2].conj()), spec
+        # Pair centres are spaced like the real fill, whatever their Im parts.
+        assert np.diff(np.sort(lam.real[:pairs // 2])).min(initial=GAP) >= GAP, spec
+    # The floor leaves cond_2(S) at the cap up to the roundoff of the SVD.
+    cond = np.linalg.cond(S, 2)
+    assert cond <= spec.conditioning_cap * (1 + 1e-12), spec
+    # H S = S diag(lam): each product and the inverse are backward stable,
+    # so the residual is a few n eps cond(S) relative to ||S|| max|lam|.
+    residual = np.linalg.norm(H @ S - S * lam, 2)
+    assert residual <= 4 * n * EPS * cond * np.linalg.norm(S, 2) * np.abs(lam).max(), spec
+
+
+def single(spec):
+    """generate(spec) as a tuple (H, planted eigenvalues, S) or (H,)."""
+    out = generate(spec)
+    return out if isinstance(out, tuple) else (out,)
+
+
+def test_stacked_generate_matches_single_specs():
     for name, specs in ORACLE_STACKS.items():
         stack = generate(specs)
         assert stack.shape == (len(specs), specs[0].dim, specs[0].dim), name
         for H, spec in zip(stack, specs):
+            got = single(spec)
+            assert len(got) == (3 if spec.kind in ("quasi", "pseudo_nonquasi") else 1), spec
+            assert got[0].dtype == H.dtype and np.array_equal(got[0], H), spec
+            assert all(a.dtype == complex for a in got), spec
+
+
+def test_generate_plants_its_properties():
+    for specs in ORACLE_STACKS.values():
+        for spec in specs:
+            assert_planted(spec, *single(spec))
+
+
+def test_generate_keeps_the_draws_the_rejection_sampler_accepted():
+    # Against the frozen rejection samplers: a spec that drew no second attempt
+    # has the same S, and each eigenvalue moved by at most (n - 1) GAP, since
+    # the gaps come from shortening the interval and adding GAP * rank.
+    # Where the sampler redrew, it consumed other draws, and nothing is shared.
+    accepted = Counter()
+    for specs in ORACLE_STACKS.values():
+        for spec in specs:
+            redraws = Counter()
             want = oracles.sample_instance(spec, redraws)
-            got = generate(spec)
-            if isinstance(want, tuple):
-                assert isinstance(got, tuple) and len(got) == 3, spec
-                assert np.array_equal(H, want[0]), spec
-            else:
-                assert isinstance(got, np.ndarray), spec
-                want, got = (want,), (got,)
-                assert np.array_equal(H, want[0]), spec
-            for one, other in zip(got, want):
-                assert one.dtype == other.dtype and np.array_equal(one, other), spec
-    # Every rejection branch of the similarity-built kinds ran.
-    for kind in ("quasi", "pseudo_nonquasi"):
-        for stage in ("gaps", "similarity"):
-            assert redraws[kind, stage] > 0, (kind, stage)
+            if redraws:
+                continue
+            accepted[spec.kind] += 1
+            got = single(spec)
+            if spec.kind in ("hermitian", "defective"):
+                assert np.array_equal(got[0], want), spec
+                continue
+            assert np.array_equal(got[2], want[2]), spec
+            assert np.abs(got[1] - want[1]).max() <= (spec.dim - 1) * GAP, spec
+    assert set(accepted) == set(KINDS), accepted
+
+
+def test_generate_finishes_at_large_dims():
+    for dim in (200, 400):
+        for i, kind in enumerate(KINDS):
+            spec = EnsembleSpec(dim, 5 + i, kind)
+            assert_planted(spec, *single(spec))
+
+
+def test_generate_meets_a_tight_cap_at_dim_40():
+    # Gaussian 40 x 40 draws have cond_2 in the hundreds, so the floor sets
+    # every singular value ratio to the cap.
+    specs = [EnsembleSpec(40, 11 + i, ("quasi", "pseudo_nonquasi")[i % 2], 8.0)
+             for i in range(6)]
+    for H, spec in zip(generate(specs), specs):
+        got = single(spec)
+        assert np.array_equal(got[0], H), spec
+        assert_planted(spec, *got)
+        assert np.linalg.cond(got[2], 2) >= 8.0 * (1 - 1e-12), spec
 
 
 def test_reality_threshold_coarse_scan():

@@ -144,7 +144,7 @@ def test_hermitized_spectrum_independent_of_metric_choice():
 
 def _sign_loop(S, E, zero_tol=1e-10):
     """One eta_inner per eigenvector: the reference for indefinite_physical_set."""
-    scale = max(spectral_norm(E), 1.0)
+    scale = spectral_norm(E)
     out = []
     for n in range(S.dim):
         psi = S.right[:, n]
@@ -171,8 +171,10 @@ def _random_indefinite_diagonal(n, seed):
     (eig_full(np.diag([1.0, 2.0]).astype(complex)), SIGMA1 + 1e-13 * SIGMA3, {0}),
     # norms of +/-1e-9: inside the band only through the factor ||eta|| = 100
     (eig_full(np.diag([1.0, 2.0]).astype(complex)), 100 * SIGMA1 + 1e-9 * SIGMA3, {0}),
+    # norms of +/-1e-11, outside the band, which scales with ||eta|| = 1e-11
+    (eig_full(np.diag([1.0, 2.0]).astype(complex)), 1e-11 * SIGMA3, {1, -1}),
 ], ids=["kg8_sigma3", "quasi6_diagonal", "zero_norm_sigma1", "near_zero_sigma1",
-        "scaled_sigma1"])
+        "scaled_sigma1", "small_sigma3"])
 def test_indefinite_set_matches_per_vector_loop(S, E, occurring):
     signs = indefinite_physical_set(S, E)
     assert signs == _sign_loop(S, E)

@@ -1,14 +1,14 @@
 """The batched equivalence suite against the per-instance loop it replaced.
 
 The oracle below is that loop: one classify and one pair of checks per
-instance, each built from the single-matrix metrics functions, on a matrix
-from the frozen per-instance samplers in oracles.py rather than from the
-stacked models.generate.  The batched suite must give the same records;
-every residual whose arithmetic did not change is compared bit for bit.
+instance, each built from the single-matrix metrics functions, on the
+matrix models.generate builds for the instance's spec alone.  The batched
+suite, which generates each dimension group as one stack, must give the
+same records; every residual whose arithmetic did not change is compared
+bit for bit.
 """
 
 import json
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,10 +29,8 @@ from pseudoherm.metrics import (
     hermitize,
     verify_intertwining,
 )
-from pseudoherm.models import EnsembleSpec, jordan_block
+from pseudoherm.models import EnsembleSpec, generate, jordan_block
 from pseudoherm.suites import INNER_PAIRS, make_ensemble, run_equivalence_suite
-
-from oracles import sample_instance
 
 EPS = np.finfo(float).eps
 
@@ -116,7 +114,7 @@ def oracle_positive(H, cls, seed):
 
 
 def oracle_record(spec):
-    out = sample_instance(spec, Counter())
+    out = generate(spec)
     H = out[0] if isinstance(out, tuple) else out
     cls = classify(H)
     one = oracle_conjugation(H, cls)
