@@ -5,7 +5,8 @@ two-component form, a Schrodinger equation whose Hamiltonian is Hermitian
 for the indefinite sigma3 block metric.  The classical conserved current
 gives the indefinite Klein-Gordon inner product; the positive metric route
 gives a conserved positive-definite one.  Both are evaluated here on exact
-spectral solutions, so conservation holds to roundoff.
+spectral solutions, so conservation holds to roundoff, even at a wrong time.
+The per-mode propagator e^{-i h_k t} checks the time itself.
 """
 
 import numpy as np
@@ -14,7 +15,10 @@ from pseudoherm import (
     KGState,
     classify,
     evolve,
+    fv_components,
     fv_hamiltonian,
+    fv_modes,
+    fv_propagate,
     kg_inner,
     make_grid,
     pd_inner,
@@ -45,6 +49,17 @@ for t in (0.0, 2.5, 5.0, 7.5, 10.0):
           f"{kg_inner(moved, moved).real:16.12f}")
 print(f"    drift: pd {abs(pd_inner(moved, moved) - pd0):.2e}, "
       f"kg {abs(kg_inner(moved, moved) - kg0):.2e}")
+print()
+
+print("Both drifts stay at roundoff for a state evolved to the wrong time; the")
+print("two-component propagator e^{-i h_k t} = cos(w t) I - i sin(w t) h_k / w")
+print("(one 2x2 block per mode) does not:")
+modes, start = fv_modes(grid), fv_components(state)
+for label, t_evolved in (("right t = 10", 10.0), ("wrong t = 10.01", 10.01)):
+    moved = evolve(state, t_evolved)
+    gap = np.max(np.abs(fv_components(moved) - fv_propagate(modes, start, 10.0)))
+    print(f"    {label:16}: propagator deviation {gap / np.max(np.abs(start)):.2e}, "
+          f"pd drift {abs(pd_inner(moved, moved) - pd0):.2e}")
 print()
 
 print("The Klein-Gordon form is indefinite; the frequency sectors show it:")

@@ -71,6 +71,7 @@ from .kleingordon import (
     fv_components,
     fv_hamiltonian,
     fv_modes,
+    fv_propagate,
     kg_inner,
     make_grid,
     pd_inner,

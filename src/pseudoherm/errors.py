@@ -54,7 +54,7 @@ class EmptyPhysicalSpace(PseudohermError):
 
 
 class InvalidGrid(PseudohermError):
-    """Lattice parameters are out of range (need N >= 2, L > 0, m > 0)."""
+    """Lattice parameters out of range: need N >= 2, L > 0, m > 0 and a float-sized dispersion."""
 
 
 class GridMismatch(PseudohermError):

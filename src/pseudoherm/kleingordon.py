@@ -7,11 +7,11 @@ against its mode-sum form.  The two-component (Feshbach-Villars) reduction
 
     phi = (psi + (i/m) d_t psi)/2,   chi = (psi - (i/m) d_t psi)/2
 
-turns the field equation into i d_t Psi = H Psi with
-H = (sigma3 + i sigma2) p^2/(2m) + m sigma3, which is Hermitian with
-respect to the indefinite sigma3 block metric and has spectrum
-+/- omega_k, omega_k = sqrt(k^2 + m^2).  fv_modes gives H as one 2x2 block
-per mode with closed-form eigenpairs; fv_hamiltonian is its dense oracle.
+turns the field equation into i d_t Psi = H Psi with H = (sigma3 + i sigma2)
+p^2/(2m) + m sigma3, Hermitian for the indefinite sigma3 block metric, with
+spectrum +/- omega_k, omega_k = sqrt(k^2 + m^2).  fv_modes gives H as 2x2 mode
+blocks with closed-form eigenpairs, fv_propagate applies e^{-iHt} with them in
+O(N) as a check on evolve, and fv_hamiltonian is their dense oracle.
 
 Conventions: mode amplitudes reconstruct the position-space field as
 psi(x, t) = L^{-1/2} sum_k (a_k e^{-i omega_k t} + b_k e^{+i omega_k t})
@@ -63,8 +63,12 @@ def make_grid(N: int, L: float, m: float) -> FourierGrid:
     if not (m > 0):
         raise InvalidGrid(f"mass must be positive, got m={m} (massless excluded)")
     N = int(N)
-    k = 2 * np.pi * np.fft.fftfreq(N, d=L / N)
-    return FourierGrid(N=N, L=float(L), m=float(m), k=k, omega=np.sqrt(k**2 + m**2))
+    with np.errstate(all="ignore"):   # fv_modes squares entries up to 2 (omega_k + k^2/m)
+        k = 2 * np.pi * np.fft.fftfreq(N, d=np.float64(L) / N)   # L/N may underflow to 0
+        omega = np.sqrt(k**2 + np.float64(m) ** 2)
+        if not (omega[0] > 0 and np.isfinite(np.max(2 * (omega + k**2 / m)) ** 2)):
+            raise InvalidGrid(f"dispersion of N={N}, L={L}, m={m} is not representable")
+    return FourierGrid(N=N, L=float(L), m=float(m), k=k, omega=omega)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,6 +216,14 @@ def fv_components(state: KGState) -> np.ndarray:
     phi = 0.5 * (A + 1j * Adot / state.grid.m)
     chi = 0.5 * (A - 1j * Adot / state.grid.m)
     return np.concatenate([phi, chi], axis=-1)
+
+
+def fv_propagate(modes: FVModes, components: np.ndarray, t: float) -> np.ndarray:
+    """e^{-iHt} on fv_components output (..., 2N), block by block as e^{-i h_k t}."""
+    w = modes.eigenvalues[:, :1, None]   # h_k^2 = omega_k^2 I, so e^{-i h_k t} is linear in h_k
+    u = (np.cos(w * t) * np.eye(2) - 1j * np.sin(w * t) / w * modes.blocks).transpose(1, 2, 0)
+    phi, chi = np.split(components, 2, axis=-1)
+    return np.concatenate([u[0, 0] * phi + u[0, 1] * chi, u[1, 0] * phi + u[1, 1] * chi], axis=-1)
 
 
 def evolve(state: KGState, dt: float) -> KGState:

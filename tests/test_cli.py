@@ -30,6 +30,8 @@ from pseudoherm.metrics import classify
 from pseudoherm.physical import indefinite_physical_set, restrict_to_physical
 from pseudoherm.models import jordan_block, pt2x2, random_quasi
 
+from oracles import propagator_bound
+
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
@@ -230,10 +232,10 @@ def test_kg_report_matches_per_sample_loop(capsys, argv):
         kg0 = kg_inner(state, state)
         pd_min = min(pd_min, pd0.real / float(np.sum(weight)))
         mode_sum_dev = max(mode_sum_dev, abs(pd0 - scale / mu) / (scale / mu))
-        for t in np.linspace(0.0, float(opts.get("--t-final", 10.0)), 9)[1:]:
-            moved = evolve(state, float(t))
-            pd_drift = max(pd_drift, abs(pd_inner(moved, moved, mu) - pd0) / (scale / mu))
-            kg_drift = max(kg_drift, abs(kg_inner(moved, moved) - kg0) / (2 * scale))
+        # the command samples its drifts at its last checkpoint, t_final
+        moved = evolve(state, float(opts.get("--t-final", 10.0)))
+        pd_drift = max(pd_drift, abs(pd_inner(moved, moved, mu) - pd0) / (scale / mu))
+        kg_drift = max(kg_drift, abs(kg_inner(moved, moved) - kg0) / (2 * scale))
     res = report["residuals"]
     assert res["pd_positivity_min"] == pytest.approx(pd_min, rel=1e-12, abs=0)
     assert res["pd_mode_sum_deviation"] == pytest.approx(mode_sum_dev, rel=1e-12, abs=0)
@@ -242,8 +244,9 @@ def test_kg_report_matches_per_sample_loop(capsys, argv):
 
 
 def test_kg_fft_count(capsys, monkeypatch):
-    # 9 checkpoints x 4 FFTs: psi and d_t psi once per state, and D^{+/-1/2}
-    # applied in mode space for pd_inner; the fields are shared with kg_inner.
+    # 2 checkpoints (t = 0 and t_final) x 4 FFTs: psi and d_t psi once per state,
+    # and D^{+/-1/2} applied in mode space for pd_inner; the fields are shared
+    # with kg_inner.  The propagator check at the other checkpoints makes none.
     calls = []
     for name in ("fft", "ifft"):
         original = getattr(np.fft, name)
@@ -255,13 +258,64 @@ def test_kg_fft_count(capsys, monkeypatch):
         monkeypatch.setattr(np.fft, name, counting)
     code, report = run_cli(capsys, ["kg", "--n", "8", "--samples", "2"])
     assert code == EXIT_OK
-    assert len(calls) == 36
+    assert len(calls) == 8
     assert set(calls) == {(2, 8)}
 
 
 def test_kg_command_rejects_massless(capsys):
     assert main(["kg", "--n", "8", "--mass", "0"]) == EXIT_INPUT
     capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag, value", [
+    ("--mass", "1e155"),     # m**2 overflows
+    ("--mass", "1e-200"),    # m**2 underflows to 0
+    ("--length", "1e-300"),  # k**2 overflows
+])
+def test_kg_command_rejects_unrepresentable_dispersion(capsys, flag, value):
+    assert main(["kg", "--n", "8", flag, value]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: dispersion of N=8")
+    assert "not representable" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("n", [8, 64, 256, 4096])
+def test_kg_propagator_deviation_within_bound(capsys, n):
+    code, report = run_cli(capsys, ["kg", "--n", str(n), "--samples", "2"])
+    assert code == EXIT_OK
+    grid = make_grid(n, 20 * np.pi, 1.0)
+    assert 0 < report["residuals"]["fv_propagator_deviation"] <= propagator_bound(grid, 10.0)
+
+
+def test_kg_propagates_at_every_nonzero_checkpoint(capsys, monkeypatch):
+    import pseudoherm.cli as cli
+
+    times = []
+    propagate = cli.fv_propagate
+    monkeypatch.setattr(cli, "fv_propagate",
+                        lambda modes, psi, t: times.append(t) or propagate(modes, psi, t))
+    code, _ = run_cli(capsys, ["kg", "--n", "8", "--samples", "2", "--t-final", "3"])
+    assert code == EXIT_OK
+    assert times == list(np.linspace(0.0, 3.0, 9)[1:])
+
+
+def test_kg_propagator_deviation_catches_a_wrong_time(capsys, monkeypatch):
+    # evolve to t(1 + 1e-3): every state is still an exact solution, so both
+    # quadrature drifts stay at roundoff; only the propagator check sees it.
+    import pseudoherm.cli as cli
+
+    exact = cli.evolve
+    monkeypatch.setattr(cli, "evolve", lambda state, dt: exact(state, dt * (1 + 1e-3)))
+    code, report = run_cli(capsys, ["kg", "--n", "64", "--samples", "10"])
+    assert code == EXIT_OK
+    res = report["residuals"]
+    bound = propagator_bound(make_grid(64, 20 * np.pi, 1.0), 10.0)
+    assert res["fv_propagator_deviation"] > 1e6 * bound
+    assert res["pd_conservation_drift"] <= 1e-14
+    assert res["kg_conservation_drift"] <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +519,7 @@ def test_kg_report_matches_dense_oracle(capsys, monkeypatch, n):
                             "metric", "signature", "spectrum", "notes", "sector_dims"]
     assert list(report["residuals"]) == [
         "sigma3_intertwining", "pd_conservation_drift", "kg_conservation_drift",
-        "pd_positivity_min", "pd_mode_sum_deviation"]
+        "pd_positivity_min", "pd_mode_sum_deviation", "fv_propagator_deviation"]
     assert report["classification"] == cls.kind.value == "QuasiHermitian"
     assert report["sector_dims"] == {"indefinite_metric": positive, "pseudo_hermitian": kept}
     assert report["notes"] == (

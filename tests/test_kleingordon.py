@@ -14,6 +14,7 @@ from pseudoherm import (
     fv_components,
     fv_hamiltonian,
     fv_modes,
+    fv_propagate,
     indefinite_physical_set,
     kg_inner,
     make_grid,
@@ -27,11 +28,13 @@ from pseudoherm import (
 )
 
 from oracles import (
+    dense_propagator,
     direct_fields,
     fv_mode_eigenvectors,
     fv_sign_table,
     mode_sum_kg,
     mode_sum_pd,
+    propagator_bound,
     quadrature_kg_inner,
     quadrature_pd_inner,
     spectra_mismatch,
@@ -67,6 +70,29 @@ def test_make_grid_rejects_bad_parameters():
     for bad in [(1, 1.0, 1.0), (4, 0.0, 1.0), (4, 1.0, 0.0), (4, -2.0, 1.0), (4, 1.0, -1.0)]:
         with pytest.raises(InvalidGrid):
             make_grid(*bad)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("N, L, m", [
+    (8, 20 * np.pi, 1e155),    # m**2 overflows
+    (8, 20 * np.pi, 1e154),    # omega_k^2 fits, fv_modes' (omega + m)(c + t) does not
+    (8, 20 * np.pi, 1e-200),   # m**2 underflows to 0: omega_0 = 0
+    (8, 20 * np.pi, 1e-160),   # k^2/m fits, its square in the eigenvector norms does not
+    (8, 1e-300, 1.0),          # k**2 overflows
+    (8, 5e-324, 1.0),          # the spacing L/N underflows to 0
+])
+def test_make_grid_rejects_unrepresentable_dispersion(N, L, m):
+    with pytest.raises(InvalidGrid, match="not representable"):
+        make_grid(N, L, m)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("N, L, m", [(8, 20 * np.pi, 1e153), (8, 20 * np.pi, 1e-150),
+                                     (8, 1e300, 1.0), (8, 1e-70, 1.0)])
+def test_make_grid_keeps_extreme_but_representable_grids(N, L, m):
+    modes = fv_modes(make_grid(N, L, m))
+    for x in (modes.blocks, modes.right, modes.left):
+        assert np.all(np.isfinite(x))
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +194,67 @@ def test_fv_components_follow_matrix_dynamics():
     lhs = fv_components(evolve(state, dt))
     rhs = U @ fv_components(state)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def mode_basis(grid):
+    """The two states (a, b) = (1, 0) and (0, 1) in every mode, as one stack."""
+    one, zero = np.ones(grid.N, dtype=complex), np.zeros(grid.N, dtype=complex)
+    return KGState(grid=grid, a=np.stack([one, zero]), b=np.stack([zero, one]))
+
+
+def propagator_gap(state, t, modes, shift=0.0):
+    """Largest |fv_components(evolve(state, t(1 + shift))) - fv_propagate(..., t)|."""
+    start = fv_components(state)
+    exact = fv_components(evolve(state, t * (1 + shift)))
+    return np.max(np.abs(exact - fv_propagate(modes, start, t)))
+
+
+@pytest.mark.parametrize("t", [0.3, 10.0])
+@pytest.mark.parametrize("N", [8, 16, 64])
+def test_fv_propagate_matches_dense_propagator(N, t):
+    grid = make_grid(N, 20 * np.pi, 1.0)
+    states = random_state(grid, seed=N, size=3)
+    psi = fv_components(states)
+    got = fv_propagate(fv_modes(grid), psi, t)
+    want = psi @ dense_propagator(fv_hamiltonian(grid), t).T
+    assert got.shape == psi.shape
+    assert np.max(np.abs(got - want)) <= propagator_bound(grid, t) * np.max(np.abs(psi))
+    # the single-state shape (2N,) gives the same numbers as a row of the stack
+    assert np.array_equal(fv_propagate(fv_modes(grid), psi[1], t), got[1])
+
+
+@pytest.mark.parametrize("t", [0.3, 10.0])
+@pytest.mark.parametrize("N", [8, 16, 64])
+def test_propagator_basis_gap_bounds_every_state(N, t):
+    # Both evolve and fv_propagate are linear in (a_k, b_k), so a state's gap is
+    # at most (|a_k| + |b_k|) times the basis gap, mode by mode.  Checked where
+    # the gap is a real fault (evolve to t(1 + 1e-3)) rather than roundoff, and
+    # at the right t against the roundoff bound.
+    grid = make_grid(N, 20 * np.pi, 1.0)
+    modes, basis = fv_modes(grid), mode_basis(grid)
+    states = random_state(grid, seed=7, size=3)
+    amplitude = np.max(np.abs(states.a) + np.abs(states.b))
+    scale = np.max(np.abs(fv_components(basis)))
+    for shift in (1e-3, 0.0):
+        basis_gap = propagator_gap(basis, t, modes, shift) / scale
+        gap = propagator_gap(states, t, modes, shift) / scale
+        if shift:
+            assert basis_gap > 1e6 * propagator_bound(grid, t)
+            assert gap <= basis_gap * amplitude * (1 + 1e-9)
+        else:
+            assert basis_gap <= propagator_bound(grid, t)
+            assert gap <= propagator_bound(grid, t) * amplitude
+
+
+def test_fv_propagate_composes_and_inverts():
+    grid = make_grid(16, 20 * np.pi, 1.0)
+    modes, psi = fv_modes(grid), fv_components(random_state(grid, seed=2))
+    bound = 2 * propagator_bound(grid, 4.0) * np.max(np.abs(psi))   # two propagations
+    twice = fv_propagate(modes, fv_propagate(modes, psi, 1.5), 2.5)
+    assert np.max(np.abs(twice - fv_propagate(modes, psi, 4.0))) <= bound
+    back = fv_propagate(modes, fv_propagate(modes, psi, 4.0), -4.0)
+    assert np.max(np.abs(back - psi)) <= bound
+    assert np.array_equal(fv_propagate(modes, psi, 0.0), psi)
 
 
 # ---------------------------------------------------------------------------
