@@ -234,17 +234,19 @@ def herm_sqrt(P) -> np.ndarray:
     Standard spectral functional calculus: eigendecompose, take sqrt of the
     (strictly positive) eigenvalues.  Raises NotPositiveDefinite when the
     smallest eigenvalue is at or below tolerance, which flags a failed
-    positive-metric construction upstream.
+    positive-metric construction upstream.  A (k, n, n) stack gives the stack
+    of roots, each bit-identical to its own herm_sqrt, and raises when any
+    matrix is refused.
     """
-    P = as_square_matrix(P)
+    P = as_square_matrix(P, stack=True)
     residual = herm_residual(P)
-    if residual > SELFADJOINT_TOL:
+    if np.any(residual > SELFADJOINT_TOL):
+        raise NotPositiveDefinite(f"matrix is not self-adjoint within {SELFADJOINT_TOL:g} "
+                                  f"(residual {np.max(residual):.3e})")
+    evals, U = np.linalg.eigh(0.5 * (P + dagger(P)))
+    refused = evals[..., 0] <= POSITIVITY_TOL * evals[..., -1]
+    if np.any(refused):
         raise NotPositiveDefinite(
-            f"matrix is not self-adjoint within {SELFADJOINT_TOL:g} (residual {residual:.3e})")
-    evals, U = np.linalg.eigh(0.5 * (P + P.conj().T))
-    if evals[0] <= POSITIVITY_TOL * evals[-1]:
-        raise NotPositiveDefinite(
-            f"minimum eigenvalue {evals[0]:.3e} is not positive"
-        )
-    Q = (U * np.sqrt(evals)) @ U.conj().T
-    return 0.5 * (Q + Q.conj().T)
+            f"minimum eigenvalue {np.min(evals[..., 0][refused]):.3e} is not positive")
+    Q = (U * np.sqrt(evals)[..., None, :]) @ dagger(U)
+    return 0.5 * (Q + dagger(Q))

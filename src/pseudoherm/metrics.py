@@ -14,8 +14,9 @@ all-+1 case on a real spectrum) and tau = Psi M Phi^T with all s = +1.
 hermitize still maps through the square root of eta_+.
 
 classify, MetricOperator.from_matrix, build_general_metric,
-verify_intertwining, antilinear_symmetry and antilinear_residual take a
-(k, n, n) stack too, as eig_full does, and give per-matrix lists or arrays.
+verify_intertwining, antilinear_symmetry, antilinear_residual and eta_inner
+take a (k, n, n) stack too, as eig_full and herm_sqrt do, and give
+per-matrix lists or arrays.
 """
 
 from __future__ import annotations
@@ -316,16 +317,17 @@ def verify_intertwining(H, eta, h_norm=None):
     return ratio(spectral_norm(dagger(H) @ E - E @ H), denom)
 
 
-def eta_inner(eta, psi, chi) -> complex:
+def eta_inner(eta, psi, chi):
     """Metric inner product <psi, eta chi>, conjugate-linear in psi.
 
     Positive-definite exactly when eta is; for indefinite eta nonzero
-    vectors of zero or negative self-norm exist.
+    vectors of zero or negative self-norm exist.  Vectors lie on the last
+    axis and stacks broadcast, with eta's (k, n, n) stack too: a complex for
+    one pair, an array of the broadcast leading shape otherwise.
     """
     E = _metric_matrix(eta)
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    chi = np.asarray(chi, dtype=complex).reshape(-1)
-    return complex(np.vdot(psi, E @ chi))
+    inner = np.vecdot(psi, np.asarray(chi) @ np.swapaxes(E, -1, -2))
+    return complex(inner) if inner.ndim == 0 else inner
 
 
 def hermitize(H, eta_plus, h_norm: float | None = None) -> tuple[np.ndarray, np.ndarray, float]:

@@ -10,9 +10,9 @@ square root works and the operator is Hermitian in the metric inner product.
 The suite runs by dimension.  models.generate builds the instances of one
 size as one (k, n, n) stack, which goes once through the metrics functions:
 classify, then build_general_metric, verify_intertwining, antilinear_symmetry
-and antilinear_residual on the stack of paired matrices.  What is left here is
-the bookkeeping of the legs, and the stacked eigh square root, eigvals of h
-and inner products of the positive-metric legs.
+and antilinear_residual on the stack of paired matrices, and the positive
+legs' herm_sqrt and eta_inner on the stack of positive metrics.  What is left
+here is the bookkeeping of the legs and the eigvals of h.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import INVERTIBILITY_TOL, POSITIVITY_TOL, Spectrum, dagger, herm_residual
+from .linalg import INVERTIBILITY_TOL, POSITIVITY_TOL, Spectrum, herm_residual, herm_sqrt
 from .metrics import (INTERTWINE_TOL, Classification, MetricOperator, OperatorClass,
                       antilinear_residual, antilinear_symmetry, build_general_metric,
-                      classify, verify_intertwining)
+                      classify, eta_inner, verify_intertwining)
 from .models import EnsembleSpec, generate
 
 INNER_PAIRS = 20
@@ -115,7 +115,7 @@ def check_positive_metric_equivalence(group: Group, seeds) -> list[dict]:
 
     a: classified (quasi-)Hermitian; b: the canonical metric of an all-real
     pairing is invertible and positive-definite (eta_+); c: eta_+ intertwines
-    within 1e-8, its eigh square root rho is positive-definite, and
+    within 1e-8, its square root rho = herm_sqrt(eta_+) exists, and
     h = rho H rho^{-1} is Hermitian and isospectral with H within 1e-8; d:
     Hermiticity of H in the eta_+ inner product on random vector pairs.
     """
@@ -137,13 +137,10 @@ def check_positive_metric_equivalence(group: Group, seeds) -> list[dict]:
     n = H.shape[-1]
 
     # Leg c, as hermitize: the intertwining gate is leg b's residual, then
-    # herm_sqrt's positivity test on the eigh of eta_+.
-    mapped = np.flatnonzero(group.residual[built] <= INTERTWINE_TOL)
-    w, U = np.linalg.eigh(eta[mapped])
-    rooted = w[:, 0] > POSITIVITY_TOL * w[:, -1]
-    mapped, w, U = mapped[rooted], w[rooted], U[rooted]
-    Q = (U * np.sqrt(w)[:, None, :]) @ dagger(U)
-    rho = 0.5 * (Q + dagger(Q))
+    # herm_sqrt's positivity test on leg b's eigenvalues of eta_+.
+    mapped = np.flatnonzero((group.residual[built] <= INTERTWINE_TOL)
+                            & (metric.min_abs_eigenvalue[built] > POSITIVITY_TOL * eta_norm))
+    rho = herm_sqrt(eta[mapped])
     h = rho @ H[mapped] @ np.linalg.inv(rho)
     hermiticity = herm_residual(h)
     spec_in = np.sort_complex(group.spectrum.eigenvalues[built[mapped]])
@@ -158,9 +155,9 @@ def check_positive_metric_equivalence(group: Group, seeds) -> list[dict]:
     chi = draws[:, :, 2] + 1j * draws[:, :, 3]
     psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
     chi /= np.linalg.norm(chi, axis=-1, keepdims=True)
-    HT, etaT = np.swapaxes(H, -1, -2), np.swapaxes(eta, -1, -2)
-    lhs = np.sum(psi.conj() * (chi @ HT @ etaT), axis=-1)          # <psi, eta H chi>
-    rhs = np.sum(chi.conj() * (psi @ HT @ etaT), axis=-1).conj()   # <chi, eta H psi>*
+    HT = np.swapaxes(H, -1, -2)
+    lhs = eta_inner(eta, psi, chi @ HT)          # <psi, eta H chi>
+    rhs = eta_inner(eta, chi, psi @ HT).conj()   # <chi, eta H psi>*
     inner = np.max(np.abs(lhs - rhs), axis=-1) / (group.norm[built] * eta_norm)
 
     for i, smallest, deviation in zip(index.tolist(), metric.min_abs_eigenvalue[built].tolist(),

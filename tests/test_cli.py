@@ -26,7 +26,7 @@ from pseudoherm.kleingordon import (
     sigma3_metric,
 )
 from pseudoherm.linalg import spectral_norm
-from pseudoherm.metrics import classify
+from pseudoherm.metrics import OperatorClass, classify
 from pseudoherm.physical import indefinite_physical_set, restrict_to_physical
 from pseudoherm.models import jordan_block, pt2x2, random_quasi
 
@@ -262,6 +262,43 @@ def test_kg_fft_count(capsys, monkeypatch):
     assert set(calls) == {(2, 8)}
 
 
+def test_kg_makes_no_svd(capsys, monkeypatch):
+    # classify's inputs and the sigma3 residual are closed forms of the 2x2 blocks.
+    calls = []
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            calls.append("norm")
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append("svd")
+                        or svd(*args, **kwargs))
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    code, report = run_cli(capsys, ["kg", "--n", "64", "--samples", "2"])
+    assert code == EXIT_OK
+    assert report["classification"] == "QuasiHermitian"
+    assert calls == []
+
+
+def test_kg_refuses_a_non_diagonalizable_grid(capsys):
+    # m = 1e-9: the k_max block's eigenvectors have cond ~ k_max/m = 3.2e9 > 1e8.
+    assert main(["kg", "--n", "64", "--mass", "1e-9", "--samples", "2"]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the diagonalizability cutoff" in captured.err
+    dense = classify(fv_hamiltonian(make_grid(64, 20 * np.pi, 1e-9)))
+    assert dense.kind is OperatorClass.NON_DIAGONALIZABLE
+
+
+def test_kg_reports_hermitian_on_a_long_period(capsys):
+    # L = 1e10: ||h_k - h_k^dag|| / ||h_k|| = 2t/(2t + m) ~ 6e-18, t = k^2/(2m).
+    code, report = run_cli(capsys, ["kg", "--n", "8", "--length", "1e10"])
+    assert code == EXIT_OK
+    dense = classify(fv_hamiltonian(make_grid(8, 1e10, 1.0)))
+    assert report["classification"] == dense.kind.value == "Hermitian"
+
+
 def test_kg_command_rejects_massless(capsys):
     assert main(["kg", "--n", "8", "--mass", "0"]) == EXIT_INPUT
     capsys.readouterr()
@@ -387,8 +424,7 @@ def test_dims_parsing(capsys):
     ["kg", "--t-final", "inf"],
     ["kg", "--length", "inf"],
     ["kg", "--mass", "inf"],
-    ["kg", "--mu", "inf"],
-    ["kg", "--mu", "0"],
+    ["kg", "--mu", "1"],                      # pd_inner's scale is the mass
 ], ids=" ".join)
 def test_unread_flags_are_rejected(matrix_file, capsys, argv):
     argv = [matrix_file(SIGMA1) if arg == "MATRIX" else arg for arg in argv]
@@ -426,8 +462,9 @@ VERIFY_12 = ["verify", "--count", "12", "--dims", "2-4"]
     (VERIFY_12, "linalg.eig_full", 3, 12),                 # one stack per dim
     (VERIFY_12, "metrics.classify", 3, 12),                # verify routes each stack through
     (VERIFY_12, "metrics.build_general_metric", 3, 12),    # the metrics functions, once each
+    (VERIFY_12, "linalg.herm_sqrt", 3, 8),                 # leg c: the 8 positive metrics
 ], ids=["classify", "metric", "hermitize", "symmetry", "kg", "verify", "verify-classify",
-        "verify-build_general_metric"])
+        "verify-build_general_metric", "verify-herm_sqrt"])
 def test_one_decomposition_per_matrix(matrix_file, capsys, monkeypatch, argv, counted,
                                       decompositions, matrices):
     import pseudoherm

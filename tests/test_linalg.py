@@ -179,6 +179,27 @@ def test_herm_sqrt_rejects_bad_input():
         herm_sqrt(np.array([[1, 1], [0, 1]], dtype=complex))  # not self-adjoint
 
 
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_stacked_herm_sqrt_matches_per_matrix(n):
+    rng = np.random.default_rng(n)
+    B = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+    P = dagger(B) @ B + 0.1 * np.eye(n)
+    roots = herm_sqrt(P)
+    assert roots.shape == (5, n, n)
+    for i, one in enumerate(P):
+        assert np.array_equal(roots[i], herm_sqrt(one)), i
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.diag([1.0, -1.0]), r"minimum eigenvalue -1\.000e\+00 "),
+    (np.array([[1.0, 1.0], [0.0, 1.0]]), "not self-adjoint"),
+], ids=["indefinite", "not self-adjoint"])
+def test_stacked_herm_sqrt_refuses_one_bad_matrix(bad, message):
+    stack = np.stack([np.diag([1.0, 2.0]), bad, np.diag([3.0, 4.0])]).astype(complex)
+    with pytest.raises(NotPositiveDefinite, match=message):
+        herm_sqrt(stack)
+
+
 def test_herm_residual_of_exactly_self_adjoint_input_needs_no_svd(monkeypatch):
     import pseudoherm.linalg as linalg
 

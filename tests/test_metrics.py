@@ -34,6 +34,7 @@ from pseudoherm.suites import classify_group
 
 from oracles import signature_by_eigenvalues, spectra_mismatch
 
+EPS = np.finfo(float).eps
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA3 = np.diag([1.0, -1.0]).astype(complex)
 
@@ -306,6 +307,26 @@ def test_eta_inner_conjugate_linear_first_slot():
     psi = np.array([1.0, 1j])
     chi = np.array([2.0, 1.0])
     assert eta_inner(eta, 2j * psi, chi) == pytest.approx(-2j * eta_inner(eta, psi, chi))
+
+
+def test_stacked_eta_inner_matches_per_pair():
+    rng = np.random.default_rng(21)
+    k, pairs, n = 4, 6, 8
+    G = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+    eta = MetricOperator.from_matrix(G + np.swapaxes(G.conj(), -1, -2))   # indefinite
+    psi, chi = rng.standard_normal((2, k, pairs, n)) + 1j * rng.standard_normal((2, k, pairs, n))
+    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+    chi /= np.linalg.norm(chi, axis=-1, keepdims=True)
+    stacked = eta_inner(eta, psi, chi)                    # one eta per row of pairs
+    shared = eta_inner(eta.matrix[0], psi, chi)           # one eta for every pair
+    assert stacked.shape == shared.shape == (k, pairs)
+    for i in range(k):
+        for j in range(pairs):
+            one = eta_inner(eta.matrix[i], psi[i, j], chi[i, j])
+            assert isinstance(one, complex)
+            assert abs(stacked[i, j] - one) <= 4 * EPS * eta.norm[i], (i, j)
+            one = eta_inner(eta.matrix[0], psi[i, j], chi[i, j])
+            assert abs(shared[i, j] - one) <= 4 * EPS * eta.norm[0], (i, j)
 
 
 # ---------------------------------------------------------------------------

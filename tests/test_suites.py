@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+import pseudoherm.linalg as linalg
 import pseudoherm.metrics as metrics
 import pseudoherm.suites as suites
 from pseudoherm.cli import EXIT_SUITE_FAIL, main
@@ -173,6 +174,26 @@ def test_batched_suite_matches_per_instance_oracle(name):
     assert suite["leg_counts"] == oracle_leg_counts(expected)
     assert suite["failures"] == sum(not rec["ok"] for rec in expected)
     assert suite["skipped"] == sum(rec["conjugation"]["skipped"] for rec in expected)
+
+
+def test_refused_roots_match_the_oracle(monkeypatch):
+    # A positivity cutoff of 1e-2 refuses the square root of 59 of the 320
+    # positive metrics of "mixed dims 1-8"; no lambda_min/lambda_max lies within
+    # 1% of it.  The oracle's hermitize refuses the same ones, one at a time.
+    monkeypatch.setattr(linalg, "POSITIVITY_TOL", 1e-2)
+    monkeypatch.setattr(suites, "POSITIVITY_TOL", 1e-2)
+    specs = ENSEMBLES["mixed dims 1-8"]
+    refused = 0
+    for got, spec in zip(run_equivalence_suite(specs)["records"], specs):
+        want = oracle_record(spec)
+        got_inner = got["positive"].pop("inner_deviation", None)
+        want_inner = want["positive"].pop("inner_deviation", None)
+        assert got == want, (spec.kind, spec.dim, spec.seed)
+        assert (got_inner is None) == (want_inner is None)
+        if got_inner is not None:
+            assert abs(got_inner - want_inner) <= 10 * EPS
+        refused += bool(got["positive"].get("positive_ok")) and not got["positive"]["hermitize_ok"]
+    assert refused == 59
 
 
 def test_stacked_eig_full_matches_per_matrix():
