@@ -35,6 +35,7 @@ from .linalg import (
     eig_full,
     herm_residual,
     herm_sqrt,
+    norm_lower_bound,
     spectral_norm,
 )
 from .metrics import (

@@ -58,7 +58,7 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 DEFAULT_SEED = 1729
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +196,7 @@ def cmd_hermitize(args) -> tuple[dict, int]:
     eta = build_positive_metric(cls.spectrum, cls.pairing)
     rho, h, intertwining = hermitize(H, eta, cls.diagnostics["norm"])
     report["spectrum"] = _spectrum_list(cls.spectrum.eigenvalues)
-    report["metric"] = matrix_to_json(eta.matrix)
-    report["signature"] = list(eta.signature)
+    report["signature"] = list(eta.signature)   # eta = rho^2 is metric's output
     report["rho"] = matrix_to_json(rho)
     report["hermitized"] = matrix_to_json(h)
     report["residuals"]["intertwining"] = intertwining

@@ -38,6 +38,9 @@ SELFADJOINT_TOL = 1e-10
 # herm_sqrt refuses lambda_min <= POSITIVITY_TOL * lambda_max.
 POSITIVITY_TOL = 1e-10
 
+# Power-iteration steps on A^dag A in norm_lower_bound.
+POWER_STEPS = 8
+
 
 def as_square_matrix(M, stack: bool = False) -> np.ndarray:
     """Validate and return M as a square complex128 array with finite entries;
@@ -64,7 +67,7 @@ def ratio(numerator, denominator):
 
 
 def spectral_norm(A):
-    """Largest singular value; the operator norm used for all residuals.
+    """Largest singular value, by a values-only SVD: the exact ||A||_2.
     A (k, n, n) stack gives the (k,) array of its norms."""
     A = np.asarray(A, dtype=complex)
     if A.size == 0:
@@ -73,15 +76,57 @@ def spectral_norm(A):
     return float(norms) if norms.ndim == 0 else norms
 
 
+def _unit_scale(A):
+    """(2^e, A / 2^e) per matrix of A, the largest |Re| or |Im| then in [0.5, 1)
+    (1 for a zero matrix): an exact rescaling under which no sum of squares
+    in a norm overflows or underflows."""
+    A = np.asarray(A, dtype=complex)
+    peak = np.maximum(np.max(np.abs(A.real), axis=(-2, -1), initial=0.0),
+                      np.max(np.abs(A.imag), axis=(-2, -1), initial=0.0))
+    scale = np.ldexp(1.0, np.frexp(peak)[1])
+    return scale, A * (1.0 / scale)[..., None, None]
+
+
+def frobenius_norm(A):
+    """||A||_F, an upper bound on ||A||_2 in O(n^2); a (k, n, n) stack gives
+    the (k,) array of norms."""
+    scale, B = _unit_scale(A)
+    flat = B.reshape(B.shape[:-2] + (B.shape[-2] * B.shape[-1],))
+    return scale * np.sqrt(np.vecdot(flat, flat).real)
+
+
+def norm_lower_bound(A):
+    """A lower bound on ||A||_2 in O(n^2): POWER_STEPS steps of power iteration
+    on A^dag A from A's largest column (Golub & Van Loan, Matrix Computations,
+    sec. 2.3).  The growth ||op v|| / ||v|| of a half step, op = A^dag or A,
+    is at most ||A||_2, and in exact arithmetic no less than any earlier
+    half step's, the first of which is at least the column's norm; the
+    result is the last growth, or the largest column norm when that is more.
+    A zero matrix gives 0.0; a (k, n, n) stack gives the (k,) array of bounds."""
+    scale, B = _unit_scale(A)
+    columns = np.sqrt(np.vecdot(B, B, axis=-2).real)
+    top = np.max(columns, axis=-1, initial=0.0)
+    if B.shape[-1]:
+        v = np.take_along_axis(B, np.argmax(columns, axis=-1)[..., None, None], axis=-1)
+        # Each half step scales v by a growth in [0.5, sqrt(2) n] (B's entries are
+        # below 1, its largest column at least 0.5): no renormalization is needed.
+        for op in (dagger(B), B) * POWER_STEPS:
+            last, v = v, op @ v
+        top = np.maximum(top, ratio(frobenius_norm(v), frobenius_norm(last)))
+    bound = scale * top
+    return float(bound) if bound.ndim == 0 else bound
+
+
 def herm_residual(A, norm=None):
-    """Relative deviation from self-adjointness, ||A - A^dag|| / ||A||; norm is
-    ||A|| when the caller has it.  Exactly self-adjoint A gives 0.0 with no SVD.
+    """Certified bound ||A - A^dag||_F / norm_lower_bound(A) on the relative
+    deviation from self-adjointness ||A - A^dag||_2 / ||A||_2; norm replaces
+    the denominator when the caller has it.  Exactly self-adjoint A gives 0.0.
     A (k, n, n) stack gives the (k,) array of residuals."""
     A = np.asarray(A, dtype=complex)
     skew = A - dagger(A)
     if not skew.any():
         return 0.0 if A.ndim == 2 else np.zeros(A.shape[0])
-    return ratio(spectral_norm(skew), spectral_norm(A) if norm is None else norm)
+    return ratio(frobenius_norm(skew), norm_lower_bound(A) if norm is None else norm)
 
 
 @dataclass(frozen=True, eq=False)

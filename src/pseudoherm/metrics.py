@@ -44,10 +44,11 @@ from .linalg import (
     as_square_matrix,
     dagger,
     eig_full,
+    frobenius_norm,
     herm_residual,
     herm_sqrt,
+    norm_lower_bound,
     ratio,
-    spectral_norm,
 )
 
 # lambda is treated as real iff |Im lambda| <= REALITY_TOL*(1+|lambda|).
@@ -226,11 +227,12 @@ def classify(H, tol: float = REALITY_TOL, kappa_max: float = KAPPA_MAX) -> Class
     """Place H in the chain Hermitian < quasi-Hermitian < pseudo-Hermitian
     by decide_class.  The Classification carries the Spectrum and PairingMap
     of the one decomposition, so callers never decompose H again, and
-    ||H|| as diagnostics["norm"] for the residual helpers.  A (k, n, n) stack
-    is decomposed and normed once and decided matrix by matrix."""
+    norm_lower_bound(H) <= ||H|| as diagnostics["norm"] for the residual
+    helpers.  A (k, n, n) stack is decomposed and normed once and decided
+    matrix by matrix."""
     H = as_square_matrix(H, stack=True)
     S = eig_full(H)
-    norm = spectral_norm(H)
+    norm = norm_lower_bound(H)
     decisions = [decide_class(w, score, residual, tol, kappa_max) for w, score, residual in zip(
         S.eigenvalues.reshape(-1, S.dim), np.reshape(S.diag_score, -1).tolist(),
         np.reshape(herm_residual(H, norm), -1).tolist())]
@@ -303,18 +305,20 @@ def build_general_metric(S: Spectrum, pairing: PairingMap | list, signs=None) ->
 
 
 def verify_intertwining(H, eta, h_norm=None):
-    """Relative residual ||H^dag eta - eta H|| / (||H|| ||eta||).
+    """Certified bound on the relative residual ||H^dag eta - eta H|| / (||H|| ||eta||):
+    the Frobenius norm of the numerator over lower bounds of the two norms.
 
     Zero (up to roundoff) certifies eta as a metric operator for H;
     membership is declared at <= 1e-8.  h_norm is ||H|| when the caller has
-    it (classify's diagnostics["norm"]); a MetricOperator supplies ||eta||.
+    it (classify's diagnostics["norm"]), else norm_lower_bound(H); a
+    MetricOperator supplies ||eta||, a plain array its norm_lower_bound.
     A float for a single H, the (k,) array of residuals for a (k, n, n) stack.
     """
     H = as_square_matrix(H, stack=True)
     E = _metric_matrix(eta)
-    eta_norm = eta.norm if isinstance(eta, MetricOperator) else spectral_norm(E)
-    denom = (spectral_norm(H) if h_norm is None else h_norm) * eta_norm
-    return ratio(spectral_norm(dagger(H) @ E - E @ H), denom)
+    eta_norm = eta.norm if isinstance(eta, MetricOperator) else norm_lower_bound(E)
+    denom = (norm_lower_bound(H) if h_norm is None else h_norm) * eta_norm
+    return ratio(frobenius_norm(dagger(H) @ E - E @ H), denom)
 
 
 def eta_inner(eta, psi, chi):
@@ -369,19 +373,21 @@ def antilinear_symmetry(S: Spectrum, pairing: PairingMap | list) -> np.ndarray:
 
 
 def antilinear_residual(H, tau, h_norm=None):
-    """Relative residual ||H tau - tau conj(H)|| / (||H|| ||tau||); h_norm is
-    ||H|| when the caller has it.  A float for a single H, the (k,) array of
-    residuals for a (k, n, n) stack."""
+    """Certified bound on the relative residual ||H tau - tau conj(H)|| / (||H|| ||tau||):
+    the Frobenius norm over norm_lower_bound of tau and h_norm, which is ||H||
+    when the caller has it, else norm_lower_bound(H).  A float for a single
+    H, the (k,) array of residuals for a (k, n, n) stack."""
     H = as_square_matrix(H, stack=True)
     tau = as_square_matrix(tau, stack=True)
-    denom = (spectral_norm(H) if h_norm is None else h_norm) * spectral_norm(tau)
-    return ratio(spectral_norm(H @ tau - tau @ H.conj()), denom)
+    denom = (norm_lower_bound(H) if h_norm is None else h_norm) * norm_lower_bound(tau)
+    return ratio(frobenius_norm(H @ tau - tau @ H.conj()), denom)
 
 
 def transform_metric(eta, A, H) -> MetricOperator:
     """Move along the metric family: eta' = A^dag eta A for A commuting with H.
 
-    Checks that A is invertible and commutes with H within tolerance; the
+    Checks that A is invertible and commutes with H within tolerance, the
+    commutator by ||AH - HA||_F / (||A|| norm_lower_bound(H)); the
     congruence preserves the signature, so positive metrics stay positive.
     """
     H = as_square_matrix(H)
@@ -390,7 +396,7 @@ def transform_metric(eta, A, H) -> MetricOperator:
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[-1] <= INVERTIBILITY_TOL * sv[0]:
         raise NotInvertible("transformation A is singular within tolerance")
-    comm = ratio(spectral_norm(A @ H - H @ A), sv[0] * spectral_norm(H))
+    comm = ratio(frobenius_norm(A @ H - H @ A), sv[0] * norm_lower_bound(H))
     if comm > INTERTWINE_TOL:
         raise NotCommuting(f"[A, H] residual {comm:.3e} exceeds {INTERTWINE_TOL:g}")
     return MetricOperator.from_matrix(A.conj().T @ E @ A)

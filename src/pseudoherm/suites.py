@@ -94,7 +94,7 @@ def check_conjugation_equivalence(group: Group) -> list[dict]:
         results.append(result)
 
     tau = antilinear_symmetry(group.spectrum, group.pairings)
-    sv = np.linalg.svd(tau, compute_uv=False)
+    sv = np.linalg.svd(tau, compute_uv=False)   # invertibility only: ||tau|| is a lower bound
     antilinear = antilinear_residual(group.H, tau, group.norm)
     antilinear_ok = (antilinear <= INTERTWINE_TOL) & (sv[:, -1] > INVERTIBILITY_TOL * sv[:, 0])
     for i, invertible, residual, commutation, commutes in zip(

@@ -25,8 +25,8 @@ from pseudoherm.kleingordon import (
     random_state,
     sigma3_metric,
 )
-from pseudoherm.linalg import spectral_norm
-from pseudoherm.metrics import OperatorClass, classify
+from pseudoherm.linalg import norm_lower_bound, spectral_norm
+from pseudoherm.metrics import OperatorClass, build_positive_metric, classify
 from pseudoherm.physical import indefinite_physical_set, restrict_to_physical
 from pseudoherm.models import jordan_block, pt2x2, random_quasi
 
@@ -84,7 +84,7 @@ def test_matrix_from_json_validation():
 def test_classify_hermitian(matrix_file, capsys):
     code, report = run_cli(capsys, ["classify", matrix_file(SIGMA1)])
     assert code == EXIT_OK
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["classification"] == "Hermitian"
     assert len(report["spectrum"]) == 2
 
@@ -174,6 +174,17 @@ def test_hermitize_command(matrix_file, capsys):
     h = matrix_from_json(report["hermitized"])
     lam = np.sort(np.linalg.eigvalsh(0.5 * (h + h.conj().T)))
     assert np.allclose(lam, [0.0, np.sqrt(3)], atol=1e-9)
+
+
+def test_hermitize_reports_rho_and_h_but_not_eta(matrix_file, capsys):
+    # eta = rho^2 is what metric emits; hermitize keeps its signature only.
+    code, report = run_cli(capsys, ["hermitize", matrix_file(pt2x2(1, np.pi / 6, 1))])
+    assert code == EXIT_OK
+    assert report["schema"] == 2 and report["metric"] is None
+    assert report["signature"] == [2, 0]
+    rho = matrix_from_json(report["rho"])
+    assert np.allclose(rho, rho.conj().T) and np.all(np.linalg.eigvalsh(rho) > 0)
+    assert report["hermitized"]["dim"] == 2
 
 
 def test_hermitize_command_refuses_complex_pair(matrix_file, capsys):
@@ -495,42 +506,72 @@ def test_one_intertwining_check_per_command(matrix_file, capsys, monkeypatch, ar
     assert report["residuals"]["intertwining"] <= 1e-8
 
 
-@pytest.mark.parametrize("argv, norms", [
-    (["classify", "MATRIX", "--emit-metric"], 3),   # ||H||, H - H^dag, intertwining
-    (["metric", "MATRIX"], 3),
-    (["symmetry", "MATRIX"], 4),                    # ... ||tau||, commutation
-    (["hermitize", "MATRIX"], 5),                   # ... intertwining, ||h||, h - h^dag
+@pytest.mark.parametrize("argv", [
+    ["classify", "MATRIX", "--emit-metric"],
+    ["metric", "MATRIX"],
+    ["symmetry", "MATRIX"],
+    ["hermitize", "MATRIX"],
 ], ids=["classify", "metric", "symmetry", "hermitize"])
-def test_norms_computed_once(matrix_file, capsys, monkeypatch, argv, norms):
+def test_norms_computed_once(matrix_file, capsys, monkeypatch, argv):
     import pseudoherm.linalg as linalg
 
     H, _, _ = random_quasi(4, seed=3)
     argv = [matrix_file(H) if arg == "MATRIX" else arg for arg in argv]
-    calls = count_calls(monkeypatch, linalg.spectral_norm)
+    exact = count_calls(monkeypatch, linalg.spectral_norm)
+    svds, svd, cond = [], np.linalg.svd, np.linalg.cond   # cond takes its SVD inside numpy
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append("svd") or svd(*a, **k))
+    monkeypatch.setattr(np.linalg, "cond", lambda *a, **k: svds.append("cond") or cond(*a, **k))
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
-    assert len(calls) == norms
+    monkeypatch.undo()
+    assert exact == []
+    assert svds == ["cond"]   # eig_full's cond(V); every residual is O(n^2)
     assert out.count("\n") == 1 and out.endswith("\n")   # one compact line
     report = json.loads(out, parse_constant=_reject_constant)
 
-    # Every residual by its definition, each norm its own SVD.
-    def rel(numerator, *factors):
-        return spectral_norm(numerator) / np.prod([spectral_norm(f) for f in factors])
+    # Every residual by the bound's closed form: ||X||_F over norm_lower_bound
+    # of each factor, and ||eta|| exact, as the MetricOperator carries it.
+    def bound(numerator, *factors):
+        return np.linalg.norm(numerator) / np.prod(factors)
 
     H, _ = load_matrix(argv[1])
     E, T, h = (matrix_from_json(report[key]) if report.get(key) else None
                for key in ("metric", "antilinear", "hermitized"))
+    if argv[0] == "hermitize":
+        # hermitize emits rho, not eta = rho^2: rebuild the eta it used, bit for bit.
+        cls = classify(H)
+        E = build_positive_metric(cls.spectrum, cls.pairing).matrix
+        rho = matrix_from_json(report["rho"])
+        assert np.linalg.norm(rho @ rho - E) <= 1e-12 * np.linalg.norm(E)
+    lb = norm_lower_bound
     formulas = {
-        "hermiticity": lambda: rel(H - H.conj().T, H),
-        "intertwining": lambda: rel(H.conj().T @ E - E @ H, H, E),
-        "metric_selfadjoint": lambda: rel(E - E.conj().T, E),
-        "antilinear_commutation": lambda: rel(H @ T - T @ H.conj(), H, T),
-        "hermiticity_of_h": lambda: rel(h - h.conj().T, h),
+        "hermiticity": lambda: bound(H - H.conj().T, lb(H)),
+        "intertwining": lambda: bound(H.conj().T @ E - E @ H, lb(H), spectral_norm(E)),
+        "metric_selfadjoint": lambda: bound(E - E.conj().T, lb(E)),
+        "antilinear_commutation": lambda: bound(H @ T - T @ H.conj(), lb(H), lb(T)),
+        "hermiticity_of_h": lambda: bound(h - h.conj().T, lb(h)),
     }
     residuals = {k: v for k, v in report["residuals"].items() if k != "diag_score"}
     assert residuals
     for key, value in residuals.items():
         assert value == pytest.approx(formulas[key](), rel=1e-12, abs=0), key
+
+
+def test_verify_makes_no_residual_svd(capsys, monkeypatch):
+    # Per dimension group: generate's two, eig_full's cond(V) and tau's invertibility test.
+    import pseudoherm.linalg as linalg
+
+    exact = count_calls(monkeypatch, linalg.spectral_norm)
+    callers, svd, cond = [], np.linalg.svd, np.linalg.cond
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: callers.append(
+        sys._getframe(1).f_code.co_name) or svd(*a, **k))
+    monkeypatch.setattr(np.linalg, "cond", lambda *a, **k: callers.append(
+        "cond in " + sys._getframe(1).f_code.co_name) or cond(*a, **k))
+    code, report = run_cli(capsys, ["verify", "--count", "60", "--dims", "2-4", "--seed", "11"])
+    assert code == EXIT_OK and report["suite"]["failures"] == 0
+    assert exact == []
+    assert sorted(callers) == sorted(3 * ["_similar", "_similar", "cond in eig_full",
+                                          "check_conjugation_equivalence"])
 
 
 @pytest.mark.parametrize("n", [8, 16, 64])

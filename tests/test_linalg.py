@@ -10,9 +10,10 @@ from pseudoherm import (
     eig_full,
     herm_residual,
     herm_sqrt,
+    norm_lower_bound,
     spectral_norm,
 )
-from pseudoherm.linalg import CLUSTER_TOL, KAPPA_MAX, _cluster_indices, dagger
+from pseudoherm.linalg import CLUSTER_TOL, KAPPA_MAX, _cluster_indices, dagger, frobenius_norm
 from pseudoherm.models import jordan_block, pt2x2, random_hermitian, random_quasi
 
 EPS = np.finfo(float).eps
@@ -211,17 +212,20 @@ def test_herm_residual_of_exactly_self_adjoint_input_needs_no_svd(monkeypatch):
               "built metric": build_positive_metric(cls.spectrum, cls.pairing).matrix}
     calls = []
     monkeypatch.setattr(linalg, "spectral_norm", lambda A: calls.append(A) or spectral_norm(A))
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
     for name, A in inputs.items():
         assert herm_residual(A) == 0.0, name
         assert calls == [], name
-        # Off the diagonal by 1e-14 i: the two-SVD formula, bit for bit.
+        # Off the diagonal by 1e-14 i: the bound's closed form, bit for bit.
         perturbed = A.copy()
         perturbed[0, 1] += 1e-14j
-        expected = spectral_norm(perturbed - perturbed.conj().T) / spectral_norm(perturbed)
+        skew = frobenius_norm(perturbed - perturbed.conj().T)
+        expected = skew / norm_lower_bound(perturbed)
         assert expected > 0.0, name
         assert herm_residual(perturbed) == expected, name
-        assert herm_residual(perturbed, spectral_norm(perturbed)) == expected, name
-        calls.clear()
+        assert herm_residual(perturbed, 2.0) == skew / 2.0, name
+        assert calls == [], name
 
 
 def _pairwise_clusters(eigenvalues, tol):
