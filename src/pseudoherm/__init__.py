@@ -42,7 +42,6 @@ from .metrics import (
     Classification,
     MetricOperator,
     OperatorClass,
-    PairingMap,
     REALITY_TOL,
     antilinear_residual,
     antilinear_symmetry,

@@ -38,6 +38,7 @@ from .kleingordon import (
 )
 from .linalg import KAPPA_MAX, herm_residual
 from .metrics import (
+    CLASSES,
     OperatorClass,
     REALITY_TOL,
     antilinear_residual,
@@ -76,8 +77,13 @@ def matrix_from_json(data) -> np.ndarray:
         if key not in data:
             raise ParseError(f"matrix object is missing the mandatory key {key!r}")
     n = data["dim"]
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data["im"], dtype=float)
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ParseError(f"dim must be an integer, got {n!r}")
+    # No dtype on conversion: strings, objects and nulls then show in the array's dtype.
+    re, im = np.asarray(data["re"]), np.asarray(data["im"])
+    for key, part in (("re", re), ("im", im)):
+        if part.dtype.kind not in "iuf":
+            raise ParseError(f"matrix {key!r} has entries that are not JSON numbers")
     if re.shape != (n, n) or im.shape != (n, n):
         raise ParseError(
             f"dimension mismatch: dim={n} but re has shape {re.shape} and im {im.shape}"
@@ -233,9 +239,10 @@ def cmd_kg(args) -> tuple[dict, int]:
     kinetic = h[:, 0, 1]   # t
     diag_score = float(np.max((w + mu + 2 * kinetic) / (w + mu)))
     h_norm = float(np.max(2 * kinetic + mu))
-    kind, pairing, _ = decide_class(modes.eigenvalues.ravel(), diag_score,
-                                    float(np.max(2 * kinetic)) / h_norm)
-    if pairing is None:   # +/- omega_k are real: only NonDiagonalizable lands here
+    code, _, diagnostics = decide_class(modes.eigenvalues.ravel(), diag_score,
+                                        float(np.max(2 * kinetic)) / h_norm)
+    kind = CLASSES[code]
+    if kind is OperatorClass.NON_DIAGONALIZABLE:   # +/- omega_k are real: the only refusal
         raise NonDiagonalizableError(
             f"diag_score {diag_score:.3e} exceeds the diagonalizability cutoff")
     report["classification"] = kind.value
@@ -265,7 +272,7 @@ def cmd_kg(args) -> tuple[dict, int]:
 
     signs = norm_signs(psi, sigma3 @ psi, 1.0)   # sigma3-norms; ||sigma3|| = 1
     positive_dim = int(np.sum(signs > 0))
-    real_dim = len(pairing.real_indices)
+    real_dim = int(diagnostics["n_real"])
     report["sector_dims"] = {"indefinite_metric": positive_dim,
                              "pseudo_hermitian": real_dim}
     report["notes"] = (

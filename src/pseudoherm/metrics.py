@@ -6,24 +6,26 @@ it is quasi-Hermitian when eta can be chosen positive-definite, which for
 diagonalizable matrices happens exactly when the spectrum is real.
 
 classify decomposes H once and returns its Spectrum (right system Psi,
-biorthonormal left system Phi) with the PairingMap of its eigenvalues.
-Every metric and tau is a factor times the signed pairing M = diag(s) P,
-P the partner permutation (n -> index of conj(lambda_n)), s_n = +/-1 on
-real eigenvalues and +1 on pairs: eta = Phi M Phi^dag (eta_+ is the
-all-+1 case on a real spectrum) and tau = Psi M Phi^T with all s = +1.
-hermitize still maps through the square root of eta_+.
+biorthonormal left system Phi) with the pairing of its eigenvalues: the
+partner permutation p, an integer array with p[n] the index of
+conj(lambda_n) and p[n] = n on real eigenvalues.  Every metric and tau is a
+factor times the signed pairing M = diag(s) P, P the permutation matrix of
+p, s_n = +/-1 on real eigenvalues and +1 on pairs: eta = Phi M Phi^dag
+(eta_+ is the all-+1 case on a real spectrum) and tau = Psi M Phi^T with
+all s = +1.  hermitize still maps through the square root of eta_+.
 
-classify, MetricOperator.from_matrix, build_general_metric,
-verify_intertwining, antilinear_symmetry, antilinear_residual and eta_inner
-take a (k, n, n) stack too, as eig_full and herm_sqrt do, and give
-per-matrix lists or arrays.
+classify, pair_spectrum, decide_class, MetricOperator.from_matrix,
+build_general_metric, verify_intertwining, antilinear_symmetry,
+antilinear_residual and eta_inner take a (k, n, n) stack too (its (k, n)
+eigenvalues or permutations where they take those), as eig_full and
+herm_sqrt do, and give per-matrix arrays.  The class of a stack is decided
+in one pass over arrays, with no Python loop over matrices or eigenvalues.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -65,46 +67,22 @@ class OperatorClass(str, enum.Enum):
     NON_DIAGONALIZABLE = "NonDiagonalizable"
 
 
-@dataclass(frozen=True)
-class PairingMap:
-    """Partition of eigenvalue indices into real ones and conjugate pairs.
-
-    pairs hold (n, nbar) with Im lambda_n > 0 and lambda_nbar ~ conj(lambda_n).
-    """
-
-    real_indices: tuple
-    pairs: tuple
-    tol: float
-
-    @property
-    def all_real(self) -> bool:
-        return len(self.pairs) == 0
-
-    @cached_property
-    def permutation(self) -> np.ndarray:
-        """Partner permutation p: p[n] carries conj(lambda_n), p[n] = n when real."""
-        p = np.arange(len(self.real_indices) + 2 * len(self.pairs))
-        if self.pairs:
-            a, b = np.array(self.pairs).T
-            p[a], p[b] = b, a
-        return p
-
-    def partner(self, n: int) -> int:
-        """Index carrying the conjugate of eigenvalue n (n itself when real)."""
-        if not 0 <= n < len(self.permutation):
-            raise KeyError(f"index {n} not covered by the pairing map")
-        return int(self.permutation[n])
+# decide_class's class codes index this tuple.
+CLASSES = tuple(OperatorClass)
 
 
 @dataclass(frozen=True, eq=False)
 class Classification:
-    """Class of H with the decomposition and pairing that decided it;
-    pairing is None exactly for NonDiagonalizable and NotPseudoHermitian.
-    For a stack, kind, pairing and diagnostics are lists, one per matrix."""
+    """Class of H with the decomposition and the partner permutation
+    (pair_spectrum) that decided it; pairing is None exactly for
+    NonDiagonalizable and NotPseudoHermitian.  For a (k, n, n) stack, kind is
+    the (k,) object array of OperatorClass, pairing the (k, n) permutations
+    with rows of -1 where one matrix would have None, and diagnostics a dict
+    of (k,) arrays (decide_class's, and norm)."""
 
-    kind: OperatorClass
+    kind: OperatorClass | np.ndarray
     spectrum: Spectrum
-    pairing: PairingMap | None
+    pairing: np.ndarray | None
     diagnostics: dict
 
 
@@ -155,123 +133,160 @@ def _metric_matrix(eta) -> np.ndarray:
     return as_square_matrix(eta, stack=True)
 
 
-def pair_spectrum(S: Spectrum | np.ndarray, tol: float = REALITY_TOL) -> PairingMap:
-    """Split a Spectrum, or an array of eigenvalues, into real ones and conjugate pairs.
+def pair_spectrum(S: Spectrum | np.ndarray, tol: float = REALITY_TOL) -> np.ndarray:
+    """The partner permutation p of a Spectrum's, or an array's, (..., n)
+    eigenvalues: lambda_{p[n]} ~ conj(lambda_n), and p[n] = n on real ones.
 
-    Eigenvalues with |Im| <= tol*(1+|lambda|) count as real; the rest are
-    matched greedily to the nearest conjugate within the same scaled
-    tolerance.  Failure to match raises UnpairedEigenvalue rather than
-    forcing a pairing: an unpaired complex eigenvalue certifies that no
-    metric operator exists.
+    lambda is real when |Im lambda| <= tol*(1+|lambda|).  Largest Im first,
+    lowest index among ties, each lambda_n with Im > 0 takes the nearest
+    remaining conj(lambda) with Im lambda < 0 (the first among ties), within
+    tol*(1+|lambda_n|).  An eigenvalue left without a partner certifies that
+    no metric operator exists: one matrix raises UnpairedEigenvalue with it,
+    and a stack's row holds -1 there and n elsewhere.  Distances are taken
+    among the non-real eigenvalues only, so a real spectrum costs O(n).  A
+    round settles, in every row at once, the Im > 0 eigenvalues (uppers) up
+    to the first whose nearest partner an earlier one also wants, since
+    those choices are final: only a contested partner costs another round.
     """
     w = S.eigenvalues if isinstance(S, Spectrum) else np.asarray(S)
-    real_indices = []
-    upper = []   # Im > 0
-    lower = []   # Im < 0
-    # Python scalars: the loop costs less than array calls on small spectra.
-    for n, lam in enumerate(w.tolist()):
-        if abs(lam.imag) <= tol * (1.0 + abs(lam)):
-            real_indices.append(n)
-        elif lam.imag > 0:
-            upper.append(n)
-        else:
-            lower.append(n)
+    flat = w.reshape(-1, w.shape[-1])
+    k, n = flat.shape
+    p = np.arange(n) + np.zeros((k, 1), dtype=int)
+    nonreal = np.abs(flat.imag) > tol * (1.0 + np.abs(flat))
+    if nonreal.any():
+        m = nonreal.sum(axis=-1).max()
+        lost = np.full(k, -1)   # the unpaired eigenvalue of each row
+        row = np.arange(k)[:, None]
+        at = np.argsort(~nonreal, axis=-1, kind="stable")[:, :m]   # non-real first, by index
+        v, live = flat[row, at], nonreal[row, at]
+        lower = live & (v.imag < 0)
+        rank = np.argsort(np.where(live & ~lower, -v.imag, np.inf), axis=-1, kind="stable")
+        u = v[row, rank]   # the uppers in the greedy order, then the rest
+        gap = np.abs(v[:, None, :] - u.conj()[:, :, None])
+        band, count = tol * (1.0 + np.abs(u)), np.count_nonzero(live & ~lower, axis=-1)
+        ranks, start = np.arange(m), np.zeros(k, dtype=int)
+        choice = np.full((k, m), -1)
+        rows = np.flatnonzero(count)
+        while rows.size:
+            g = np.where(lower[rows, None, :], gap[rows], np.inf)
+            near = np.argmin(g, axis=-1)
+            pending = (ranks >= start[rows, None]) & (ranks < count[rows, None])
+            contested = pending & np.any((near[:, :, None] == near[:, None, :])
+                                         & pending[:, None, :] & (ranks < ranks[:, None]), axis=-1)
+            start[rows] = np.where(contested.any(axis=-1), contested.argmax(axis=-1), count[rows])
+            settled = pending & (ranks < start[rows, None])
+            miss = settled & ~(g.min(axis=-1) <= band[rows])
+            failed = miss.any(axis=-1)
+            lost[rows[failed]] = at[rows[failed], rank[rows[failed], miss[failed].argmax(axis=-1)]]
+            r, j = np.nonzero(settled & ~failed[:, None])
+            choice[rows[r], j] = near[r, j]
+            lower[rows[r], near[r, j]] = False
+            rows = rows[~failed & (start[rows] < count[rows])]
+        # With every upper matched, the first lower left over is unpaired.
+        r = np.flatnonzero((lost < 0) & lower.any(axis=-1))
+        lost[r] = at[r, lower[r].argmax(axis=-1)]
+        r, j = np.nonzero((choice >= 0) & (lost < 0)[:, None])
+        a, b = at[r, rank[r, j]], at[r, choice[r, j]]
+        p[r, a], p[r, b] = b, a
+        r = np.flatnonzero(lost >= 0)
+        if w.ndim == 1 and r.size:
+            raise UnpairedEigenvalue(w[lost[0]])
+        p[r, lost[r]] = -1
+    return p.reshape(w.shape)
 
-    pairs = []
-    remaining = list(lower)
-    # Largest imaginary parts first: they have the least tolerance slack.
-    for n in sorted(upper, key=lambda i: -abs(w[i].imag)):
-        if not remaining:
-            raise UnpairedEigenvalue(w[n])
-        target = np.conj(w[n])
-        best = min(remaining, key=lambda j: abs(w[j] - target))
-        if abs(w[best] - target) > tol * (1.0 + abs(w[n])):
-            raise UnpairedEigenvalue(w[n])
-        remaining.remove(best)
-        pairs.append((n, best))
-    if remaining:
-        raise UnpairedEigenvalue(w[remaining[0]])
-    return PairingMap(real_indices=tuple(real_indices), pairs=tuple(pairs), tol=tol)
 
-
-def decide_class(eigenvalues, diag_score: float, hermiticity_residual: float,
+def decide_class(eigenvalues, diag_score, hermiticity_residual,
                  tol: float = REALITY_TOL, kappa_max: float = KAPPA_MAX):
-    """The class rule of classify from its three inputs: (kind, pairing, diagnostics).
+    """The class rule of classify from its three inputs, for one matrix's
+    (n,) eigenvalues or a stack's (..., n): (codes, pairing, diagnostics).
 
-    NonDiagonalizable (pairing None) when diag_score, the eigenvector
-    conditioning, exceeds kappa_max; Hermitian by direct residual;
-    QuasiHermitian for a real spectrum; PseudoHermitianOnly when the spectrum
-    is closed under conjugation with at least one genuine pair;
-    NotPseudoHermitian (pairing None) otherwise.
+    codes index CLASSES per matrix: NonDiagonalizable when diag_score, the
+    eigenvector conditioning, exceeds kappa_max; Hermitian by direct
+    residual (every eigenvalue its own partner); QuasiHermitian for a real
+    spectrum; PseudoHermitianOnly when it is closed under conjugation with at
+    least one pair; NotPseudoHermitian otherwise.  pairing is pair_spectrum's,
+    -1 throughout for NonDiagonalizable and NotPseudoHermitian.  diagnostics
+    holds arrays: diag_score, hermiticity_residual, n_real and n_pairs (-1
+    without a pairing), unpaired_eigenvalue (nan unless NotPseudoHermitian).
     """
-    diagnostics = {"diag_score": diag_score, "hermiticity_residual": hermiticity_residual}
-    if diag_score > kappa_max:
-        return OperatorClass.NON_DIAGONALIZABLE, None, diagnostics
-    if hermiticity_residual <= tol:
-        # A Hermitian spectrum is real: every eigenvalue is its own partner.
-        pairing = PairingMap(tuple(range(len(eigenvalues))), (), tol)
-        return OperatorClass.HERMITIAN, pairing, diagnostics
-    try:
-        pairing = pair_spectrum(eigenvalues, tol)
-    except UnpairedEigenvalue as exc:
-        diagnostics["unpaired_eigenvalue"] = exc.eigenvalue
-        return OperatorClass.NOT_PSEUDO_HERMITIAN, None, diagnostics
-    diagnostics["n_real"] = len(pairing.real_indices)
-    diagnostics["n_pairs"] = len(pairing.pairs)
-    if pairing.all_real:
-        return OperatorClass.QUASI_HERMITIAN, pairing, diagnostics
-    return OperatorClass.PSEUDO_HERMITIAN_ONLY, pairing, diagnostics
+    w = np.asarray(eigenvalues)
+    lead, n = w.shape[:-1], w.shape[-1]
+    w = w.reshape(-1, n)
+    score, residual = np.ravel(diag_score), np.ravel(hermiticity_residual)
+    pairing = pair_spectrum(w, tol)
+    nondiag = score > kappa_max
+    hermitian = ~nondiag & (residual <= tol)
+    pairing[hermitian] = np.arange(n)
+    lost = pairing < 0
+    unpaired = ~nondiag & lost.any(axis=-1)
+    culprit = w[np.arange(len(w)), lost.argmax(axis=-1)]
+    none = nondiag | unpaired
+    pairing[none] = -1
+    n_real = (pairing == np.arange(n)).sum(axis=-1)
+    n_real[none] = -1
+    code = CLASSES.index
+    codes = np.where(n_real == n, code(OperatorClass.QUASI_HERMITIAN),
+                     code(OperatorClass.PSEUDO_HERMITIAN_ONLY))
+    codes[unpaired] = code(OperatorClass.NOT_PSEUDO_HERMITIAN)
+    codes[hermitian] = code(OperatorClass.HERMITIAN)
+    codes[nondiag] = code(OperatorClass.NON_DIAGONALIZABLE)
+    diagnostics = {"diag_score": score, "hermiticity_residual": residual, "n_real": n_real,
+                   "n_pairs": np.where(none, -1, (n - n_real) // 2),
+                   "unpaired_eigenvalue": np.where(unpaired, culprit, np.nan)}
+    return (codes.reshape(lead), pairing.reshape(lead + (n,)),
+            {key: value.reshape(lead) for key, value in diagnostics.items()})
 
 
 def classify(H, tol: float = REALITY_TOL, kappa_max: float = KAPPA_MAX) -> Classification:
     """Place H in the chain Hermitian < quasi-Hermitian < pseudo-Hermitian
-    by decide_class.  The Classification carries the Spectrum and PairingMap
+    by decide_class.  The Classification carries the Spectrum and pairing
     of the one decomposition, so callers never decompose H again, and
     norm_lower_bound(H) <= ||H|| as diagnostics["norm"] for the residual
-    helpers.  A (k, n, n) stack is decomposed and normed once and decided
-    matrix by matrix."""
+    helpers.  A (k, n, n) stack is decomposed, normed and decided once."""
     H = as_square_matrix(H, stack=True)
     S = eig_full(H)
     norm = norm_lower_bound(H)
-    decisions = [decide_class(w, score, residual, tol, kappa_max) for w, score, residual in zip(
-        S.eigenvalues.reshape(-1, S.dim), np.reshape(S.diag_score, -1).tolist(),
-        np.reshape(herm_residual(H, norm), -1).tolist())]
-    for (_, _, diagnostics), size in zip(decisions, np.reshape(norm, -1).tolist()):
-        diagnostics["norm"] = size
-    kind, pairing, diagnostics = ([d[j] for d in decisions] for j in range(3))
-    if H.ndim == 2:   # a single matrix
-        return Classification(kind[0], S, pairing[0], diagnostics[0])
-    return Classification(kind, S, pairing, diagnostics)
+    codes, pairing, diagnostics = decide_class(S.eigenvalues, S.diag_score,
+                                               herm_residual(H, norm), tol, kappa_max)
+    diagnostics["norm"] = np.asarray(norm)
+    if H.ndim == 3:
+        return Classification(np.array(CLASSES, dtype=object)[codes], S, pairing, diagnostics)
+    # A single matrix: scalars, and only the diagnostics that apply.
+    kind = CLASSES[codes]
+    single = {key: value.item() for key, value in diagnostics.items()}
+    if kind is not OperatorClass.NOT_PSEUDO_HERMITIAN:
+        del single["unpaired_eigenvalue"]
+    if single["n_real"] < 0:
+        del single["n_real"], single["n_pairs"]
+    return Classification(kind, S, None if np.any(pairing < 0) else pairing, single)
 
 
-def build_positive_metric(S: Spectrum, pairing: PairingMap | None = None) -> MetricOperator:
+def build_positive_metric(S: Spectrum, pairing=None) -> MetricOperator:
     """Positive metric eta_+ = Phi Phi^dag = sum_n phi_n phi_n^dag.
 
     The all-+1 case of build_general_metric on a real spectrum.  pairing is
-    the spectrum's PairingMap, computed here when not given.
+    the spectrum's partner permutation, computed here when not given.
     Raises NoPositiveMetric when any conjugate pair is present.  The result
     is self-adjoint positive-definite and intertwines H with H^dag.
     """
     if pairing is None:
         pairing = pair_spectrum(S)
-    if not pairing.all_real:
-        raise NoPositiveMetric(
-            f"spectrum has {len(pairing.pairs)} complex pair(s); no positive metric exists"
-        )
+    pairs = np.count_nonzero(pairing != np.arange(S.dim)) // 2
+    if pairs:
+        raise NoPositiveMetric(f"spectrum has {pairs} complex pair(s); no positive metric exists")
     metric = build_general_metric(S, pairing)
-    if not metric.positive_definite:
+    if not np.all(metric.positive_definite):
         raise NotPositiveDefinite("constructed metric is not positive-definite")
     return metric
 
 
-def _partner(A, pairings) -> np.ndarray:
-    """A[..., :, p]: the columns of each matrix of A in the partner order p of
-    its PairingMap in pairings (one for a single matrix)."""
-    perm = np.array([p.permutation for p in pairings], dtype=int)
-    return np.take_along_axis(A, perm.reshape(A.shape[:-2] + (1, A.shape[-1])), axis=-1)
+def _partner(A, pairing) -> np.ndarray:
+    """A[..., :, p]: the columns of each matrix of A in the partner order p,
+    pairing's (..., n) permutation."""
+    return np.take_along_axis(A, np.asarray(pairing)[..., None, :], axis=-1)
 
 
-def build_general_metric(S: Spectrum, pairing: PairingMap | list, signs=None) -> MetricOperator:
+def build_general_metric(S: Spectrum, pairing, signs=None) -> MetricOperator:
     """Canonical member of the metric family for a paired spectrum.
 
     eta = Phi M Phi^dag = sum_n s_n phi_n phi_{p(n)}^dag
@@ -284,19 +299,21 @@ def build_general_metric(S: Spectrum, pairing: PairingMap | list, signs=None) ->
     reachable through transform_metric.  By Sylvester's law the signature is
     (#positive signs + #pairs, #negative signs + #pairs).
 
-    On a stack, pairing holds one PairingMap per matrix, signs run over the
-    real eigenvalues matrix by matrix, and a singular metric is not raised.
+    pairing is the (n,) partner permutation, or (k, n) for a stacked
+    Spectrum; on a stack signs run over the real eigenvalues matrix by
+    matrix, and a singular metric is not raised.
     """
-    pairings = [pairing] if isinstance(pairing, PairingMap) else pairing
-    s = np.ones((len(pairings), S.dim))
+    p = np.asarray(pairing)
+    s = np.ones(p.shape)
     if signs is not None:
-        real = [(i, n) for i, p in enumerate(pairings) for n in p.real_indices]
-        if len(signs) != len(real):
+        real = p == np.arange(S.dim)
+        signs = np.asarray(signs)
+        if signs.shape != (np.count_nonzero(real),):
             raise ValueError("need exactly one sign per real eigenvalue")
-        if any(x not in (-1, 1) for x in signs):
+        if not np.all((signs == 1) | (signs == -1)):
             raise ValueError("signs must be +1 or -1")
-        s[[i for i, _ in real], [n for _, n in real]] = signs
-    eta = (S.left * s.reshape(S.left.shape[:-2] + (1, S.dim))) @ dagger(_partner(S.left, pairings))
+        s[real] = signs
+    eta = (S.left * s[..., None, :]) @ dagger(_partner(S.left, p))
     eta = 0.5 * (eta + dagger(eta))
     try:
         return MetricOperator.from_matrix(eta)
@@ -352,7 +369,7 @@ def hermitize(H, eta_plus, h_norm: float | None = None) -> tuple[np.ndarray, np.
     return rho, h, residual
 
 
-def antilinear_symmetry(S: Spectrum, pairing: PairingMap | list) -> np.ndarray:
+def antilinear_symmetry(S: Spectrum, pairing) -> np.ndarray:
     """Matrix tau of an invertible antilinear map commuting with H.
 
     The antilinear operator is x -> tau conj(x); commutation with H reads
@@ -365,11 +382,10 @@ def antilinear_symmetry(S: Spectrum, pairing: PairingMap | list) -> np.ndarray:
 
     which satisfies the commutation relation on a full basis by the pairing
     property and is invertible because it is (right vectors) x permutation x
-    (left vectors)^T.  For a stacked Spectrum, pairing holds one PairingMap
-    per matrix and tau is the (k, n, n) stack.
+    (left vectors)^T.  pairing is the partner permutation; for a stacked
+    Spectrum it is (k, n) and tau is the (k, n, n) stack.
     """
-    pairings = [pairing] if isinstance(pairing, PairingMap) else pairing
-    return S.right @ np.swapaxes(_partner(S.left, pairings), -1, -2)
+    return S.right @ np.swapaxes(_partner(S.left, pairing), -1, -2)
 
 
 def antilinear_residual(H, tau, h_norm=None):

@@ -5,8 +5,9 @@ machinery against construction-time facts: planted spectra, planted
 similarity transforms, closed-form eigenvalues.  generate builds the
 matrices of one dimension as a (k, n, n) stack: each spec draws from its
 own default_rng(seed) as it would alone, and every draw is built into its
-planted property, with no test and no redraw.  The random_* generators are
-its k = 1 case.
+planted property, with no test and no redraw, so each spec draws a fixed
+sequence.  The random_* generators are its k = 1 case; the suites draw
+their test vectors from the same generators, right after the matrix.
 """
 
 from __future__ import annotations
@@ -138,8 +139,18 @@ def generate(specs):
     pseudo_nonquasi, H for hermitian and defective (a Jordan block with a
     random eigenvalue).  Each matrix of a stack equals its spec's alone.
     """
-    single = isinstance(specs, EnsembleSpec)
-    specs = [specs] if single else list(specs)
+    if isinstance(specs, EnsembleSpec):
+        H, lam, S, _ = _generate([specs])
+        return (H[0], lam[0], S[0]) if len(S) else H[0]
+    return _generate(specs)[0]
+
+
+def _generate(specs):
+    """generate's stack of a sequence of specs of one dim, as (H, planted
+    eigenvalues, S of the quasi and pseudo_nonquasi specs, generators): each
+    spec's default_rng(seed), left just past the fixed draws of its matrix,
+    so that a caller draws on from the instance's one stream."""
+    specs = list(specs)
     if not specs or len({spec.dim for spec in specs}) > 1:
         raise ValueError("generate takes one spec or a nonempty sequence of specs of one dim")
     n = specs[0].dim
@@ -158,6 +169,4 @@ def generate(specs):
     H[hermitian] = 0.5 * (G + dagger(G))
     for i in defective:
         H[i] = jordan_block(n, complex(rngs[i].uniform(-1, 1), rngs[i].uniform(-1, 1)))
-    if single:
-        return (H[0], lam[0], S[0]) if similar.size else H[0]
-    return H
+    return H, lam, S, rngs

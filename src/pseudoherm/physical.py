@@ -44,11 +44,12 @@ def restrict_to_physical(H, cls: Classification | None = None) -> PhysicalSubspa
     """Restrict H to the span of its real-eigenvalue eigenvectors.
 
     cls is H's classification (classify(H) when not given); its spectrum
-    and pairing pick the span K with basis B = Psi_K.  The restricted
-    operator is the oblique projection R = Phi_K^dag H Psi_K through the
-    biorthonormal left system, exact for the invariant K and diag(lambda_K)
-    up to roundoff.  eta_plus is the identity: the restriction of the
-    canonical metric Phi M Phi^dag to K, B^dag Phi M Phi^dag B = I.
+    and the fixed points of its partner permutation pick the span K with
+    basis B = Psi_K.  The restricted operator is the oblique projection
+    R = Phi_K^dag H Psi_K through the biorthonormal left system, exact for
+    the invariant K and diag(lambda_K) up to roundoff.  eta_plus is the
+    identity: the restriction of the canonical metric Phi M Phi^dag to K,
+    B^dag Phi M Phi^dag B = I.
     Raises EmptyPhysicalSpace when the spectrum has no real eigenvalue,
     since K would be the zero space.
     """
@@ -61,8 +62,8 @@ def restrict_to_physical(H, cls: Classification | None = None) -> PhysicalSubspa
         )
     if cls.pairing is None:
         raise UnpairedEigenvalue(cls.diagnostics["unpaired_eigenvalue"])
-    real = list(cls.pairing.real_indices)
-    if not real:
+    real = np.flatnonzero(cls.pairing == np.arange(H.shape[0]))
+    if not real.size:
         raise EmptyPhysicalSpace("no real eigenvalues: physical span is {0}")
     basis = cls.spectrum.right[:, real]
     left = cls.spectrum.left[:, real]

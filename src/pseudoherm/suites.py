@@ -7,12 +7,15 @@ the three legs must succeed or fail together.  The second: a positive metric
 exists iff the spectrum is real, in which case Hermitization by the metric
 square root works and the operator is Hermitian in the metric inner product.
 
-The suite runs by dimension.  models.generate builds the instances of one
-size as one (k, n, n) stack, which goes once through the metrics functions:
-classify, then build_general_metric, verify_intertwining, antilinear_symmetry
+The suite runs by dimension.  models builds the instances of one size as
+one (k, n, n) stack, which goes once through the metrics functions:
+classify, whose classes and partner permutations are arrays decided in one
+pass, then build_general_metric, verify_intertwining, antilinear_symmetry
 and antilinear_residual on the stack of paired matrices, and the positive
-legs' herm_sqrt and eta_inner on the stack of positive metrics.  What is left
-here is the bookkeeping of the legs and the eigvals of h.
+legs' herm_sqrt and eta_inner on the stack of positive metrics.  One seeded
+generator per instance draws its matrix and then the vectors of leg d, so
+(kind, dim, seed) pins every number of an instance in any stack.  What is
+left here is the bookkeeping of the legs and the eigvals of h.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .linalg import INVERTIBILITY_TOL, POSITIVITY_TOL, Spectrum, herm_residual, 
 from .metrics import (INTERTWINE_TOL, Classification, MetricOperator, OperatorClass,
                       antilinear_residual, antilinear_symmetry, build_general_metric,
                       classify, eta_inner, verify_intertwining)
-from .models import EnsembleSpec, generate
+from .models import EnsembleSpec, _generate
 
 INNER_PAIRS = 20
 CONJUGATION_LEGS = ("pair_ok", "metric_ok", "antilinear_ok")
@@ -49,15 +52,16 @@ def make_ensemble(kinds, count, dims, base_seed=0, conditioning_cap=1e3):
 
 @dataclass(frozen=True, eq=False)
 class Group:
-    """Instances of one size: their Classification and, for those with a
-    PairingMap (at positions paired), H, Spectrum, PairingMaps, ||H||, the
-    canonical metric (all signs +1) and its intertwining residual."""
+    """Instances of one size: their stacked Classification and, for those
+    with a pairing (at positions paired), H, Spectrum, the (k, n) partner
+    permutations, ||H||, the canonical metric (all signs +1) and its
+    intertwining residual."""
 
     cls: Classification
     paired: np.ndarray
     H: np.ndarray
     spectrum: Spectrum
-    pairings: list
+    pairing: np.ndarray
     norm: np.ndarray
     metric: MetricOperator
     residual: np.ndarray
@@ -66,13 +70,12 @@ class Group:
 def classify_group(H) -> Group:
     """classify a stack and build the canonical metric of its paired matrices."""
     cls = classify(H)
-    paired = np.array([i for i, p in enumerate(cls.pairing) if p is not None], dtype=int)
+    paired = np.flatnonzero(np.all(cls.pairing >= 0, axis=-1))
     S = cls.spectrum
     S = Spectrum(S.dim, *(a[paired] for a in (S.eigenvalues, S.right, S.left, S.diag_score)))
-    pairings = [cls.pairing[i] for i in paired]
-    norm = np.array([d["norm"] for d in cls.diagnostics])[paired]
-    metric = build_general_metric(S, pairings)
-    return Group(cls, paired, H[paired], S, pairings, norm, metric,
+    pairing, norm = cls.pairing[paired], cls.diagnostics["norm"][paired]
+    metric = build_general_metric(S, pairing)
+    return Group(cls, paired, H[paired], S, pairing, norm, metric,
                  verify_intertwining(H[paired], metric, norm))
 
 
@@ -86,14 +89,13 @@ def check_conjugation_equivalence(group: Group) -> list[dict]:
     alongside leg a.
     """
     results = []
-    for score, kind, pairing in zip(group.cls.spectrum.diag_score.tolist(), group.cls.kind,
-                                    group.cls.pairing):
+    for score, kind in zip(group.cls.spectrum.diag_score.tolist(), group.cls.kind.tolist()):
         result = {"diag_score": score, "skipped": kind is OperatorClass.NON_DIAGONALIZABLE}
-        if not result["skipped"] and pairing is None:
+        if kind is OperatorClass.NOT_PSEUDO_HERMITIAN:
             result.update(pair_ok=False, metric_ok=False, antilinear_ok=False, agree=True)
         results.append(result)
 
-    tau = antilinear_symmetry(group.spectrum, group.pairings)
+    tau = antilinear_symmetry(group.spectrum, group.pairing)
     sv = np.linalg.svd(tau, compute_uv=False)   # invertibility only: ||tau|| is a lower bound
     antilinear = antilinear_residual(group.H, tau, group.norm)
     antilinear_ok = (antilinear <= INTERTWINE_TOL) & (sv[:, -1] > INVERTIBILITY_TOL * sv[:, 0])
@@ -109,9 +111,10 @@ def check_conjugation_equivalence(group: Group) -> list[dict]:
     return results
 
 
-def check_positive_metric_equivalence(group: Group, seeds) -> list[dict]:
+def check_positive_metric_equivalence(group: Group, rngs) -> list[dict]:
     """Legs of the real-spectrum/positive-metric equivalence for each matrix
-    of a group; seeds holds one inner-product seed per matrix.
+    of a group; rngs holds one generator per matrix, which draws leg d's
+    vectors.
 
     a: classified (quasi-)Hermitian; b: the canonical metric of an all-real
     pairing is invertible and positive-definite (eta_+); c: eta_+ intertwines
@@ -120,7 +123,7 @@ def check_positive_metric_equivalence(group: Group, seeds) -> list[dict]:
     Hermiticity of H in the eta_+ inner product on random vector pairs.
     """
     results = []
-    for kind in group.cls.kind:
+    for kind in group.cls.kind.tolist():
         result = {"skipped": kind is OperatorClass.NON_DIAGONALIZABLE,
                   "classification": kind.value}
         if not result["skipped"]:
@@ -130,7 +133,7 @@ def check_positive_metric_equivalence(group: Group, seeds) -> list[dict]:
         results.append(result)
 
     metric = group.metric
-    all_real = np.array([p.all_real for p in group.pairings], dtype=bool)
+    all_real = np.all(group.pairing == np.arange(group.spectrum.dim), axis=-1)
     built = np.flatnonzero(all_real & metric.invertible & metric.positive_definite)
     index = group.paired[built]
     eta, eta_norm, H = metric.matrix[built], metric.norm[built], group.H[built]
@@ -147,9 +150,9 @@ def check_positive_metric_equivalence(group: Group, seeds) -> list[dict]:
     spec_out = np.sort_complex(np.linalg.eigvals(h))
     drift = np.max(np.abs(spec_out - spec_in) / (1.0 + np.abs(spec_in)), axis=-1)
 
-    # Leg d: one block per seed holds the numbers of the INNER_PAIRS successive
+    # Leg d: one block per generator holds the numbers of the INNER_PAIRS successive
     # draws (psi.re, psi.im, chi.re, chi.im); all pairs go through one product.
-    draws = np.array([np.random.default_rng([seeds[i], 0xA5]).standard_normal(INNER_PAIRS * 4 * n)
+    draws = np.array([rngs[i].standard_normal(INNER_PAIRS * 4 * n)
                       for i in index]).reshape(-1, INNER_PAIRS, 4, n)
     psi = draws[:, :, 0] + 1j * draws[:, :, 1]
     chi = draws[:, :, 2] + 1j * draws[:, :, 3]
@@ -200,9 +203,10 @@ def run_equivalence_suite(specs) -> dict:
         by_dim.setdefault(spec.dim, []).append(i)
     records = [None] * len(specs)
     for positions in by_dim.values():
-        group = classify_group(generate([specs[i] for i in positions]))
+        H, _, _, rngs = _generate([specs[i] for i in positions])
+        group = classify_group(H)
         one = check_conjugation_equivalence(group)
-        two = check_positive_metric_equivalence(group, [specs[i].seed for i in positions])
+        two = check_positive_metric_equivalence(group, rngs)
         for i, conjugation, positive in zip(positions, one, two):
             spec = specs[i]
             records[i] = {"kind": spec.kind, "dim": spec.dim, "seed": spec.seed,

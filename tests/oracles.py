@@ -227,3 +227,35 @@ def sample_instance(spec, redraws):
     if spec.kind == "hermitian":
         return random_hermitian(spec)
     return random_defective(spec)
+
+
+# ---------------------------------------------------------------------------
+# greedy conjugate pairing
+
+def greedy_pairing(w, tol):
+    """A frozen copy of the greedy loop metrics.pair_spectrum replaced, as the
+    partner permutation: eigenvalues with |Im| <= tol*(1+|lambda|) are real;
+    the others with Im > 0, largest |Im| first, each take the nearest
+    remaining conj(lambda) among those with Im < 0, within the same scaled
+    tolerance.  Returns the permutation, or the eigenvalue left unpaired as
+    a complex."""
+    w = np.asarray(w, dtype=complex)
+    upper, lower = [], []
+    for n, lam in enumerate(w.tolist()):
+        if abs(lam.imag) <= tol * (1.0 + abs(lam)):
+            continue
+        (upper if lam.imag > 0 else lower).append(n)
+    p = np.arange(len(w))
+    remaining = list(lower)
+    for n in sorted(upper, key=lambda i: -abs(w[i].imag)):
+        if not remaining:
+            return complex(w[n])
+        target = np.conj(w[n])
+        best = min(remaining, key=lambda j: abs(w[j] - target))
+        if abs(w[best] - target) > tol * (1.0 + abs(w[n])):
+            return complex(w[n])
+        remaining.remove(best)
+        p[n], p[best] = best, n
+    if remaining:
+        return complex(w[remaining[0]])
+    return p

@@ -124,6 +124,28 @@ def test_classify_dimension_mismatch(tmp_path, capsys):
     assert main(["classify", str(path)]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("matrix, message", [
+    ({"dim": 2, "re": [[{}, 1], [0, 0]], "im": [[0, 0], [0, 0]]}, "'re' has entries"),
+    ({"dim": 2, "re": [["1", "2"], [0, 0]], "im": [[0, 0], [0, 0]]}, "'re' has entries"),
+    ({"dim": 2, "re": [[1, 2], [0, 0]], "im": [[0, None], [0, 0]]}, "'im' has entries"),
+    ({"dim": "2", "re": [[1, 2], [0, 0]], "im": [[0, 0], [0, 0]]}, "dim must be an integer"),
+    ({"dim": 2.0, "re": [[1, 2], [0, 0]], "im": [[0, 0], [0, 0]]}, "dim must be an integer"),
+], ids=["object", "strings", "null", "string_dim", "float_dim"])
+def test_classify_refuses_entries_that_are_not_numbers(tmp_path, capsys, matrix, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(matrix))
+    assert main(["classify", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    with pytest.raises(ParseError, match=message):
+        matrix_from_json(matrix)
+
+
+def test_matrix_from_json_reads_integer_entries():
+    M = matrix_from_json({"dim": 2, "re": [[1, 2], [0, 0]], "im": [[0, 0.5], [0, 0]]})
+    assert np.array_equal(M, np.array([[1, 2 + 0.5j], [0, 0]]))
+
+
 def test_classify_report_is_reproducible(matrix_file, capsys):
     H, _, _ = random_quasi(4, seed=12)
     path = matrix_file(H)

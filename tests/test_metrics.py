@@ -28,11 +28,12 @@ from pseudoherm import (
 )
 from pseudoherm.kleingordon import fv_modes, make_grid
 from pseudoherm.linalg import Spectrum
-from pseudoherm.metrics import MetricOperator
+from pseudoherm.metrics import REALITY_TOL, MetricOperator
+from pseudoherm.models import KINDS, EnsembleSpec, generate
 from pseudoherm.physical import restrict_to_physical
 from pseudoherm.suites import classify_group
 
-from oracles import signature_by_eigenvalues, spectra_mismatch
+from oracles import greedy_pairing, signature_by_eigenvalues, spectra_mismatch
 
 EPS = np.finfo(float).eps
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -44,28 +45,26 @@ SIGMA3 = np.diag([1.0, -1.0]).astype(complex)
 
 def test_pair_spectrum_all_real():
     P = pair_spectrum(eig_full(np.diag([1.0, 2.0]).astype(complex)))
-    assert sorted(P.real_indices) == [0, 1]
-    assert P.pairs == ()
-    assert P.all_real
+    assert P.tolist() == [0, 1]   # every eigenvalue its own partner
 
 
 def test_pair_spectrum_one_pair():
     S = eig_full(np.diag([1j, -1j]))
     P = pair_spectrum(S)
-    assert P.real_indices == ()
-    assert len(P.pairs) == 1
-    n, nbar = P.pairs[0]
+    assert np.all(P != np.arange(2))   # no real eigenvalue
+    n = int(np.argmax(S.eigenvalues.imag))
+    nbar = P[n]
     assert S.eigenvalues[n].imag > 0
     assert abs(S.eigenvalues[nbar] - np.conj(S.eigenvalues[n])) < 1e-12
-    assert P.partner(n) == nbar and P.partner(nbar) == n
+    assert P[nbar] == n
 
 
 def test_pair_spectrum_pt_complex_pair():
     # closed form: eigenvalues +-i sqrt(3)/2
     S = eig_full(pt2x2(1.0, np.pi / 2, 0.5))
     P = pair_spectrum(S)
-    assert len(P.pairs) == 1
-    n, _ = P.pairs[0]
+    assert np.count_nonzero(P != np.arange(2)) == 2   # one pair
+    n = int(np.argmax(S.eigenvalues.imag))
     assert abs(S.eigenvalues[n] - 1j * np.sqrt(3) / 2) < 1e-12
 
 
@@ -79,10 +78,10 @@ def test_pair_spectrum_unpaired_raises():
 def test_pair_spectrum_tolerance_scales_with_magnitude():
     # |Im| = 1e-4 is above tol = 1e-9 but within tol * (1 + |lambda|) ~ 1e-3.
     P = pair_spectrum(np.array([1e6 + 1e-4j, 2.0]), tol=1e-9)
-    assert P.all_real and P.real_indices == (0, 1)
+    assert P.tolist() == [0, 1]
     # A partner 1e-4 off conj(lambda) is matched under the same scaling.
     P = pair_spectrum(np.array([1e6 + 1j, 1e6 - 1j + 1e-4]), tol=1e-9)
-    assert P.pairs == ((0, 1),)
+    assert P.tolist() == [1, 0]
 
 
 def test_pairing_partitions_indices():
@@ -90,12 +89,85 @@ def test_pairing_partitions_indices():
         H, _, _ = random_pseudo_nonquasi(6, seed=seed)
         S = eig_full(H)
         P = pair_spectrum(S)
-        covered = sorted(P.real_indices)
-        for n, nbar in P.pairs:
-            covered.extend([n, nbar])
+        assert sorted(P.tolist()) == list(range(6))   # a permutation
+        assert np.array_equal(P[P], np.arange(6))     # an involution: real or in pairs
+        for n, nbar in enumerate(P.tolist()):
             lam = S.eigenvalues[n]
-            assert abs(S.eigenvalues[nbar] - np.conj(lam)) <= P.tol * (1 + abs(lam))
-        assert sorted(covered) == list(range(6))   # partition, no overlap
+            assert abs(S.eigenvalues[nbar] - np.conj(lam)) <= 1e-9 * (1 + abs(lam))
+
+
+# Exactly degenerate conjugate pairs: both copies of 1+i are nearest to the
+# same 1-i, which a plain mutual-nearest rule leaves unpaired.
+DEGENERATE = ([1 + 1j, 1 + 1j, 1 - 1j, 1 - 1j], [1 + 1j, 1 - 1j, 1 + 1j, 1 - 1j, 0.5])
+
+
+def _similar_spectrum(lam, kappa, seed):
+    """eig_full's eigenvalues of S diag(lam) S^{-1}, S with cond_2(S) = kappa."""
+    rng = np.random.default_rng(seed)
+    n = len(lam)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    W, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    S = (U * np.geomspace(1.0, 1.0 / kappa, n)) @ W
+    return eig_full((S * np.asarray(lam)) @ np.linalg.inv(S)).eigenvalues
+
+
+def _oracle_spectra():
+    """Eigenvalues of generated instances of every kind at dims 1-12, as they
+    come, with exact duplicates, and with the duplicates moved 0.1-10 times
+    the reality tolerance; then the degenerate spectra, alone and under a
+    kappa = 10 similarity."""
+    rng = np.random.default_rng(17)
+    for kind in KINDS:
+        for n in range(2 if kind in ("pseudo_nonquasi", "defective") else 1, 13):
+            for seed in range(3):
+                out = generate(EnsembleSpec(n, seed, kind))
+                w = eig_full(out[0] if isinstance(out, tuple) else out).eigenvalues
+                yield w
+                at = rng.permutation(n)[:max(n // 2, 1)]
+                dup = w.copy()
+                dup[at] = w[rng.integers(0, n, len(at))]
+                yield dup
+                step = REALITY_TOL * (1 + np.abs(dup[at])) * 10 ** rng.uniform(-1, 1, len(at))
+                near = dup.copy()
+                near[at] += step * np.exp(2j * np.pi * rng.uniform(size=len(at)))
+                yield near
+    for lam in DEGENERATE:
+        yield np.array(lam)
+        yield _similar_spectrum(lam, 10.0, 3)
+
+
+def test_pair_spectrum_matches_the_frozen_greedy_loop():
+    by_dim = {}
+    for w in _oracle_spectra():
+        want = greedy_pairing(w, REALITY_TOL)
+        if isinstance(want, complex):
+            with pytest.raises(UnpairedEigenvalue) as info:
+                pair_spectrum(w)
+            assert info.value.eigenvalue == want
+        else:
+            assert np.array_equal(pair_spectrum(w), want), w
+        by_dim.setdefault(len(w), []).append((w, want))
+    unpaired = 0
+    for cases in by_dim.values():
+        stacked = pair_spectrum(np.stack([w for w, _ in cases]))
+        for row, (w, want) in zip(stacked, cases):
+            if isinstance(want, complex):   # -1 at the unpaired eigenvalue, n -> n elsewhere
+                unpaired += 1
+                lost = np.flatnonzero(row < 0)
+                assert len(lost) == 1 and w[lost[0]] == want
+                assert np.array_equal(np.delete(row, lost), np.delete(np.arange(len(w)), lost))
+            else:
+                assert np.array_equal(row, want)
+    assert 0 < unpaired < sum(map(len, by_dim.values()))   # both outcomes are exercised
+
+
+def test_degenerate_conjugate_pairs_pair_in_greedy_order():
+    # Largest Im first, then the lowest index: the first copy of 1+i takes the first 1-i.
+    assert pair_spectrum(np.array(DEGENERATE[0])).tolist() == [2, 3, 0, 1]
+    assert pair_spectrum(np.array(DEGENERATE[1])).tolist() == [1, 0, 3, 2, 4]
+    for lam in DEGENERATE:
+        H = np.diag(lam).astype(complex)
+        assert classify(H).kind is OperatorClass.PSEUDO_HERMITIAN_ONLY
 
 
 def test_metric_operator_signature_counts_fill_dimension():
@@ -188,12 +260,14 @@ def test_pairing_products_match_outer_product_sums():
     H, _, _ = random_pseudo_nonquasi(9, seed=5)
     S = eig_full(H)
     P = pair_spectrum(S)
-    signs = [(-1) ** k for k in range(len(P.real_indices))]
+    real = np.flatnonzero(P == np.arange(9))
+    pairs = [(n, nbar) for n, nbar in enumerate(P.tolist()) if n < nbar]
+    signs = [(-1) ** k for k in range(len(real))]
     phi, psi = S.left, S.right
     eta_ref = sum(s * np.outer(phi[:, n], phi[:, n].conj())
-                  for s, n in zip(signs, P.real_indices))
-    tau_ref = sum(np.outer(psi[:, n], phi[:, n]) for n in P.real_indices)
-    for n, nbar in P.pairs:
+                  for s, n in zip(signs, real))
+    tau_ref = sum(np.outer(psi[:, n], phi[:, n]) for n in real)
+    for n, nbar in pairs:
         for a, b in ((n, nbar), (nbar, n)):
             eta_ref = eta_ref + np.outer(phi[:, a], phi[:, b].conj())
             tau_ref = tau_ref + np.outer(psi[:, a], phi[:, b])
@@ -474,17 +548,22 @@ def test_stacked_metrics_functions_match_single_calls():
         OperatorClass.HERMITIAN, OperatorClass.NOT_PSEUDO_HERMITIAN,
         OperatorClass.QUASI_HERMITIAN]
     for i, one in enumerate(singles):
-        assert cls.kind[i] is one.kind and cls.pairing[i] == one.pairing, i
-        assert cls.diagnostics[i] == one.diagnostics, i
+        assert cls.kind[i] is one.kind, i
+        if one.pairing is None:
+            assert np.all(cls.pairing[i] == -1), i
+        else:
+            assert np.array_equal(cls.pairing[i], one.pairing), i
+        assert {key: value[i].item() for key, value in cls.diagnostics.items()
+                if key in one.diagnostics} == one.diagnostics, i
         assert np.array_equal(cls.spectrum.left[i], one.spectrum.left), i
 
     keep = [0, 1, 2, 4]
     S = Spectrum(n, *(a[keep] for a in (cls.spectrum.eigenvalues, cls.spectrum.right,
                                         cls.spectrum.left, cls.spectrum.diag_score)))
-    pairings = [cls.pairing[i] for i in keep]
-    assert [len(p.real_indices) for p in pairings] == [4, 0, 4, 4]
+    pairings = cls.pairing[keep]
+    assert np.count_nonzero(pairings == np.arange(n), axis=-1).tolist() == [4, 0, 4, 4]
     signs = [[1, -1, 1, 1], [], [-1, -1, 1, -1], [1, 1, -1, 1]]   # one per real eigenvalue
-    norms = np.array([cls.diagnostics[i]["norm"] for i in keep])
+    norms = cls.diagnostics["norm"][keep]
     eta = build_general_metric(S, pairings)
     signed = build_general_metric(S, pairings, [s for row in signs for s in row])
     tau = antilinear_symmetry(S, pairings)
@@ -511,9 +590,10 @@ def test_stacked_metrics_functions_match_single_calls():
     # A group with no paired matrix is a (0, n, n) stack.
     none = np.zeros((0, n, n), dtype=complex)
     empty = classify(none)
-    assert empty.kind == empty.pairing == empty.diagnostics == []
-    eta = build_general_metric(empty.spectrum, [])
-    tau = antilinear_symmetry(empty.spectrum, [])
+    assert empty.kind.shape == (0,) and empty.pairing.shape == (0, n)
+    assert all(value.shape == (0,) for value in empty.diagnostics.values())
+    eta = build_general_metric(empty.spectrum, empty.pairing)
+    tau = antilinear_symmetry(empty.spectrum, empty.pairing)
     assert eta.matrix.shape == tau.shape == (0, n, n)
     assert eta.signature.shape == (0, 2) and eta.invertible.shape == (0,)
     assert verify_intertwining(none, eta, np.zeros(0)).shape == (0,)

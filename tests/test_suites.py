@@ -30,7 +30,7 @@ from pseudoherm.metrics import (
     hermitize,
     verify_intertwining,
 )
-from pseudoherm.models import EnsembleSpec, generate, jordan_block
+from pseudoherm.models import KINDS, EnsembleSpec, _generate, generate, jordan_block
 from pseudoherm.suites import INNER_PAIRS, make_ensemble, run_equivalence_suite
 
 EPS = np.finfo(float).eps
@@ -64,7 +64,26 @@ def oracle_conjugation(H, cls):
     return result
 
 
-def oracle_positive(H, cls, seed):
+def instance_stream(spec):
+    """default_rng(spec.seed) past the draws of spec's matrix, in the order
+    models.generate makes them: the planted spectrum's uniforms (quasi), or
+    the pair count, pair centres, imaginary parts and real fill
+    (pseudo_nonquasi), then the two Gaussian n x n blocks of the similarity
+    or of the Hermitian G; for defective, the Jordan block's eigenvalue."""
+    rng, n = np.random.default_rng(spec.seed), spec.dim
+    if spec.kind == "quasi":
+        rng.uniform(size=n)
+    elif spec.kind == "pseudo_nonquasi":
+        rng.integers(1, n // 2 + 1)
+        rng.uniform(size=n)   # 2 * pairs uniforms for the pairs, n - 2 * pairs for the fill
+    elif spec.kind == "defective":
+        rng.uniform(size=2)
+        return rng
+    rng.standard_normal((2, n, n))
+    return rng
+
+
+def oracle_positive(H, cls, rng):
     result = {"skipped": False, "classification": cls.kind.value}
     if cls.kind is OperatorClass.NON_DIAGONALIZABLE:
         result["skipped"] = True
@@ -94,7 +113,6 @@ def oracle_positive(H, cls, seed):
                                   and result["spectrum_drift"] <= metrics.INTERTWINE_TOL)
     except PseudohermError:
         result["hermitize_ok"] = False
-    rng = np.random.default_rng([seed, 0xA5])
     n = H.shape[0]
     scale = cls.diagnostics["norm"] * eta.norm
     worst = 0.0
@@ -119,7 +137,7 @@ def oracle_record(spec):
     H = out[0] if isinstance(out, tuple) else out
     cls = classify(H)
     one = oracle_conjugation(H, cls)
-    two = oracle_positive(H, cls, spec.seed)
+    two = oracle_positive(H, cls, instance_stream(spec))
     if one["skipped"] or two["skipped"]:
         ok = spec.kind == "defective"
     else:
@@ -256,3 +274,24 @@ def test_verify_report_lists_failed_instances(capsys, monkeypatch):
 def test_verify_report_lists_no_instance_on_a_pass(capsys):
     assert main(["verify", "--count", "9", "--dims", "2-4", "--seed", "5"]) == 0
     assert json.loads(capsys.readouterr().out)["suite"]["failed_instances"] == []
+
+
+def test_leg_d_does_not_depend_on_the_stack():
+    # One generator per instance draws its matrix, then its inner-product
+    # vectors: the record is the same alone and inside a mixed stack, bit for bit.
+    stack = make_ensemble(["quasi", "pseudo_nonquasi", "hermitian", "defective"], 24, [5],
+                          base_seed=41)
+    records = run_equivalence_suite(stack)["records"]
+    for spec, record in zip(stack, records):
+        alone = run_equivalence_suite([spec])["records"][0]
+        assert alone == record, (spec.kind, spec.seed)
+    assert sum("inner_deviation" in r["positive"] for r in records) == 12
+
+
+def test_oracle_continues_each_instance_stream():
+    # The oracle's leg d draws from where generation left each generator.
+    for n in range(1, 9):
+        specs = [EnsembleSpec(n, 60 + i, kind) for i, kind in enumerate(KINDS * 3)
+                 if n >= 2 or kind in ("quasi", "hermitian")]
+        for spec, rng in zip(specs, _generate(specs)[3]):
+            assert rng.bit_generator.state == instance_stream(spec).bit_generator.state, spec
