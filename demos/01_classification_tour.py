@@ -18,7 +18,7 @@ def show(label, H):
     print(f"{label:<34} -> {cls.kind.value}")
     print(f"    eigenvalues: {lam}")
     print(f"    hermiticity residual {cls.diagnostics['hermiticity_residual']:.2e}, "
-          f"eigenvector conditioning {cls.diagnostics['diag_score']:.2e}")
+          f"eigenvector score ||V||_F ||V^-1||_F {cls.diagnostics['diag_score']:.2e}")
     print()
 
 

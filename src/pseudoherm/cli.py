@@ -59,7 +59,7 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 DEFAULT_SEED = 1729
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +70,8 @@ def matrix_to_json(M) -> dict:
     return {"dim": M.shape[0], "re": M.real.tolist(), "im": M.imag.tolist()}
 
 
-def matrix_from_json(data) -> np.ndarray:
+def matrix_from_json(data, booleans: bool = True) -> np.ndarray:
+    """The matrix of a decoded object; booleans=False skips the true/false scan."""
     if not isinstance(data, dict):
         raise ParseError("matrix file must hold a JSON object")
     for key in ("dim", "re", "im"):
@@ -88,6 +89,9 @@ def matrix_from_json(data) -> np.ndarray:
         raise ParseError(
             f"dimension mismatch: dim={n} but re has shape {re.shape} and im {im.shape}"
         )
+    # numpy reads true/false among numbers as 1/0: only the decoded entries show them.
+    if booleans and any(type(x) is bool for key in ("re", "im") for row in data[key] for x in row):
+        raise ParseError("matrix has true/false entries, which are not JSON numbers")
     M = re + 1j * im
     if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
         raise ParseError("matrix has non-finite entries")
@@ -105,7 +109,8 @@ def load_matrix(path) -> tuple[np.ndarray, str]:
         data = json.loads(raw.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
-    return matrix_from_json(data), digest
+    # A JSON true or false needs a t or f byte; numbers and dim/re/im have none.
+    return matrix_from_json(data, booleans=b"t" in raw or b"f" in raw), digest
 
 
 def save_matrix(M, path):
@@ -232,12 +237,13 @@ def cmd_kg(args) -> tuple[dict, int]:
     # H = fv_hamiltonian(grid) one 2x2 mode block h_k = [[t + m, t], [-t, -t - m]] at a time,
     # t = k^2/(2m); a block-diagonal matrix's norm is its largest block norm.  Closed forms:
     # ||h_k|| = 2t + m, ||h_k - h_k^dag|| = 2t, and the unit-column eigenvectors (c, -t),
-    # (-t, c), c = omega + t + m, have singular values (c +/- t)/sqrt(c^2 + t^2), both extreme
-    # at the largest t/c, so cond = max (c + t)/(c - t) = max (omega + m + 2t)/(omega + m).
+    # (-t, c), c = omega + t + m, have ||V_k||_F ||V_k^-1||_F = 2(c^2 + t^2)/(c^2 - t^2) = q + 1/q,
+    # q = (omega + m + 2t)/(omega + m): its max over k bounds cond_2 of the whole V, for any N.
     modes = fv_modes(grid)
     h, psi, sigma3 = modes.blocks, modes.right, np.diag([1.0, -1.0])
     kinetic = h[:, 0, 1]   # t
-    diag_score = float(np.max((w + mu + 2 * kinetic) / (w + mu)))
+    q = (w + mu + 2 * kinetic) / (w + mu)
+    diag_score = float(np.max(q + 1 / q))
     h_norm = float(np.max(2 * kinetic + mu))
     code, _, diagnostics = decide_class(modes.eigenvalues.ravel(), diag_score,
                                         float(np.max(2 * kinetic)) / h_norm)
@@ -350,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     matrix_args.add_argument("--tol", type=_finite_float(True), default=REALITY_TOL,
                              help="reality/hermiticity tolerance (default 1e-9)")
     matrix_args.add_argument("--kappa-max", type=_finite_float(True), default=KAPPA_MAX,
-                             help="diagonalizability cutoff (default 1e8)")
+                             help="cutoff on ||V||_F ||V^-1||_F, V the eigenvectors (default 1e8)")
     seed_args = argparse.ArgumentParser(add_help=False)
     seed_args.add_argument("--seed", type=int, default=DEFAULT_SEED)
 

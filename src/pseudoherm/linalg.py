@@ -7,9 +7,9 @@ and the small validation/norm helpers the rest of the package builds on.
 Conventions. Right eigenvectors psi_n are the columns of ``right``; left
 eigenvectors phi_n are the columns of ``left`` and satisfy
 phi_m^dag psi_n = delta_mn, so that sum_n lambda_n psi_n phi_n^dag
-reconstructs the matrix.  The left system is obtained from the inverse of
-the right eigenvector matrix, never from a second eigensolve, so the two
-systems never need eigenvalue re-matching.
+reconstructs the matrix.  The inverse of the right eigenvector matrix V,
+never a second eigensolve, gives the left system, so the two systems never
+need eigenvalue re-matching; it also scores V as ||V||_F ||V^-1||_F.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import DegenerateSystem, EigFailure, NotPositiveDefinite
 
-# Condition number of the right-eigenvector matrix beyond which a matrix is
-# treated as numerically defective.
+# ||V||_F ||V^-1||_F of the right-eigenvector matrix V beyond which a matrix
+# is treated as numerically defective.
 KAPPA_MAX = 1e8
 
 # Eigenvalues closer than CLUSTER_TOL*(1+|lambda|), the larger |lambda| of the
@@ -133,8 +133,8 @@ def herm_residual(A, norm=None):
 class Spectrum:
     """Eigenvalues with a biorthonormalized right/left eigenvector system.
 
-    diag_score is the condition number of the raw right-eigenvector matrix
-    (before any within-cluster orthonormalization); it stays huge for
+    diag_score is ||V||_F ||V^-1||_F >= cond_2(V) of the raw right eigenvectors
+    V (before any within-cluster orthonormalization); it stays huge for
     defective matrices and is the diagnostic classify() cuts on.  For a
     stack every field but dim, and every method's result, leads with (k,).
     """
@@ -225,6 +225,17 @@ def biorthonormalize(right: np.ndarray, left: np.ndarray):
     return right, best.reshape(left.shape)
 
 
+def _invert(V):
+    """(V^{-1}, refused) over a stack, with pinv where LAPACK refuses a singular V."""
+    try:
+        return np.linalg.inv(V), np.zeros(len(V), dtype=bool)
+    except np.linalg.LinAlgError:   # invert matrix by matrix
+        if len(V) == 1:
+            return np.linalg.pinv(V), np.ones(1, dtype=bool)
+        W, refused = zip(*map(_invert, V[:, None]))
+        return np.concatenate(W), np.concatenate(refused)
+
+
 def eig_full(M) -> Spectrum:
     """Two-sided eigendecomposition of a general complex matrix.
 
@@ -232,9 +243,9 @@ def eig_full(M) -> Spectrum:
     orthonormalized among themselves (stabilizes everything built from
     near-degenerate systems, e.g. +k/-k lattice modes); the left system is
     the conjugated inverse of the right matrix, polished by
-    ``biorthonormalize`` unless diag_score is past 1e12.  diag_score is the
-    condition number of the *raw* eigenvector matrix so defective inputs
-    keep their tell-tale blow-up.
+    ``biorthonormalize`` unless diag_score is past 1e12.  diag_score is
+    ||V||_F ||V^-1||_F in [cond_2(V), n cond_2(V)] (inf for a singular V) of
+    the *raw* V, before a cluster QR would make a Jordan block's V unitary.
 
     M may be a (k, n, n) stack: a single matrix runs as a stack of one, each
     step runs once over the stack, and each matrix's entries are
@@ -246,24 +257,17 @@ def eig_full(M) -> Spectrum:
         w, V = np.linalg.eig(M.reshape(-1, n, n))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
         raise EigFailure(str(exc)) from exc
-    diag_score = np.linalg.cond(V, 2)
-    diag_score[~np.isfinite(diag_score)] = np.inf
+    W, refused = _invert(V)
+    diag_score = frobenius_norm(V) * frobenius_norm(W)
+    diag_score[refused | ~np.isfinite(diag_score)] = np.inf
 
-    for i in np.flatnonzero(np.count_nonzero(_close_pairs(w, CLUSTER_TOL), axis=(-2, -1)) > n):
+    clustered = np.flatnonzero(np.count_nonzero(_close_pairs(w, CLUSTER_TOL), axis=(-2, -1)) > n)
+    for i in clustered:
         for cluster in _cluster_indices(w[i], CLUSTER_TOL):
             if len(cluster) > 1:
                 V[i][:, cluster] = np.linalg.qr(V[i][:, cluster])[0]
-
-    try:
-        W = np.linalg.inv(V)
-    except np.linalg.LinAlgError:   # an exactly singular V: invert matrix by matrix
-        W = np.empty_like(V)
-        for i, Vi in enumerate(V):
-            try:
-                W[i] = np.linalg.inv(Vi)
-            except np.linalg.LinAlgError:
-                W[i] = np.linalg.pinv(Vi)
-                diag_score[i] = np.inf
+    W[clustered], refused = _invert(V[clustered])
+    diag_score[clustered[refused]] = np.inf
     left = dagger(W)
 
     polish = diag_score <= 1e12

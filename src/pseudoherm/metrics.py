@@ -201,7 +201,7 @@ def decide_class(eigenvalues, diag_score, hermiticity_residual,
     (n,) eigenvalues or a stack's (..., n): (codes, pairing, diagnostics).
 
     codes index CLASSES per matrix: NonDiagonalizable when diag_score, the
-    eigenvector conditioning, exceeds kappa_max; Hermitian by direct
+    eigenvector score ||V||_F ||V^-1||_F, exceeds kappa_max; Hermitian by direct
     residual (every eigenvalue its own partner); QuasiHermitian for a real
     spectrum; PseudoHermitianOnly when it is closed under conjugation with at
     least one pair; NotPseudoHermitian otherwise.  pairing is pair_spectrum's,

@@ -174,4 +174,4 @@ def test_exactly_hermitian_input_needs_no_residual_svd(monkeypatch, n):
     cls = classify(H)
     assert cls.kind is OperatorClass.HERMITIAN
     assert cls.diagnostics["hermiticity_residual"] == 0.0
-    assert svds == ["cond"]   # eig_full's cond(V) alone
+    assert svds == []   # eig_full scores V from the inverse it takes anyway

@@ -19,13 +19,14 @@ from pseudoherm.errors import ParseError
 from pseudoherm.kleingordon import (
     evolve,
     fv_hamiltonian,
+    fv_modes,
     kg_inner,
     make_grid,
     pd_inner,
     random_state,
     sigma3_metric,
 )
-from pseudoherm.linalg import norm_lower_bound, spectral_norm
+from pseudoherm.linalg import eig_full, norm_lower_bound, spectral_norm
 from pseudoherm.metrics import OperatorClass, build_positive_metric, classify
 from pseudoherm.physical import indefinite_physical_set, restrict_to_physical
 from pseudoherm.models import jordan_block, pt2x2, random_quasi
@@ -84,7 +85,7 @@ def test_matrix_from_json_validation():
 def test_classify_hermitian(matrix_file, capsys):
     code, report = run_cli(capsys, ["classify", matrix_file(SIGMA1)])
     assert code == EXIT_OK
-    assert report["schema"] == 2
+    assert report["schema"] == 3
     assert report["classification"] == "Hermitian"
     assert len(report["spectrum"]) == 2
 
@@ -130,7 +131,10 @@ def test_classify_dimension_mismatch(tmp_path, capsys):
     ({"dim": 2, "re": [[1, 2], [0, 0]], "im": [[0, None], [0, 0]]}, "'im' has entries"),
     ({"dim": "2", "re": [[1, 2], [0, 0]], "im": [[0, 0], [0, 0]]}, "dim must be an integer"),
     ({"dim": 2.0, "re": [[1, 2], [0, 0]], "im": [[0, 0], [0, 0]]}, "dim must be an integer"),
-], ids=["object", "strings", "null", "string_dim", "float_dim"])
+    # numpy converts these to int64 and float64: true would read as 1.
+    ({"dim": 2, "re": [[True, 1], [0, 0]], "im": [[0, 0], [0, 0]]}, "true/false entries"),
+    ({"dim": 2, "re": [[0, 1.5], [0, 0]], "im": [[0, 0], [False, 0]]}, "true/false entries"),
+], ids=["object", "strings", "null", "string_dim", "float_dim", "bool_int", "bool_float"])
 def test_classify_refuses_entries_that_are_not_numbers(tmp_path, capsys, matrix, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(matrix))
@@ -139,6 +143,17 @@ def test_classify_refuses_entries_that_are_not_numbers(tmp_path, capsys, matrix,
     assert captured.out == "" and message in captured.err
     with pytest.raises(ParseError, match=message):
         matrix_from_json(matrix)
+
+
+def test_true_under_another_key_still_loads(tmp_path, capsys):
+    # The file holds a t byte, so the entries are scanned, and hold no boolean.
+    path = tmp_path / "flagged.json"
+    path.write_text(json.dumps({"dim": 2, "re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]],
+                                "comment": True}))
+    M, _ = load_matrix(path)
+    assert np.array_equal(M, [[0, 1], [1, 0]])
+    code, report = run_cli(capsys, ["classify", str(path)])
+    assert code == EXIT_OK and report["classification"] == "Hermitian"
 
 
 def test_matrix_from_json_reads_integer_entries():
@@ -202,7 +217,7 @@ def test_hermitize_reports_rho_and_h_but_not_eta(matrix_file, capsys):
     # eta = rho^2 is what metric emits; hermitize keeps its signature only.
     code, report = run_cli(capsys, ["hermitize", matrix_file(pt2x2(1, np.pi / 6, 1))])
     assert code == EXIT_OK
-    assert report["schema"] == 2 and report["metric"] is None
+    assert report["schema"] == 3 and report["metric"] is None
     assert report["signature"] == [2, 0]
     rho = matrix_from_json(report["rho"])
     assert np.allclose(rho, rho.conj().T) and np.all(np.linalg.eigvalsh(rho) > 0)
@@ -312,6 +327,24 @@ def test_kg_makes_no_svd(capsys, monkeypatch):
     assert code == EXIT_OK
     assert report["classification"] == "QuasiHermitian"
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_kg_diag_score_is_the_largest_block_score(capsys, monkeypatch, n):
+    # kg's closed form max_k 2(c^2 + t^2)/(c^2 - t^2) against eig_full on each 2x2 block;
+    # it bounds cond_2 of the block-diagonal eigenvector matrix and does not grow with N.
+    import pseudoherm.cli as cli
+
+    scores, decide = [], cli.decide_class
+    monkeypatch.setattr(cli, "decide_class", lambda w, score, *a: scores.append(score)
+                        or decide(w, score, *a))
+    code, _ = run_cli(capsys, ["kg", "--n", str(n), "--samples", "2"])
+    assert code == EXIT_OK and len(scores) == 1
+    modes = fv_modes(make_grid(n, 20 * np.pi, 1.0))
+    blocks = eig_full(modes.blocks)
+    assert scores[0] == pytest.approx(np.max(blocks.diag_score), rel=1e-12)
+    sv = np.linalg.svd(blocks.right, compute_uv=False)
+    assert np.max(sv) / np.min(sv) <= scores[0] <= 2 * np.max(sv[:, 0] / sv[:, 1])
 
 
 def test_kg_refuses_a_non_diagonalizable_grid(capsys):
@@ -547,7 +580,7 @@ def test_norms_computed_once(matrix_file, capsys, monkeypatch, argv):
     out = capsys.readouterr().out
     monkeypatch.undo()
     assert exact == []
-    assert svds == ["cond"]   # eig_full's cond(V); every residual is O(n^2)
+    assert svds == []   # diag_score and every residual are O(n^2) past eig and inv
     assert out.count("\n") == 1 and out.endswith("\n")   # one compact line
     report = json.loads(out, parse_constant=_reject_constant)
 
@@ -580,7 +613,7 @@ def test_norms_computed_once(matrix_file, capsys, monkeypatch, argv):
 
 
 def test_verify_makes_no_residual_svd(capsys, monkeypatch):
-    # Per dimension group: generate's two, eig_full's cond(V) and tau's invertibility test.
+    # Per dimension group: generate's two and tau's invertibility test.
     import pseudoherm.linalg as linalg
 
     exact = count_calls(monkeypatch, linalg.spectral_norm)
@@ -592,7 +625,7 @@ def test_verify_makes_no_residual_svd(capsys, monkeypatch):
     code, report = run_cli(capsys, ["verify", "--count", "60", "--dims", "2-4", "--seed", "11"])
     assert code == EXIT_OK and report["suite"]["failures"] == 0
     assert exact == []
-    assert sorted(callers) == sorted(3 * ["_similar", "_similar", "cond in eig_full",
+    assert sorted(callers) == sorted(3 * ["_similar", "_similar",
                                           "check_conjugation_equivalence"])
 
 

@@ -22,7 +22,7 @@ EPS = np.finfo(float).eps
 def test_eig_identity():
     S = eig_full(np.eye(2, dtype=complex))
     assert np.allclose(S.eigenvalues, [1, 1])
-    assert S.diag_score == pytest.approx(1.0)
+    assert S.diag_score == pytest.approx(2.0)   # ||I||_F ||I^-1||_F
 
 
 def test_eig_pauli_x():
@@ -306,20 +306,25 @@ def _reference_biorthonormalize(right, left):
 
 def _reference_eig_full(M):
     """(eigenvalues, right, left, diag_score) of one matrix, step by step:
-    eig, cond of the raw V, QR of each degenerate cluster, inv (pinv for a
-    singular V) and the polish when diag_score <= 1e12."""
+    eig, inv of the raw V (pinv for a singular V), diag_score
+    ||V||_F ||V^-1||_F (inf after a pinv), QR of each degenerate cluster and
+    inv again after it, and the polish when diag_score <= 1e12."""
     w, V = np.linalg.eig(M)
-    diag_score = float(np.linalg.cond(V, 2))
-    if not np.isfinite(diag_score):
-        diag_score = np.inf
-    for cluster in _pairwise_clusters(w, CLUSTER_TOL):
-        if len(cluster) > 1:
-            V[:, cluster] = np.linalg.qr(V[:, cluster])[0]
     try:
         W = np.linalg.inv(V)
+        diag_score = float(frobenius_norm(V) * frobenius_norm(W))
     except np.linalg.LinAlgError:
-        W = np.linalg.pinv(V)
+        W, diag_score = np.linalg.pinv(V), np.inf
+    if not np.isfinite(diag_score):
         diag_score = np.inf
+    clusters = [cluster for cluster in _pairwise_clusters(w, CLUSTER_TOL) if len(cluster) > 1]
+    for cluster in clusters:
+        V[:, cluster] = np.linalg.qr(V[:, cluster])[0]
+    if clusters:
+        try:
+            W = np.linalg.inv(V)
+        except np.linalg.LinAlgError:
+            W, diag_score = np.linalg.pinv(V), np.inf
     left = W.conj().T
     if diag_score <= 1e12:
         left = _reference_biorthonormalize(V, left)
@@ -417,6 +422,37 @@ def test_eig_full_inverts_a_refused_v_alone(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", refusing_inv)
     _assert_matches_reference(stack)
     assert eig_full(stack).diag_score.tolist().count(np.inf) == 1
+
+
+def _bracket_inputs():
+    """name -> matrix: planted inputs at n = 2 to 256 and cond(S) = 1e2 to 1e7,
+    pt2x2(1, 0.7, s) on both sides of its exceptional point s = sin 0.7, and
+    Jordan blocks."""
+    rng = np.random.default_rng(29)
+    cases = {f"planted_n{n}_kappa{kappa:.0e}": _planted(
+        rng, _planted_spectrum(rng, n, paired=kappa == 1e4), kappa)
+        for n in (2, 8, 32, 256) for kappa in (1e2, 1e4, 1e7)}
+    for delta in (1e-2, 1e-6, 1e-10, 1e-14, 1e-16, 0.0, -1e-16, -1e-12, -1e-6):
+        cases[f"pt2x2_{delta:g}"] = pt2x2(1.0, 0.7, np.sin(0.7) * (1 + delta))
+    for n in (2, 3, 5, 8):
+        cases[f"jordan_n{n}"] = jordan_block(n, 0.3 - 0.2j)
+    return cases
+
+
+BRACKET = _bracket_inputs()
+
+
+@pytest.mark.parametrize("name", list(BRACKET))
+def test_diag_score_brackets_cond_of_v(name):
+    # cond_2(V) <= ||V||_F ||V^-1||_F <= n cond_2(V), cond_2 by an SVD of the raw V.
+    # Both sides come from a nearly singular V: the lower side has slack 10 eps cond_2(V).
+    H = BRACKET[name]
+    sv = np.linalg.svd(np.linalg.eig(H)[1], compute_uv=False)
+    cond = sv[0] / sv[-1]
+    score = eig_full(H).diag_score
+    assert cond * (1 - 10 * EPS * cond) <= score <= len(H) * cond
+    if name.startswith("jordan"):
+        assert score > KAPPA_MAX
 
 
 def test_stacked_eig_full_polishes_in_one_call(monkeypatch):
