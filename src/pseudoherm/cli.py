@@ -310,7 +310,6 @@ def cmd_verify(args) -> tuple[dict, int]:
     report = _new_report(_params_digest(params))
     specs = make_ensemble(kinds, args.count, dims, base_seed=args.seed)
     suite = run_equivalence_suite(specs)
-    del suite["records"]  # desk-sized: failed_instances alone names what failed
     report["suite"] = suite
     report["residuals"] = suite["worst_residuals"]
     report["notes"] = (f"{suite['instances']} instances, {suite['skipped']} skipped, "

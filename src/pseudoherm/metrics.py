@@ -19,7 +19,9 @@ build_general_metric, verify_intertwining, antilinear_symmetry,
 antilinear_residual and eta_inner take a (k, n, n) stack too (its (k, n)
 eigenvalues or permutations where they take those), as eig_full and
 herm_sqrt do, and give per-matrix arrays.  The class of a stack is decided
-in one pass over arrays, with no Python loop over matrices or eigenvalues.
+over arrays, with no Python loop over matrices: pair_spectrum's greedy loop
+runs once per Im > 0 eigenvalue of the widest row, each step covering every
+matrix.
 """
 
 from __future__ import annotations
@@ -137,16 +139,15 @@ def pair_spectrum(S: Spectrum | np.ndarray, tol: float = REALITY_TOL) -> np.ndar
     """The partner permutation p of a Spectrum's, or an array's, (..., n)
     eigenvalues: lambda_{p[n]} ~ conj(lambda_n), and p[n] = n on real ones.
 
-    lambda is real when |Im lambda| <= tol*(1+|lambda|).  Largest Im first,
-    lowest index among ties, each lambda_n with Im > 0 takes the nearest
-    remaining conj(lambda) with Im lambda < 0 (the first among ties), within
-    tol*(1+|lambda_n|).  An eigenvalue left without a partner certifies that
-    no metric operator exists: one matrix raises UnpairedEigenvalue with it,
-    and a stack's row holds -1 there and n elsewhere.  Distances are taken
-    among the non-real eigenvalues only, so a real spectrum costs O(n).  A
-    round settles, in every row at once, the Im > 0 eigenvalues (uppers) up
-    to the first whose nearest partner an earlier one also wants, since
-    those choices are final: only a contested partner costs another round.
+    lambda is real when |Im lambda| <= tol*(1+|lambda|).  The greedy loop:
+    largest Im first, lowest index among ties, each lambda_n with Im > 0 (an
+    upper) takes the nearest remaining conj(lambda) with Im lambda < 0 (the
+    first among ties), within tol*(1+|lambda_n|).  An eigenvalue left without
+    a partner certifies that no metric operator exists: one matrix raises
+    UnpairedEigenvalue with it, and a stack's row holds -1 there and n
+    elsewhere.  Step j of the loop pairs the j-th upper of every row at
+    once, at O(n) per upper; a row whose upper misses stops there.  A real
+    spectrum skips the loop and costs O(n).
     """
     w = S.eigenvalues if isinstance(S, Spectrum) else np.asarray(S)
     flat = w.reshape(-1, w.shape[-1])
@@ -154,43 +155,30 @@ def pair_spectrum(S: Spectrum | np.ndarray, tol: float = REALITY_TOL) -> np.ndar
     p = np.arange(n) + np.zeros((k, 1), dtype=int)
     nonreal = np.abs(flat.imag) > tol * (1.0 + np.abs(flat))
     if nonreal.any():
-        m = nonreal.sum(axis=-1).max()
         lost = np.full(k, -1)   # the unpaired eigenvalue of each row
-        row = np.arange(k)[:, None]
-        at = np.argsort(~nonreal, axis=-1, kind="stable")[:, :m]   # non-real first, by index
-        v, live = flat[row, at], nonreal[row, at]
-        lower = live & (v.imag < 0)
-        rank = np.argsort(np.where(live & ~lower, -v.imag, np.inf), axis=-1, kind="stable")
-        u = v[row, rank]   # the uppers in the greedy order, then the rest
-        gap = np.abs(v[:, None, :] - u.conj()[:, :, None])
-        band, count = tol * (1.0 + np.abs(u)), np.count_nonzero(live & ~lower, axis=-1)
-        ranks, start = np.arange(m), np.zeros(k, dtype=int)
-        choice = np.full((k, m), -1)
-        rows = np.flatnonzero(count)
-        while rows.size:
-            g = np.where(lower[rows, None, :], gap[rows], np.inf)
-            near = np.argmin(g, axis=-1)
-            pending = (ranks >= start[rows, None]) & (ranks < count[rows, None])
-            contested = pending & np.any((near[:, :, None] == near[:, None, :])
-                                         & pending[:, None, :] & (ranks < ranks[:, None]), axis=-1)
-            start[rows] = np.where(contested.any(axis=-1), contested.argmax(axis=-1), count[rows])
-            settled = pending & (ranks < start[rows, None])
-            miss = settled & ~(g.min(axis=-1) <= band[rows])
-            failed = miss.any(axis=-1)
-            lost[rows[failed]] = at[rows[failed], rank[rows[failed], miss[failed].argmax(axis=-1)]]
-            r, j = np.nonzero(settled & ~failed[:, None])
-            choice[rows[r], j] = near[r, j]
-            lower[rows[r], near[r, j]] = False
-            rows = rows[~failed & (start[rows] < count[rows])]
+        at = np.argsort(~nonreal, axis=-1, kind="stable")[:, :nonreal.sum(axis=-1).max()]
+        v = np.take_along_axis(flat, at, axis=-1)   # non-real first, by index
+        live = np.take_along_axis(nonreal, at, axis=-1)
+        upper, lower = live & (v.imag > 0), live & (v.imag < 0)
+        order = np.argsort(np.where(upper, -v.imag, np.inf), axis=-1, kind="stable")
+        count = np.count_nonzero(upper, axis=-1)
+        for j in range(count.max()):
+            r = np.flatnonzero((lost < 0) & (count > j))
+            a = order[r, j]
+            gap = np.where(lower[r], np.abs(v[r] - v[r, a].conj()[:, None]), np.inf)
+            b = np.argmin(gap, axis=-1)
+            hit = gap[np.arange(len(r)), b] <= tol * (1.0 + np.abs(v[r, a]))
+            lost[r[~hit]] = at[r[~hit], a[~hit]]
+            r, a, b = r[hit], at[r[hit], a[hit]], b[hit]
+            lower[r, b] = False
+            p[r, a], p[r, at[r, b]] = at[r, b], a
         # With every upper matched, the first lower left over is unpaired.
         r = np.flatnonzero((lost < 0) & lower.any(axis=-1))
         lost[r] = at[r, lower[r].argmax(axis=-1)]
-        r, j = np.nonzero((choice >= 0) & (lost < 0)[:, None])
-        a, b = at[r, rank[r, j]], at[r, choice[r, j]]
-        p[r, a], p[r, b] = b, a
         r = np.flatnonzero(lost >= 0)
         if w.ndim == 1 and r.size:
             raise UnpairedEigenvalue(w[lost[0]])
+        p[r] = np.arange(n)
         p[r, lost[r]] = -1
     return p.reshape(w.shape)
 

@@ -137,20 +137,14 @@ def generate(specs):
 
     One spec returns (H, planted eigenvalues, S) for quasi and
     pseudo_nonquasi, H for hermitian and defective (a Jordan block with a
-    random eigenvalue).  Each matrix of a stack equals its spec's alone.
+    random eigenvalue).  A sequence returns (H, planted eigenvalues, S of the
+    quasi and pseudo_nonquasi specs, generators): each spec's
+    default_rng(seed), left just past the fixed draws of its matrix, so that
+    a caller draws on from the instance's one stream.  Each matrix of a stack
+    equals its spec's alone.
     """
-    if isinstance(specs, EnsembleSpec):
-        H, lam, S, _ = _generate([specs])
-        return (H[0], lam[0], S[0]) if len(S) else H[0]
-    return _generate(specs)[0]
-
-
-def _generate(specs):
-    """generate's stack of a sequence of specs of one dim, as (H, planted
-    eigenvalues, S of the quasi and pseudo_nonquasi specs, generators): each
-    spec's default_rng(seed), left just past the fixed draws of its matrix,
-    so that a caller draws on from the instance's one stream."""
-    specs = list(specs)
+    single = isinstance(specs, EnsembleSpec)
+    specs = [specs] if single else list(specs)
     if not specs or len({spec.dim for spec in specs}) > 1:
         raise ValueError("generate takes one spec or a nonempty sequence of specs of one dim")
     n = specs[0].dim
@@ -169,4 +163,6 @@ def _generate(specs):
     H[hermitian] = 0.5 * (G + dagger(G))
     for i in defective:
         H[i] = jordan_block(n, complex(rngs[i].uniform(-1, 1), rngs[i].uniform(-1, 1)))
+    if single:
+        return (H[0], lam[0], S[0]) if len(S) else H[0]
     return H, lam, S, rngs

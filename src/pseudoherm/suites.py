@@ -14,8 +14,10 @@ pass, then build_general_metric, verify_intertwining, antilinear_symmetry
 and antilinear_residual on the stack of paired matrices, and the positive
 legs' herm_sqrt and eta_inner on the stack of positive metrics.  One seeded
 generator per instance draws its matrix and then the vectors of leg d, so
-(kind, dim, seed) pins every number of an instance in any stack.  What is
-left here is the bookkeeping of the legs and the eigvals of h.
+(kind, dim, seed) pins every number of an instance in any stack.  Each leg
+and residual is one array over the instances (equivalence_columns), which
+run_equivalence_suite reduces to counts, worst residuals and the failing
+instances.
 """
 
 from __future__ import annotations
@@ -28,11 +30,14 @@ from .linalg import INVERTIBILITY_TOL, POSITIVITY_TOL, Spectrum, herm_residual, 
 from .metrics import (INTERTWINE_TOL, Classification, MetricOperator, OperatorClass,
                       antilinear_residual, antilinear_symmetry, build_general_metric,
                       classify, eta_inner, verify_intertwining)
-from .models import EnsembleSpec, _generate
+from .models import EnsembleSpec, generate
 
 INNER_PAIRS = 20
 CONJUGATION_LEGS = ("pair_ok", "metric_ok", "antilinear_ok")
 POSITIVE_LEGS = ("real_spectrum", "positive_ok", "hermitize_ok", "inner_ok")
+LEGS = CONJUGATION_LEGS + POSITIVE_LEGS
+RESIDUALS = ("metric_residual", "antilinear_residual", "hermiticity_residual",
+             "spectrum_drift", "inner_deviation")
 
 
 def make_ensemble(kinds, count, dims, base_seed=0, conditioning_cap=1e3):
@@ -79,42 +84,41 @@ def classify_group(H) -> Group:
                  verify_intertwining(H[paired], metric, norm))
 
 
-def check_conjugation_equivalence(group: Group) -> list[dict]:
-    """Legs of the metric-existence equivalence for each matrix of a group.
+def _spread(k, at, values):
+    """A (k,) array holding values at positions at, False or NaN elsewhere."""
+    out = np.zeros(k, dtype=bool) if values.dtype == bool else np.full(k, np.nan)
+    out[at] = values
+    return out
+
+
+def check_conjugation_equivalence(group: Group) -> dict:
+    """Legs of the metric-existence equivalence for a group, as (k,) arrays.
 
     a: spectrum closed under conjugation; b: the canonical metric is
     invertible and intertwines within 1e-8; c: the antilinear symmetry
     tau = Psi M Phi^T is invertible and commutes within 1e-8.  A failed
     pairing leaves no construction to attempt, so legs b and c fail
-    alongside leg a.
+    alongside leg a.  skipped marks the NonDiagonalizable matrices, whose
+    legs all read False; a residual not computed reads NaN.
     """
-    results = []
-    for score, kind in zip(group.cls.spectrum.diag_score.tolist(), group.cls.kind.tolist()):
-        result = {"diag_score": score, "skipped": kind is OperatorClass.NON_DIAGONALIZABLE}
-        if kind is OperatorClass.NOT_PSEUDO_HERMITIAN:
-            result.update(pair_ok=False, metric_ok=False, antilinear_ok=False, agree=True)
-        results.append(result)
-
+    k, at, invertible = len(group.cls.kind), group.paired, group.metric.invertible
     tau = antilinear_symmetry(group.spectrum, group.pairing)
     sv = np.linalg.svd(tau, compute_uv=False)   # invertibility only: ||tau|| is a lower bound
     antilinear = antilinear_residual(group.H, tau, group.norm)
     antilinear_ok = (antilinear <= INTERTWINE_TOL) & (sv[:, -1] > INVERTIBILITY_TOL * sv[:, 0])
-    for i, invertible, residual, commutation, commutes in zip(
-            group.paired.tolist(), group.metric.invertible.tolist(), group.residual.tolist(),
-            antilinear.tolist(), antilinear_ok.tolist()):
-        result = results[i]
-        result.update(pair_ok=True, metric_ok=invertible and residual <= INTERTWINE_TOL)
-        if invertible:
-            result["metric_residual"] = residual
-        result.update(antilinear_residual=commutation, antilinear_ok=commutes,
-                      agree=result["metric_ok"] and commutes)   # pair_ok == metric_ok == commutes
-    return results
+    return {"skipped": np.array([kind is OperatorClass.NON_DIAGONALIZABLE
+                                 for kind in group.cls.kind.tolist()], dtype=bool),
+            "pair_ok": _spread(k, at, np.ones(len(at), dtype=bool)),
+            "metric_ok": _spread(k, at, invertible & (group.residual <= INTERTWINE_TOL)),
+            "antilinear_ok": _spread(k, at, antilinear_ok),
+            "metric_residual": _spread(k, at[invertible], group.residual[invertible]),
+            "antilinear_residual": _spread(k, at, antilinear)}
 
 
-def check_positive_metric_equivalence(group: Group, rngs) -> list[dict]:
-    """Legs of the real-spectrum/positive-metric equivalence for each matrix
-    of a group; rngs holds one generator per matrix, which draws leg d's
-    vectors.
+def check_positive_metric_equivalence(group: Group, rngs) -> dict:
+    """Legs of the real-spectrum/positive-metric equivalence for a group, as
+    (k,) arrays as in check_conjugation_equivalence; rngs holds one
+    generator per matrix, which draws leg d's vectors.
 
     a: classified (quasi-)Hermitian; b: the canonical metric of an all-real
     pairing is invertible and positive-definite (eta_+); c: eta_+ intertwines
@@ -122,22 +126,12 @@ def check_positive_metric_equivalence(group: Group, rngs) -> list[dict]:
     h = rho H rho^{-1} is Hermitian and isospectral with H within 1e-8; d:
     Hermiticity of H in the eta_+ inner product on random vector pairs.
     """
-    results = []
-    for kind in group.cls.kind.tolist():
-        result = {"skipped": kind is OperatorClass.NON_DIAGONALIZABLE,
-                  "classification": kind.value}
-        if not result["skipped"]:
-            result["real_spectrum"] = kind in (OperatorClass.HERMITIAN,
-                                               OperatorClass.QUASI_HERMITIAN)
-            result.update(positive_ok=False, hermitize_ok=False, inner_ok=False)
-        results.append(result)
-
     metric = group.metric
-    all_real = np.all(group.pairing == np.arange(group.spectrum.dim), axis=-1)
+    k, n = len(group.cls.kind), group.spectrum.dim
+    all_real = np.all(group.pairing == np.arange(n), axis=-1)
     built = np.flatnonzero(all_real & metric.invertible & metric.positive_definite)
     index = group.paired[built]
     eta, eta_norm, H = metric.matrix[built], metric.norm[built], group.H[built]
-    n = H.shape[-1]
 
     # Leg c, as hermitize: the intertwining gate is leg b's residual, then
     # herm_sqrt's positivity test on leg b's eigenvalues of eta_+.
@@ -163,87 +157,65 @@ def check_positive_metric_equivalence(group: Group, rngs) -> list[dict]:
     rhs = eta_inner(eta, chi, psi @ HT).conj()   # <chi, eta H psi>*
     inner = np.max(np.abs(lhs - rhs), axis=-1) / (group.norm[built] * eta_norm)
 
-    for i, smallest, deviation in zip(index.tolist(), metric.min_abs_eigenvalue[built].tolist(),
-                                      inner.tolist()):
-        results[i].update(positive_ok=True, metric_min_eig=smallest,
-                          inner_deviation=deviation, inner_ok=deviation <= INTERTWINE_TOL)
-    for i, residual, shift in zip(index[mapped].tolist(), hermiticity.tolist(), drift.tolist()):
-        results[i].update(hermiticity_residual=residual, spectrum_drift=shift,
-                          hermitize_ok=residual <= INTERTWINE_TOL and shift <= INTERTWINE_TOL)
-    for result in results:
-        if not result["skipped"]:
-            result["agree"] = len({result[leg] for leg in POSITIVE_LEGS}) == 1
-    return results
+    hermitized = index[mapped]
+    return {"real_spectrum": group.cls.diagnostics["n_real"] == n,
+            "positive_ok": _spread(k, index, np.ones(len(index), dtype=bool)),
+            "hermitize_ok": _spread(k, hermitized, (hermiticity <= INTERTWINE_TOL)
+                                    & (drift <= INTERTWINE_TOL)),
+            "inner_ok": _spread(k, index, inner <= INTERTWINE_TOL),
+            "hermiticity_residual": _spread(k, hermitized, hermiticity),
+            "spectrum_drift": _spread(k, hermitized, drift),
+            "inner_deviation": _spread(k, index, inner)}
 
 
-def failed_legs(kind: str, conjugation: dict, positive: dict) -> list[str]:
-    """Names of the legs in which an instance of the planted kind fails;
-    empty when it passes.  Every conjugation leg must hold, and every
-    positive-metric leg must be true exactly for the quasi and hermitian
-    kinds; only the defective kind may be skipped."""
-    if conjugation["skipped"] or positive["skipped"]:
-        return [] if kind == "defective" else ["skipped"]
-    expected_positive = kind in ("quasi", "hermitian")
-    return ([leg for leg in CONJUGATION_LEGS if not conjugation[leg]]
-            + [leg for leg in POSITIVE_LEGS if positive[leg] != expected_positive])
+def equivalence_columns(specs) -> dict:
+    """Both checks over an ensemble, run by dimension: every leg and residual
+    of check_conjugation_equivalence and check_positive_metric_equivalence as
+    one array over the instances, in spec order."""
+    specs = list(specs)
+    by_dim: dict[int, list[int]] = {}
+    for i, spec in enumerate(specs):
+        by_dim.setdefault(spec.dim, []).append(i)
+    columns = ({key: np.zeros(len(specs), dtype=bool) for key in ("skipped",) + LEGS}
+               | {key: np.full(len(specs), np.nan) for key in RESIDUALS})
+    for positions in by_dim.values():
+        H, _, _, rngs = generate([specs[i] for i in positions])
+        group = classify_group(H)
+        checks = check_conjugation_equivalence(group)
+        for key, value in (checks | check_positive_metric_equivalence(group, rngs)).items():
+            columns[key][positions] = value
+    return columns
 
 
 def run_equivalence_suite(specs) -> dict:
     """Run both equivalence checks over an ensemble; aggregate per-leg stats.
 
-    A suite passes when every non-skipped instance has internally agreeing
-    legs and matches its planted kind (quasi/hermitian instances must admit
-    the positive metric, pseudo_nonquasi ones must be refused).
-    failed_instances names (kind, dim, seed, failed legs) of every failure,
-    enough to regenerate and re-check it.
+    A suite passes when every non-skipped instance matches its planted kind
+    in every leg: each conjugation leg holds, and each positive-metric leg
+    holds exactly for the quasi and hermitian kinds; only the defective kind
+    may be skipped.  failed_instances names (kind, dim, seed, failed legs) of
+    every failure, enough to regenerate and re-check it.
     """
     specs = list(specs)
-    by_dim: dict[int, list[int]] = {}
-    for i, spec in enumerate(specs):
-        by_dim.setdefault(spec.dim, []).append(i)
-    records = [None] * len(specs)
-    for positions in by_dim.values():
-        H, _, _, rngs = _generate([specs[i] for i in positions])
-        group = classify_group(H)
-        one = check_conjugation_equivalence(group)
-        two = check_positive_metric_equivalence(group, rngs)
-        for i, conjugation, positive in zip(positions, one, two):
-            spec = specs[i]
-            records[i] = {"kind": spec.kind, "dim": spec.dim, "seed": spec.seed,
-                          "conjugation": conjugation, "positive": positive}
-
-    skipped = 0
+    columns = equivalence_columns(specs)
+    kinds = np.array([spec.kind for spec in specs])
+    skipped, kept = columns["skipped"], ~columns["skipped"]
+    expected = np.isin(kinds, ("quasi", "hermitian"))
+    wrong = np.stack([~columns[leg] for leg in CONJUGATION_LEGS]
+                     + [columns[leg] != expected for leg in POSITIVE_LEGS], axis=-1)
     failed = []
-    worst = {"metric_residual": 0.0, "antilinear_residual": 0.0,
-             "hermiticity_residual": 0.0, "spectrum_drift": 0.0,
-             "inner_deviation": 0.0}
-    counts = {"pair_ok": 0, "metric_ok": 0, "antilinear_ok": 0,
-              "positive_ok": 0, "hermitize_ok": 0, "inner_ok": 0}
-    for rec in records:
-        one, two = rec["conjugation"], rec["positive"]
-        legs = failed_legs(rec["kind"], one, two)
-        rec["ok"] = not legs
-        if legs:
-            failed.append({"kind": rec["kind"], "dim": rec["dim"], "seed": rec["seed"],
-                           "legs": legs})
-        if one["skipped"] or two["skipped"]:
-            skipped += 1
-            continue
-        for key in counts:
-            src = one if key in one else two
-            counts[key] += bool(src.get(key))
-        for key in worst:
-            for src in (one, two):
-                if key in src:
-                    worst[key] = max(worst[key], src[key])
-
+    for i in np.flatnonzero(np.where(skipped, kinds != "defective", wrong.any(axis=-1))).tolist():
+        legs = ["skipped"] if skipped[i] else [leg for leg, bad in zip(LEGS, wrong[i]) if bad]
+        failed.append({"kind": specs[i].kind, "dim": specs[i].dim, "seed": specs[i].seed,
+                       "legs": legs})
     return {
         "instances": len(specs),
-        "skipped": skipped,
+        "skipped": int(np.count_nonzero(skipped)),
         "failures": len(failed),
         "passed": not failed,
-        "leg_counts": counts,
-        "worst_residuals": worst,
+        "leg_counts": {leg: int(np.count_nonzero(columns[leg][kept]))
+                       for leg in LEGS if leg != "real_spectrum"},
+        "worst_residuals": {key: float(np.fmax.reduce(columns[key][kept], initial=0.0))
+                            for key in RESIDUALS},
         "failed_instances": failed,
-        "records": records,
     }

@@ -115,7 +115,9 @@ def _oracle_spectra():
     """Eigenvalues of generated instances of every kind at dims 1-12, as they
     come, with exact duplicates, and with the duplicates moved 0.1-10 times
     the reality tolerance; then the degenerate spectra, alone and under a
-    kappa = 10 similarity."""
+    kappa = 10 similarity; then planted n = 64 and 256 spectra with n // 4
+    conjugate pairs in random order, with distinct pairs, with pairs drawn
+    again from the same centres, and with exact duplicates of any entry."""
     rng = np.random.default_rng(17)
     for kind in KINDS:
         for n in range(2 if kind in ("pseudo_nonquasi", "defective") else 1, 13):
@@ -134,6 +136,15 @@ def _oracle_spectra():
     for lam in DEGENERATE:
         yield np.array(lam)
         yield _similar_spectrum(lam, 10.0, 3)
+    for n in (64, 256):
+        for seed in range(3):
+            centres = rng.uniform(-1, 1, n // 4) + 1j * rng.uniform(1e-2, 1, n // 4)
+            fill = rng.uniform(-1, 1, n - n // 2)
+            for pairs in (centres, centres[rng.integers(0, n // 4, n // 4)]):
+                yield rng.permutation(np.concatenate([pairs, pairs.conj(), fill]))
+            dup = rng.permutation(np.concatenate([centres, centres.conj(), fill]))
+            dup[rng.permutation(n)[:n // 8]] = dup[rng.integers(0, n, n // 8)]
+            yield dup
 
 
 def test_pair_spectrum_matches_the_frozen_greedy_loop():

@@ -3,11 +3,13 @@
 The oracle below is that loop: one classify and one pair of checks per
 instance, each built from the single-matrix metrics functions, on the
 matrix models.generate builds for the instance's spec alone.  The batched
-suite, which generates each dimension group as one stack, must give the
-same records; every residual whose arithmetic did not change is compared
-bit for bit.
+suite, which generates each dimension group as one stack and keeps each
+leg and residual as one column over the instances, must give the same
+legs and residuals; every residual whose arithmetic did not change is
+compared bit for bit.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -30,8 +32,17 @@ from pseudoherm.metrics import (
     hermitize,
     verify_intertwining,
 )
-from pseudoherm.models import KINDS, EnsembleSpec, _generate, generate, jordan_block
-from pseudoherm.suites import INNER_PAIRS, make_ensemble, run_equivalence_suite
+from pseudoherm.models import KINDS, EnsembleSpec, generate, jordan_block
+from pseudoherm.suites import (
+    CONJUGATION_LEGS,
+    INNER_PAIRS,
+    LEGS,
+    POSITIVE_LEGS,
+    RESIDUALS,
+    equivalence_columns,
+    make_ensemble,
+    run_equivalence_suite,
+)
 
 EPS = np.finfo(float).eps
 
@@ -147,6 +158,42 @@ def oracle_record(spec):
             "conjugation": one, "positive": two, "ok": ok}
 
 
+def oracle_failed_legs(kind, conjugation, positive):
+    """Names of the legs in which an instance of the planted kind fails;
+    empty when it passes.  Every conjugation leg must hold, and every
+    positive-metric leg must be true exactly for the quasi and hermitian
+    kinds; only the defective kind may be skipped."""
+    if conjugation["skipped"] or positive["skipped"]:
+        return [] if kind == "defective" else ["skipped"]
+    expected_positive = kind in ("quasi", "hermitian")
+    return ([leg for leg in CONJUGATION_LEGS if not conjugation[leg]]
+            + [leg for leg in POSITIVE_LEGS if positive[leg] != expected_positive])
+
+
+def assert_columns_match(columns, records):
+    """The suite's columns against the oracle's records, instance by
+    instance: a leg the oracle leaves out (a skipped instance) reads False
+    and a residual it leaves out reads NaN.  Everything is bit-identical but
+    the inner-product deviation: the 20 pairs are summed in another order
+    (one product over the stack, E(H chi) by matmul, vdot by sum).  Both
+    values are roundoff of an exactly zero difference, at most 1.6e-15 over
+    these ensembles; the two differ by at most 2.0e-16 (measured)."""
+    assert set(columns) == {"skipped", *LEGS, *RESIDUALS}
+    for i, rec in enumerate(records):
+        one, two = rec["conjugation"], rec["positive"]
+        where = (rec["kind"], rec["dim"], rec["seed"])
+        assert columns["skipped"][i] == one["skipped"] == two["skipped"], where
+        for leg in LEGS:
+            assert columns[leg][i] == (one if leg in CONJUGATION_LEGS else two).get(leg, False), \
+                (leg, where)
+        for key in RESIDUALS:
+            got, want = columns[key][i], {**one, **two}.get(key, np.nan)
+            if key == "inner_deviation" and not np.isnan(want):
+                assert abs(got - want) <= 10 * EPS, where
+            else:
+                assert np.array_equal(got, want, equal_nan=True), (key, where)
+
+
 def oracle_leg_counts(records):
     counts = dict.fromkeys(("pair_ok", "metric_ok", "antilinear_ok",
                             "positive_ok", "hermitize_ok", "inner_ok"), 0)
@@ -156,6 +203,16 @@ def oracle_leg_counts(records):
             for key in counts:
                 counts[key] += bool((one if key in one else two).get(key))
     return counts
+
+
+def oracle_worst_residuals(records):
+    worst = dict.fromkeys(RESIDUALS, 0.0)
+    for rec in records:
+        for src in (rec["conjugation"], rec["positive"]):
+            for key in worst:
+                if key in src:
+                    worst[key] = max(worst[key], src[key])
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -175,21 +232,14 @@ def test_batched_suite_matches_per_instance_oracle(name):
     specs = ENSEMBLES[name]
     suite = run_equivalence_suite(specs)
     expected = [oracle_record(spec) for spec in specs]
-    assert len(suite["records"]) == len(expected)
-    for got, want in zip(suite["records"], expected):
-        # Everything but the inner-product deviation is bit-identical: legs,
-        # ok, skipped, diag_score, every residual, metric_min_eig, key sets.
-        got_inner = got["positive"].pop("inner_deviation", None)
-        want_inner = want["positive"].pop("inner_deviation", None)
-        assert got == want, (got["kind"], got["dim"], got["seed"])
-        # The 20 pairs are summed in another order (one product over the
-        # stack, E(H chi) by matmul, vdot by sum).  Both values are roundoff
-        # of an exactly zero difference, at most 1.6e-15 over these
-        # ensembles; the two differ by at most 2.0e-16 (measured).
-        assert (got_inner is None) == (want_inner is None)
-        if got_inner is not None:
-            assert abs(got_inner - want_inner) <= 10 * EPS
+    columns = equivalence_columns(specs)
+    assert all(len(column) == len(expected) for column in columns.values())
+    assert_columns_match(columns, expected)
     assert suite["leg_counts"] == oracle_leg_counts(expected)
+    worst = oracle_worst_residuals(expected)
+    assert abs(suite["worst_residuals"].pop("inner_deviation") - worst.pop("inner_deviation")) \
+        <= 10 * EPS
+    assert suite["worst_residuals"] == worst
     assert suite["failures"] == sum(not rec["ok"] for rec in expected)
     assert suite["skipped"] == sum(rec["conjugation"]["skipped"] for rec in expected)
 
@@ -201,17 +251,9 @@ def test_refused_roots_match_the_oracle(monkeypatch):
     monkeypatch.setattr(linalg, "POSITIVITY_TOL", 1e-2)
     monkeypatch.setattr(suites, "POSITIVITY_TOL", 1e-2)
     specs = ENSEMBLES["mixed dims 1-8"]
-    refused = 0
-    for got, spec in zip(run_equivalence_suite(specs)["records"], specs):
-        want = oracle_record(spec)
-        got_inner = got["positive"].pop("inner_deviation", None)
-        want_inner = want["positive"].pop("inner_deviation", None)
-        assert got == want, (spec.kind, spec.dim, spec.seed)
-        assert (got_inner is None) == (want_inner is None)
-        if got_inner is not None:
-            assert abs(got_inner - want_inner) <= 10 * EPS
-        refused += bool(got["positive"].get("positive_ok")) and not got["positive"]["hermitize_ok"]
-    assert refused == 59
+    columns = equivalence_columns(specs)
+    assert_columns_match(columns, [oracle_record(spec) for spec in specs])
+    assert np.count_nonzero(columns["positive_ok"] & ~columns["hermitize_ok"]) == 59
 
 
 def test_stacked_eig_full_matches_per_matrix():
@@ -266,9 +308,29 @@ def test_verify_report_lists_failed_instances(capsys, monkeypatch):
         # Reproduce from the report alone: regenerate, re-check by the oracle.
         spec = EnsembleSpec(entry["dim"], entry["seed"], entry["kind"])
         rec = oracle_record(spec)
-        legs = suites.failed_legs(spec.kind, rec["conjugation"], rec["positive"])
+        legs = oracle_failed_legs(spec.kind, rec["conjugation"], rec["positive"])
         assert legs == entry["legs"], entry
         assert not rec["ok"]
+    # ... and the oracle fails no instance the report leaves out.
+    listed = {(entry["kind"], entry["dim"], entry["seed"]) for entry in failed}
+    for spec in make_ensemble(["quasi", "pseudo_nonquasi", "hermitian"], 9, [2, 3, 4], 5):
+        assert oracle_record(spec)["ok"] == ((spec.kind, spec.dim, spec.seed) not in listed)
+
+
+def test_verify_names_skipped_instances_of_diagonalizable_kinds(capsys, monkeypatch):
+    # diag_score >= n >= 1, so kappa_max = 0.5 takes every matrix for
+    # NonDiagonalizable: an instance of a diagonalizable kind that is
+    # skipped fails as "skipped", and a skipped defective one passes.
+    monkeypatch.setattr(suites, "classify", functools.partial(classify, kappa_max=0.5))
+    code = main(["verify", "--count", "9", "--dims", "2-4", "--seed", "5"])
+    suite = json.loads(capsys.readouterr().out)["suite"]
+    assert code == EXIT_SUITE_FAIL
+    assert suite["skipped"] == suite["failures"] == 9
+    assert [entry["legs"] for entry in suite["failed_instances"]] == 9 * [["skipped"]]
+    code = main(["verify", "--ensemble", "defective", "--count", "4", "--dims", "2-3"])
+    suite = json.loads(capsys.readouterr().out)["suite"]
+    assert code == 0 and suite["passed"]
+    assert suite["skipped"] == 4 and suite["failed_instances"] == []
 
 
 def test_verify_report_lists_no_instance_on_a_pass(capsys):
@@ -278,14 +340,16 @@ def test_verify_report_lists_no_instance_on_a_pass(capsys):
 
 def test_leg_d_does_not_depend_on_the_stack():
     # One generator per instance draws its matrix, then its inner-product
-    # vectors: the record is the same alone and inside a mixed stack, bit for bit.
+    # vectors: every leg and residual is the same alone and inside a mixed
+    # stack, bit for bit.
     stack = make_ensemble(["quasi", "pseudo_nonquasi", "hermitian", "defective"], 24, [5],
                           base_seed=41)
-    records = run_equivalence_suite(stack)["records"]
-    for spec, record in zip(stack, records):
-        alone = run_equivalence_suite([spec])["records"][0]
-        assert alone == record, (spec.kind, spec.seed)
-    assert sum("inner_deviation" in r["positive"] for r in records) == 12
+    columns = equivalence_columns(stack)
+    for i, spec in enumerate(stack):
+        alone = equivalence_columns([spec])
+        for key, column in columns.items():
+            assert np.array_equal(alone[key], column[i:i + 1], equal_nan=True), (key, spec)
+    assert np.count_nonzero(~np.isnan(columns["inner_deviation"])) == 12
 
 
 def test_oracle_continues_each_instance_stream():
@@ -293,5 +357,5 @@ def test_oracle_continues_each_instance_stream():
     for n in range(1, 9):
         specs = [EnsembleSpec(n, 60 + i, kind) for i, kind in enumerate(KINDS * 3)
                  if n >= 2 or kind in ("quasi", "hermitian")]
-        for spec, rng in zip(specs, _generate(specs)[3]):
+        for spec, rng in zip(specs, generate(specs)[3]):
             assert rng.bit_generator.state == instance_stream(spec).bit_generator.state, spec
