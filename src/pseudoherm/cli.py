@@ -38,7 +38,6 @@ from .kleingordon import (
 )
 from .linalg import KAPPA_MAX, herm_residual
 from .metrics import (
-    CLASSES,
     OperatorClass,
     REALITY_TOL,
     antilinear_residual,
@@ -245,13 +244,12 @@ def cmd_kg(args) -> tuple[dict, int]:
     q = (w + mu + 2 * kinetic) / (w + mu)
     diag_score = float(np.max(q + 1 / q))
     h_norm = float(np.max(2 * kinetic + mu))
-    code, _, diagnostics = decide_class(modes.eigenvalues.ravel(), diag_score,
+    kind, _, diagnostics = decide_class(modes.eigenvalues.ravel(), diag_score,
                                         float(np.max(2 * kinetic)) / h_norm)
-    kind = CLASSES[code]
-    if kind is OperatorClass.NON_DIAGONALIZABLE:   # +/- omega_k are real: the only refusal
+    if kind == OperatorClass.NON_DIAGONALIZABLE:   # +/- omega_k are real: the only refusal
         raise NonDiagonalizableError(
             f"diag_score {diag_score:.3e} exceeds the diagonalizability cutoff")
-    report["classification"] = kind.value
+    report["classification"] = str(kind)
     # h_k^dag sigma3 = sigma3 h_k exactly; the Frobenius norm bounds the 2-norm with no SVD.
     report["residuals"]["sigma3_intertwining"] = float(
         np.linalg.norm(h.swapaxes(-1, -2) @ sigma3 - sigma3 @ h)) / h_norm

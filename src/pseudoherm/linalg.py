@@ -281,11 +281,11 @@ def herm_sqrt(P) -> np.ndarray:
     """Positive-definite square root of a Hermitian positive-definite matrix.
 
     Standard spectral functional calculus: eigendecompose, take sqrt of the
-    (strictly positive) eigenvalues.  Raises NotPositiveDefinite when the
-    smallest eigenvalue is at or below tolerance, which flags a failed
-    positive-metric construction upstream.  A (k, n, n) stack gives the stack
-    of roots, each bit-identical to its own herm_sqrt, and raises when any
-    matrix is refused.
+    (strictly positive) eigenvalues.  A smallest eigenvalue at or below
+    POSITIVITY_TOL times the largest flags a failed positive-metric
+    construction upstream: one matrix raises NotPositiveDefinite, and in a
+    (k, n, n) stack that matrix's root is all NaN, every other root
+    bit-identical to its own herm_sqrt.  Input that is not self-adjoint raises.
     """
     P = as_square_matrix(P, stack=True)
     residual = herm_residual(P)
@@ -294,8 +294,10 @@ def herm_sqrt(P) -> np.ndarray:
                                   f"(residual {np.max(residual):.3e})")
     evals, U = np.linalg.eigh(0.5 * (P + dagger(P)))
     refused = evals[..., 0] <= POSITIVITY_TOL * evals[..., -1]
-    if np.any(refused):
+    if P.ndim == 2 and refused:
         raise NotPositiveDefinite(
-            f"minimum eigenvalue {np.min(evals[..., 0][refused]):.3e} is not positive")
+            f"minimum eigenvalue {evals[0]:.3e} is at most POSITIVITY_TOL = {POSITIVITY_TOL:g} "
+            f"times the maximum {evals[-1]:.3e} (ratio {ratio(evals[0], evals[-1]):.3e})")
+    evals[refused] = np.nan   # before the sqrt, which warns on a negative eigenvalue
     Q = (U * np.sqrt(evals)[..., None, :]) @ dagger(U)
     return 0.5 * (Q + dagger(Q))

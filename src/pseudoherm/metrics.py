@@ -67,10 +67,7 @@ class OperatorClass(str, enum.Enum):
     PSEUDO_HERMITIAN_ONLY = "PseudoHermitianOnly"
     NOT_PSEUDO_HERMITIAN = "NotPseudoHermitian"
     NON_DIAGONALIZABLE = "NonDiagonalizable"
-
-
-# decide_class's class codes index this tuple.
-CLASSES = tuple(OperatorClass)
+    __str__ = str.__str__   # the name, as in 3.11's StrEnum: numpy stores members as names
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,9 +75,9 @@ class Classification:
     """Class of H with the decomposition and the partner permutation
     (pair_spectrum) that decided it; pairing is None exactly for
     NonDiagonalizable and NotPseudoHermitian.  For a (k, n, n) stack, kind is
-    the (k,) object array of OperatorClass, pairing the (k, n) permutations
-    with rows of -1 where one matrix would have None, and diagnostics a dict
-    of (k,) arrays (decide_class's, and norm)."""
+    the (k,) array of class names (kind == OperatorClass.X is elementwise),
+    pairing the (k, n) permutations with rows of -1 where one matrix would
+    have None, and diagnostics a dict of (k,) arrays (decide_class's, and norm)."""
 
     kind: OperatorClass | np.ndarray
     spectrum: Spectrum
@@ -186,9 +183,9 @@ def pair_spectrum(S: Spectrum | np.ndarray, tol: float = REALITY_TOL) -> np.ndar
 def decide_class(eigenvalues, diag_score, hermiticity_residual,
                  tol: float = REALITY_TOL, kappa_max: float = KAPPA_MAX):
     """The class rule of classify from its three inputs, for one matrix's
-    (n,) eigenvalues or a stack's (..., n): (codes, pairing, diagnostics).
+    (n,) eigenvalues or a stack's (..., n): (kind, pairing, diagnostics).
 
-    codes index CLASSES per matrix: NonDiagonalizable when diag_score, the
+    kind holds each matrix's class name: NonDiagonalizable when diag_score, the
     eigenvector score ||V||_F ||V^-1||_F, exceeds kappa_max; Hermitian by direct
     residual (every eigenvalue its own partner); QuasiHermitian for a real
     spectrum; PseudoHermitianOnly when it is closed under conjugation with at
@@ -212,16 +209,16 @@ def decide_class(eigenvalues, diag_score, hermiticity_residual,
     pairing[none] = -1
     n_real = (pairing == np.arange(n)).sum(axis=-1)
     n_real[none] = -1
-    code = CLASSES.index
-    codes = np.where(n_real == n, code(OperatorClass.QUASI_HERMITIAN),
-                     code(OperatorClass.PSEUDO_HERMITIAN_ONLY))
-    codes[unpaired] = code(OperatorClass.NOT_PSEUDO_HERMITIAN)
-    codes[hermitian] = code(OperatorClass.HERMITIAN)
-    codes[nondiag] = code(OperatorClass.NON_DIAGONALIZABLE)
+    # Sized for the longest name, so that no assignment below truncates one.
+    kind = np.where(n_real == n, OperatorClass.QUASI_HERMITIAN,
+                    OperatorClass.PSEUDO_HERMITIAN_ONLY).astype(f"U{max(map(len, OperatorClass))}")
+    kind[unpaired] = OperatorClass.NOT_PSEUDO_HERMITIAN
+    kind[hermitian] = OperatorClass.HERMITIAN
+    kind[nondiag] = OperatorClass.NON_DIAGONALIZABLE
     diagnostics = {"diag_score": score, "hermiticity_residual": residual, "n_real": n_real,
                    "n_pairs": np.where(none, -1, (n - n_real) // 2),
                    "unpaired_eigenvalue": np.where(unpaired, culprit, np.nan)}
-    return (codes.reshape(lead), pairing.reshape(lead + (n,)),
+    return (kind.reshape(lead), pairing.reshape(lead + (n,)),
             {key: value.reshape(lead) for key, value in diagnostics.items()})
 
 
@@ -234,13 +231,13 @@ def classify(H, tol: float = REALITY_TOL, kappa_max: float = KAPPA_MAX) -> Class
     H = as_square_matrix(H, stack=True)
     S = eig_full(H)
     norm = norm_lower_bound(H)
-    codes, pairing, diagnostics = decide_class(S.eigenvalues, S.diag_score,
-                                               herm_residual(H, norm), tol, kappa_max)
+    kind, pairing, diagnostics = decide_class(S.eigenvalues, S.diag_score,
+                                              herm_residual(H, norm), tol, kappa_max)
     diagnostics["norm"] = np.asarray(norm)
     if H.ndim == 3:
-        return Classification(np.array(CLASSES, dtype=object)[codes], S, pairing, diagnostics)
-    # A single matrix: scalars, and only the diagnostics that apply.
-    kind = CLASSES[codes]
+        return Classification(kind, S, pairing, diagnostics)
+    # A single matrix: an OperatorClass, scalars, and only the diagnostics that apply.
+    kind = OperatorClass(kind.item())
     single = {key: value.item() for key, value in diagnostics.items()}
     if kind is not OperatorClass.NOT_PSEUDO_HERMITIAN:
         del single["unpaired_eigenvalue"]

@@ -12,12 +12,13 @@ one (k, n, n) stack, which goes once through the metrics functions:
 classify, whose classes and partner permutations are arrays decided in one
 pass, then build_general_metric, verify_intertwining, antilinear_symmetry
 and antilinear_residual on the stack of paired matrices, and the positive
-legs' herm_sqrt and eta_inner on the stack of positive metrics.  One seeded
-generator per instance draws its matrix and then the vectors of leg d, so
-(kind, dim, seed) pins every number of an instance in any stack.  Each leg
-and residual is one array over the instances (equivalence_columns), which
-run_equivalence_suite reduces to counts, worst residuals and the failing
-instances.
+legs' herm_sqrt and eta_inner on the stack of positive metrics.  Refusals
+are read off the stacked results (a pairing row of -1, invertible False, a
+NaN root), never re-derived here.  One seeded generator per instance draws
+its matrix and then the vectors of leg d, so (kind, dim, seed) pins every
+number of an instance in any stack.  Each leg and residual is one array over
+the instances (equivalence_columns), which run_equivalence_suite reduces to
+counts, worst residuals and the failing instances.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import INVERTIBILITY_TOL, POSITIVITY_TOL, Spectrum, herm_residual, herm_sqrt
+from .linalg import INVERTIBILITY_TOL, Spectrum, herm_residual, herm_sqrt
 from .metrics import (INTERTWINE_TOL, Classification, MetricOperator, OperatorClass,
                       antilinear_residual, antilinear_symmetry, build_general_metric,
                       classify, eta_inner, verify_intertwining)
@@ -106,8 +107,7 @@ def check_conjugation_equivalence(group: Group) -> dict:
     sv = np.linalg.svd(tau, compute_uv=False)   # invertibility only: ||tau|| is a lower bound
     antilinear = antilinear_residual(group.H, tau, group.norm)
     antilinear_ok = (antilinear <= INTERTWINE_TOL) & (sv[:, -1] > INVERTIBILITY_TOL * sv[:, 0])
-    return {"skipped": np.array([kind is OperatorClass.NON_DIAGONALIZABLE
-                                 for kind in group.cls.kind.tolist()], dtype=bool),
+    return {"skipped": group.cls.kind == OperatorClass.NON_DIAGONALIZABLE,
             "pair_ok": _spread(k, at, np.ones(len(at), dtype=bool)),
             "metric_ok": _spread(k, at, invertible & (group.residual <= INTERTWINE_TOL)),
             "antilinear_ok": _spread(k, at, antilinear_ok),
@@ -122,7 +122,7 @@ def check_positive_metric_equivalence(group: Group, rngs) -> dict:
 
     a: classified (quasi-)Hermitian; b: the canonical metric of an all-real
     pairing is invertible and positive-definite (eta_+); c: eta_+ intertwines
-    within 1e-8, its square root rho = herm_sqrt(eta_+) exists, and
+    within 1e-8, herm_sqrt(eta_+) gives a root rho (not NaN), and
     h = rho H rho^{-1} is Hermitian and isospectral with H within 1e-8; d:
     Hermiticity of H in the eta_+ inner product on random vector pairs.
     """
@@ -134,10 +134,11 @@ def check_positive_metric_equivalence(group: Group, rngs) -> dict:
     eta, eta_norm, H = metric.matrix[built], metric.norm[built], group.H[built]
 
     # Leg c, as hermitize: the intertwining gate is leg b's residual, then
-    # herm_sqrt's positivity test on leg b's eigenvalues of eta_+.
-    mapped = np.flatnonzero((group.residual[built] <= INTERTWINE_TOL)
-                            & (metric.min_abs_eigenvalue[built] > POSITIVITY_TOL * eta_norm))
-    rho = herm_sqrt(eta[mapped])
+    # herm_sqrt, whose roots are NaN where it refuses eta_+.
+    gated = np.flatnonzero(group.residual[built] <= INTERTWINE_TOL)
+    rho = herm_sqrt(eta[gated])
+    root = ~np.isnan(rho[:, 0, 0])
+    mapped, rho = gated[root], rho[root]
     h = rho @ H[mapped] @ np.linalg.inv(rho)
     hermiticity = herm_residual(h)
     spec_in = np.sort_complex(group.spectrum.eigenvalues[built[mapped]])

@@ -228,6 +228,15 @@ def test_hermitize_command_refuses_complex_pair(matrix_file, capsys):
     code = main(["hermitize", matrix_file(pt2x2(1, np.pi / 2, 0.5))])
     capsys.readouterr()
     assert code == EXIT_NUMERIC
+    # A real spectrum whose eta_+ = Phi Phi^dag has lambda_min = 0.5 but
+    # lambda_min/lambda_max = 2.5e-11: metric accepts it, and hermitize's square
+    # root refuses it by the ratio, which the message names.
+    S = np.array([[1.0, 1.0], [0.0, 1e-5]])
+    code = main(["hermitize", matrix_file(S @ np.diag([1.0, 2.0]) @ np.linalg.inv(S))])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERIC
+    assert "minimum eigenvalue 5.000e-01 is at most POSITIVITY_TOL = 1e-10 times the " \
+        "maximum 2.000e+10 (ratio 2.500e-11)" in err
 
 
 def test_symmetry_command(matrix_file, capsys):

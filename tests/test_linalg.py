@@ -191,14 +191,25 @@ def test_stacked_herm_sqrt_matches_per_matrix(n):
         assert np.array_equal(roots[i], herm_sqrt(one)), i
 
 
-@pytest.mark.parametrize("bad, message", [
-    (np.diag([1.0, -1.0]), r"minimum eigenvalue -1\.000e\+00 "),
-    (np.array([[1.0, 1.0], [0.0, 1.0]]), "not self-adjoint"),
+@pytest.mark.parametrize("bad, message, marked", [
+    (np.diag([1.0, -1.0]), r"minimum eigenvalue -1\.000e\+00 ", True),
+    (np.array([[1.0, 1.0], [0.0, 1.0]]), "not self-adjoint", False),
 ], ids=["indefinite", "not self-adjoint"])
-def test_stacked_herm_sqrt_refuses_one_bad_matrix(bad, message):
+def test_stacked_herm_sqrt_refuses_one_bad_matrix(bad, message, marked):
+    # Alone the bad matrix raises.  In a stack, one that is not positive-definite
+    # gets an all-NaN root and the others keep their own roots bit for bit;
+    # a stack that is not self-adjoint still raises.
     stack = np.stack([np.diag([1.0, 2.0]), bad, np.diag([3.0, 4.0])]).astype(complex)
     with pytest.raises(NotPositiveDefinite, match=message):
-        herm_sqrt(stack)
+        herm_sqrt(stack[1])
+    if not marked:
+        with pytest.raises(NotPositiveDefinite, match=message):
+            herm_sqrt(stack)
+        return
+    roots = herm_sqrt(stack)
+    assert np.all(np.isnan(roots[1]))
+    for i in (0, 2):
+        assert np.array_equal(roots[i], herm_sqrt(stack[i])), i
 
 
 def test_herm_residual_of_exactly_self_adjoint_input_needs_no_svd(monkeypatch):

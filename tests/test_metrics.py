@@ -17,6 +17,7 @@ from pseudoherm import (
     eta_inner,
     herm_residual,
     hermitize,
+    jordan_block,
     pair_spectrum,
     pt2x2,
     random_hermitian,
@@ -551,15 +552,16 @@ def test_stacked_metrics_functions_match_single_calls():
     quasi, _, _ = random_quasi(n, seed=2)
     paired, _, _ = random_pseudo_nonquasi(n, seed=3)
     unpaired = np.diag([1 + 1j, 2.0, 3.0, 4 - 0.5j])
-    stack = np.stack([quasi, paired, random_hermitian(n, seed=1), unpaired, quasi.T])
+    stack = np.stack([quasi, paired, random_hermitian(n, seed=1), unpaired, quasi.T,
+                      jordan_block(n, 0.3)])
     cls = classify(stack)
     singles = [classify(M) for M in stack]
     assert [one.kind for one in singles] == [
         OperatorClass.QUASI_HERMITIAN, OperatorClass.PSEUDO_HERMITIAN_ONLY,
         OperatorClass.HERMITIAN, OperatorClass.NOT_PSEUDO_HERMITIAN,
-        OperatorClass.QUASI_HERMITIAN]
+        OperatorClass.QUASI_HERMITIAN, OperatorClass.NON_DIAGONALIZABLE]
     for i, one in enumerate(singles):
-        assert cls.kind[i] is one.kind, i
+        assert cls.kind[i] == one.kind, i
         if one.pairing is None:
             assert np.all(cls.pairing[i] == -1), i
         else:
@@ -567,6 +569,11 @@ def test_stacked_metrics_functions_match_single_calls():
         assert {key: value[i].item() for key, value in cls.diagnostics.items()
                 if key in one.diagnostics} == one.diagnostics, i
         assert np.array_equal(cls.spectrum.left[i], one.spectrum.left), i
+    # The stacked names compare as data: elementwise, against every class.
+    for member in OperatorClass:
+        assert (cls.kind == member).tolist() == [one.kind is member for one in singles], member
+    assert np.isin(cls.kind, [OperatorClass.HERMITIAN, OperatorClass.QUASI_HERMITIAN]).tolist() \
+        == [True, False, True, False, True, False]
 
     keep = [0, 1, 2, 4]
     S = Spectrum(n, *(a[keep] for a in (cls.spectrum.eigenvalues, cls.spectrum.right,

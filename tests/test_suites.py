@@ -18,7 +18,7 @@ import pytest
 import pseudoherm.linalg as linalg
 import pseudoherm.metrics as metrics
 import pseudoherm.suites as suites
-from pseudoherm.cli import EXIT_SUITE_FAIL, main
+from pseudoherm.cli import EXIT_OK, EXIT_SUITE_FAIL, main, save_matrix
 from pseudoherm.errors import PseudohermError
 from pseudoherm.linalg import _cluster_indices, eig_full, herm_residual
 from pseudoherm.metrics import (
@@ -249,7 +249,6 @@ def test_refused_roots_match_the_oracle(monkeypatch):
     # positive metrics of "mixed dims 1-8"; no lambda_min/lambda_max lies within
     # 1% of it.  The oracle's hermitize refuses the same ones, one at a time.
     monkeypatch.setattr(linalg, "POSITIVITY_TOL", 1e-2)
-    monkeypatch.setattr(suites, "POSITIVITY_TOL", 1e-2)
     specs = ENSEMBLES["mixed dims 1-8"]
     columns = equivalence_columns(specs)
     assert_columns_match(columns, [oracle_record(spec) for spec in specs])
@@ -315,6 +314,25 @@ def test_verify_report_lists_failed_instances(capsys, monkeypatch):
     listed = {(entry["kind"], entry["dim"], entry["seed"]) for entry in failed}
     for spec in make_ensemble(["quasi", "pseudo_nonquasi", "hermitian"], 9, [2, 3, 4], 5):
         assert oracle_record(spec)["ok"] == ((spec.kind, spec.dim, spec.seed) not in listed)
+
+
+def test_a_failed_instance_reproduces_from_its_report(tmp_path, capsys, monkeypatch):
+    # A gate below roundoff, in suites only, fails verify's residual legs; classify
+    # on the matrix regenerated from the report's entry shows the metric leg's
+    # residual above the same gate.
+    gate = 1e-30
+    monkeypatch.setattr(suites, "INTERTWINE_TOL", gate)
+    code = main(["verify", "--count", "9", "--dims", "2-4", "--seed", "5"])
+    failed = json.loads(capsys.readouterr().out)["suite"]["failed_instances"]
+    assert code == EXIT_SUITE_FAIL
+    entry = next(entry for entry in failed if "metric_ok" in entry["legs"])
+    H = generate(EnsembleSpec(entry["dim"], entry["seed"], entry["kind"]))
+    path = tmp_path / "failed.json"
+    save_matrix(H[0] if isinstance(H, tuple) else H, path)
+    code = main(["classify", "--emit-metric", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK and report["metric"] is not None
+    assert report["residuals"]["intertwining"] > gate, entry
 
 
 def test_verify_names_skipped_instances_of_diagonalizable_kinds(capsys, monkeypatch):
