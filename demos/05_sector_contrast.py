@@ -16,7 +16,6 @@ from pseudoherm import (
     fv_hamiltonian,
     indefinite_physical_set,
     make_grid,
-    positive_norm_span,
     restrict_to_physical,
     sigma3_metric,
     spectral_norm,
@@ -43,7 +42,7 @@ for sector, vals in sorted(table.items()):
     print(f"    {sector:<16} : {counts[1]} positive, {counts[-1]} negative, {counts[0]} null")
 print()
 
-span = positive_norm_span(S, eta3)
+span = S.right[:, [n for n, s in signs if s > 0]]
 Q, _ = np.linalg.qr(span)
 proj_metric = Q @ Q.conj().T
 keep = S.eigenvalues.real > 0

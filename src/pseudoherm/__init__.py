@@ -28,10 +28,8 @@ from .errors import (
     UnpairedEigenvalue,
 )
 from .linalg import (
-    CLUSTER_TOL,
     KAPPA_MAX,
     Spectrum,
-    biorthonormalize,
     eig_full,
     herm_residual,
     herm_sqrt,
@@ -59,7 +57,6 @@ from .physical import (
     PhysicalSubspace,
     indefinite_physical_set,
     norm_signs,
-    positive_norm_span,
     restrict_to_physical,
 )
 from .kleingordon import (

@@ -14,7 +14,7 @@ class EigFailure(PseudohermError):
 
 
 class DegenerateSystem(PseudohermError):
-    """A left/right system is too close to singular to biorthonormalize."""
+    """build_general_metric's metric is singular, so it has no inverse."""
 
 
 class NonDiagonalizableError(PseudohermError):

@@ -7,9 +7,10 @@ and the small validation/norm helpers the rest of the package builds on.
 Conventions. Right eigenvectors psi_n are the columns of ``right``; left
 eigenvectors phi_n are the columns of ``left`` and satisfy
 phi_m^dag psi_n = delta_mn, so that sum_n lambda_n psi_n phi_n^dag
-reconstructs the matrix.  The inverse of the right eigenvector matrix V,
-never a second eigensolve, gives the left system, so the two systems never
-need eigenvalue re-matching; it also scores V as ||V||_F ||V^-1||_F.
+reconstructs the matrix.  The left system is left = V^{-dag}, the conjugated
+inverse of the right eigenvector matrix V: never a second eigensolve, so the
+two systems never need eigenvalue re-matching; the inverse also scores V as
+||V||_F ||V^-1||_F.
 """
 
 from __future__ import annotations
@@ -18,15 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSystem, EigFailure, NotPositiveDefinite
+from .errors import EigFailure, NotPositiveDefinite
 
 # ||V||_F ||V^-1||_F of the right-eigenvector matrix V beyond which a matrix
 # is treated as numerically defective.
 KAPPA_MAX = 1e8
-
-# Eigenvalues closer than CLUSTER_TOL*(1+|lambda|), the larger |lambda| of the
-# two, are one degenerate cluster when building the biorthonormal system.
-CLUSTER_TOL = 1e-8
 
 # A matrix is singular when sigma_min <= INVERTIBILITY_TOL * sigma_max.
 INVERTIBILITY_TOL = 1e-12
@@ -131,12 +128,12 @@ def herm_residual(A, norm=None):
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenvalues with a biorthonormalized right/left eigenvector system.
+    """Eigenvalues with a biorthonormal right/left eigenvector system.
 
-    diag_score is ||V||_F ||V^-1||_F >= cond_2(V) of the raw right eigenvectors
-    V (before any within-cluster orthonormalization); it stays huge for
-    defective matrices and is the diagnostic classify() cuts on.  For a
-    stack every field but dim, and every method's result, leads with (k,).
+    right is the eigensolver's V and left = V^{-dag}.  diag_score is
+    ||V||_F ||V^-1||_F >= cond_2(V); it stays huge for defective matrices
+    and is the diagnostic classify() cuts on.  For a stack every field but
+    dim leads with (k,).
     """
 
     dim: int
@@ -145,107 +142,27 @@ class Spectrum:
     left: np.ndarray          # columns phi_n, phi_m^dag psi_n = delta_mn
     diag_score: float
 
-    def gram_deviation(self):
-        """max |phi_m^dag psi_n - delta_mn|, the biorthonormality defect."""
-        G = dagger(self.left) @ self.right
-        return np.max(np.abs(G - np.eye(self.dim)), axis=(-2, -1))
 
-    def reconstruct(self) -> np.ndarray:
-        """sum_n lambda_n psi_n phi_n^dag; equals the original matrix when
-        diag_score is moderate."""
-        return (self.right * self.eigenvalues[..., None, :]) @ dagger(self.left)
+def biorthonormalize(V):
+    """(V^{-1}, refused) over a stack, with pinv where LAPACK refuses a singular V.
 
-
-def _close_pairs(w: np.ndarray, tol: float) -> np.ndarray:
-    """(..., n, n) booleans over the last axis of w: |lambda_i - lambda_j| <=
-    tol*(1 + max(|lambda_i|, |lambda_j|))."""
-    size = np.abs(w)
-    gap = np.abs(w[..., :, None] - w[..., None, :])
-    return gap <= tol * (1.0 + np.maximum(size[..., :, None], size[..., None, :]))
-
-
-def _cluster_indices(eigenvalues: np.ndarray, tol: float) -> list[list[int]]:
-    """Group eigenvalue indices whose values coincide within
-    tol*(1 + max(|lambda_i|, |lambda_j|)), a rule symmetric in the pair.
-
-    Closeness is not transitive, so take the transitive closure: each index
-    takes the smallest label among its close partners until no label moves.
-    Cluster membership must not depend on eigenvalue ordering.
-    """
-    close = _close_pairs(np.asarray(eigenvalues), tol)
-    label = np.arange(len(close))
-    while True:
-        moved = np.where(close, label, len(close)).min(axis=1)
-        moved = moved[moved]   # pointer jumping: a chain of m closes in O(log m) rounds
-        if np.array_equal(moved, label):
-            return [np.flatnonzero(label == m).tolist() for m in np.unique(label)]
-        label = moved
-
-
-def biorthonormalize(right: np.ndarray, left: np.ndarray):
-    """Rescale the left system so that left^dag . right = identity.
-
-    Only the left factor is adjusted (left' = left . G^{-dag} with
-    G = left^dag right), so both column spans are unchanged.  Iterates the
-    correction, at most three times, until the Gram defect stops improving;
-    one pass already gives a defect of order machine epsilon times the
-    conditioning of G.  A (k, n, n) stack runs each matrix by its own stop
-    rule, every pass one product over the matrices still improving.
-
-    Raises DegenerateSystem when G is singular beyond tolerance, which
-    signals a defective or mis-paired system.
-    """
-    right = as_square_matrix(right, stack=True)
-    left = as_square_matrix(left, stack=True)
-    if right.shape != left.shape:
-        raise ValueError("left/right shape mismatch")
-    n = right.shape[-1]
-    R = right.reshape(-1, n, n)
-    best = left.reshape(-1, n, n).copy()
-    eye = np.eye(n)
-    floor = 10 * np.finfo(float).eps * n
-
-    best_dev = np.max(np.abs(dagger(best) @ R - eye), axis=(-2, -1))
-    idx = np.flatnonzero(best_dev > floor)   # the matrices still to polish
-    for _ in range(3):
-        if idx.size == 0:
-            break
-        G = dagger(best[idx]) @ R[idx]
-        sv = np.linalg.svd(G, compute_uv=False)
-        singular = sv[:, -1] <= INVERTIBILITY_TOL * sv[:, 0]
-        if singular.any():
-            raise DegenerateSystem(f"left^dag.right of matrix {idx[singular][0]} is singular "
-                                   f"within tolerance (sigma_min {sv[singular][0, -1]:.3e})")
-        candidate = best[idx] @ dagger(np.linalg.inv(G))
-        dev = np.max(np.abs(dagger(candidate) @ R[idx] - eye), axis=(-2, -1))
-        improved = dev < best_dev[idx]
-        idx = idx[improved]
-        best[idx], best_dev[idx] = candidate[improved], dev[improved]
-        idx = idx[best_dev[idx] > floor]
-    return right, best.reshape(left.shape)
-
-
-def _invert(V):
-    """(V^{-1}, refused) over a stack, with pinv where LAPACK refuses a singular V."""
+    The conjugated inverse V^{-dag} is the left system biorthonormal to the
+    right system V, left^dag V = I up to roundoff."""
     try:
         return np.linalg.inv(V), np.zeros(len(V), dtype=bool)
     except np.linalg.LinAlgError:   # invert matrix by matrix
         if len(V) == 1:
             return np.linalg.pinv(V), np.ones(1, dtype=bool)
-        W, refused = zip(*map(_invert, V[:, None]))
+        W, refused = zip(*map(biorthonormalize, V[:, None]))
         return np.concatenate(W), np.concatenate(refused)
 
 
 def eig_full(M) -> Spectrum:
     """Two-sided eigendecomposition of a general complex matrix.
 
-    Right vectors come from the dense eigensolver; degenerate clusters are
-    orthonormalized among themselves (stabilizes everything built from
-    near-degenerate systems, e.g. +k/-k lattice modes); the left system is
-    the conjugated inverse of the right matrix, polished by
-    ``biorthonormalize`` unless diag_score is past 1e12.  diag_score is
-    ||V||_F ||V^-1||_F in [cond_2(V), n cond_2(V)] (inf for a singular V) of
-    the *raw* V, before a cluster QR would make a Jordan block's V unitary.
+    Right vectors V come from the dense eigensolver and the left system is
+    V^{-dag}, from one inverse per stack.  diag_score is
+    ||V||_F ||V^-1||_F in [cond_2(V), n cond_2(V)] (inf for a singular V).
 
     M may be a (k, n, n) stack: a single matrix runs as a stack of one, each
     step runs once over the stack, and each matrix's entries are
@@ -257,21 +174,10 @@ def eig_full(M) -> Spectrum:
         w, V = np.linalg.eig(M.reshape(-1, n, n))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
         raise EigFailure(str(exc)) from exc
-    W, refused = _invert(V)
+    W, refused = biorthonormalize(V)
     diag_score = frobenius_norm(V) * frobenius_norm(W)
     diag_score[refused | ~np.isfinite(diag_score)] = np.inf
-
-    clustered = np.flatnonzero(np.count_nonzero(_close_pairs(w, CLUSTER_TOL), axis=(-2, -1)) > n)
-    for i in clustered:
-        for cluster in _cluster_indices(w[i], CLUSTER_TOL):
-            if len(cluster) > 1:
-                V[i][:, cluster] = np.linalg.qr(V[i][:, cluster])[0]
-    W[clustered], refused = _invert(V[clustered])
-    diag_score[clustered[refused]] = np.inf
     left = dagger(W)
-
-    polish = diag_score <= 1e12
-    _, left[polish] = biorthonormalize(V[polish], left[polish])
     if M.ndim == 2:   # unwrap the stack of one
         w, V, left, diag_score = w[0], V[0], left[0], float(diag_score[0])
     return Spectrum(dim=n, eigenvalues=w, right=V, left=left, diag_score=diag_score)

@@ -94,11 +94,3 @@ def norm_signs(psi, eta_psi, eta_norm: float) -> np.ndarray:
     cutoff = ZERO_NORM_TOL * np.sum(np.abs(psi) ** 2, axis=-2) * eta_norm
     return np.where(np.abs(norms) <= cutoff, 0, np.sign(norms)).astype(int)
 
-
-def positive_norm_span(S: Spectrum, eta) -> np.ndarray:
-    """Basis (columns) of the span of positive-eta-norm eigenvectors."""
-    signs = indefinite_physical_set(S, eta)
-    keep = [n for n, s in signs if s > 0]
-    if not keep:
-        raise EmptyPhysicalSpace("no eigenvector has positive eta-norm")
-    return S.right[:, keep]

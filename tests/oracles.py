@@ -48,6 +48,19 @@ def signature_by_eigenvalues(eta):
     return int(np.sum(evals > 0)), int(np.sum(evals < 0))
 
 
+def gram_deviation(S):
+    """max |phi_m^dag psi_n - delta_mn| of a Spectrum, the biorthonormality
+    defect; a stacked Spectrum gives one per matrix."""
+    G = np.swapaxes(S.left.conj(), -1, -2) @ S.right
+    return np.max(np.abs(G - np.eye(S.dim)), axis=(-2, -1))
+
+
+def reconstruct(S):
+    """sum_n lambda_n psi_n phi_n^dag of a Spectrum (stacks allowed); equals
+    the original matrix when diag_score is moderate."""
+    return (S.right * S.eigenvalues[..., None, :]) @ np.swapaxes(S.left.conj(), -1, -2)
+
+
 # ---------------------------------------------------------------------------
 # direct (no-FFT) lattice quadrature
 

@@ -29,7 +29,7 @@ from pseudoherm.kleingordon import (
 from pseudoherm.linalg import eig_full, norm_lower_bound, spectral_norm
 from pseudoherm.metrics import OperatorClass, build_positive_metric, classify
 from pseudoherm.physical import indefinite_physical_set, restrict_to_physical
-from pseudoherm.models import jordan_block, pt2x2, random_quasi
+from pseudoherm.models import EnsembleSpec, generate, jordan_block, pt2x2, random_quasi
 
 from oracles import propagator_bound
 
@@ -195,6 +195,23 @@ def test_metric_command_quasi(matrix_file, capsys):
     assert code == EXIT_OK
     assert report["signature"] == [4, 0]
     assert report["residuals"]["intertwining"] <= 1e-8
+
+
+def test_scaled_input_keeps_its_metric(matrix_file, capsys):
+    # c H has the eigenvectors of H, so metric and hermitize must hold at every
+    # power of ten c from 1e-170 to 1e150, the class unchanged from c = 1.
+    H = generate(EnsembleSpec(6, 4, "quasi"))[0]
+    kind = run_cli(capsys, ["classify", matrix_file(H)])[1]["classification"]
+    failed = []
+    for e in range(-170, 151):
+        path = matrix_file(H * 10.0 ** e)
+        code, report = run_cli(capsys, ["metric", path])
+        hermitized = main(["hermitize", path])
+        capsys.readouterr()
+        if not (code == EXIT_OK and report["residuals"]["intertwining"] <= 1e-8
+                and report["classification"] == kind and hermitized == EXIT_OK):
+            failed.append(e)
+    assert failed == []
 
 
 def test_metric_command_refuses_unpaired(matrix_file, capsys):

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from pseudoherm import (
-    DegenerateSystem,
     NotPositiveDefinite,
-    biorthonormalize,
     build_positive_metric,
     classify,
     eig_full,
@@ -13,8 +11,10 @@ from pseudoherm import (
     norm_lower_bound,
     spectral_norm,
 )
-from pseudoherm.linalg import CLUSTER_TOL, KAPPA_MAX, _cluster_indices, dagger, frobenius_norm
+from pseudoherm.linalg import KAPPA_MAX, biorthonormalize, dagger, frobenius_norm
 from pseudoherm.models import jordan_block, pt2x2, random_hermitian, random_quasi
+
+from oracles import gram_deviation, reconstruct
 
 EPS = np.finfo(float).eps
 
@@ -49,17 +49,17 @@ def test_biorthonormality_defect_at_machine_level():
     for seed in range(8):
         H, _, _ = random_quasi(5 + seed % 3, seed=seed)
         S = eig_full(H)
-        assert S.gram_deviation() <= 10 * EPS * S.dim
+        assert gram_deviation(S) <= 10 * EPS * S.dim
 
 
 def test_biorthonormality_holds_with_degenerate_clusters():
-    # +k/-k lattice modes give exactly degenerate eigenvalues; the
-    # within-cluster orthonormalization must keep the Gram defect tiny
+    # +k/-k lattice modes give exactly degenerate eigenvalues; the inverse of
+    # the eigensolver's V keeps the Gram defect tiny there too
     from pseudoherm.kleingordon import fv_hamiltonian, make_grid
 
     H = fv_hamiltonian(make_grid(16, 9.0, 1.0))
     S = eig_full(H)
-    assert S.gram_deviation() <= 10 * EPS * S.dim
+    assert gram_deviation(S) <= 10 * EPS * S.dim
 
 
 def test_resolution_of_identity():
@@ -74,7 +74,7 @@ def test_reconstruction_from_eigensystem():
         H, _, _ = random_quasi(2 + seed % 7, seed=100 + seed)
         S = eig_full(H)
         assert S.diag_score <= KAPPA_MAX
-        err = spectral_norm(S.reconstruct() - H) / spectral_norm(H)
+        err = spectral_norm(reconstruct(S) - H) / spectral_norm(H)
         assert err <= 1e-8
 
 
@@ -87,11 +87,11 @@ def test_stacked_spectrum_methods_match_per_matrix(k):
     stack = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
     S = eig_full(stack)
     singles = [eig_full(M) for M in stack]
-    deviation, rebuilt = S.gram_deviation(), S.reconstruct()
+    deviation, rebuilt = gram_deviation(S), reconstruct(S)
     assert deviation.shape == (k,) and rebuilt.shape == (k, n, n)
     for i, one in enumerate(singles):
-        assert deviation[i] == one.gram_deviation(), i
-        assert np.array_equal(rebuilt[i], one.reconstruct()), i
+        assert deviation[i] == gram_deviation(one), i
+        assert np.array_equal(rebuilt[i], reconstruct(one)), i
         assert np.max(np.abs(rebuilt[i] - stack[i])) <= 1e-12, i
 
 
@@ -110,35 +110,34 @@ def test_eig_validates_input():
 
 
 def test_biorthonormalize_identity_unchanged():
-    eye = np.eye(3, dtype=complex)
-    right, left = biorthonormalize(eye, eye)
-    assert np.allclose(right, eye)
-    assert np.allclose(left, eye)
+    eye = np.eye(3, dtype=complex)[None]
+    W, refused = biorthonormalize(eye)
+    assert np.array_equal(W, eye) and refused.tolist() == [False]
 
 
 def test_biorthonormalize_rescales_left_only():
-    right = 2 * np.eye(3, dtype=complex)
-    left = np.eye(3, dtype=complex)
-    right2, left2 = biorthonormalize(right, left)
-    assert np.allclose(right2, right)          # right untouched
-    assert np.allclose(left2, np.eye(3) / 2)   # left absorbs the scale
-    assert np.allclose(left2.conj().T @ right2, np.eye(3))
+    right = 2 * np.eye(3, dtype=complex)[None]
+    before = right.copy()
+    left = dagger(biorthonormalize(right)[0])
+    assert np.array_equal(right, before)        # right untouched
+    assert np.allclose(left, np.eye(3) / 2)     # left absorbs the scale
+    assert np.allclose(dagger(left) @ right, np.eye(3))
 
 
 def test_biorthonormalize_eigensystem_gram():
     H = pt2x2(1.0, np.pi / 6, 1.0)
     w, V = np.linalg.eig(H)
-    left = np.linalg.inv(V).conj().T
-    right, left = biorthonormalize(V, left)
-    gram = left.conj().T @ right
+    left = dagger(biorthonormalize(V[None])[0][0])
+    gram = left.conj().T @ V
     assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
 
 
 def test_biorthonormalize_rejects_singular_pairing():
-    right = np.eye(2, dtype=complex)
-    left = np.array([[1, 1], [0, 0]], dtype=complex)  # rank deficient
-    with pytest.raises(DegenerateSystem):
-        biorthonormalize(right, left)
+    # An exactly singular V is refused: LAPACK's inv raises, pinv stands in.
+    V = np.array([[[1, 1], [0, 0]]], dtype=complex)   # rank deficient
+    W, refused = biorthonormalize(V)
+    assert refused.tolist() == [True]
+    assert np.array_equal(W, np.linalg.pinv(V))
 
 
 def test_herm_sqrt_identity_and_diagonal():
@@ -239,87 +238,13 @@ def test_herm_residual_of_exactly_self_adjoint_input_needs_no_svd(monkeypatch):
         assert calls == [], name
 
 
-def _pairwise_clusters(eigenvalues, tol):
-    """Reference: the union-find over an explicit double loop of pairs."""
-    n = len(eigenvalues)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            size = max(abs(eigenvalues[i]), abs(eigenvalues[j]))
-            if abs(eigenvalues[i] - eigenvalues[j]) <= tol * (1.0 + size):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    clusters = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
-    return list(clusters.values())
-
-
-def _partition(clusters, labels):
-    return sorted(sorted(labels[i] for i in c) for c in clusters)
-
-
-def test_cluster_indices_matches_pairwise_loop():
-    rng = np.random.default_rng(14)
-    tol = 1e-8
-    for trial in range(20):
-        # chains of 5e-9 steps: neighbours are close, chain ends are not
-        starts = rng.standard_normal(4) + 1j * rng.standard_normal(4) * (trial % 2)
-        chains = [z + 5e-9 * np.arange(rng.integers(2, 16)) for z in starts]
-        loose = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        w = np.concatenate(chains + [loose, loose[:2]])
-        got = _cluster_indices(w, tol)
-        assert got == _pairwise_clusters(w, tol)
-        # some cluster joins ends that are not close to each other
-        assert any(abs(w[c[-1]] - w[c[0]]) > tol * (1.0 + max(abs(w[c[0]]), abs(w[c[-1]])))
-                   for c in got)
-        perm = rng.permutation(len(w))
-        assert (_partition(_cluster_indices(w[perm], tol), perm)
-                == _partition(got, np.arange(len(w))))
-    assert _cluster_indices(np.array([2.5 + 1j]), tol) == [[0]]
-    # closeness is symmetric in the pair: the gap 2 is within 0.6 * (1 + 3) in either order
-    assert _cluster_indices(np.array([1.0, 3.0]), 0.6) == [[0, 1]]
-    assert _cluster_indices(np.array([3.0, 1.0]), 0.6) == [[0, 1]]
-
-
 # ---------------------------------------------------------------------------
 # eig_full against a per-matrix reference
 
-def _reference_biorthonormalize(right, left):
-    """The single-matrix polish: at most three passes, each kept only while
-    the Gram defect falls."""
-    n = right.shape[0]
-    eye = np.eye(n)
-    best = left
-    best_dev = float(np.max(np.abs(best.conj().T @ right - eye)))
-    for _ in range(3):
-        if best_dev <= 10 * EPS * n:
-            break
-        G = best.conj().T @ right
-        sv = np.linalg.svd(G, compute_uv=False)
-        if sv[-1] <= 1e-12 * sv[0]:
-            raise DegenerateSystem("singular pairing")
-        candidate = best @ np.linalg.inv(G).conj().T
-        dev = float(np.max(np.abs(candidate.conj().T @ right - eye)))
-        if dev >= best_dev:
-            break
-        best, best_dev = candidate, dev
-    return best
-
-
 def _reference_eig_full(M):
     """(eigenvalues, right, left, diag_score) of one matrix, step by step:
-    eig, inv of the raw V (pinv for a singular V), diag_score
-    ||V||_F ||V^-1||_F (inf after a pinv), QR of each degenerate cluster and
-    inv again after it, and the polish when diag_score <= 1e12."""
+    eig, inv of V (pinv for a singular V), left = V^{-dag} and diag_score
+    ||V||_F ||V^-1||_F (inf after a pinv)."""
     w, V = np.linalg.eig(M)
     try:
         W = np.linalg.inv(V)
@@ -328,18 +253,7 @@ def _reference_eig_full(M):
         W, diag_score = np.linalg.pinv(V), np.inf
     if not np.isfinite(diag_score):
         diag_score = np.inf
-    clusters = [cluster for cluster in _pairwise_clusters(w, CLUSTER_TOL) if len(cluster) > 1]
-    for cluster in clusters:
-        V[:, cluster] = np.linalg.qr(V[:, cluster])[0]
-    if clusters:
-        try:
-            W = np.linalg.inv(V)
-        except np.linalg.LinAlgError:
-            W, diag_score = np.linalg.pinv(V), np.inf
-    left = W.conj().T
-    if diag_score <= 1e12:
-        left = _reference_biorthonormalize(V, left)
-    return w, V, left, diag_score
+    return w, V, W.conj().T, diag_score
 
 
 def _planted(rng, eigenvalues, kappa):
@@ -365,10 +279,11 @@ def _planted_spectrum(rng, n, paired):
 
 def _reference_sweep():
     """name -> stack: planted real and paired inputs at every kappa for
-    n = 2, 6 and 32; n = 6 stacks with a degenerate cluster, a Jordan block
-    (one cluster, raw cond(V) past 1e12) and an input whose left system the
-    polish corrects; and an n = 7 stack with an input past the polish cutoff,
-    eigenvalues 3e-3 apart on a unit superdiagonal."""
+    n = 2, 6 and 32; n = 6 stacks with a repeated eigenvalue, a Jordan block
+    (cond(V) past 1e12) and a planted input at kappa 1e5 whose inverse has a
+    Gram defect past 10 eps n; and an n = 7 stack with an input of
+    diag_score between 1e12 and inf, eigenvalues 3e-3 apart on a unit
+    superdiagonal."""
     rng = np.random.default_rng(23)
     stacks = {f"planted_n{n}": np.stack([
         _planted(rng, _planted_spectrum(rng, n, paired), kappa)
@@ -383,19 +298,6 @@ def _reference_sweep():
 
 
 REFERENCE_SWEEP = _reference_sweep()
-
-
-def test_reference_sweep_takes_every_step():
-    cluster, jordan, polish = REFERENCE_SWEEP["cluster_jordan_polish"]
-    cutoff = REFERENCE_SWEEP["cutoff"][0]
-    assert max(map(len, _cluster_indices(np.linalg.eigvals(cluster), CLUSTER_TOL))) > 1
-    assert _cluster_indices(np.linalg.eigvals(jordan), CLUSTER_TOL) == [list(range(6))]
-    assert _reference_eig_full(jordan)[3] > 1e12
-    assert 1e12 < _reference_eig_full(cutoff)[3] < np.inf
-    for M in (cutoff, polish):   # the polish changes the left system of both
-        V = np.linalg.eig(M)[1]
-        left = np.linalg.inv(V).conj().T
-        assert not np.array_equal(_reference_biorthonormalize(V, left), left)
 
 
 def _assert_matches_reference(stack):
@@ -418,9 +320,10 @@ def test_eig_full_matches_per_matrix_reference(name):
 
 
 def test_eig_full_inverts_a_refused_v_alone(monkeypatch):
-    # No input was found that reaches LAPACK's exact-singularity refusal once
-    # clusters are orthonormalized, so refuse one planted V: that matrix alone
-    # takes pinv, with diag_score inf, in a stack as on its own.
+    # Jordan blocks of n = 2 to 6 and the 2x2 nilpotent do not reach LAPACK's
+    # exact-singularity refusal (their V is singular only up to roundoff), so
+    # refuse one planted V: that matrix alone takes pinv, with diag_score inf,
+    # in a stack as on its own.
     stack = REFERENCE_SWEEP["planted_n6"][2:6]
     refused = np.linalg.eig(stack[1])[1]
     inv = np.linalg.inv
@@ -466,19 +369,15 @@ def test_diag_score_brackets_cond_of_v(name):
         assert score > KAPPA_MAX
 
 
-def test_stacked_eig_full_polishes_in_one_call(monkeypatch):
+def test_stacked_eig_full_inverts_in_one_call(monkeypatch):
     import pseudoherm.linalg as linalg
 
     rng = np.random.default_rng(11)
     n = 6
     stack = np.stack([_planted(rng, _planted_spectrum(rng, n, i % 2), 1e3) for i in range(48)])
-    V = np.linalg.eig(stack)[1]
-    defect = np.max(np.abs(np.linalg.inv(V) @ V - np.eye(n)), axis=(-2, -1))
-    # Most matrices need the polish; they share one call.
-    assert np.count_nonzero(defect > 10 * EPS * n) >= 40
     calls = []
     monkeypatch.setattr(linalg, "biorthonormalize",
-                        lambda right, left: calls.append(len(right)) or biorthonormalize(right, left))
+                        lambda V: calls.append(len(V)) or biorthonormalize(V))
     eig_full(stack)
     assert calls == [48]
 
@@ -486,19 +385,17 @@ def test_stacked_eig_full_polishes_in_one_call(monkeypatch):
 def test_stacked_biorthonormalize_matches_per_matrix_calls():
     rng = np.random.default_rng(3)
     n = 5
-    right = np.stack([np.linalg.eig(_planted(rng, _planted_spectrum(rng, n, False), kappa))[1]
-                      for kappa in (1.0, 1e1, 1e3, 1e5, 1e7)])
-    # A perturbed inverse: the five matrices take 0, 1, 3, 2 and 3 polish passes.
-    noise = rng.standard_normal(right.shape) + 1j * rng.standard_normal(right.shape)
-    left = dagger(np.linalg.inv(right)) * (1.0 + 1e-6 * noise * np.arange(5)[:, None, None])
-    before = left.copy()
-    out_right, stacked = biorthonormalize(right, left)
-    assert out_right is right and np.array_equal(left, before)
-    for i in range(len(right)):
-        _, one = biorthonormalize(right[i], left[i])
-        assert np.array_equal(stacked[i], one), i
-        assert np.array_equal(one, _reference_biorthonormalize(right[i], left[i])), i
+    V = np.stack([np.linalg.eig(_planted(rng, _planted_spectrum(rng, n, False), kappa))[1]
+                  for kappa in (1.0, 1e1, 1e3, 1e5, 1e7)])
+    before = V.copy()
+    W, refused = biorthonormalize(V)
+    assert np.array_equal(V, before) and not refused.any()
+    for i in range(len(V)):
+        one, alone = biorthonormalize(V[i:i + 1])
+        assert np.array_equal(W[i], one[0]) and not alone[0], i
 
-    left[2][:, -1] = left[2][:, 0]   # rank-deficient pairing in one matrix of the stack
-    with pytest.raises(DegenerateSystem):
-        biorthonormalize(right, left)
+    V[2][:, -1] = 0.0   # an exactly singular V in one matrix of the stack
+    W, refused = biorthonormalize(V)
+    assert refused.tolist() == [False, False, True, False, False]
+    for i in range(len(V)):
+        assert np.array_equal(W[i], biorthonormalize(V[i:i + 1])[0][0]), i

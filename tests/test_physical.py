@@ -14,7 +14,6 @@ from pseudoherm import (
     indefinite_physical_set,
     jordan_block,
     pair_spectrum,
-    positive_norm_span,
     pt2x2,
     random_quasi,
     restrict_to_physical,
@@ -212,7 +211,8 @@ def test_positive_norm_span_is_positive_energy_space():
     grid = make_grid(8, 2 * np.pi, 1.0)
     H = fv_hamiltonian(grid)
     S = eig_full(H)
-    span = positive_norm_span(S, sigma3_metric(grid))
+    signs = indefinite_physical_set(S, sigma3_metric(grid))
+    span = S.right[:, [n for n, s in signs if s > 0]]
     assert span.shape == (16, 8)
     keep = S.eigenvalues.real > 0
     assert spectral_norm(_projector(span) - _projector(S.right[:, keep])) < 1e-10
@@ -230,12 +230,6 @@ def test_sector_contrast_dimensions():
     assert n_positive == grid.N
     assert sub.dim == 2 * grid.N
     assert sub.dim > n_positive
-
-
-def test_positive_norm_span_raises_when_empty():
-    S = eig_full(np.diag([1.0, 2.0]).astype(complex))
-    with pytest.raises(EmptyPhysicalSpace):
-        positive_norm_span(S, -np.eye(2, dtype=complex))
 
 
 def test_classification_consistency_for_restriction():

@@ -20,7 +20,7 @@ import pseudoherm.metrics as metrics
 import pseudoherm.suites as suites
 from pseudoherm.cli import EXIT_OK, EXIT_SUITE_FAIL, main, save_matrix
 from pseudoherm.errors import PseudohermError
-from pseudoherm.linalg import _cluster_indices, eig_full, herm_residual
+from pseudoherm.linalg import eig_full, herm_residual
 from pseudoherm.metrics import (
     OperatorClass,
     antilinear_residual,
@@ -267,17 +267,15 @@ def test_stacked_eig_full_matches_per_matrix():
 
     stack = np.stack([
         rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),   # generic
-        similar([1.0, 1.0, 2.0, -0.5, 3.0], 10.0),     # repeated eigenvalue: cluster QR
-        jordan_block(n, 0.3 - 0.2j),                    # defective: no polish past 1e12
-        similar([1.0, 2.0, 3.0, 4.0, 5.0], 1e5),        # left system the polish corrects
+        similar([1.0, 1.0, 2.0, -0.5, 3.0], 10.0),     # repeated eigenvalue
+        jordan_block(n, 0.3 - 0.2j),                    # defective: diag_score past 1e12
+        similar([1.0, 2.0, 3.0, 4.0, 5.0], 1e5),        # inverse with a Gram defect past 10 eps n
     ])
     S = eig_full(stack)
     singles = [eig_full(M) for M in stack]
-    # each path is exercised
-    assert max(map(len, _cluster_indices(singles[1].eigenvalues, 1e-8))) > 1
-    # The Jordan block is one cluster, so the cluster QR makes its V unitary and
-    # inv succeeds; only test_eig_full_inverts_a_refused_v_alone reaches pinv.
-    assert singles[2].diag_score > 1e12
+    # The Jordan block's V is singular only up to roundoff: inv succeeds, and
+    # the score is finite.
+    assert np.isfinite(singles[2].diag_score) and singles[2].diag_score > 1e12
     V = np.linalg.eig(stack[3])[1]
     assert np.max(np.abs(np.linalg.inv(V) @ V - np.eye(n))) > 10 * EPS * n
     assert S.eigenvalues.shape == (4, n) and S.diag_score.shape == (4,)
