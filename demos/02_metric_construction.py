@@ -14,12 +14,13 @@ commutant of H.
 import numpy as np
 
 from pseudoherm import (
+    EnsembleSpec,
     build_general_metric,
     build_positive_metric,
     eig_full,
+    generate,
     pair_spectrum,
     pt2x2,
-    random_quasi,
     transform_metric,
     verify_intertwining,
 )
@@ -53,7 +54,7 @@ print(f"    signature {eta_c.signature}: no positive metric exists here.")
 print()
 
 print("Transporting a positive metric along the commutant (A = H^2 + 1):")
-Hq, _, _ = random_quasi(5, seed=42)
+Hq, _, _ = generate(EnsembleSpec(5, 42, "quasi"))
 Sq = eig_full(Hq)
 eta0 = build_positive_metric(Sq)
 eta1 = transform_metric(eta0, Hq @ Hq + np.eye(5), Hq)

@@ -10,20 +10,21 @@ invertible antilinear symmetry tau with H tau = tau conj(H).
 import numpy as np
 
 from pseudoherm import (
+    EnsembleSpec,
     antilinear_residual,
     antilinear_symmetry,
     build_positive_metric,
     eig_full,
+    generate,
     herm_residual,
     hermitize,
     pair_spectrum,
     pt2x2,
-    random_quasi,
 )
 
 print(__doc__)
 
-H, planted, _ = random_quasi(5, seed=11)
+H, planted, _ = generate(EnsembleSpec(5, 11, "quasi"))
 S = eig_full(H)
 eta = build_positive_metric(S)
 rho, h, _ = hermitize(H, eta)

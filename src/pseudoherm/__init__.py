@@ -11,7 +11,6 @@ product with the indefinite Klein-Gordon one.
 """
 
 from .errors import (
-    DegenerateSystem,
     EigFailure,
     EmptyPhysicalSpace,
     GridMismatch,
@@ -79,11 +78,9 @@ from .kleingordon import (
 )
 from .models import (
     EnsembleSpec,
+    generate,
     jordan_block,
     pt2x2,
-    random_hermitian,
-    random_pseudo_nonquasi,
-    random_quasi,
 )
 
 __version__ = "0.1.0"

@@ -13,10 +13,6 @@ class EigFailure(PseudohermError):
     """The underlying dense eigensolver did not converge."""
 
 
-class DegenerateSystem(PseudohermError):
-    """build_general_metric's metric is singular, so it has no inverse."""
-
-
 class NonDiagonalizableError(PseudohermError):
     """Eigenvector matrix condition number exceeds the diagonalizability cutoff."""
 

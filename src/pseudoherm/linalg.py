@@ -77,11 +77,12 @@ def _unit_scale(A):
     """(2^e, A / 2^e) per matrix of A, the largest |Re| or |Im| then in [0.5, 1)
     (1 for a zero matrix): an exact rescaling under which no sum of squares
     in a norm overflows or underflows."""
-    A = np.asarray(A, dtype=complex)
+    A = np.ascontiguousarray(A, dtype=complex)
     peak = np.maximum(np.max(np.abs(A.real), axis=(-2, -1), initial=0.0),
                       np.max(np.abs(A.imag), axis=(-2, -1), initial=0.0))
-    scale = np.ldexp(1.0, np.frexp(peak)[1])
-    return scale, A * (1.0 / scale)[..., None, None]
+    e = np.frexp(peak)[1]
+    # ldexp on the real view: 1 / 2^e would overflow for a subnormal peak.
+    return np.ldexp(1.0, e), np.ldexp(A.view(float), -e[..., None, None]).view(complex)
 
 
 def frobenius_norm(A):
@@ -195,7 +196,7 @@ def herm_sqrt(P) -> np.ndarray:
     """
     P = as_square_matrix(P, stack=True)
     residual = herm_residual(P)
-    if np.any(residual > SELFADJOINT_TOL):
+    if not np.all(residual <= SELFADJOINT_TOL):
         raise NotPositiveDefinite(f"matrix is not self-adjoint within {SELFADJOINT_TOL:g} "
                                   f"(residual {np.max(residual):.3e})")
     evals, U = np.linalg.eigh(0.5 * (P + dagger(P)))

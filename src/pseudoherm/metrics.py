@@ -15,7 +15,7 @@ p, s_n = +/-1 on real eigenvalues and +1 on pairs: eta = Phi M Phi^dag
 all s = +1.  hermitize still maps through the square root of eta_+.
 
 classify, pair_spectrum, decide_class, MetricOperator.from_matrix,
-build_general_metric, verify_intertwining, antilinear_symmetry,
+build_general_metric, verify_intertwining, hermitize, antilinear_symmetry,
 antilinear_residual and eta_inner take a (k, n, n) stack too (its (k, n)
 eigenvalues or permutations where they take those), as eig_full and
 herm_sqrt do, and give per-matrix arrays.  The class of a stack is decided
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateSystem,
     NoPositiveMetric,
     NotAMetric,
     NotCommuting,
@@ -102,7 +101,7 @@ class MetricOperator:
     def from_matrix(cls, eta) -> "MetricOperator":
         eta = as_square_matrix(eta, stack=True)
         residual = herm_residual(eta)
-        if np.any(residual > SELFADJOINT_TOL):
+        if not np.all(residual <= SELFADJOINT_TOL):
             raise NotAMetric(f"not self-adjoint: residual {np.max(residual):.3e}")
         evals = np.linalg.eigvalsh(0.5 * (eta + dagger(eta)))
         size = np.abs(evals)
@@ -286,7 +285,8 @@ def build_general_metric(S: Spectrum, pairing, signs=None) -> MetricOperator:
 
     pairing is the (n,) partner permutation, or (k, n) for a stacked
     Spectrum; on a stack signs run over the real eigenvalues matrix by
-    matrix, and a singular metric is not raised.
+    matrix.  A singular metric raises from_matrix's NotInvertible for one
+    matrix and is marked not invertible in a stack.
     """
     p = np.asarray(pairing)
     s = np.ones(p.shape)
@@ -299,11 +299,7 @@ def build_general_metric(S: Spectrum, pairing, signs=None) -> MetricOperator:
             raise ValueError("signs must be +1 or -1")
         s[real] = signs
     eta = (S.left * s[..., None, :]) @ dagger(_partner(S.left, p))
-    eta = 0.5 * (eta + dagger(eta))
-    try:
-        return MetricOperator.from_matrix(eta)
-    except NotInvertible as exc:
-        raise DegenerateSystem(f"constructed metric is singular: {exc}") from exc
+    return MetricOperator.from_matrix(0.5 * (eta + dagger(eta)))
 
 
 def verify_intertwining(H, eta, h_norm=None):
@@ -336,21 +332,31 @@ def eta_inner(eta, psi, chi):
     return complex(inner) if inner.ndim == 0 else inner
 
 
-def hermitize(H, eta_plus, h_norm: float | None = None) -> tuple[np.ndarray, np.ndarray, float]:
+def hermitize(H, eta_plus, h_norm=None):
     """Similarity map to a Hermitian matrix: rho = eta_+^{1/2}, h = rho H rho^{-1}.
 
     Requires eta_plus positive-definite and intertwining for H (checked);
     h is Hermitian up to conditioning roundoff and isospectral with H.
     Returns (rho, h, the residual of verify_intertwining(H, eta_plus, h_norm)).
+    One matrix raises NotAMetric past the intertwining gate (a NaN residual
+    too) or herm_sqrt's NotPositiveDefinite.  In a (k, n, n) stack such a
+    matrix gets all-NaN rho and h and every other one its own bits; only a
+    gated eta_plus that is not self-adjoint raises, as in herm_sqrt.
     """
-    H = as_square_matrix(H)
+    H = as_square_matrix(H, stack=True)
+    E = _metric_matrix(eta_plus)
     residual = verify_intertwining(H, eta_plus, h_norm)
-    if residual > INTERTWINE_TOL:
-        raise NotAMetric(
-            f"eta does not intertwine H (residual {residual:.3e} > {INTERTWINE_TOL:g})"
-        )
-    rho = herm_sqrt(_metric_matrix(eta_plus))
-    h = rho @ H @ np.linalg.inv(rho)
+    if H.ndim == 2:
+        if not residual <= INTERTWINE_TOL:
+            raise NotAMetric(
+                f"eta does not intertwine H (residual {residual:.3e} > {INTERTWINE_TOL:g})")
+        rho = herm_sqrt(E)
+        return rho, rho @ H @ np.linalg.inv(rho), residual
+    rho, h = np.full(E.shape, np.nan, dtype=complex), np.full(H.shape, np.nan, dtype=complex)
+    gated = np.flatnonzero(residual <= INTERTWINE_TOL)
+    rho[gated] = herm_sqrt(E[gated])
+    root = gated[~np.isnan(rho[gated, 0, 0])]
+    h[root] = rho[root] @ H[root] @ np.linalg.inv(rho[root])
     return rho, h, residual
 
 

@@ -6,13 +6,13 @@ similarity transforms, closed-form eigenvalues.  generate builds the
 matrices of one dimension as a (k, n, n) stack: each spec draws from its
 own default_rng(seed) as it would alone, and every draw is built into its
 planted property, with no test and no redraw, so each spec draws a fixed
-sequence.  The random_* generators are its k = 1 case; the suites draw
-their test vectors from the same generators, right after the matrix.
+sequence.  generate(spec) is the k = 1 case; the suites draw their test
+vectors from the same generators, right after the matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,12 +63,6 @@ def jordan_block(n: int, lam: complex) -> np.ndarray:
     return lam * np.eye(n, dtype=complex) + np.eye(n, k=1, dtype=complex)
 
 
-def _spec(spec_or_dim, seed, kind, conditioning_cap=1e3) -> EnsembleSpec:
-    if isinstance(spec_or_dim, EnsembleSpec):
-        return replace(spec_or_dim, kind=kind)
-    return EnsembleSpec(int(spec_or_dim), int(seed or 0), kind, conditioning_cap)
-
-
 def _spaced(rngs, count):
     """Per generator, count uniforms on [-1, 1] conditioned on pairwise gaps >= GAP:
     draws on [-1, 1 - (count - 1) GAP], each raised by GAP times its rank."""
@@ -103,32 +97,6 @@ def _similar(rngs, lam, caps):
     U, sv, Wh = np.linalg.svd(S[over])
     S[over] = (U * np.maximum(sv, sv[:, :1] / caps[over, None])[:, None, :]) @ Wh
     return (S * lam[:, None, :]) @ np.linalg.inv(S), S
-
-
-def random_quasi(spec_or_dim, seed=None, conditioning_cap=1e3):
-    """Quasi-Hermitian instance H = S Lambda S^{-1} with planted real spectrum.
-
-    Returns (H, planted eigenvalues, planted similarity S).  Eigenvalues are
-    uniform on [-1, 1] with pairwise gaps >= 1e-3; the similarity has
-    condition number <= conditioning_cap.  Accepts either an EnsembleSpec or
-    a plain dimension plus seed.
-    """
-    return generate(_spec(spec_or_dim, seed, "quasi", conditioning_cap))
-
-
-def random_pseudo_nonquasi(spec_or_dim, seed=None, conditioning_cap=1e3):
-    """Pseudo- but not quasi-Hermitian instance: planted conjugate pairs.
-
-    The planted spectrum holds at least one pair (lambda, conj(lambda)) with
-    Im lambda >= 1e-2, plus real fill; H is built by the same capped
-    similarity as random_quasi.  Returns (H, planted eigenvalues, S).
-    """
-    return generate(_spec(spec_or_dim, seed, "pseudo_nonquasi", conditioning_cap))
-
-
-def random_hermitian(spec_or_dim, seed=None):
-    """Hermitian control instance (complex Gaussian, symmetrized)."""
-    return generate(_spec(spec_or_dim, seed, "hermitian"))
 
 
 def generate(specs):

@@ -6,9 +6,10 @@ the restriction of H to K as R = Phi_K^dag H Psi_K (diag(lambda_K) up to
 roundoff).  The canonical metric Phi M Phi^dag of H restricted to K is
 Psi_K^dag Phi M Phi^dag Psi_K = I, since Phi^dag Psi = I and M is +1 on
 every real eigenvalue: in eigenvector coordinates K is already a genuine
-Hilbert space.  Construction two fixes an indefinite metric eta up front
-and keeps only eigenvectors of positive eta-norm.  The two generally
-differ, which is the point of comparing them.
+Hilbert space, with eta_+ = MetricOperator.from_matrix(I).  Construction
+two fixes an indefinite metric eta up front and keeps only eigenvectors of
+positive eta-norm.  The two generally differ, which is the point of
+comparing them.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ class PhysicalSubspace:
     """Span of the real-eigenvalue eigenvectors, with the restricted operator
     and a positive metric making that restriction Hermitian."""
 
-    parent_dim: int
-    basis: np.ndarray          # parent_dim x k, columns span K
+    basis: np.ndarray          # n x k, columns span K
     restricted_op: np.ndarray  # k x k coordinates of H on K
     eta_plus: MetricOperator   # positive metric on K
 
@@ -68,10 +68,8 @@ def restrict_to_physical(H, cls: Classification | None = None) -> PhysicalSubspa
     basis = cls.spectrum.right[:, real]
     left = cls.spectrum.left[:, real]
     restricted = left.conj().T @ (H @ basis)
-    k = basis.shape[1]
-    eta_plus = MetricOperator(np.eye(k, dtype=complex), (k, 0), 0.0, 1.0, 1.0)
-    return PhysicalSubspace(parent_dim=H.shape[0], basis=basis,
-                            restricted_op=restricted, eta_plus=eta_plus)
+    return PhysicalSubspace(basis=basis, restricted_op=restricted,
+                            eta_plus=MetricOperator.from_matrix(np.eye(len(real))))
 
 
 def indefinite_physical_set(S: Spectrum, eta):

@@ -12,10 +12,10 @@ one (k, n, n) stack, which goes once through the metrics functions:
 classify, whose classes and partner permutations are arrays decided in one
 pass, then build_general_metric, verify_intertwining, antilinear_symmetry
 and antilinear_residual on the stack of paired matrices, and the positive
-legs' herm_sqrt and eta_inner on the stack of positive metrics.  Refusals
+legs' hermitize and eta_inner on the stack of positive metrics.  Refusals
 are read off the stacked results (a pairing row of -1, invertible False, a
-NaN root), never re-derived here.  One seeded generator per instance draws
-its matrix and then the vectors of leg d, so (kind, dim, seed) pins every
+NaN h), never re-derived here.  One seeded generator per instance draws its
+matrix and then the vectors of leg d, so (kind, dim, seed) pins every
 number of an instance in any stack.  Each leg and residual is one array over
 the instances (equivalence_columns), which run_equivalence_suite reduces to
 counts, worst residuals and the failing instances.
@@ -23,14 +23,14 @@ counts, worst residuals and the failing instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import INVERTIBILITY_TOL, Spectrum, herm_residual, herm_sqrt
+from .linalg import INVERTIBILITY_TOL, Spectrum, herm_residual
 from .metrics import (INTERTWINE_TOL, Classification, MetricOperator, OperatorClass,
                       antilinear_residual, antilinear_symmetry, build_general_metric,
-                      classify, eta_inner, verify_intertwining)
+                      classify, eta_inner, hermitize, verify_intertwining)
 from .models import EnsembleSpec, generate
 
 INNER_PAIRS = 20
@@ -41,7 +41,7 @@ RESIDUALS = ("metric_residual", "antilinear_residual", "hermiticity_residual",
              "spectrum_drift", "inner_deviation")
 
 
-def make_ensemble(kinds, count, dims, base_seed=0, conditioning_cap=1e3):
+def make_ensemble(kinds, count, dims, base_seed=0):
     """Deterministic instance list: round-robin over kinds and dims."""
     kinds = list(kinds)
     dims = list(dims)
@@ -51,8 +51,7 @@ def make_ensemble(kinds, count, dims, base_seed=0, conditioning_cap=1e3):
         dim = dims[(i // len(kinds)) % len(dims)]
         if kind in ("pseudo_nonquasi", "defective"):
             dim = max(dim, 2)
-        specs.append(EnsembleSpec(dim=dim, seed=base_seed + i, kind=kind,
-                                  conditioning_cap=conditioning_cap))
+        specs.append(EnsembleSpec(dim=dim, seed=base_seed + i, kind=kind))
     return specs
 
 
@@ -121,25 +120,23 @@ def check_positive_metric_equivalence(group: Group, rngs) -> dict:
     generator per matrix, which draws leg d's vectors.
 
     a: classified (quasi-)Hermitian; b: the canonical metric of an all-real
-    pairing is invertible and positive-definite (eta_+); c: eta_+ intertwines
-    within 1e-8, herm_sqrt(eta_+) gives a root rho (not NaN), and
-    h = rho H rho^{-1} is Hermitian and isospectral with H within 1e-8; d:
-    Hermiticity of H in the eta_+ inner product on random vector pairs.
+    pairing is invertible and positive-definite (eta_+); c: hermitize maps H
+    by eta_+ (not NaN) to an h that is Hermitian and isospectral with H
+    within 1e-8; d: Hermiticity of H in the eta_+ inner product on random
+    vector pairs.
     """
     metric = group.metric
     k, n = len(group.cls.kind), group.spectrum.dim
     all_real = np.all(group.pairing == np.arange(n), axis=-1)
     built = np.flatnonzero(all_real & metric.invertible & metric.positive_definite)
     index = group.paired[built]
-    eta, eta_norm, H = metric.matrix[built], metric.norm[built], group.H[built]
+    eta = MetricOperator(*(getattr(metric, field.name)[built] for field in fields(metric)))
+    H = group.H[built]
 
-    # Leg c, as hermitize: the intertwining gate is leg b's residual, then
-    # herm_sqrt, whose roots are NaN where it refuses eta_+.
-    gated = np.flatnonzero(group.residual[built] <= INTERTWINE_TOL)
-    rho = herm_sqrt(eta[gated])
-    root = ~np.isnan(rho[:, 0, 0])
-    mapped, rho = gated[root], rho[root]
-    h = rho @ H[mapped] @ np.linalg.inv(rho)
+    # Leg c: hermitize's h is NaN where it refuses eta_+.
+    h = hermitize(H, eta, group.norm[built])[1]
+    mapped = np.flatnonzero(~np.isnan(h[:, 0, 0]))
+    h = h[mapped]
     hermiticity = herm_residual(h)
     spec_in = np.sort_complex(group.spectrum.eigenvalues[built[mapped]])
     spec_out = np.sort_complex(np.linalg.eigvals(h))
@@ -156,7 +153,7 @@ def check_positive_metric_equivalence(group: Group, rngs) -> dict:
     HT = np.swapaxes(H, -1, -2)
     lhs = eta_inner(eta, psi, chi @ HT)          # <psi, eta H chi>
     rhs = eta_inner(eta, chi, psi @ HT).conj()   # <chi, eta H psi>*
-    inner = np.max(np.abs(lhs - rhs), axis=-1) / (group.norm[built] * eta_norm)
+    inner = np.max(np.abs(lhs - rhs), axis=-1) / (group.norm[built] * eta.norm)
 
     hermitized = index[mapped]
     return {"real_spectrum": group.cls.diagnostics["n_real"] == n,

@@ -29,7 +29,7 @@ from pseudoherm.kleingordon import (
 from pseudoherm.linalg import eig_full, norm_lower_bound, spectral_norm
 from pseudoherm.metrics import OperatorClass, build_positive_metric, classify
 from pseudoherm.physical import indefinite_physical_set, restrict_to_physical
-from pseudoherm.models import EnsembleSpec, generate, jordan_block, pt2x2, random_quasi
+from pseudoherm.models import EnsembleSpec, generate, jordan_block, pt2x2
 
 from oracles import propagator_bound
 
@@ -162,7 +162,7 @@ def test_matrix_from_json_reads_integer_entries():
 
 
 def test_classify_report_is_reproducible(matrix_file, capsys):
-    H, _, _ = random_quasi(4, seed=12)
+    H, _, _ = generate(EnsembleSpec(4, 12, "quasi"))
     path = matrix_file(H)
     code1 = main(["classify", path, "--emit-metric"])
     out1 = capsys.readouterr().out
@@ -190,7 +190,7 @@ def test_metric_commands_use_the_classification_tolerance(matrix_file, capsys):
 # metric / hermitize / symmetry
 
 def test_metric_command_quasi(matrix_file, capsys):
-    H, _, _ = random_quasi(4, seed=3)
+    H, _, _ = generate(EnsembleSpec(4, 3, "quasi"))
     code, report = run_cli(capsys, ["metric", matrix_file(H)])
     assert code == EXIT_OK
     assert report["signature"] == [4, 0]
@@ -199,11 +199,11 @@ def test_metric_command_quasi(matrix_file, capsys):
 
 def test_scaled_input_keeps_its_metric(matrix_file, capsys):
     # c H has the eigenvectors of H, so metric and hermitize must hold at every
-    # power of ten c from 1e-170 to 1e150, the class unchanged from c = 1.
+    # power of ten c from 1e-300 to 1e150, the class unchanged from c = 1.
     H = generate(EnsembleSpec(6, 4, "quasi"))[0]
     kind = run_cli(capsys, ["classify", matrix_file(H)])[1]["classification"]
     failed = []
-    for e in range(-170, 151):
+    for e in range(-300, 151):
         path = matrix_file(H * 10.0 ** e)
         code, report = run_cli(capsys, ["metric", path])
         hermitized = main(["hermitize", path])
@@ -554,16 +554,17 @@ VERIFY_12 = ["verify", "--count", "12", "--dims", "2-4"]
     (VERIFY_12, "linalg.eig_full", 3, 12),                 # one stack per dim
     (VERIFY_12, "metrics.classify", 3, 12),                # verify routes each stack through
     (VERIFY_12, "metrics.build_general_metric", 3, 12),    # the metrics functions, once each
-    (VERIFY_12, "linalg.herm_sqrt", 3, 8),                 # leg c: the 8 positive metrics
+    (VERIFY_12, "metrics.hermitize", 3, 8),                # leg c: the 8 positive metrics
+    (VERIFY_12, "linalg.herm_sqrt", 3, 8),
 ], ids=["classify", "metric", "hermitize", "symmetry", "kg", "verify", "verify-classify",
-        "verify-build_general_metric", "verify-herm_sqrt"])
+        "verify-build_general_metric", "verify-hermitize", "verify-herm_sqrt"])
 def test_one_decomposition_per_matrix(matrix_file, capsys, monkeypatch, argv, counted,
                                       decompositions, matrices):
     import pseudoherm
 
     module, name = counted.split(".")
     calls = count_calls(monkeypatch, getattr(getattr(pseudoherm, module), name))
-    H, _, _ = random_quasi(4, seed=3)
+    H, _, _ = generate(EnsembleSpec(4, 3, "quasi"))
     argv = [matrix_file(H) if arg == "MATRIX" else arg for arg in argv]
     assert main(argv) == EXIT_OK
     capsys.readouterr()
@@ -579,7 +580,7 @@ def test_one_intertwining_check_per_command(matrix_file, capsys, monkeypatch, ar
     import pseudoherm.metrics as metrics
 
     calls = count_calls(monkeypatch, metrics.verify_intertwining)
-    H, _, _ = random_quasi(4, seed=3)
+    H, _, _ = generate(EnsembleSpec(4, 3, "quasi"))
     argv = [matrix_file(H) if arg == "MATRIX" else arg for arg in argv]
     code, report = run_cli(capsys, argv)
     assert code == EXIT_OK
@@ -596,7 +597,7 @@ def test_one_intertwining_check_per_command(matrix_file, capsys, monkeypatch, ar
 def test_norms_computed_once(matrix_file, capsys, monkeypatch, argv):
     import pseudoherm.linalg as linalg
 
-    H, _, _ = random_quasi(4, seed=3)
+    H, _, _ = generate(EnsembleSpec(4, 3, "quasi"))
     argv = [matrix_file(H) if arg == "MATRIX" else arg for arg in argv]
     exact = count_calls(monkeypatch, linalg.spectral_norm)
     svds, svd, cond = [], np.linalg.svd, np.linalg.cond   # cond takes its SVD inside numpy

@@ -12,7 +12,7 @@ from pseudoherm import (
     spectral_norm,
 )
 from pseudoherm.linalg import KAPPA_MAX, biorthonormalize, dagger, frobenius_norm
-from pseudoherm.models import jordan_block, pt2x2, random_hermitian, random_quasi
+from pseudoherm.models import EnsembleSpec, generate, jordan_block, pt2x2
 
 from oracles import gram_deviation, reconstruct
 
@@ -38,7 +38,7 @@ def test_eig_pauli_x():
 
 
 def test_eig_recovers_planted_spectrum():
-    H, lam, _ = random_quasi(6, seed=7)
+    H, lam, _ = generate(EnsembleSpec(6, 7, "quasi"))
     S = eig_full(H)
     got = np.sort(S.eigenvalues.real)
     assert np.max(np.abs(got - lam.real) / (1 + np.abs(lam.real))) < 1e-9
@@ -47,7 +47,7 @@ def test_eig_recovers_planted_spectrum():
 
 def test_biorthonormality_defect_at_machine_level():
     for seed in range(8):
-        H, _, _ = random_quasi(5 + seed % 3, seed=seed)
+        H, _, _ = generate(EnsembleSpec(5 + seed % 3, seed, "quasi"))
         S = eig_full(H)
         assert gram_deviation(S) <= 10 * EPS * S.dim
 
@@ -63,7 +63,7 @@ def test_biorthonormality_holds_with_degenerate_clusters():
 
 
 def test_resolution_of_identity():
-    H, _, _ = random_quasi(6, seed=2)
+    H, _, _ = generate(EnsembleSpec(6, 2, "quasi"))
     S = eig_full(H)
     ident = S.right @ S.left.conj().T
     assert spectral_norm(ident - np.eye(6)) < 1e-12
@@ -71,7 +71,7 @@ def test_resolution_of_identity():
 
 def test_reconstruction_from_eigensystem():
     for seed in range(10):
-        H, _, _ = random_quasi(2 + seed % 7, seed=100 + seed)
+        H, _, _ = generate(EnsembleSpec(2 + seed % 7, 100 + seed, "quasi"))
         S = eig_full(H)
         assert S.diag_score <= KAPPA_MAX
         err = spectral_norm(reconstruct(S) - H) / spectral_norm(H)
@@ -97,7 +97,7 @@ def test_stacked_spectrum_methods_match_per_matrix(k):
 
 def test_selfadjoint_input_gives_real_eigenvalues():
     for seed in range(6):
-        H = random_hermitian(4 + seed % 4, seed=seed)
+        H = generate(EnsembleSpec(4 + seed % 4, seed, "hermitian"))
         S = eig_full(H)
         assert np.all(np.abs(S.eigenvalues.imag) <= 1e-10 * (1 + np.abs(S.eigenvalues)))
 
@@ -216,7 +216,7 @@ def test_herm_residual_of_exactly_self_adjoint_input_needs_no_svd(monkeypatch):
 
     rng = np.random.default_rng(4)
     X = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    H, _, _ = random_quasi(5, seed=2)
+    H, _, _ = generate(EnsembleSpec(5, 2, "quasi"))
     cls = classify(H)
     inputs = {"hermitian": X + X.conj().T,   # Hermitian bit for bit
               "built metric": build_positive_metric(cls.spectrum, cls.pairing).matrix}

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from pseudoherm import (
+    EnsembleSpec,
     NoPositiveMetric,
     NotAMetric,
     NotCommuting,
     NotInvertible,
+    NotPositiveDefinite,
     OperatorClass,
     UnpairedEigenvalue,
     antilinear_residual,
@@ -15,14 +17,12 @@ from pseudoherm import (
     classify,
     eig_full,
     eta_inner,
+    generate,
     herm_residual,
     hermitize,
     jordan_block,
     pair_spectrum,
     pt2x2,
-    random_hermitian,
-    random_pseudo_nonquasi,
-    random_quasi,
     spectral_norm,
     transform_metric,
     verify_intertwining,
@@ -87,7 +87,7 @@ def test_pair_spectrum_tolerance_scales_with_magnitude():
 
 def test_pairing_partitions_indices():
     for seed in range(6):
-        H, _, _ = random_pseudo_nonquasi(6, seed=seed)
+        H, _, _ = generate(EnsembleSpec(6, seed, "pseudo_nonquasi"))
         S = eig_full(H)
         P = pair_spectrum(S)
         assert sorted(P.tolist()) == list(range(6))   # a permutation
@@ -184,7 +184,7 @@ def test_degenerate_conjugate_pairs_pair_in_greedy_order():
 
 def test_metric_operator_signature_counts_fill_dimension():
     for seed in range(4):
-        H, _, _ = random_quasi(5, seed=seed)
+        H, _, _ = generate(EnsembleSpec(5, seed, "quasi"))
         S = eig_full(H)
         eta = build_general_metric(S, pair_spectrum(S), signs=[1, 1, -1, 1, -1])
         assert sum(eta.signature) == 5
@@ -212,7 +212,7 @@ def test_classify_reports_diagnostics():
 
 def test_inclusion_chain_hermitian_passes_quasi_checks():
     for seed in range(5):
-        H = random_hermitian(4, seed=seed)
+        H = generate(EnsembleSpec(4, seed, "hermitian"))
         S = eig_full(H)
         eta = build_positive_metric(S)
         assert eta.positive_definite
@@ -223,7 +223,7 @@ def test_inclusion_chain_hermitian_passes_quasi_checks():
 
 def test_inclusion_chain_quasi_passes_pseudo_checks():
     for seed in range(5):
-        H, _, _ = random_quasi(5, seed=seed)
+        H, _, _ = generate(EnsembleSpec(5, seed, "quasi"))
         S = eig_full(H)
         P = pair_spectrum(S)
         eta = build_general_metric(S, P)
@@ -259,7 +259,7 @@ def test_positive_metric_refused_for_complex_pair():
 # general metric
 
 def test_general_metric_with_plus_signs_equals_positive():
-    H, _, _ = random_quasi(4, seed=9)
+    H, _, _ = generate(EnsembleSpec(4, 9, "quasi"))
     S = eig_full(H)
     P = pair_spectrum(S)
     eta_gen = build_general_metric(S, P, signs=[1] * 4)
@@ -269,7 +269,7 @@ def test_general_metric_with_plus_signs_equals_positive():
 
 def test_pairing_products_match_outer_product_sums():
     # Reference: eta and tau summed term by term over the pairing.
-    H, _, _ = random_pseudo_nonquasi(9, seed=5)
+    H, _, _ = generate(EnsembleSpec(9, 5, "pseudo_nonquasi"))
     S = eig_full(H)
     P = pair_spectrum(S)
     real = np.flatnonzero(P == np.arange(9))
@@ -309,7 +309,7 @@ def test_general_metric_mixed_signs_signature():
 
 def test_general_metric_signature_matches_sign_pattern():
     # Sylvester: signature = (#plus + #pairs, #minus + #pairs)
-    H, _, _ = random_quasi(5, seed=21)
+    H, _, _ = generate(EnsembleSpec(5, 21, "quasi"))
     S = eig_full(H)
     P = pair_spectrum(S)
     eta = build_general_metric(S, P, signs=[1, -1, 1, -1, 1])
@@ -318,7 +318,7 @@ def test_general_metric_signature_matches_sign_pattern():
 
 
 def test_general_metric_validates_signs():
-    H, _, _ = random_quasi(3, seed=0)
+    H, _, _ = generate(EnsembleSpec(3, 0, "quasi"))
     S = eig_full(H)
     P = pair_spectrum(S)
     with pytest.raises(ValueError):
@@ -330,7 +330,7 @@ def test_general_metric_validates_signs():
 def test_quasi_but_indefinite_metrics_exist():
     # mixed signs give indefinite members of the metric family for any dim >= 2
     for seed in range(5):
-        H, _, _ = random_quasi(4, seed=40 + seed)
+        H, _, _ = generate(EnsembleSpec(4, 40 + seed, "quasi"))
         S = eig_full(H)
         P = pair_spectrum(S)
         signs = [1, -1, 1, -1]
@@ -379,7 +379,7 @@ def test_eta_inner_standard_and_indefinite():
 
 def test_eta_inner_hermitian_symmetry():
     rng = np.random.default_rng(77)
-    H, _, _ = random_quasi(5, seed=13)
+    H, _, _ = generate(EnsembleSpec(5, 13, "quasi"))
     eta = build_positive_metric(eig_full(H))
     for _ in range(20):
         psi = rng.standard_normal(5) + 1j * rng.standard_normal(5)
@@ -420,7 +420,7 @@ def test_stacked_eta_inner_matches_per_pair():
 # hermitization
 
 def test_hermitize_identity_metric_is_identity_map():
-    H = random_hermitian(3, seed=4)
+    H = generate(EnsembleSpec(3, 4, "hermitian"))
     rho, h, _ = hermitize(H, np.eye(3, dtype=complex))
     assert np.allclose(rho, np.eye(3))
     assert np.allclose(h, H)
@@ -435,7 +435,7 @@ def test_hermitize_pt_real_phase():
 
 
 def test_hermitize_preserves_planted_spectrum():
-    H, lam, _ = random_quasi(6, seed=3)
+    H, lam, _ = generate(EnsembleSpec(6, 3, "quasi"))
     eta = build_positive_metric(eig_full(H))
     rho, h, _ = hermitize(H, eta)
     assert herm_residual(h) <= 1e-8
@@ -445,7 +445,7 @@ def test_hermitize_preserves_planted_spectrum():
 def test_hermitize_is_scale_free_in_eta():
     # c eta_+ is as good a metric as eta_+, and rho H rho^{-1} does not see c;
     # from_matrix accepts 1e-11 eta_+, so hermitize must too.
-    H, lam, _ = random_quasi(4, seed=3)
+    H, lam, _ = generate(EnsembleSpec(4, 3, "quasi"))
     eta = build_positive_metric(eig_full(H))
     _, h, _ = hermitize(H, eta)
     for c in (1e-11, 1e-14):
@@ -460,6 +460,46 @@ def test_hermitize_rejects_non_metric():
     H = pt2x2(1, np.pi / 6, 1)   # non-normal, identity does not intertwine
     with pytest.raises(NotAMetric):
         hermitize(H, np.eye(2, dtype=complex))
+
+
+def test_hermitize_refuses_a_nan_residual():
+    # 100 I does not intertwine H (residual 1.67 at scale 1).  At 1e307 the
+    # commutator overflows and the residual is NaN, which must refuse too.
+    H = generate(EnsembleSpec(6, 4, "quasi"))[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(verify_intertwining(H * 1e307, 100 * np.eye(6)))
+        for c in (1.0, 1e307):
+            with pytest.raises(NotAMetric):
+                hermitize(H * c, 100 * np.eye(6))
+        rho, h, _ = hermitize(H[None] * 1e307, 100 * np.eye(6)[None])
+    assert np.all(np.isnan(rho)) and np.all(np.isnan(h))
+
+
+def test_stacked_hermitize_marks_what_a_single_call_refuses():
+    # Alone, a metric that does not intertwine raises NotAMetric and an
+    # indefinite one NotPositiveDefinite.  In a stack those get all-NaN rho
+    # and h, and every other matrix keeps its own hermitize bit for bit.
+    quasi, _, _ = generate(EnsembleSpec(4, 2, "quasi"))
+    eta_plus = build_positive_metric(eig_full(quasi))
+    H = np.stack([quasi, quasi, np.diag([1.0, 2.0, 3.0, 4.0]),
+                  generate(EnsembleSpec(4, 1, "hermitian"))])
+    eta = np.stack([eta_plus.matrix, np.eye(4), np.diag([1.0, -1.0, 1.0, 1.0]), np.eye(4)])
+    refused = {1: NotAMetric, 2: NotPositiveDefinite}
+    rho, h, residual = hermitize(H, eta)
+    for i, (one_H, one_eta) in enumerate(zip(H, eta)):
+        assert residual[i] == verify_intertwining(one_H, one_eta), i
+        if i in refused:
+            with pytest.raises(refused[i]):
+                hermitize(one_H, one_eta)
+            assert np.all(np.isnan(rho[i])) and np.all(np.isnan(h[i])), i
+        else:
+            one_rho, one_h, _ = hermitize(one_H, one_eta)
+            assert np.array_equal(rho[i], one_rho) and np.array_equal(h[i], one_h), i
+    # A stacked MetricOperator gives its norms, and the same roots.
+    metric = MetricOperator.from_matrix(np.stack([eta_plus.matrix, np.eye(4)]))
+    rho, h, _ = hermitize(H[[0, 3]], metric)
+    assert np.array_equal(rho[0], hermitize(quasi, eta_plus)[0])
+    assert np.array_equal(h[1], hermitize(H[3], np.eye(4))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +534,7 @@ def test_antilinear_pt_complex_pair():
 # metric family transformations
 
 def test_transform_metric_identity_and_scaling():
-    H, _, _ = random_quasi(4, seed=17)
+    H, _, _ = generate(EnsembleSpec(4, 17, "quasi"))
     eta = build_positive_metric(eig_full(H))
     same = transform_metric(eta, np.eye(4, dtype=complex), H)
     assert np.allclose(same.matrix, eta.matrix)
@@ -504,7 +544,7 @@ def test_transform_metric_identity_and_scaling():
 
 def test_transform_metric_polynomial_commutant():
     for seed in range(5):
-        H, _, _ = random_quasi(5, seed=60 + seed)
+        H, _, _ = generate(EnsembleSpec(5, 60 + seed, "quasi"))
         eta = build_positive_metric(eig_full(H))
         A = H @ H + np.eye(5)
         moved = transform_metric(eta, A, H)
@@ -513,7 +553,7 @@ def test_transform_metric_polynomial_commutant():
 
 
 def test_transform_metric_rejects_noncommuting():
-    H, _, _ = random_quasi(4, seed=2)
+    H, _, _ = generate(EnsembleSpec(4, 2, "quasi"))
     eta = build_positive_metric(eig_full(H))
     rng = np.random.default_rng(0)
     A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -549,10 +589,10 @@ def test_generic_matrix_fails_all_equivalence_legs():
 
 def test_stacked_metrics_functions_match_single_calls():
     n = 4
-    quasi, _, _ = random_quasi(n, seed=2)
-    paired, _, _ = random_pseudo_nonquasi(n, seed=3)
+    quasi, _, _ = generate(EnsembleSpec(n, 2, "quasi"))
+    paired, _, _ = generate(EnsembleSpec(n, 3, "pseudo_nonquasi"))
     unpaired = np.diag([1 + 1j, 2.0, 3.0, 4 - 0.5j])
-    stack = np.stack([quasi, paired, random_hermitian(n, seed=1), unpaired, quasi.T,
+    stack = np.stack([quasi, paired, generate(EnsembleSpec(n, 1, "hermitian")), unpaired, quasi.T,
                       jordan_block(n, 0.3)])
     cls = classify(stack)
     singles = [classify(M) for M in stack]

@@ -12,13 +12,11 @@ from pseudoherm import (
     eig_full,
     jordan_block,
     pt2x2,
-    random_pseudo_nonquasi,
-    random_quasi,
     verify_intertwining,
 )
 from pseudoherm.linalg import KAPPA_MAX
 import pseudoherm.models as models
-from pseudoherm.models import GAP, KINDS, generate, random_hermitian
+from pseudoherm.models import GAP, KINDS, generate
 
 import oracles
 from oracles import pt2x2_eigenvalues, spectra_mismatch
@@ -58,7 +56,7 @@ def test_pt2x2_theta_zero_is_hermitian():
 
 
 def test_random_quasi_plantation():
-    H, lam, S = random_quasi(6, seed=7)
+    H, lam, S = generate(EnsembleSpec(6, 7, "quasi"))
     assert np.linalg.cond(S, 2) <= 1e3
     assert np.min(np.diff(np.sort(lam.real))) >= 1e-3
     assert classify(H).kind is OperatorClass.QUASI_HERMITIAN
@@ -66,17 +64,9 @@ def test_random_quasi_plantation():
     assert np.max(np.abs(got - lam.real) / (1 + np.abs(lam.real))) < 1e-9
 
 
-def test_random_quasi_accepts_spec():
-    spec = EnsembleSpec(dim=4, seed=3, kind="quasi")
-    H1, lam1, _ = random_quasi(spec)
-    H2, lam2, _ = random_quasi(4, seed=3)
-    assert np.array_equal(H1, H2)
-    assert np.array_equal(lam1, lam2)
-
-
 def test_random_pseudo_nonquasi_plantation():
     for seed in range(6):
-        H, lam, _ = random_pseudo_nonquasi(5, seed=seed)
+        H, lam, _ = generate(EnsembleSpec(5, seed, "pseudo_nonquasi"))
         assert np.max(lam.imag) >= 1e-2   # at least one genuine pair
         assert classify(H).kind is OperatorClass.PSEUDO_HERMITIAN_ONLY
         with pytest.raises(NoPositiveMetric):
@@ -114,7 +104,7 @@ def test_generate_dispatch_matches_planted_kind():
 
 
 def test_hermitian_control_is_hermitian():
-    H = random_hermitian(5, seed=1)
+    H = generate(EnsembleSpec(5, 1, "hermitian"))
     assert np.allclose(H, H.conj().T)
 
 
@@ -124,7 +114,7 @@ def test_ensemble_spec_validation():
     with pytest.raises(ValueError):
         EnsembleSpec(dim=0, seed=0, kind="quasi")
     with pytest.raises(ValueError):
-        random_pseudo_nonquasi(1, seed=0)
+        EnsembleSpec(dim=1, seed=0, kind="pseudo_nonquasi")
     with pytest.raises(ValueError):
         EnsembleSpec(dim=1, seed=0, kind="defective")
 
@@ -135,8 +125,6 @@ def test_ensemble_spec_refuses_a_cap_no_similarity_meets(cap):
     # infinite cap is no cap.
     with pytest.raises(ValueError, match="conditioning_cap"):
         EnsembleSpec(dim=3, seed=0, kind="quasi", conditioning_cap=cap)
-    with pytest.raises(ValueError, match="conditioning_cap"):
-        random_quasi(3, seed=0, conditioning_cap=cap)
 
 
 def test_ensemble_spec_refuses_dims_the_gaps_do_not_fit():

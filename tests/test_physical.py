@@ -3,19 +3,20 @@ import pytest
 
 from pseudoherm import (
     EmptyPhysicalSpace,
+    EnsembleSpec,
     NonDiagonalizableError,
     build_general_metric,
     build_positive_metric,
     classify,
     eig_full,
     eta_inner,
+    generate,
     herm_residual,
     hermitize,
     indefinite_physical_set,
     jordan_block,
     pair_spectrum,
     pt2x2,
-    random_quasi,
     restrict_to_physical,
     spectral_norm,
     transform_metric,
@@ -35,7 +36,7 @@ def _projector(columns):
 
 
 def test_restrict_basis_full_for_real_spectrum():
-    H, _, _ = random_quasi(4, seed=1)
+    H, _, _ = generate(EnsembleSpec(4, 1, "quasi"))
     B = restrict_to_physical(H).basis
     assert B.shape == (4, 4)
     assert np.linalg.cond(B, 2) < 1e6  # square and invertible
@@ -62,7 +63,7 @@ def test_restrict_basis_block_embedding():
 
 
 def test_restrict_full_space_for_quasi_hermitian():
-    H, lam, _ = random_quasi(5, seed=8)
+    H, lam, _ = generate(EnsembleSpec(5, 8, "quasi"))
     sub = restrict_to_physical(H)
     assert sub.dim == 5
     assert spectra_mismatch(np.linalg.eigvals(sub.restricted_op), lam) < 1e-9
@@ -76,8 +77,8 @@ def test_restrict_discards_complex_pair_block():
 
 
 @pytest.mark.parametrize("H", [
-    random_quasi(5, seed=8)[0],
-    random_quasi(40, seed=3)[0],
+    generate(EnsembleSpec(5, 8, "quasi"))[0],
+    generate(EnsembleSpec(40, 3, "quasi"))[0],
     block_diag(pt2x2(1, np.pi / 6, 1), pt2x2(1, np.pi / 2, 0.5)),
 ], ids=["quasi5", "quasi40", "pt_blocks"])
 def test_restriction_is_the_parent_metric_on_k(H):
@@ -120,7 +121,7 @@ def test_restriction_always_hermitizable():
     # for any diagonalizable input with nonempty K the restricted pair
     # (R, eta_plus) admits the similarity map to a Hermitian matrix
     cases = [
-        random_quasi(4, seed=31)[0],
+        generate(EnsembleSpec(4, 31, "quasi"))[0],
         block_diag(pt2x2(1, np.pi / 6, 1), pt2x2(1, np.pi / 2, 0.5)),
         block_diag(np.diag([1.0, 2.0]).astype(complex), np.diag([2j, -2j])),
     ]
@@ -131,7 +132,7 @@ def test_restriction_always_hermitizable():
 
 
 def test_hermitized_spectrum_independent_of_metric_choice():
-    H, _, _ = random_quasi(5, seed=77)
+    H, _, _ = generate(EnsembleSpec(5, 77, "quasi"))
     eta = build_positive_metric(eig_full(H))
     moved = transform_metric(eta, H @ H + np.eye(5), H)
     _, h1, _ = hermitize(H, eta)
@@ -164,7 +165,7 @@ def _random_indefinite_diagonal(n, seed):
 @pytest.mark.parametrize("S, E, occurring", [
     (eig_full(fv_hamiltonian(make_grid(8, 2 * np.pi, 1.0))),
      sigma3_metric(make_grid(8, 2 * np.pi, 1.0)), {1, -1}),
-    (eig_full(random_quasi(6, seed=0)[0]), _random_indefinite_diagonal(6, seed=0), {1, -1}),
+    (eig_full(generate(EnsembleSpec(6, 0, "quasi"))[0]), _random_indefinite_diagonal(6, seed=0), {1, -1}),
     (eig_full(np.diag([1.0, 2.0]).astype(complex)), SIGMA1, {0}),
     # norms of +/-1e-13, inside the zero band
     (eig_full(np.diag([1.0, 2.0]).astype(complex)), SIGMA1 + 1e-13 * SIGMA3, {0}),
@@ -182,7 +183,7 @@ def test_indefinite_set_matches_per_vector_loop(S, E, occurring):
 
 
 def test_indefinite_set_identity_metric_all_positive():
-    H, _, _ = random_quasi(4, seed=5)
+    H, _, _ = generate(EnsembleSpec(4, 5, "quasi"))
     S = eig_full(H)
     signs = indefinite_physical_set(S, np.eye(4, dtype=complex))
     assert [s for _, s in signs] == [1, 1, 1, 1]
