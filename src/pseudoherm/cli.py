@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__
 from .errors import (
-    EigFailure,
     InvalidGrid,
     NonDiagonalizableError,
     ParseError,
@@ -402,9 +401,6 @@ def main(argv=None) -> int:
     except (InvalidGrid, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except EigFailure as exc:
-        print(f"error: eigensolver failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except PseudohermError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -25,15 +25,13 @@ from .errors import EigFailure, NotPositiveDefinite
 # is treated as numerically defective.
 KAPPA_MAX = 1e8
 
-# A matrix is singular when sigma_min <= INVERTIBILITY_TOL * sigma_max.
+# A matrix is singular when sigma_min <= INVERTIBILITY_TOL * sigma_max; herm_sqrt
+# refuses lambda_min <= INVERTIBILITY_TOL * lambda_max.
 INVERTIBILITY_TOL = 1e-12
 
 # Largest self-adjointness residual ||A - A^dag|| / ||A|| of a metric or of
 # herm_sqrt's input.
 SELFADJOINT_TOL = 1e-10
-
-# herm_sqrt refuses lambda_min <= POSITIVITY_TOL * lambda_max.
-POSITIVITY_TOL = 1e-10
 
 # Power-iteration steps on A^dag A in norm_lower_bound.
 POWER_STEPS = 8
@@ -58,8 +56,8 @@ def dagger(A):
 def ratio(numerator, denominator):
     """numerator / denominator elementwise, 0.0 where the denominator is 0;
     a float for scalars."""
-    out = np.divide(numerator, denominator, out=np.zeros(np.shape(denominator)),
-                    where=denominator != 0.0)
+    shape = np.broadcast_shapes(np.shape(numerator), np.shape(denominator))
+    out = np.divide(numerator, denominator, out=np.zeros(shape), where=denominator != 0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -174,7 +172,7 @@ def eig_full(M) -> Spectrum:
     try:
         w, V = np.linalg.eig(M.reshape(-1, n, n))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
-        raise EigFailure(str(exc)) from exc
+        raise EigFailure(f"eigensolver failed: {exc}") from exc
     W, refused = biorthonormalize(V)
     diag_score = frobenius_norm(V) * frobenius_norm(W)
     diag_score[refused | ~np.isfinite(diag_score)] = np.inf
@@ -189,7 +187,8 @@ def herm_sqrt(P) -> np.ndarray:
 
     Standard spectral functional calculus: eigendecompose, take sqrt of the
     (strictly positive) eigenvalues.  A smallest eigenvalue at or below
-    POSITIVITY_TOL times the largest flags a failed positive-metric
+    INVERTIBILITY_TOL times the largest, where MetricOperator.from_matrix
+    marks a positive metric not invertible, flags a failed positive-metric
     construction upstream: one matrix raises NotPositiveDefinite, and in a
     (k, n, n) stack that matrix's root is all NaN, every other root
     bit-identical to its own herm_sqrt.  Input that is not self-adjoint raises.
@@ -200,11 +199,12 @@ def herm_sqrt(P) -> np.ndarray:
         raise NotPositiveDefinite(f"matrix is not self-adjoint within {SELFADJOINT_TOL:g} "
                                   f"(residual {np.max(residual):.3e})")
     evals, U = np.linalg.eigh(0.5 * (P + dagger(P)))
-    refused = evals[..., 0] <= POSITIVITY_TOL * evals[..., -1]
+    refused = evals[..., 0] <= INVERTIBILITY_TOL * evals[..., -1]
     if P.ndim == 2 and refused:
         raise NotPositiveDefinite(
-            f"minimum eigenvalue {evals[0]:.3e} is at most POSITIVITY_TOL = {POSITIVITY_TOL:g} "
-            f"times the maximum {evals[-1]:.3e} (ratio {ratio(evals[0], evals[-1]):.3e})")
+            f"minimum eigenvalue {evals[0]:.3e} is at most INVERTIBILITY_TOL = "
+            f"{INVERTIBILITY_TOL:g} times the maximum {evals[-1]:.3e} "
+            f"(ratio {ratio(evals[0], evals[-1]):.3e})")
     evals[refused] = np.nan   # before the sqrt, which warns on a negative eigenvalue
     Q = (U * np.sqrt(evals)[..., None, :]) @ dagger(U)
     return 0.5 * (Q + dagger(Q))

@@ -106,7 +106,7 @@ class MetricOperator:
         evals = np.linalg.eigvalsh(0.5 * (eta + dagger(eta)))
         size = np.abs(evals)
         scale, smallest = size.max(axis=-1), size.min(axis=-1)
-        invertible = (scale != 0.0) & (smallest > INVERTIBILITY_TOL * scale)
+        invertible = smallest > INVERTIBILITY_TOL * scale
         signature = np.stack([np.sum(evals > 0, axis=-1), np.sum(evals < 0, axis=-1)], axis=-1)
         if eta.ndim == 2:   # a single matrix: refuse a singular metric
             if not invertible:
@@ -190,8 +190,8 @@ def decide_class(eigenvalues, diag_score, hermiticity_residual,
     spectrum; PseudoHermitianOnly when it is closed under conjugation with at
     least one pair; NotPseudoHermitian otherwise.  pairing is pair_spectrum's,
     -1 throughout for NonDiagonalizable and NotPseudoHermitian.  diagnostics
-    holds arrays: diag_score, hermiticity_residual, n_real and n_pairs (-1
-    without a pairing), unpaired_eigenvalue (nan unless NotPseudoHermitian).
+    holds arrays: diag_score, hermiticity_residual, n_real (-1 without a
+    pairing), unpaired_eigenvalue (nan unless NotPseudoHermitian).
     """
     w = np.asarray(eigenvalues)
     lead, n = w.shape[:-1], w.shape[-1]
@@ -215,7 +215,6 @@ def decide_class(eigenvalues, diag_score, hermiticity_residual,
     kind[hermitian] = OperatorClass.HERMITIAN
     kind[nondiag] = OperatorClass.NON_DIAGONALIZABLE
     diagnostics = {"diag_score": score, "hermiticity_residual": residual, "n_real": n_real,
-                   "n_pairs": np.where(none, -1, (n - n_real) // 2),
                    "unpaired_eigenvalue": np.where(unpaired, culprit, np.nan)}
     return (kind.reshape(lead), pairing.reshape(lead + (n,)),
             {key: value.reshape(lead) for key, value in diagnostics.items()})
@@ -241,7 +240,7 @@ def classify(H, tol: float = REALITY_TOL, kappa_max: float = KAPPA_MAX) -> Class
     if kind is not OperatorClass.NOT_PSEUDO_HERMITIAN:
         del single["unpaired_eigenvalue"]
     if single["n_real"] < 0:
-        del single["n_real"], single["n_pairs"]
+        del single["n_real"]
     return Classification(kind, S, None if np.any(pairing < 0) else pairing, single)
 
 
@@ -304,7 +303,8 @@ def build_general_metric(S: Spectrum, pairing, signs=None) -> MetricOperator:
 
 def verify_intertwining(H, eta, h_norm=None):
     """Certified bound on the relative residual ||H^dag eta - eta H|| / (||H|| ||eta||):
-    the Frobenius norm of the numerator over lower bounds of the two norms.
+    the Frobenius norm of the numerator over lower bounds of the two norms,
+    divided by one at a time so that their product never overflows.
 
     Zero (up to roundoff) certifies eta as a metric operator for H;
     membership is declared at <= 1e-8.  h_norm is ||H|| when the caller has
@@ -315,8 +315,8 @@ def verify_intertwining(H, eta, h_norm=None):
     H = as_square_matrix(H, stack=True)
     E = _metric_matrix(eta)
     eta_norm = eta.norm if isinstance(eta, MetricOperator) else norm_lower_bound(E)
-    denom = (norm_lower_bound(H) if h_norm is None else h_norm) * eta_norm
-    return ratio(frobenius_norm(dagger(H) @ E - E @ H), denom)
+    h_norm = norm_lower_bound(H) if h_norm is None else h_norm
+    return ratio(ratio(frobenius_norm(dagger(H) @ E - E @ H), h_norm), eta_norm)
 
 
 def eta_inner(eta, psi, chi):
@@ -381,29 +381,27 @@ def antilinear_symmetry(S: Spectrum, pairing) -> np.ndarray:
 
 def antilinear_residual(H, tau, h_norm=None):
     """Certified bound on the relative residual ||H tau - tau conj(H)|| / (||H|| ||tau||):
-    the Frobenius norm over norm_lower_bound of tau and h_norm, which is ||H||
-    when the caller has it, else norm_lower_bound(H).  A float for a single
-    H, the (k,) array of residuals for a (k, n, n) stack."""
+    the Frobenius norm over h_norm, which is ||H|| when the caller has it,
+    else norm_lower_bound(H), then over norm_lower_bound of tau.  A float
+    for a single H, the (k,) array of residuals for a (k, n, n) stack."""
     H = as_square_matrix(H, stack=True)
     tau = as_square_matrix(tau, stack=True)
-    denom = (norm_lower_bound(H) if h_norm is None else h_norm) * norm_lower_bound(tau)
-    return ratio(frobenius_norm(H @ tau - tau @ H.conj()), denom)
+    h_norm = norm_lower_bound(H) if h_norm is None else h_norm
+    return ratio(ratio(frobenius_norm(H @ tau - tau @ H.conj()), h_norm), norm_lower_bound(tau))
 
 
 def transform_metric(eta, A, H) -> MetricOperator:
     """Move along the metric family: eta' = A^dag eta A for A commuting with H.
 
-    Checks that A is invertible and commutes with H within tolerance, the
-    commutator by ||AH - HA||_F / (||A|| norm_lower_bound(H)); the
-    congruence preserves the signature, so positive metrics stay positive.
+    Checks that A commutes with H within tolerance, by ||AH - HA||_F over
+    norm_lower_bound(H) and norm_lower_bound(A); a singular A then makes
+    A^dag eta A fail from_matrix with NotInvertible.  The congruence
+    preserves the signature, so positive metrics stay positive.
     """
     H = as_square_matrix(H)
     A = as_square_matrix(A)
     E = _metric_matrix(eta)
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[-1] <= INVERTIBILITY_TOL * sv[0]:
-        raise NotInvertible("transformation A is singular within tolerance")
-    comm = ratio(frobenius_norm(A @ H - H @ A), sv[0] * norm_lower_bound(H))
+    comm = ratio(ratio(frobenius_norm(A @ H - H @ A), norm_lower_bound(H)), norm_lower_bound(A))
     if comm > INTERTWINE_TOL:
         raise NotCommuting(f"[A, H] residual {comm:.3e} exceeds {INTERTWINE_TOL:g}")
     return MetricOperator.from_matrix(A.conj().T @ E @ A)

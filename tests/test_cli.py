@@ -214,6 +214,22 @@ def test_scaled_input_keeps_its_metric(matrix_file, capsys):
     assert failed == []
 
 
+def test_near_overflow_input_keeps_a_nonzero_residual(matrix_file, capsys):
+    # At 1e307, ||H|| ||eta|| overflows: the residual divides by one norm at a
+    # time, so it reads about 1e-15, not 0.0.  At 1e308 the commutator itself
+    # overflows, and hermitize refuses the NaN residual.
+    H = generate(EnsembleSpec(6, 4, "quasi"))[0]
+    path = matrix_file(H * 1e307)
+    for command in ("metric", "hermitize"):
+        code, report = run_cli(capsys, [command, path])
+        assert code == EXIT_OK
+        assert 0.0 < report["residuals"]["intertwining"] <= 1e-8, command
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["hermitize", matrix_file(H * 1e308)])
+    capsys.readouterr()
+    assert code == EXIT_NUMERIC
+
+
 def test_metric_command_refuses_unpaired(matrix_file, capsys):
     M = np.array([[1, 1], [0, 2j]], dtype=complex)
     code = main(["metric", matrix_file(M)])
@@ -245,15 +261,19 @@ def test_hermitize_command_refuses_complex_pair(matrix_file, capsys):
     code = main(["hermitize", matrix_file(pt2x2(1, np.pi / 2, 0.5))])
     capsys.readouterr()
     assert code == EXIT_NUMERIC
-    # A real spectrum whose eta_+ = Phi Phi^dag has lambda_min = 0.5 but
-    # lambda_min/lambda_max = 2.5e-11: metric accepts it, and hermitize's square
-    # root refuses it by the ratio, which the message names.
+
+
+def test_metric_and_hermitize_agree_at_the_ceiling(matrix_file, capsys):
+    # A real spectrum whose eta_+ = Phi Phi^dag has lambda_min/lambda_max = 2.5e-11,
+    # above INVERTIBILITY_TOL: metric accepts it, and so does hermitize's square root.
     S = np.array([[1.0, 1.0], [0.0, 1e-5]])
-    code = main(["hermitize", matrix_file(S @ np.diag([1.0, 2.0]) @ np.linalg.inv(S))])
-    err = capsys.readouterr().err
-    assert code == EXIT_NUMERIC
-    assert "minimum eigenvalue 5.000e-01 is at most POSITIVITY_TOL = 1e-10 times the " \
-        "maximum 2.000e+10 (ratio 2.500e-11)" in err
+    path = matrix_file(S @ np.diag([1.0, 2.0]) @ np.linalg.inv(S))
+    code, report = run_cli(capsys, ["metric", path])
+    assert code == EXIT_OK and report["residuals"]["intertwining"] <= 1e-8
+    code, report = run_cli(capsys, ["hermitize", path])
+    assert code == EXIT_OK
+    assert report["residuals"]["intertwining"] <= 1e-8
+    assert report["residuals"]["hermiticity_of_h"] <= 1e-8
 
 
 def test_symmetry_command(matrix_file, capsys):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from pseudoherm import (
+    MetricOperator,
+    NotInvertible,
     NotPositiveDefinite,
     build_positive_metric,
     classify,
@@ -169,7 +171,7 @@ def test_herm_sqrt_is_scale_covariant():
     for c in (1e-14, 1e-11, 1e6):
         assert np.allclose(herm_sqrt(c * P), np.sqrt(c) * np.diag([1.0, 2.0]), rtol=1e-14, atol=0)
     with pytest.raises(NotPositiveDefinite):
-        herm_sqrt(1e-14 * np.diag([1e-11, 1.0]).astype(complex))
+        herm_sqrt(1e-14 * np.diag([1e-13, 1.0]).astype(complex))
 
 
 def test_herm_sqrt_rejects_bad_input():
@@ -177,6 +179,25 @@ def test_herm_sqrt_rejects_bad_input():
         herm_sqrt(np.diag([1.0, -1.0]).astype(complex))
     with pytest.raises(NotPositiveDefinite):
         herm_sqrt(np.array([[1, 1], [0, 1]], dtype=complex))  # not self-adjoint
+
+
+def test_herm_sqrt_refuses_where_from_matrix_is_not_invertible():
+    # One ceiling: the root is refused exactly where MetricOperator marks the
+    # positive metric diag(r, 1) not invertible, alone and in a stack.
+    ladder = [1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14]
+    stack = np.stack([np.diag([r, 1.0]) for r in ladder]).astype(complex)
+    invertible = MetricOperator.from_matrix(stack).invertible
+    assert invertible.tolist() == [True, True, True, False, False, False]
+    assert np.array_equal(np.isnan(herm_sqrt(stack)).all(axis=(-2, -1)), ~invertible)
+    for P, accepted in zip(stack, invertible):
+        if accepted:
+            MetricOperator.from_matrix(P)
+            herm_sqrt(P)
+            continue
+        with pytest.raises(NotInvertible):
+            MetricOperator.from_matrix(P)
+        with pytest.raises(NotPositiveDefinite, match="INVERTIBILITY_TOL = 1e-12"):
+            herm_sqrt(P)
 
 
 @pytest.mark.parametrize("n", [1, 4, 8])

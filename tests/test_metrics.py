@@ -568,6 +568,23 @@ def test_transform_metric_rejects_singular():
         transform_metric(eta, np.zeros((2, 2), dtype=complex), H)
 
 
+def test_transform_metric_refuses_a_singular_commutant_by_from_matrix():
+    # The spectral projector psi_0 phi_0^dag commutes with H and has rank 1, so
+    # A^dag eta A is singular and from_matrix refuses it.
+    H, _, _ = generate(EnsembleSpec(4, 17, "quasi"))
+    S = eig_full(H)
+    with pytest.raises(NotInvertible):
+        transform_metric(build_positive_metric(S), np.outer(S.right[:, 0], S.left[:, 0].conj()), H)
+
+
+def test_transform_metric_refuses_a_singular_noncommutant_by_the_commutator():
+    # psi_0 phi_1^dag has rank 1 and [A, H] = (lambda_0 - lambda_1) A.
+    H, _, _ = generate(EnsembleSpec(4, 17, "quasi"))
+    S = eig_full(H)
+    with pytest.raises(NotCommuting):
+        transform_metric(build_positive_metric(S), np.outer(S.right[:, 0], S.left[:, 1].conj()), H)
+
+
 # ---------------------------------------------------------------------------
 # negative control: generic complex matrices are not pseudo-Hermitian
 
@@ -644,6 +661,9 @@ def test_stacked_metrics_functions_match_single_calls():
         assert np.array_equal(tau[j], single_tau), i
         assert commutation[j] == antilinear_residual(H, single_tau, one.diagnostics["norm"]), i
         assert antilinear_residual(stack[keep], tau)[j] == antilinear_residual(H, single_tau), i
+    # One h_norm for the whole stack broadcasts over it.
+    assert verify_intertwining(stack[keep], eta, 1.0).shape == (4,)
+    assert antilinear_residual(stack[keep], tau, 1.0).shape == (4,)
 
     # A group with no paired matrix is a (0, n, n) stack.
     none = np.zeros((0, n, n), dtype=complex)

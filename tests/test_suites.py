@@ -245,10 +245,12 @@ def test_batched_suite_matches_per_instance_oracle(name):
 
 
 def test_refused_roots_match_the_oracle(monkeypatch):
-    # A positivity cutoff of 1e-2 refuses the square root of 59 of the 320
+    # A ceiling of 1e-2 in linalg refuses the square root of 59 of the 320
     # positive metrics of "mixed dims 1-8"; no lambda_min/lambda_max lies within
-    # 1% of it.  The oracle's hermitize refuses the same ones, one at a time.
-    monkeypatch.setattr(linalg, "POSITIVITY_TOL", 1e-2)
+    # 1% of it.  metrics keeps its own binding of INVERTIBILITY_TOL, so
+    # from_matrix still accepts those metrics and leg c's refusal is reached.
+    # The oracle's hermitize refuses the same ones, one at a time.
+    monkeypatch.setattr(linalg, "INVERTIBILITY_TOL", 1e-2)
     specs = ENSEMBLES["mixed dims 1-8"]
     columns = equivalence_columns(specs)
     assert_columns_match(columns, [oracle_record(spec) for spec in specs])
