@@ -2,8 +2,14 @@
 Klein-Gordon demonstration pipeline, and ensemble verification runs.
 
 Matrices travel as JSON {"dim": n, "re": [[...]], "im": [[...]]} with both
-parts mandatory (row-major).  Reports are schema-versioned JSON on stdout,
-one line each.
+parts mandatory (row-major).  A matrix that its upper triangle rebuilds bit
+for bit (a Hermitian one: the metrics eta and the roots rho, built as
+0.5 (A + A^dag)) is written as that triangle alone,
+{"dim": n, "hermitian": true, "re": rows, "im": rows}, row i holding columns
+i..n-1; every other matrix (tau, hermitize's h, whose skew part is its
+hermiticity residual) keeps the full layout, and matrix_from_json reads both.
+Reports are schema-versioned JSON on stdout, one line each; a norm or
+residual that overflows refuses the input rather than print inf or NaN.
 Exit codes: 0 success / full pass, 1 property-suite failure, 2 input error,
 3 numerical failure.
 """
@@ -57,19 +63,38 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 DEFAULT_SEED = 1729
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 # ---------------------------------------------------------------------------
 # matrix file I/O
 
+def _from_upper(n, re, im) -> np.ndarray:
+    """The n x n matrix whose upper triangle, row by row, is re + i im, mirrored
+    conjugate below and on the diagonal; the mirror's imaginary part is
+    0.0 - im, so a real entry keeps the +0.0 that 0.5 (A + A^dag) gives it."""
+    M = np.empty((n, n), dtype=complex)
+    i, j = np.triu_indices(n)
+    M.real[i, j], M.imag[i, j] = re, im
+    M.real[j, i], M.imag[j, i] = re, 0.0 - im
+    return M
+
+
 def matrix_to_json(M) -> dict:
+    """The matrix file object of M: its upper triangle when that rebuilds M bit
+    for bit (so M is Hermitian), the full layout otherwise."""
     M = np.asarray(M, dtype=complex)
-    return {"dim": M.shape[0], "re": M.real.tolist(), "im": M.imag.tolist()}
+    n = M.shape[0]
+    upper = M[np.triu_indices(n)]
+    if _from_upper(n, upper.real, upper.imag).tobytes() != M.tobytes():
+        return {"dim": n, "re": M.real.tolist(), "im": M.imag.tolist()}
+    return {"dim": n, "hermitian": True, "re": [M.real[k, k:].tolist() for k in range(n)],
+            "im": [M.imag[k, k:].tolist() for k in range(n)]}
 
 
 def matrix_from_json(data, booleans: bool = True) -> np.ndarray:
-    """The matrix of a decoded object; booleans=False skips the true/false scan."""
+    """The matrix of a decoded object in either layout; booleans=False skips
+    the true/false scan."""
     if not isinstance(data, dict):
         raise ParseError("matrix file must hold a JSON object")
     for key in ("dim", "re", "im"):
@@ -78,21 +103,40 @@ def matrix_from_json(data, booleans: bool = True) -> np.ndarray:
     n = data["dim"]
     if isinstance(n, bool) or not isinstance(n, int):
         raise ParseError(f"dim must be an integer, got {n!r}")
-    # No dtype on conversion: strings, objects and nulls then show in the array's dtype.
-    re, im = np.asarray(data["re"]), np.asarray(data["im"])
-    for key, part in (("re", re), ("im", im)):
+    packed = data.get("hermitian", False)
+    if type(packed) is not bool:
+        raise ParseError(f"hermitian must be true or false, got {packed!r}")
+    parts = []
+    for key in ("re", "im"):
+        rows = data[key]
+        if packed:
+            if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+                    and [len(row) for row in rows] == list(range(n, 0, -1))):
+                raise ParseError(
+                    f"hermitian matrix {key!r} needs rows of {n}, {n - 1}, ..., 1 entries")
+            rows = [x for row in rows for x in row]
+        # No dtype on conversion: strings, objects and nulls then show in the array's dtype.
+        try:
+            part = np.asarray(rows)
+        except ValueError:   # lists nested to uneven depths: refused as objects
+            part = np.asarray(None)
         if part.dtype.kind not in "iuf":
             raise ParseError(f"matrix {key!r} has entries that are not JSON numbers")
-    if re.shape != (n, n) or im.shape != (n, n):
+        parts.append(part)
+    re, im = parts
+    shape = (n * (n + 1) // 2,) if packed else (n, n)
+    if re.shape != shape or im.shape != shape:
         raise ParseError(
             f"dimension mismatch: dim={n} but re has shape {re.shape} and im {im.shape}"
         )
     # numpy reads true/false among numbers as 1/0: only the decoded entries show them.
     if booleans and any(type(x) is bool for key in ("re", "im") for row in data[key] for x in row):
         raise ParseError("matrix has true/false entries, which are not JSON numbers")
-    M = re + 1j * im
+    M = _from_upper(n, re, im) if packed else re + 1j * im
     if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
         raise ParseError("matrix has non-finite entries")
+    if packed and M.imag.diagonal().any():   # the mirror would conjugate it silently
+        raise ParseError("hermitian matrix has a diagonal entry that is not real")
     return M
 
 
@@ -107,14 +151,14 @@ def load_matrix(path) -> tuple[np.ndarray, str]:
         data = json.loads(raw.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
-    # A JSON true or false needs a t or f byte; numbers and dim/re/im have none.
+    # A JSON true or false needs a t or f byte; numbers and dim/re/im have none
+    # (the packed layout's "hermitian": true has both, so its entries are scanned).
     return matrix_from_json(data, booleans=b"t" in raw or b"f" in raw), digest
 
 
 def save_matrix(M, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json(M), fh)
-        fh.write("\n")
+        fh.write(json.dumps(matrix_to_json(M)) + "\n")   # the C encoder, as in _emit
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +437,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report, code = args.handler(args)
+        with np.errstate(over="raise"):   # so that no report holds an overflowed inf or NaN
+            report, code = args.handler(args)
     except ParseError as exc:
         where = "" if exc.line is None else f" (line {exc.line}, column {exc.column})"
         print(f"error: {exc}{where}", file=sys.stderr)
@@ -403,6 +448,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except PseudohermError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except FloatingPointError as exc:
+        print(f"error: {exc}: the input is too large for its norms and residuals",
+              file=sys.stderr)
         return EXIT_NUMERIC
     _emit(report)
     return code

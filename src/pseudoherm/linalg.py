@@ -72,23 +72,25 @@ def spectral_norm(A):
 
 
 def _unit_scale(A):
-    """(2^e, A / 2^e) per matrix of A, the largest |Re| or |Im| then in [0.5, 1)
-    (1 for a zero matrix): an exact rescaling under which no sum of squares
-    in a norm overflows or underflows."""
+    """(e, A / 2^e) per matrix of A, the largest |Re| or |Im| then in [0.5, 1)
+    (e = 0 for a zero matrix): an exact rescaling under which no sum of
+    squares in a norm overflows or underflows.  A norm n of A / 2^e is
+    ldexp(n, e) for A, which overflows only where that norm does (2^e
+    alone would from a peak of 2^1023 up)."""
     A = np.ascontiguousarray(A, dtype=complex)
     peak = np.maximum(np.max(np.abs(A.real), axis=(-2, -1), initial=0.0),
                       np.max(np.abs(A.imag), axis=(-2, -1), initial=0.0))
     e = np.frexp(peak)[1]
     # ldexp on the real view: 1 / 2^e would overflow for a subnormal peak.
-    return np.ldexp(1.0, e), np.ldexp(A.view(float), -e[..., None, None]).view(complex)
+    return e, np.ldexp(A.view(float), -e[..., None, None]).view(complex)
 
 
 def frobenius_norm(A):
     """||A||_F, an upper bound on ||A||_2 in O(n^2); a (k, n, n) stack gives
     the (k,) array of norms."""
-    scale, B = _unit_scale(A)
+    e, B = _unit_scale(A)
     flat = B.reshape(B.shape[:-2] + (B.shape[-2] * B.shape[-1],))
-    return scale * np.sqrt(np.vecdot(flat, flat).real)
+    return np.ldexp(np.sqrt(np.vecdot(flat, flat).real), e)
 
 
 def norm_lower_bound(A):
@@ -99,7 +101,7 @@ def norm_lower_bound(A):
     half step's, the first of which is at least the column's norm; the
     result is the last growth, or the largest column norm when that is more.
     A zero matrix gives 0.0; a (k, n, n) stack gives the (k,) array of bounds."""
-    scale, B = _unit_scale(A)
+    e, B = _unit_scale(A)
     columns = np.sqrt(np.vecdot(B, B, axis=-2).real)
     top = np.max(columns, axis=-1, initial=0.0)
     if B.shape[-1]:
@@ -109,7 +111,7 @@ def norm_lower_bound(A):
         for op in (dagger(B), B) * POWER_STEPS:
             last, v = v, op @ v
         top = np.maximum(top, ratio(frobenius_norm(v), frobenius_norm(last)))
-    bound = scale * top
+    bound = np.ldexp(top, e)
     return float(bound) if bound.ndim == 0 else bound
 
 

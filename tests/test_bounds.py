@@ -108,6 +108,17 @@ def test_norms_are_exact_under_power_of_two_scaling(exponent):
     assert classify(s * H[0]).kind is classify(H[0]).kind is OperatorClass.QUASI_HERMITIAN
 
 
+def test_norms_reach_the_top_of_the_float_range():
+    # A peak entry past 2^1023 leaves the norm a float; only a norm past the
+    # largest float overflows, to inf, and raises under np.errstate(over="raise").
+    A = np.diag([1.5e308, 1.0])
+    assert norm_lower_bound(A) == frobenius_norm(A) == 1.5e308
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        frobenius_norm(np.diag([1.5e308, 1.5e308]))
+    with np.errstate(over="ignore"):
+        assert norm_lower_bound(np.full((2, 2), 1e308)) == np.inf
+
+
 def test_power_iteration_lifts_the_bound_above_the_largest_column():
     # At n = 256 the largest column holds under 0.35 of ||H||; the bound reaches 0.95.
     for n, H in CASES:

@@ -1,6 +1,7 @@
 import json
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pseudoherm.cli import (
     load_matrix,
     main,
     matrix_from_json,
+    matrix_to_json,
     save_matrix,
 )
 from pseudoherm.errors import ParseError
@@ -27,7 +29,14 @@ from pseudoherm.kleingordon import (
     sigma3_metric,
 )
 from pseudoherm.linalg import eig_full, norm_lower_bound, spectral_norm
-from pseudoherm.metrics import OperatorClass, build_positive_metric, classify
+from pseudoherm.metrics import (
+    OperatorClass,
+    antilinear_symmetry,
+    build_general_metric,
+    build_positive_metric,
+    classify,
+    hermitize,
+)
 from pseudoherm.physical import indefinite_physical_set, restrict_to_physical
 from pseudoherm.models import EnsembleSpec, generate, jordan_block, pt2x2
 
@@ -79,13 +88,102 @@ def test_matrix_from_json_validation():
         matrix_from_json({"dim": 3, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]})
 
 
+def test_save_matrix_bytes_are_pinned(tmp_path):
+    path = tmp_path / "m.json"
+    save_matrix([[1, 0.5j], [2, 3]], path)
+    assert path.read_text() == ('{"dim": 2, "re": [[1.0, 0.0], [2.0, 3.0]], '
+                                '"im": [[0.0, 0.5], [0.0, 0.0]]}\n')
+    M = np.array([[2, 1j], [0, 3]])
+    M[1, 0] = M[0, 1].conjugate()
+    save_matrix(M, path)
+    assert path.read_text() == ('{"dim": 2, "hermitian": true, "re": [[2.0, 0.0], [3.0]], '
+                                '"im": [[0.0, 1.0], [0.0]]}\n')
+
+
+# ---------------------------------------------------------------------------
+# packed Hermitian layout
+
+def _reread(block):
+    return matrix_from_json(json.loads(json.dumps(block)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 64])
+def test_hermitian_matrix_round_trips_packed(tmp_path, n):
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    M = X + X.conj().T
+    block = matrix_to_json(M)
+    assert block["hermitian"] is True
+    assert [len(row) for row in block["re"]] == [len(row) for row in block["im"]] == list(
+        range(n, 0, -1))
+    assert _reread(block).tobytes() == M.tobytes()
+    path = tmp_path / "h.json"
+    save_matrix(M, path)
+    assert load_matrix(path)[0].tobytes() == M.tobytes()
+
+
+def test_report_blocks_read_back_bit_identical(matrix_file, capsys):
+    # eta and rho are built as 0.5 (A + A^dag): packed, and read back bit for bit.
+    # tau and hermitize's h are not Hermitian and keep the full layout.
+    quasi = generate(EnsembleSpec(6, 4, "quasi"))[0]
+    paired = generate(EnsembleSpec(6, 4, "pseudo_nonquasi"))[0]
+    for H in (quasi, paired):
+        cls = classify(H)
+        if cls.kind is OperatorClass.QUASI_HERMITIAN:
+            eta = build_positive_metric(cls.spectrum, cls.pairing).matrix
+        else:
+            eta = build_general_metric(cls.spectrum, cls.pairing).matrix
+        path = matrix_file(H)
+        for argv in (["classify", path, "--emit-metric"], ["metric", path]):
+            code, report = run_cli(capsys, argv)
+            assert code == EXIT_OK and report["metric"]["hermitian"] is True
+            assert matrix_from_json(report["metric"]).tobytes() == eta.tobytes()
+        code, report = run_cli(capsys, ["symmetry", path])
+        assert code == EXIT_OK and "hermitian" not in report["antilinear"]
+        tau = antilinear_symmetry(cls.spectrum, cls.pairing)
+        assert matrix_from_json(report["antilinear"]).tobytes() == tau.tobytes()
+    cls = classify(quasi)
+    rho, h, _ = hermitize(quasi, build_positive_metric(cls.spectrum, cls.pairing))
+    code, report = run_cli(capsys, ["hermitize", matrix_file(quasi)])
+    assert code == EXIT_OK and report["rho"]["hermitian"] is True
+    assert matrix_from_json(report["rho"]).tobytes() == rho.tobytes()
+    assert "hermitian" not in report["hermitized"]
+    assert matrix_from_json(report["hermitized"]).tobytes() == h.tobytes()
+
+
+PACKED = {"dim": 2, "hermitian": True, "re": [[1, 2], [3]], "im": [[0, 0.5], [0]]}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"re": [[1, 2], [3, 4]]}, "rows of 2, 1"),
+    ({"im": [[0, 0.5]]}, "rows of 2, 1"),
+    ({"re": [1, 2, 3]}, "rows of 2, 1"),
+    ({"im": [[0, 0.5], [0.25]]}, "diagonal entry that is not real"),
+    ({"hermitian": "yes"}, "hermitian must be true or false"),
+    ({"hermitian": 1}, "hermitian must be true or false"),
+    ({"hermitian": None}, "hermitian must be true or false"),
+    ({"re": [[1, True], [3]]}, "true/false entries"),
+    ({"im": [[False, 0.5], [0]]}, "true/false entries"),
+    ({"re": [[1, "2"], [3]]}, "'re' has entries"),
+    ({"im": [[0, None], [0]]}, "'im' has entries"),
+    ({"re": [[1, [2]], [3]]}, "'re' has entries"),
+    ({"re": [[1, float("inf")], [3]]}, "non-finite"),
+    ({"im": [[0, float("nan")], [0]]}, "non-finite"),
+], ids=["full_rows", "missing_row", "flat", "complex_diagonal", "string_flag", "int_flag",
+        "null_flag", "true", "false", "string", "null", "nested", "inf", "nan"])
+def test_packed_layout_refusals(change, message):
+    assert np.array_equal(matrix_from_json(PACKED), [[1, 2 + 0.5j], [2 - 0.5j, 3]])
+    with pytest.raises(ParseError, match=message):
+        matrix_from_json({**PACKED, **change})
+
+
 # ---------------------------------------------------------------------------
 # classify
 
 def test_classify_hermitian(matrix_file, capsys):
     code, report = run_cli(capsys, ["classify", matrix_file(SIGMA1)])
     assert code == EXIT_OK
-    assert report["schema"] == 3
+    assert report["schema"] == 4
     assert report["classification"] == "Hermitian"
     assert len(report["spectrum"]) == 2
 
@@ -216,18 +314,39 @@ def test_scaled_input_keeps_its_metric(matrix_file, capsys):
 
 def test_near_overflow_input_keeps_a_nonzero_residual(matrix_file, capsys):
     # At 1e307, ||H|| ||eta|| overflows: the residual divides by one norm at a
-    # time, so it reads about 1e-15, not 0.0.  At 1e308 the commutator itself
-    # overflows, and hermitize refuses the NaN residual.
+    # time, so it reads about 1e-15, not 0.0.
     H = generate(EnsembleSpec(6, 4, "quasi"))[0]
     path = matrix_file(H * 1e307)
     for command in ("metric", "hermitize"):
         code, report = run_cli(capsys, [command, path])
         assert code == EXIT_OK
         assert 0.0 < report["residuals"]["intertwining"] <= 1e-8, command
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["hermitize", matrix_file(H * 1e308)])
-    capsys.readouterr()
-    assert code == EXIT_NUMERIC
+
+
+@pytest.mark.parametrize("scale", [5e307, 1e308])
+def test_overflowing_input_is_refused(matrix_file, capsys, scale):
+    # At 5e307 ||H - H^dag||_F overflows, at 1e308 ||H|| itself: each matrix
+    # command exits 3 and names the overflow, with no report and no warning.
+    path = matrix_file(generate(EnsembleSpec(6, 4, "quasi"))[0] * scale)
+    for command in ("classify", "metric", "hermitize", "symmetry"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, path])
+        out, err = capsys.readouterr()
+        assert code == EXIT_NUMERIC and out == "" and "overflow" in err, command
+
+
+def test_largest_representable_norm_is_not_refused(matrix_file, capsys):
+    # The largest entry is past 2^1023, where 2^e alone overflows; the norm is a float.
+    path = matrix_file(np.diag([1.5e308, 1.0]))
+    for command in ("classify", "metric", "hermitize", "symmetry"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report = run_cli(capsys, [command, path])
+        assert code == EXIT_OK, command
+        assert report["spectrum"] == [[1.0, 0.0], [1.5e308, 0.0]]
+        assert all(value == 0.0 for key, value in report["residuals"].items()
+                   if key != "diag_score")
 
 
 def test_metric_command_refuses_unpaired(matrix_file, capsys):
@@ -250,7 +369,7 @@ def test_hermitize_reports_rho_and_h_but_not_eta(matrix_file, capsys):
     # eta = rho^2 is what metric emits; hermitize keeps its signature only.
     code, report = run_cli(capsys, ["hermitize", matrix_file(pt2x2(1, np.pi / 6, 1))])
     assert code == EXIT_OK
-    assert report["schema"] == 3 and report["metric"] is None
+    assert report["schema"] == 4 and report["metric"] is None
     assert report["signature"] == [2, 0]
     rho = matrix_from_json(report["rho"])
     assert np.allclose(rho, rho.conj().T) and np.all(np.linalg.eigvalsh(rho) > 0)
