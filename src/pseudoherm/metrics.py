@@ -16,12 +16,10 @@ all s = +1.  hermitize still maps through the square root of eta_+.
 
 classify, pair_spectrum, decide_class, MetricOperator.from_matrix,
 build_general_metric, verify_intertwining, hermitize, antilinear_symmetry,
-antilinear_residual and eta_inner take a (k, n, n) stack too (its (k, n)
-eigenvalues or permutations where they take those), as eig_full and
-herm_sqrt do, and give per-matrix arrays.  The class of a stack is decided
-over arrays, with no Python loop over matrices: pair_spectrum's greedy loop
-runs once per Im > 0 eigenvalue of the widest row, each step covering every
-matrix.
+antilinear_residual and eta_inner take a (k, n, n) stack too, as eig_full
+and herm_sqrt do, and give per-matrix arrays.  The class rule is written
+once, for every matrix of a stack at once: one band array in pair_spectrum
+and one precedence list in decide_class.
 """
 
 from __future__ import annotations
@@ -135,42 +133,39 @@ def pair_spectrum(S: Spectrum | np.ndarray, tol: float = REALITY_TOL) -> np.ndar
     """The partner permutation p of a Spectrum's, or an array's, (..., n)
     eigenvalues: lambda_{p[n]} ~ conj(lambda_n), and p[n] = n on real ones.
 
-    lambda is real when |Im lambda| <= tol*(1+|lambda|).  The greedy loop:
-    largest Im first, lowest index among ties, each lambda_n with Im > 0 (an
-    upper) takes the nearest remaining conj(lambda) with Im lambda < 0 (the
-    first among ties), within tol*(1+|lambda_n|).  An eigenvalue left without
-    a partner certifies that no metric operator exists: one matrix raises
-    UnpairedEigenvalue with it, and a stack's row holds -1 there and n
-    elsewhere.  Step j of the loop pairs the j-th upper of every row at
-    once, at O(n) per upper; a row whose upper misses stops there.  A real
-    spectrum skips the loop and costs O(n).
+    Each lambda_n has one band, tol*(1+|lambda_n|): lambda_n is real when
+    |Im lambda_n| lies within it, and an upper lambda_n (Im > 0) pairs with the
+    nearest remaining lower lambda_m (Im < 0) when |lambda_m - conj(lambda_n)|
+    does.  Uppers go largest Im first; ties go to the lowest index of the row.
+    An eigenvalue left unpaired certifies that no metric exists: one matrix
+    raises UnpairedEigenvalue with it, and a stack's row holds -1 there and is
+    the identity elsewhere.  Step j pairs the j-th upper of every row at once,
+    in O(n); a row whose upper misses stops there.  A real spectrum costs O(n).
     """
     w = S.eigenvalues if isinstance(S, Spectrum) else np.asarray(S)
     flat = w.reshape(-1, w.shape[-1])
     k, n = flat.shape
     p = np.arange(n) + np.zeros((k, 1), dtype=int)
-    nonreal = np.abs(flat.imag) > tol * (1.0 + np.abs(flat))
+    band = tol * (1.0 + np.abs(flat))
+    nonreal = np.abs(flat.imag) > band
     if nonreal.any():
         lost = np.full(k, -1)   # the unpaired eigenvalue of each row
-        at = np.argsort(~nonreal, axis=-1, kind="stable")[:, :nonreal.sum(axis=-1).max()]
-        v = np.take_along_axis(flat, at, axis=-1)   # non-real first, by index
-        live = np.take_along_axis(nonreal, at, axis=-1)
-        upper, lower = live & (v.imag > 0), live & (v.imag < 0)
-        order = np.argsort(np.where(upper, -v.imag, np.inf), axis=-1, kind="stable")
+        upper, lower = nonreal & (flat.imag > 0), nonreal & (flat.imag < 0)
+        order = np.argsort(np.where(upper, -flat.imag, np.inf), axis=-1, kind="stable")
         count = np.count_nonzero(upper, axis=-1)
         for j in range(count.max()):
             r = np.flatnonzero((lost < 0) & (count > j))
             a = order[r, j]
-            gap = np.where(lower[r], np.abs(v[r] - v[r, a].conj()[:, None]), np.inf)
+            gap = np.where(lower[r], np.abs(flat[r] - flat[r, a].conj()[:, None]), np.inf)
             b = np.argmin(gap, axis=-1)
-            hit = gap[np.arange(len(r)), b] <= tol * (1.0 + np.abs(v[r, a]))
-            lost[r[~hit]] = at[r[~hit], a[~hit]]
-            r, a, b = r[hit], at[r[hit], a[hit]], b[hit]
+            hit = gap[np.arange(len(r)), b] <= band[r, a]
+            lost[r[~hit]] = a[~hit]
+            r, a, b = r[hit], a[hit], b[hit]
             lower[r, b] = False
-            p[r, a], p[r, at[r, b]] = at[r, b], a
+            p[r, a], p[r, b] = b, a
         # With every upper matched, the first lower left over is unpaired.
         r = np.flatnonzero((lost < 0) & lower.any(axis=-1))
-        lost[r] = at[r, lower[r].argmax(axis=-1)]
+        lost[r] = lower[r].argmax(axis=-1)
         r = np.flatnonzero(lost >= 0)
         if w.ndim == 1 and r.size:
             raise UnpairedEigenvalue(w[lost[0]])
@@ -184,18 +179,18 @@ def decide_class(eigenvalues, diag_score, hermiticity_residual,
     """The class rule of classify from its three inputs, for one matrix's
     (n,) eigenvalues or a stack's (..., n): (kind, pairing, diagnostics).
 
-    kind holds each matrix's class name: NonDiagonalizable when diag_score, the
-    eigenvector score ||V||_F ||V^-1||_F, exceeds kappa_max; Hermitian by direct
-    residual (every eigenvalue its own partner); QuasiHermitian for a real
-    spectrum; PseudoHermitianOnly when it is closed under conjugation with at
-    least one pair; NotPseudoHermitian otherwise.  pairing is pair_spectrum's,
-    -1 throughout for NonDiagonalizable and NotPseudoHermitian.  diagnostics
-    holds arrays: diag_score, hermiticity_residual, n_real (-1 without a
-    pairing), unpaired_eigenvalue (nan unless NotPseudoHermitian).
+    kind is each matrix's class name, the first of this list that holds:
+    NonDiagonalizable if diag_score (||V||_F ||V^-1||_F) exceeds kappa_max;
+    Hermitian if the residual is within tol; NotPseudoHermitian if
+    pair_spectrum leaves an eigenvalue unpaired; QuasiHermitian if the
+    spectrum is real; else PseudoHermitianOnly.  pairing is pair_spectrum's
+    (the identity if Hermitian), -1 throughout for NonDiagonalizable and
+    NotPseudoHermitian.  diagnostics holds arrays: diag_score,
+    hermiticity_residual, n_real (-1 without a pairing), unpaired_eigenvalue
+    (nan unless NotPseudoHermitian).
     """
-    w = np.asarray(eigenvalues)
-    lead, n = w.shape[:-1], w.shape[-1]
-    w = w.reshape(-1, n)
+    *lead, n = np.shape(eigenvalues)
+    w = np.reshape(eigenvalues, (-1, n))
     score, residual = np.ravel(diag_score), np.ravel(hermiticity_residual)
     pairing = pair_spectrum(w, tol)
     nondiag = score > kappa_max
@@ -206,17 +201,14 @@ def decide_class(eigenvalues, diag_score, hermiticity_residual,
     culprit = w[np.arange(len(w)), lost.argmax(axis=-1)]
     none = nondiag | unpaired
     pairing[none] = -1
-    n_real = (pairing == np.arange(n)).sum(axis=-1)
-    n_real[none] = -1
-    # Sized for the longest name, so that no assignment below truncates one.
-    kind = np.where(n_real == n, OperatorClass.QUASI_HERMITIAN,
-                    OperatorClass.PSEUDO_HERMITIAN_ONLY).astype(f"U{max(map(len, OperatorClass))}")
-    kind[unpaired] = OperatorClass.NOT_PSEUDO_HERMITIAN
-    kind[hermitian] = OperatorClass.HERMITIAN
-    kind[nondiag] = OperatorClass.NON_DIAGONALIZABLE
+    n_real = np.where(none, -1, (pairing == np.arange(n)).sum(axis=-1))
+    kind = np.select([nondiag, hermitian, unpaired, n_real == n],
+                     [OperatorClass.NON_DIAGONALIZABLE, OperatorClass.HERMITIAN,
+                      OperatorClass.NOT_PSEUDO_HERMITIAN, OperatorClass.QUASI_HERMITIAN],
+                     OperatorClass.PSEUDO_HERMITIAN_ONLY)
     diagnostics = {"diag_score": score, "hermiticity_residual": residual, "n_real": n_real,
                    "unpaired_eigenvalue": np.where(unpaired, culprit, np.nan)}
-    return (kind.reshape(lead), pairing.reshape(lead + (n,)),
+    return (kind.reshape(lead), pairing.reshape(*lead, n),
             {key: value.reshape(lead) for key, value in diagnostics.items()})
 
 
@@ -225,12 +217,16 @@ def classify(H, tol: float = REALITY_TOL, kappa_max: float = KAPPA_MAX) -> Class
     by decide_class.  The Classification carries the Spectrum and pairing
     of the one decomposition, so callers never decompose H again, and
     norm_lower_bound(H) <= ||H|| as diagnostics["norm"] for the residual
-    helpers.  A (k, n, n) stack is decomposed, normed and decided once."""
+    helpers.  A (k, n, n) stack is decomposed, normed and decided once; a
+    norm or Hermiticity residual that overflows raises ValueError."""
     H = as_square_matrix(H, stack=True)
-    S = eig_full(H)
     norm = norm_lower_bound(H)
+    residual = herm_residual(H, norm)
+    if not np.all(np.isfinite([norm, residual])):
+        raise ValueError("H is too large: its norm or Hermiticity residual overflows")
+    S = eig_full(H)
     kind, pairing, diagnostics = decide_class(S.eigenvalues, S.diag_score,
-                                              herm_residual(H, norm), tol, kappa_max)
+                                              residual, tol, kappa_max)
     diagnostics["norm"] = np.asarray(norm)
     if H.ndim == 3:
         return Classification(kind, S, pairing, diagnostics)

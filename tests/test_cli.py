@@ -354,6 +354,11 @@ def test_metric_command_refuses_unpaired(matrix_file, capsys):
     code = main(["metric", matrix_file(M)])
     capsys.readouterr()
     assert code == EXIT_NUMERIC
+    # classify --emit-metric answers the same input, with no metric.
+    code, report = run_cli(capsys, ["classify", matrix_file(M), "--emit-metric"])
+    assert code == EXIT_OK
+    assert report["classification"] == "NotPseudoHermitian" and report["metric"] is None
+    assert "NotPseudoHermitian" in report["notes"]
 
 
 def test_hermitize_command(matrix_file, capsys):
@@ -632,6 +637,8 @@ def test_dims_parsing(capsys):
     code, report = run_cli(capsys, ["verify", "--ensemble", "quasi",
                                     "--count", "4", "--dims", "3"])
     assert code == EXIT_OK
+    code = main(["verify", "--dims", "0-3"])
+    assert code == EXIT_INPUT and "bad --dims" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +654,7 @@ def test_dims_parsing(capsys):
 ] + [
     ["kg", "--n", "8", "--samples", "0"],     # counts must be at least 1
     ["verify", "--count", "0"],
+    ["verify", "--count", "x"],               # and integers
 ] + [
     ["classify", "MATRIX", "--tol", value] for value in ("nan", "-1")  # finite and > 0
 ] + [

@@ -123,6 +123,11 @@ def test_d_power_constant_field_sees_mass():
     assert out[0] == pytest.approx(1.3 * 2.0)
 
 
+def test_d_power_refuses_a_field_of_the_wrong_length():
+    with pytest.raises(ValueError, match="length 8"):
+        d_power(make_grid(8, 2 * np.pi, 1.0), 1.0, np.zeros(7))
+
+
 # ---------------------------------------------------------------------------
 # two-component Hamiltonian
 

@@ -232,6 +232,12 @@ def test_stacked_herm_sqrt_refuses_one_bad_matrix(bad, message, marked):
         assert np.array_equal(roots[i], herm_sqrt(stack[i])), i
 
 
+def test_spectral_norm_of_empty_matrices():
+    assert spectral_norm(np.zeros((0, 0))) == 0.0
+    stacked = spectral_norm(np.zeros((3, 0, 0)))
+    assert stacked.shape == (3,) and not stacked.any()
+
+
 def test_herm_residual_of_exactly_self_adjoint_input_needs_no_svd(monkeypatch):
     import pseudoherm.linalg as linalg
 

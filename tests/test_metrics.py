@@ -15,6 +15,7 @@ from pseudoherm import (
     build_general_metric,
     build_positive_metric,
     classify,
+    decide_class,
     eig_full,
     eta_inner,
     generate,
@@ -28,7 +29,7 @@ from pseudoherm import (
     verify_intertwining,
 )
 from pseudoherm.kleingordon import fv_modes, make_grid
-from pseudoherm.linalg import Spectrum
+from pseudoherm.linalg import KAPPA_MAX, Spectrum
 from pseudoherm.metrics import REALITY_TOL, MetricOperator
 from pseudoherm.models import KINDS, EnsembleSpec, generate
 from pseudoherm.physical import restrict_to_physical
@@ -208,6 +209,38 @@ def test_classify_reports_diagnostics():
     assert cls.diagnostics["hermiticity_residual"] > 1e-9  # genuinely non-Hermitian
     assert cls.diagnostics["diag_score"] < 1e3
     assert cls.diagnostics["n_real"] == 2
+
+
+def test_classify_refuses_an_overflowing_norm():
+    # At 5e307 ||H - H^dag||_F overflows, at 1e308 ||H|| itself.  On the 2x2,
+    # an inf ||H|| would divide the finite 2e300 skew part down to a Hermitian 0.0.
+    H = generate(EnsembleSpec(6, 4, "quasi"))[0]
+    skewed = np.array([[1e308, 1e308 + 1e300], [1e308 - 1e300, 1e308]])
+    for M in (5e307 * H, 1e308 * H, skewed, np.stack([H, 1e308 * H]), np.stack([SIGMA1, skewed])):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="overflows"):
+                classify(M)
+    near = classify(1e307 * H)
+    assert near.kind is OperatorClass.QUASI_HERMITIAN
+    assert np.isfinite(near.diagnostics["hermiticity_residual"])
+
+
+def test_decide_class_takes_the_first_class_that_holds():
+    # Rows 0 and 1 also have an unpaired eigenvalue, row 0 a Hermitian residual too:
+    # the first class of the precedence list that holds wins.
+    w = np.array([[1j, 2.0], [1j, 2.0], [1j, 2.0], [1.0, 2.0], [1 + 1j, 1 - 1j]])
+    score = np.array([10 * KAPPA_MAX, 1.0, 1.0, 1.0, 1.0])
+    residual = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
+    kind, pairing, diagnostics = decide_class(w, score, residual)
+    assert kind.tolist() == ["NonDiagonalizable", "Hermitian", "NotPseudoHermitian",
+                             "QuasiHermitian", "PseudoHermitianOnly"]
+    assert pairing.tolist() == [[-1, -1], [0, 1], [-1, -1], [0, 1], [1, 0]]
+    assert diagnostics["n_real"].tolist() == [-1, 2, -1, 2, 0]
+    for i in range(len(w)):
+        one = decide_class(w[i], score[i], residual[i])
+        assert one[0] == kind[i] and np.array_equal(one[1], pairing[i]), i
+        for key, value in one[2].items():
+            assert np.array_equal(value, diagnostics[key][i], equal_nan=True), (i, key)
 
 
 def test_inclusion_chain_hermitian_passes_quasi_checks():

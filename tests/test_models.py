@@ -78,6 +78,8 @@ def test_jordan_block_shape_and_classification():
     assert np.array_equal(J, np.array([[0, 1], [0, 0]], dtype=complex))
     assert classify(J).kind is OperatorClass.NON_DIAGONALIZABLE
     assert eig_full(jordan_block(3, 1.0)).diag_score > KAPPA_MAX
+    with pytest.raises(ValueError, match="n >= 2"):
+        jordan_block(1, 0)
 
 
 def test_jordan_block_is_sigma1_intertwined():

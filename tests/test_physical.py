@@ -5,6 +5,7 @@ from pseudoherm import (
     EmptyPhysicalSpace,
     EnsembleSpec,
     NonDiagonalizableError,
+    UnpairedEigenvalue,
     build_general_metric,
     build_positive_metric,
     classify,
@@ -110,6 +111,13 @@ def test_restrict_invariants():
 def test_restrict_empty_raises():
     with pytest.raises(EmptyPhysicalSpace):
         restrict_to_physical(np.diag([1j, -1j]))
+
+
+def test_restrict_unpaired_raises_with_the_eigenvalue():
+    H = np.array([[1, 1], [0, 2j]], dtype=complex)
+    with pytest.raises(UnpairedEigenvalue) as info:
+        restrict_to_physical(H, classify(H))
+    assert info.value.eigenvalue == 2j
 
 
 def test_restrict_defective_raises():
