@@ -59,7 +59,7 @@ print("Free-choice construction: restrict to the real-eigenvalue span, then")
 print("pick a positive metric on it:")
 print(f"    dimension {sub.dim} of {2 * grid.N}  (the whole space: all eigenvalues are real)")
 print(f"    restriction is metric-Hermitian: residual "
-      f"{verify_intertwining(sub.restricted_op, sub.eta_plus):.2e}")
+      f"{verify_intertwining(sub.restricted_op, np.eye(sub.dim)):.2e}")
 print()
 print(f"Contrast: {span.shape[1]} directions versus {sub.dim}. Fixing the metric in")
 print("advance discards every negative-energy solution; choosing the metric")

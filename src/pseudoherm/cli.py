@@ -41,8 +41,9 @@ from .kleingordon import (
     random_state,
     evolve,
 )
-from .linalg import KAPPA_MAX, herm_residual
+from .linalg import KAPPA_MAX, frobenius_norm, herm_residual
 from .metrics import (
+    INTERTWINE_TOL,
     OperatorClass,
     REALITY_TOL,
     antilinear_residual,
@@ -250,10 +251,13 @@ def cmd_hermitize(args) -> tuple[dict, int]:
     rho, h, intertwining = hermitize(H, eta, cls.diagnostics["norm"])
     report["spectrum"] = _spectrum_list(cls.spectrum.eigenvalues)
     report["signature"] = list(eta.signature)   # eta = rho^2 is metric's output
+    report["residuals"]["intertwining"] = intertwining
+    report["residuals"]["hermiticity_of_h"] = skew = herm_residual(h)
+    if not skew <= INTERTWINE_TOL:   # NaN too
+        report["notes"] = f"hermiticity_of_h {skew:.3e} > INTERTWINE_TOL = {INTERTWINE_TOL:g}"
+        return report, EXIT_NUMERIC
     report["rho"] = matrix_to_json(rho)
     report["hermitized"] = matrix_to_json(h)
-    report["residuals"]["intertwining"] = intertwining
-    report["residuals"]["hermiticity_of_h"] = herm_residual(h)
     return report, EXIT_OK
 
 
@@ -275,17 +279,16 @@ def cmd_kg(args) -> tuple[dict, int]:
               "t_final": args.t_final, "samples": args.samples, "seed": args.seed}
     report = _new_report(_params_digest(params))
     grid = make_grid(args.n, args.length, args.mass)
-    mu, w = grid.m, grid.omega
+    mu = grid.m
     # H = fv_hamiltonian(grid) one 2x2 mode block h_k = [[t + m, t], [-t, -t - m]] at a time,
     # t = k^2/(2m); a block-diagonal matrix's norm is its largest block norm.  Closed forms:
-    # ||h_k|| = 2t + m, ||h_k - h_k^dag|| = 2t, and the unit-column eigenvectors (c, -t),
-    # (-t, c), c = omega + t + m, have ||V_k||_F ||V_k^-1||_F = 2(c^2 + t^2)/(c^2 - t^2) = q + 1/q,
-    # q = (omega + m + 2t)/(omega + m): its max over k bounds cond_2 of the whole V, for any N.
+    # ||h_k|| = 2t + m and ||h_k - h_k^dag|| = 2t.  diag_score is linalg's ||V||_F ||V^-1||_F
+    # per block, whose two eigenvectors share a norm as eig_full's unit columns do: its max
+    # over k bounds cond_2 of the whole V, for any N.
     modes = fv_modes(grid)
     h, psi, sigma3 = modes.blocks, modes.right, np.diag([1.0, -1.0])
     kinetic = h[:, 0, 1]   # t
-    q = (w + mu + 2 * kinetic) / (w + mu)
-    diag_score = float(np.max(q + 1 / q))
+    diag_score = float(np.max(frobenius_norm(psi) * frobenius_norm(modes.left)))
     h_norm = float(np.max(2 * kinetic + mu))
     kind, _, diagnostics = decide_class(modes.eigenvalues.ravel(), diag_score,
                                         float(np.max(2 * kinetic)) / h_norm)

@@ -176,17 +176,13 @@ def fv_hamiltonian(grid: FourierGrid) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class FVModes:
     """fv_hamiltonian as (N, ...) stacks of its 2x2 mode blocks; block k acts
-    on (phi_k, chi_k), rows and columns (k, N + k) of the dense matrix."""
+    on (phi_k, chi_k), rows and columns (k, N + k) of the dense matrix.  The
+    positive metric Phi Phi^dag is not stored: its blocks are left left^dag."""
 
     blocks: np.ndarray        # (N, 2, 2) h_k = [[t + m, t], [-t, -t - m]], t = k^2/(2m)
     eigenvalues: np.ndarray   # (N, 2) (+omega_k, -omega_k)
     right: np.ndarray         # (N, 2, 2) columns psi_+ = (c, -t), psi_- = (-t, c)
     left: np.ndarray          # (N, 2, 2) right^{-dag} = [[c, t], [t, c]] / (c^2 - t^2)
-
-    @property
-    def eta_plus(self) -> np.ndarray:
-        """Blocks of the positive metric eta_+ = Phi Phi^dag of fv_hamiltonian."""
-        return self.left @ self.left.conj().swapaxes(-1, -2)
 
 
 def fv_modes(grid: FourierGrid) -> FVModes:

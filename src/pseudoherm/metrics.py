@@ -221,8 +221,8 @@ def classify(H, tol: float = REALITY_TOL, kappa_max: float = KAPPA_MAX) -> Class
     norm or Hermiticity residual that overflows raises ValueError."""
     H = as_square_matrix(H, stack=True)
     norm = norm_lower_bound(H)
-    residual = herm_residual(H, norm)
-    if not np.all(np.isfinite([norm, residual])):
+    residual = herm_residual(H, norm) if np.all(np.isfinite(norm)) else np.inf
+    if not np.all(np.isfinite(residual)):
         raise ValueError("H is too large: its norm or Hermiticity residual overflows")
     S = eig_full(H)
     kind, pairing, diagnostics = decide_class(S.eigenvalues, S.diag_score,
@@ -334,26 +334,24 @@ def hermitize(H, eta_plus, h_norm=None):
     Requires eta_plus positive-definite and intertwining for H (checked);
     h is Hermitian up to conditioning roundoff and isospectral with H.
     Returns (rho, h, the residual of verify_intertwining(H, eta_plus, h_norm)).
-    One matrix raises NotAMetric past the intertwining gate (a NaN residual
-    too) or herm_sqrt's NotPositiveDefinite.  In a (k, n, n) stack such a
-    matrix gets all-NaN rho and h and every other one its own bits; only a
-    gated eta_plus that is not self-adjoint raises, as in herm_sqrt.
+    One matrix runs as a stack of one and raises NotAMetric past the gate (a
+    NaN residual too) or herm_sqrt's NotPositiveDefinite.  In a (k, n, n)
+    stack such a matrix gets all-NaN rho and h and every other one its own
+    bits; only a gated eta_plus that is not self-adjoint raises, as in herm_sqrt.
     """
     H = as_square_matrix(H, stack=True)
     E = _metric_matrix(eta_plus)
     residual = verify_intertwining(H, eta_plus, h_norm)
-    if H.ndim == 2:
-        if not residual <= INTERTWINE_TOL:
-            raise NotAMetric(
-                f"eta does not intertwine H (residual {residual:.3e} > {INTERTWINE_TOL:g})")
-        rho = herm_sqrt(E)
-        return rho, rho @ H @ np.linalg.inv(rho), residual
-    rho, h = np.full(E.shape, np.nan, dtype=complex), np.full(H.shape, np.nan, dtype=complex)
+    if H.ndim == 2 and not residual <= INTERTWINE_TOL:
+        raise NotAMetric(
+            f"eta does not intertwine H (residual {residual:.3e} > {INTERTWINE_TOL:g})")
+    stack = H.reshape(-1, *H.shape[-2:])
+    rho, h = np.full((2, *stack.shape), np.nan, dtype=complex)
     gated = np.flatnonzero(residual <= INTERTWINE_TOL)
-    rho[gated] = herm_sqrt(E[gated])
+    rho[gated] = herm_sqrt(E if H.ndim == 2 else E[gated])   # one matrix: its own refusal
     root = gated[~np.isnan(rho[gated, 0, 0])]
-    h[root] = rho[root] @ H[root] @ np.linalg.inv(rho[root])
-    return rho, h, residual
+    h[root] = rho[root] @ stack[root] @ np.linalg.inv(rho[root])
+    return (rho[0], h[0], residual) if H.ndim == 2 else (rho, h, residual)
 
 
 def antilinear_symmetry(S: Spectrum, pairing) -> np.ndarray:

@@ -6,7 +6,7 @@ the restriction of H to K as R = Phi_K^dag H Psi_K (diag(lambda_K) up to
 roundoff).  The canonical metric Phi M Phi^dag of H restricted to K is
 Psi_K^dag Phi M Phi^dag Psi_K = I, since Phi^dag Psi = I and M is +1 on
 every real eigenvalue: in eigenvector coordinates K is already a genuine
-Hilbert space, with eta_+ = MetricOperator.from_matrix(I).  Construction
+Hilbert space, with eta_+ = I, so no metric is stored.  Construction
 two fixes an indefinite metric eta up front and keeps only eigenvectors of
 positive eta-norm.  The two generally differ, which is the point of
 comparing them.
@@ -28,12 +28,11 @@ ZERO_NORM_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class PhysicalSubspace:
-    """Span of the real-eigenvalue eigenvectors, with the restricted operator
-    and a positive metric making that restriction Hermitian."""
+    """Span of the real-eigenvalue eigenvectors with the restricted operator,
+    which the identity metric eta_+ = I on K makes Hermitian."""
 
     basis: np.ndarray          # n x k, columns span K
     restricted_op: np.ndarray  # k x k coordinates of H on K
-    eta_plus: MetricOperator   # positive metric on K
 
     @property
     def dim(self) -> int:
@@ -47,9 +46,9 @@ def restrict_to_physical(H, cls: Classification | None = None) -> PhysicalSubspa
     and the fixed points of its partner permutation pick the span K with
     basis B = Psi_K.  The restricted operator is the oblique projection
     R = Phi_K^dag H Psi_K through the biorthonormal left system, exact for
-    the invariant K and diag(lambda_K) up to roundoff.  eta_plus is the
-    identity: the restriction of the canonical metric Phi M Phi^dag to K,
-    B^dag Phi M Phi^dag B = I.
+    the invariant K and diag(lambda_K) up to roundoff.  Its positive metric
+    is the identity, the restriction of the canonical metric Phi M Phi^dag
+    to K: B^dag Phi M Phi^dag B = I.
     Raises EmptyPhysicalSpace when the spectrum has no real eigenvalue,
     since K would be the zero space.
     """
@@ -66,10 +65,7 @@ def restrict_to_physical(H, cls: Classification | None = None) -> PhysicalSubspa
     if not real.size:
         raise EmptyPhysicalSpace("no real eigenvalues: physical span is {0}")
     basis = cls.spectrum.right[:, real]
-    left = cls.spectrum.left[:, real]
-    restricted = left.conj().T @ (H @ basis)
-    return PhysicalSubspace(basis=basis, restricted_op=restricted,
-                            eta_plus=MetricOperator.from_matrix(np.eye(len(real))))
+    return PhysicalSubspace(basis, cls.spectrum.left[:, real].conj().T @ (H @ basis))
 
 
 def indefinite_physical_set(S: Spectrum, eta):

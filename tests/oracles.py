@@ -272,3 +272,33 @@ def greedy_pairing(w, tol):
     if remaining:
         return complex(w[remaining[0]])
     return p
+
+
+# ---------------------------------------------------------------------------
+# planted inputs of known conditioning
+
+def _haar(rng, n):
+    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Q, R = np.linalg.qr(Z)
+    d = np.diagonal(R)
+    return Q * (d / np.abs(d))
+
+
+def planted(rng, n, kind, kappa):
+    """H = S diag(lam) S^-1 with S = U diag(sigma) W, U and W Haar unitaries and
+    sigma log-spaced on [1, kappa], so cond_2(S) = kappa; the benchmark's
+    planted construction, drawn in the same order.  kind "real" plants n
+    reals in [-1, 1], one per equal cell; "pairs" puts max(1, n // 4)
+    conjugate pairs, |Im| in [0.1, 1], among them.  Returns (H, lam)."""
+    def spaced(count):
+        return -1.0 + 2.0 / count * (np.arange(count) + rng.uniform(0.25, 0.75, size=count))
+    if kind == "real":
+        lam = spaced(n).astype(complex)
+    else:
+        pairs = max(1, n // 4)
+        centres = rng.permutation(spaced(n - pairs))
+        im = rng.uniform(0.1, 1.0, size=pairs)
+        lam = np.concatenate([centres[:pairs] + 1j * im, centres[:pairs] - 1j * im,
+                              centres[pairs:]])
+    S = (_haar(rng, n) * np.logspace(0.0, np.log10(kappa), n)) @ _haar(rng, n)
+    return (S * lam) @ np.linalg.inv(S), lam

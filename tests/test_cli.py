@@ -40,7 +40,7 @@ from pseudoherm.metrics import (
 from pseudoherm.physical import indefinite_physical_set, restrict_to_physical
 from pseudoherm.models import EnsembleSpec, generate, jordan_block, pt2x2
 
-from oracles import propagator_bound
+from oracles import planted, propagator_bound
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -381,6 +381,25 @@ def test_hermitize_reports_rho_and_h_but_not_eta(matrix_file, capsys):
     assert report["hermitized"]["dim"] == 2
 
 
+@pytest.mark.parametrize("n, exponent, expected", [
+    (256, 2, EXIT_OK), (32, 5, None), (64, 4, None), (256, 5, EXIT_NUMERIC),
+], ids=["n256-kappa1e2", "n32-kappa1e5", "n64-kappa1e4", "n256-kappa1e5"])
+def test_hermitize_exits_3_exactly_when_h_is_past_its_gate(matrix_file, capsys, n,
+                                                           exponent, expected):
+    # On planted real inputs hermiticity_of_h grows like kappa^2 eps: at n = 256 it reads
+    # about 4.5e-12 at kappa = 1e2 and 8.1e-7, 80 times the gate, at kappa = 1e5.
+    H, _ = planted(np.random.default_rng([7, n, exponent]), n, "real", 10.0 ** exponent)
+    code, report = run_cli(capsys, ["hermitize", matrix_file(H)])
+    assert report["classification"] == "QuasiHermitian" and report["signature"] == [n, 0]
+    assert len(report["spectrum"]) == n and report["residuals"]["intertwining"] <= 1e-8
+    refused = report["residuals"]["hermiticity_of_h"] > 1e-8
+    assert code == (EXIT_NUMERIC if refused else EXIT_OK)
+    assert expected is None or code == expected
+    # A refused h is reported by its residual alone: no rho and no h.
+    assert ("rho" in report, "hermitized" in report) == (not refused, not refused)
+    assert ("INTERTWINE_TOL = 1e-08" in report["notes"]) == refused
+
+
 def test_hermitize_command_refuses_complex_pair(matrix_file, capsys):
     code = main(["hermitize", matrix_file(pt2x2(1, np.pi / 2, 0.5))])
     capsys.readouterr()
@@ -501,7 +520,7 @@ def test_kg_makes_no_svd(capsys, monkeypatch):
 
 @pytest.mark.parametrize("n", [8, 64, 256])
 def test_kg_diag_score_is_the_largest_block_score(capsys, monkeypatch, n):
-    # kg's closed form max_k 2(c^2 + t^2)/(c^2 - t^2) against eig_full on each 2x2 block;
+    # kg's max_k ||V_k||_F ||V_k^-1||_F against eig_full on each 2x2 block;
     # it bounds cond_2 of the block-diagonal eigenvector matrix and does not grow with N.
     import pseudoherm.cli as cli
 

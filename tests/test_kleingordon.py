@@ -177,7 +177,7 @@ def test_fv_modes_match_dense_oracle(N, L, m):
     gram = modes.left.conj().swapaxes(-1, -2) @ modes.right
     assert np.max(np.abs(gram - np.eye(2))) <= 1e-13
     # eta_+ blocks: a positive-definite metric of the dense H
-    eta = scatter(modes.eta_plus)
+    eta = scatter(modes.left @ modes.left.conj().swapaxes(-1, -2))
     assert np.linalg.eigvalsh(eta).min() > 0
     assert verify_intertwining(H, eta) <= 1e-12
     # sigma3-norm signs: + on +omega_k, - on -omega_k, as on the dense spectrum

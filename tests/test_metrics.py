@@ -225,6 +225,16 @@ def test_classify_refuses_an_overflowing_norm():
     assert np.isfinite(near.diagnostics["hermiticity_residual"])
 
 
+def test_classify_refuses_an_overflowing_norm_with_only_overflow_silenced():
+    # At 1e308 ||H|| overflows: the Hermiticity residual is not formed from it, since
+    # inf / inf would warn (an error here) before the refusal, alone or in a stack.
+    H = generate(EnsembleSpec(6, 4, "quasi"))[0]
+    for M in (1e308 * H, np.stack([H, 1e308 * H])):
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="overflows"):
+                classify(M)
+
+
 def test_decide_class_takes_the_first_class_that_holds():
     # Rows 0 and 1 also have an unpaired eigenvalue, row 0 a Hermitian residual too:
     # the first class of the precedence list that holds wins.
@@ -533,6 +543,13 @@ def test_stacked_hermitize_marks_what_a_single_call_refuses():
     rho, h, _ = hermitize(H[[0, 3]], metric)
     assert np.array_equal(rho[0], hermitize(quasi, eta_plus)[0])
     assert np.array_equal(h[1], hermitize(H[3], np.eye(4))[1])
+
+
+def test_single_hermitize_keeps_the_square_root_refusal():
+    # One matrix runs as a stack of one, yet an indefinite eta that intertwines H
+    # still raises herm_sqrt's own NotPositiveDefinite with its message.
+    with pytest.raises(NotPositiveDefinite, match="minimum eigenvalue"):
+        hermitize(np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([1.0, -1.0, 1.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -86,10 +86,9 @@ def test_restriction_is_the_parent_metric_on_k(H):
     cls = classify(H)
     sub = restrict_to_physical(H, cls)
     B = sub.basis
-    # eta_plus is the canonical metric Phi M Phi^dag of H seen through B: I_k
+    # eta_+ = I_k is the canonical metric Phi M Phi^dag of H seen through B
     parent = build_general_metric(cls.spectrum, cls.pairing).matrix
-    assert np.array_equal(sub.eta_plus.matrix, np.eye(sub.dim))
-    assert spectral_norm(B.conj().T @ parent @ B - sub.eta_plus.matrix) <= 1e-10
+    assert spectral_norm(B.conj().T @ parent @ B - np.eye(sub.dim)) <= 1e-10
     lam = cls.spectrum.eigenvalues[cls.pairing == np.arange(len(cls.pairing))]
     drift = spectral_norm(sub.restricted_op - np.diag(lam))
     assert drift / spectral_norm(H) <= 1e-10
@@ -101,9 +100,8 @@ def test_restrict_invariants():
     # K is invariant: H B = B R
     drift = spectral_norm(H @ sub.basis - sub.basis @ sub.restricted_op)
     assert drift / spectral_norm(H) <= 1e-8
-    # the restriction is quasi-Hermitian for its positive metric
-    assert sub.eta_plus.positive_definite
-    assert verify_intertwining(sub.restricted_op, sub.eta_plus) <= 1e-8
+    # the restriction is quasi-Hermitian for its positive metric eta_+ = I
+    assert verify_intertwining(sub.restricted_op, np.eye(sub.dim)) <= 1e-8
     lam = np.linalg.eigvals(sub.restricted_op)
     assert np.all(np.abs(lam.imag) <= 1e-9 * (1 + np.abs(lam)))
 
@@ -127,7 +125,7 @@ def test_restrict_defective_raises():
 
 def test_restriction_always_hermitizable():
     # for any diagonalizable input with nonempty K the restricted pair
-    # (R, eta_plus) admits the similarity map to a Hermitian matrix
+    # (R, eta_+ = I) admits the similarity map to a Hermitian matrix
     cases = [
         generate(EnsembleSpec(4, 31, "quasi"))[0],
         block_diag(pt2x2(1, np.pi / 6, 1), pt2x2(1, np.pi / 2, 0.5)),
@@ -135,7 +133,7 @@ def test_restriction_always_hermitizable():
     ]
     for H in cases:
         sub = restrict_to_physical(H)
-        rho, h, _ = hermitize(sub.restricted_op, sub.eta_plus)
+        rho, h, _ = hermitize(sub.restricted_op, np.eye(sub.dim))
         assert herm_residual(h) <= 1e-8
 
 
