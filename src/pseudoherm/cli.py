@@ -41,7 +41,7 @@ from .kleingordon import (
     random_state,
     evolve,
 )
-from .linalg import KAPPA_MAX, frobenius_norm, herm_residual
+from .linalg import frobenius_norm, herm_residual
 from .metrics import (
     INTERTWINE_TOL,
     OperatorClass,
@@ -211,7 +211,7 @@ def _classified(args):
     """Load the matrix argument and classify it: (H, classification, report)."""
     H, digest = load_matrix(args.path)
     report = _new_report(digest)
-    cls = classify(H, tol=args.tol, kappa_max=args.kappa_max)
+    cls = classify(H, tol=args.tol)
     report["classification"] = cls.kind.value
     return H, cls, report
 
@@ -397,9 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     matrix_args = argparse.ArgumentParser(add_help=False)
     matrix_args.add_argument("path", help="matrix file (JSON with dim/re/im)")
     matrix_args.add_argument("--tol", type=_finite_float(True), default=REALITY_TOL,
-                             help="reality/hermiticity tolerance (default 1e-9)")
-    matrix_args.add_argument("--kappa-max", type=_finite_float(True), default=KAPPA_MAX,
-                             help="cutoff on ||V||_F ||V^-1||_F, V the eigenvectors (default 1e8)")
+                             help="reality/hermiticity tolerance (default %(default)g)")
     seed_args = argparse.ArgumentParser(add_help=False)
     seed_args.add_argument("--seed", type=int, default=DEFAULT_SEED)
 

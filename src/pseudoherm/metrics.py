@@ -174,13 +174,12 @@ def pair_spectrum(S: Spectrum | np.ndarray, tol: float = REALITY_TOL) -> np.ndar
     return p.reshape(w.shape)
 
 
-def decide_class(eigenvalues, diag_score, hermiticity_residual,
-                 tol: float = REALITY_TOL, kappa_max: float = KAPPA_MAX):
+def decide_class(eigenvalues, diag_score, hermiticity_residual, tol: float = REALITY_TOL):
     """The class rule of classify from its three inputs, for one matrix's
     (n,) eigenvalues or a stack's (..., n): (kind, pairing, diagnostics).
 
     kind is each matrix's class name, the first of this list that holds:
-    NonDiagonalizable if diag_score (||V||_F ||V^-1||_F) exceeds kappa_max;
+    NonDiagonalizable if diag_score (||V||_F ||V^-1||_F) exceeds KAPPA_MAX;
     Hermitian if the residual is within tol; NotPseudoHermitian if
     pair_spectrum leaves an eigenvalue unpaired; QuasiHermitian if the
     spectrum is real; else PseudoHermitianOnly.  pairing is pair_spectrum's
@@ -193,7 +192,7 @@ def decide_class(eigenvalues, diag_score, hermiticity_residual,
     w = np.reshape(eigenvalues, (-1, n))
     score, residual = np.ravel(diag_score), np.ravel(hermiticity_residual)
     pairing = pair_spectrum(w, tol)
-    nondiag = score > kappa_max
+    nondiag = score > KAPPA_MAX
     hermitian = ~nondiag & (residual <= tol)
     pairing[hermitian] = np.arange(n)
     lost = pairing < 0
@@ -212,7 +211,7 @@ def decide_class(eigenvalues, diag_score, hermiticity_residual,
             {key: value.reshape(lead) for key, value in diagnostics.items()})
 
 
-def classify(H, tol: float = REALITY_TOL, kappa_max: float = KAPPA_MAX) -> Classification:
+def classify(H, tol: float = REALITY_TOL) -> Classification:
     """Place H in the chain Hermitian < quasi-Hermitian < pseudo-Hermitian
     by decide_class.  The Classification carries the Spectrum and pairing
     of the one decomposition, so callers never decompose H again, and
@@ -225,8 +224,7 @@ def classify(H, tol: float = REALITY_TOL, kappa_max: float = KAPPA_MAX) -> Class
     if not np.all(np.isfinite(residual)):
         raise ValueError("H is too large: its norm or Hermiticity residual overflows")
     S = eig_full(H)
-    kind, pairing, diagnostics = decide_class(S.eigenvalues, S.diag_score,
-                                              residual, tol, kappa_max)
+    kind, pairing, diagnostics = decide_class(S.eigenvalues, S.diag_score, residual, tol)
     diagnostics["norm"] = np.asarray(norm)
     if H.ndim == 3:
         return Classification(kind, S, pairing, diagnostics)

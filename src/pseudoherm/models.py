@@ -23,6 +23,9 @@ KINDS = ("quasi", "pseudo_nonquasi", "hermitian", "defective")
 # Smallest distance between two planted eigenvalues of quasi and pseudo_nonquasi.
 GAP = 1e-3
 
+# Largest cond_2 of a planted similarity S.
+CONDITIONING_CAP = 1e3
+
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -31,7 +34,6 @@ class EnsembleSpec:
     dim: int
     seed: int
     kind: str = "quasi"
-    conditioning_cap: float = 1e3
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -40,8 +42,6 @@ class EnsembleSpec:
             raise ValueError(f"dim {self.dim} is too small for kind {self.kind!r}")
         if self.kind in ("quasi", "pseudo_nonquasi") and (self.dim - 1) * GAP > 2.0:
             raise ValueError(f"dim {self.dim} eigenvalues {GAP:g} apart do not fit in [-1, 1]")
-        if not 1.0 < self.conditioning_cap < np.inf:   # cond_2(S) >= 1 for every S
-            raise ValueError(f"conditioning_cap must be finite and > 1: {self.conditioning_cap}")
 
 
 def pt2x2(r: float, theta: float, s: float) -> np.ndarray:
@@ -85,17 +85,17 @@ def _paired_spectra(rngs, dim):
     return lam
 
 
-def _similar(rngs, lam, caps):
+def _similar(rngs, lam):
     """(S diag(lam) S^{-1}, S) per row of lam: S is G / sqrt(2n), G Gaussian, with
-    singular values floored at sigma_max / cap, so cond_2(S) <= cap keeps 1e-8
-    residual targets reachable; S = G where that holds."""
+    singular values floored at sigma_max / CONDITIONING_CAP, so cond_2(S) <=
+    CONDITIONING_CAP keeps 1e-8 residual targets reachable; S = G where that holds."""
     k, n = lam.shape
     S = np.array([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                   for rng in rngs]).reshape(k, n, n) / np.sqrt(2 * n)
     sv = np.linalg.svd(S, compute_uv=False)
-    over = np.flatnonzero(~(sv[:, 0] / sv[:, -1] <= caps))
+    over = np.flatnonzero(~(sv[:, 0] / sv[:, -1] <= CONDITIONING_CAP))
     U, sv, Wh = np.linalg.svd(S[over])
-    S[over] = (U * np.maximum(sv, sv[:, :1] / caps[over, None])[:, None, :]) @ Wh
+    S[over] = (U * np.maximum(sv, sv[:, :1] / CONDITIONING_CAP)[:, None, :]) @ Wh
     return (S * lam[:, None, :]) @ np.linalg.inv(S), S
 
 
@@ -105,11 +105,11 @@ def generate(specs):
 
     One spec returns (H, planted eigenvalues, S) for quasi and
     pseudo_nonquasi, H for hermitian and defective (a Jordan block with a
-    random eigenvalue).  A sequence returns (H, planted eigenvalues, S of the
-    quasi and pseudo_nonquasi specs, generators): each spec's
-    default_rng(seed), left just past the fixed draws of its matrix, so that
-    a caller draws on from the instance's one stream.  Each matrix of a stack
-    equals its spec's alone.
+    random eigenvalue).  A sequence returns (H, planted eigenvalues, NaN in
+    hermitian and defective rows, S of the quasi and pseudo_nonquasi specs,
+    generators): each spec's default_rng(seed), left just past the fixed
+    draws of its matrix, so a caller draws on from the instance's one
+    stream.  Each matrix of a stack equals its spec's alone.
     """
     single = isinstance(specs, EnsembleSpec)
     specs = [specs] if single else list(specs)
@@ -120,12 +120,11 @@ def generate(specs):
     kinds = np.array([spec.kind for spec in specs])
     quasi, paired, hermitian, defective = (np.flatnonzero(kinds == kind) for kind in KINDS)
     similar = np.union1d(quasi, paired)
-    caps = np.array([spec.conditioning_cap for spec in specs])
-    lam = np.empty((len(specs), n), dtype=complex)
+    lam = np.full((len(specs), n), np.nan, dtype=complex)
     lam[quasi] = np.sort(_spaced(rngs[quasi], n), axis=-1)
     lam[paired] = _paired_spectra(rngs[paired], n)
     H = np.empty((len(specs), n, n), dtype=complex)
-    H[similar], S = _similar(rngs[similar], lam[similar], caps[similar])
+    H[similar], S = _similar(rngs[similar], lam[similar])
     G = np.array([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                   for rng in rngs[hermitian]], dtype=complex).reshape(-1, n, n)
     H[hermitian] = 0.5 * (G + dagger(G))

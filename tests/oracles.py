@@ -10,6 +10,8 @@ import cmath
 
 import numpy as np
 
+import pseudoherm.models as models
+
 
 def pt2x2_eigenvalues(r, theta, s):
     """Closed form for [[r e^{i th}, s], [s, r e^{-i th}]]:
@@ -173,11 +175,11 @@ def propagator_bound(grid, t):
 # rejected attempts per (kind, stage), so a test can tell the specs whose
 # first attempt was accepted, whose draws generate keeps.
 
-def _random_similarity(rng, dim, conditioning_cap, redraws, kind):
+def _random_similarity(rng, dim, redraws, kind):
     while True:
         S = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         S /= np.sqrt(2 * dim)
-        if np.linalg.cond(S, 2) <= conditioning_cap:
+        if np.linalg.cond(S, 2) <= models.CONDITIONING_CAP:   # read at call time
             return S
         redraws[kind, "similarity"] += 1
 
@@ -193,7 +195,7 @@ def _gap_separated_reals(rng, count, redraws, kind, gap=1e-3):
 def random_quasi(spec, redraws):
     rng = np.random.default_rng(spec.seed)
     lam = np.sort(_gap_separated_reals(rng, spec.dim, redraws, "quasi"))
-    S = _random_similarity(rng, spec.dim, spec.conditioning_cap, redraws, "quasi")
+    S = _random_similarity(rng, spec.dim, redraws, "quasi")
     H = (S * lam) @ np.linalg.inv(S)
     return H, lam.astype(complex), S
 
@@ -213,7 +215,7 @@ def random_pseudo_nonquasi(spec, redraws):
         if dist.min() >= 1e-3:
             break
         redraws["pseudo_nonquasi", "distances"] += 1
-    S = _random_similarity(rng, dim, spec.conditioning_cap, redraws, "pseudo_nonquasi")
+    S = _random_similarity(rng, dim, redraws, "pseudo_nonquasi")
     H = (S * lam) @ np.linalg.inv(S)
     return H, lam, S
 

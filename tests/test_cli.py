@@ -678,6 +678,7 @@ def test_dims_parsing(capsys):
     ["classify", "MATRIX", "--tol", value] for value in ("nan", "-1")  # finite and > 0
 ] + [
     ["metric", "MATRIX", "--kappa-max", "inf"],
+    ["classify", "MATRIX", "--kappa-max", "1e8"],   # the cutoff is KAPPA_MAX alone
     ["kg", "--t-final", "nan"],
     ["kg", "--t-final", "inf"],
     ["kg", "--length", "inf"],

@@ -9,7 +9,6 @@ legs and residuals; every residual whose arithmetic did not change is
 compared bit for bit.
 """
 
-import functools
 import json
 
 import numpy as np
@@ -336,10 +335,10 @@ def test_a_failed_instance_reproduces_from_its_report(tmp_path, capsys, monkeypa
 
 
 def test_verify_names_skipped_instances_of_diagonalizable_kinds(capsys, monkeypatch):
-    # diag_score >= n >= 1, so kappa_max = 0.5 takes every matrix for
+    # diag_score >= n >= 1, so KAPPA_MAX = 0.5 takes every matrix for
     # NonDiagonalizable: an instance of a diagonalizable kind that is
     # skipped fails as "skipped", and a skipped defective one passes.
-    monkeypatch.setattr(suites, "classify", functools.partial(classify, kappa_max=0.5))
+    monkeypatch.setattr(metrics, "KAPPA_MAX", 0.5)
     code = main(["verify", "--count", "9", "--dims", "2-4", "--seed", "5"])
     suite = json.loads(capsys.readouterr().out)["suite"]
     assert code == EXIT_SUITE_FAIL
