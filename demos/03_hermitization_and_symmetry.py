@@ -1,10 +1,12 @@
 """Hermitization by the metric square root, and antilinear symmetries.
 
-With a positive metric eta_+ in hand, rho = eta_+^{1/2} maps H to the
-genuinely Hermitian h = rho H rho^{-1} with the same spectrum: the
+With a positive metric eta_+ = Phi Phi^dag in hand, rho = eta_+^{1/2} maps H
+to the genuinely Hermitian h = rho H rho^{-1} with the same spectrum: the
 non-Hermitian problem was an ordinary Hermitian one written in a skewed
-basis.  Independently, a conjugation-closed spectrum is equivalent to an
-invertible antilinear symmetry tau with H tau = tau conj(H).
+basis.  The skew is all in rho: Q = rho Psi, the eigenvectors seen through
+rho, is unitary, so h = Q diag(lambda) Q^dag is Hermitian physics, reached
+from H by a similarity.  Independently, a conjugation-closed spectrum is
+equivalent to an invertible antilinear symmetry tau with H tau = tau conj(H).
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from pseudoherm import (
     hermitize,
     pair_spectrum,
     pt2x2,
+    similarity_residual,
 )
 
 print(__doc__)
@@ -31,9 +34,13 @@ rho, h, _ = hermitize(H, eta)
 
 print("Random quasi-Hermitian 5x5 with planted real spectrum:")
 print(f"    hermiticity residual of H : {herm_residual(H):.3f}   (plainly non-Hermitian)")
-print(f"    hermiticity residual of h : {herm_residual(h):.2e}")
+print(f"    hermiticity residual of h : {herm_residual(h):.2e}   (built Hermitian)")
+Q = rho @ S.right
+print(f"    unitarity ||Q^dag Q - I|| of Q = rho Psi : "
+      f"{np.linalg.norm(Q.conj().T @ Q - np.eye(5), 2):.2e}")
+print(f"    similarity residual ||rho H - h rho||    : {similarity_residual(H, rho, h):.2e}")
 print(f"    planted spectrum  : {np.round(np.sort(planted.real), 6)}")
-print(f"    spectrum of h     : {np.round(np.sort(np.linalg.eigvalsh(0.5 * (h + h.conj().T))), 6)}")
+print(f"    spectrum of h     : {np.round(np.linalg.eigvalsh(h), 6)}")
 print()
 
 print("Antilinear symmetry for a real-spectrum matrix (acts like a generalized")

@@ -4,10 +4,11 @@ The package classifies dense complex matrices along the chain
 Hermitian < quasi-Hermitian < pseudo-Hermitian, constructs the metric
 operators that witness each class (positive-definite ones when the spectrum
 is real, indefinite canonical ones otherwise), Hermitizes by the metric
-square root, and builds the antilinear symmetries equivalent to metric
-existence.  A lattice Klein-Gordon module applies the machinery to the free
-relativistic field, contrasting the conserved positive-definite inner
-product with the indefinite Klein-Gordon one.
+square root, the polar factor of the left eigensystem, and builds the
+antilinear symmetries equivalent to metric existence.  A lattice
+Klein-Gordon module applies the machinery to the free relativistic field,
+contrasting the conserved positive-definite inner product with the
+indefinite Klein-Gordon one.
 """
 
 from .errors import (
@@ -49,6 +50,7 @@ from .metrics import (
     eta_inner,
     hermitize,
     pair_spectrum,
+    similarity_residual,
     transform_metric,
     verify_intertwining,
 )

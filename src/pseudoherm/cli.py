@@ -3,13 +3,13 @@ Klein-Gordon demonstration pipeline, and ensemble verification runs.
 
 Matrices travel as JSON {"dim": n, "re": [[...]], "im": [[...]]} with both
 parts mandatory (row-major).  A matrix that its upper triangle rebuilds bit
-for bit (a Hermitian one: the metrics eta and the roots rho, built as
-0.5 (A + A^dag)) is written as that triangle alone,
-{"dim": n, "hermitian": true, "re": rows, "im": rows}, row i holding columns
-i..n-1; every other matrix (tau, hermitize's h, whose skew part is its
-hermiticity residual) keeps the full layout, and matrix_from_json reads both.
-Reports are schema-versioned JSON on stdout, one line each; a norm or
-residual that overflows refuses the input rather than print inf or NaN.
+for bit (eta, rho and h, built as 0.5 (A + A^dag)) is written as that
+triangle alone, {"dim": n, "hermitian": true, "re": rows, "im": rows}, row
+i holding columns i..n-1; tau is the only full-layout matrix, and
+matrix_from_json reads both.  Reports are schema-versioned JSON on stdout,
+one line each; an overflowing norm or residual refuses the input, and a
+gate residual past INTERTWINE_TOL (NaN too) withholds the matrix and names
+the gate in notes, exit 3.
 Exit codes: 0 success / full pass, 1 property-suite failure, 2 input error,
 3 numerical failure.
 """
@@ -24,37 +24,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import (
-    InvalidGrid,
-    NonDiagonalizableError,
-    ParseError,
-    PseudohermError,
-)
-from .kleingordon import (
-    KGState,
-    fv_components,
-    fv_modes,
-    fv_propagate,
-    make_grid,
-    pd_inner,
-    kg_inner,
-    random_state,
-    evolve,
-)
+from .errors import InvalidGrid, NonDiagonalizableError, ParseError, PseudohermError
+from .kleingordon import (KGState, evolve, fv_components, fv_modes, fv_propagate, kg_inner,
+                          make_grid, pd_inner, random_state)
 from .linalg import frobenius_norm, herm_residual
-from .metrics import (
-    INTERTWINE_TOL,
-    OperatorClass,
-    REALITY_TOL,
-    antilinear_residual,
-    antilinear_symmetry,
-    build_general_metric,
-    build_positive_metric,
-    classify,
-    decide_class,
-    hermitize,
-    verify_intertwining,
-)
+from .metrics import (INTERTWINE_TOL, REALITY_TOL, OperatorClass, antilinear_residual,
+                      antilinear_symmetry, build_general_metric, build_positive_metric,
+                      classify, decide_class, hermitize, similarity_residual,
+                      verify_intertwining)
 from .physical import norm_signs
 from .suites import make_ensemble, run_equivalence_suite
 
@@ -64,7 +41,7 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 DEFAULT_SEED = 1729
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +170,26 @@ def _emit(report) -> None:
     print(json.dumps(report))
 
 
-def _attach_metric(report, H, cls) -> None:
+def _gated(report, residuals: dict, **matrices) -> int:
+    """Record residuals, and write matrices into the report unless one exceeds
+    INTERTWINE_TOL (NaN too): then exit 3, with that gate named in notes."""
+    report["residuals"].update(residuals)
+    for key, value in residuals.items():
+        if not value <= INTERTWINE_TOL:
+            report["notes"] = f"{key} {value:.3e} > INTERTWINE_TOL = {INTERTWINE_TOL:g}"
+            return EXIT_NUMERIC
+    report.update({key: matrix_to_json(M) for key, M in matrices.items()})
+    return EXIT_OK
+
+
+def _attach_metric(report, H, cls) -> int:
     if cls.kind in (OperatorClass.HERMITIAN, OperatorClass.QUASI_HERMITIAN):
         eta = build_positive_metric(cls.spectrum, cls.pairing)
     else:
         eta = build_general_metric(cls.spectrum, cls.pairing)
-    report["metric"] = matrix_to_json(eta.matrix)
     report["signature"] = list(eta.signature)
-    report["residuals"]["intertwining"] = verify_intertwining(H, eta, cls.diagnostics["norm"])
-    report["residuals"]["metric_selfadjoint"] = eta.selfadjoint_residual
+    return _gated(report, {"intertwining": verify_intertwining(H, eta, cls.diagnostics["norm"]),
+                           "metric_selfadjoint": eta.selfadjoint_residual}, metric=eta.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +215,7 @@ def cmd_classify(args) -> tuple[dict, int]:
         if cls.pairing is None:
             report["notes"] = f"no metric emitted: operator is {cls.kind.value}"
         else:
-            _attach_metric(report, H, cls)
+            return report, _attach_metric(report, H, cls)
     return report, EXIT_OK
 
 
@@ -237,8 +225,7 @@ def cmd_metric(args) -> tuple[dict, int]:
         report["notes"] = f"no metric operator exists: {cls.kind.value}"
         return report, EXIT_NUMERIC
     report["spectrum"] = _spectrum_list(cls.spectrum.eigenvalues)
-    _attach_metric(report, H, cls)
-    return report, EXIT_OK
+    return report, _attach_metric(report, H, cls)
 
 
 def cmd_hermitize(args) -> tuple[dict, int]:
@@ -247,18 +234,15 @@ def cmd_hermitize(args) -> tuple[dict, int]:
         report["notes"] = ("Hermitization needs a real diagonalizable spectrum; "
                            f"operator is {cls.kind.value}")
         return report, EXIT_NUMERIC
-    eta = build_positive_metric(cls.spectrum, cls.pairing)
-    rho, h, intertwining = hermitize(H, eta, cls.diagnostics["norm"])
+    eta, norm = build_positive_metric(cls.spectrum, cls.pairing), cls.diagnostics["norm"]
+    rho, h, intertwining = hermitize(H, eta, norm)   # the polar route: eta carries its Spectrum
     report["spectrum"] = _spectrum_list(cls.spectrum.eigenvalues)
     report["signature"] = list(eta.signature)   # eta = rho^2 is metric's output
-    report["residuals"]["intertwining"] = intertwining
-    report["residuals"]["hermiticity_of_h"] = skew = herm_residual(h)
-    if not skew <= INTERTWINE_TOL:   # NaN too
-        report["notes"] = f"hermiticity_of_h {skew:.3e} > INTERTWINE_TOL = {INTERTWINE_TOL:g}"
-        return report, EXIT_NUMERIC
-    report["rho"] = matrix_to_json(rho)
-    report["hermitized"] = matrix_to_json(h)
-    return report, EXIT_OK
+    # h is built Hermitian, so hermiticity_of_h reads 0.0; its error shows in similarity.
+    return report, _gated(report, {"intertwining": intertwining,
+                                   "hermiticity_of_h": herm_residual(h),
+                                   "similarity": similarity_residual(H, rho, h, norm)},
+                          rho=rho, hermitized=h)
 
 
 def cmd_symmetry(args) -> tuple[dict, int]:
@@ -268,10 +252,8 @@ def cmd_symmetry(args) -> tuple[dict, int]:
         return report, EXIT_NUMERIC
     tau = antilinear_symmetry(cls.spectrum, cls.pairing)
     report["spectrum"] = _spectrum_list(cls.spectrum.eigenvalues)
-    report["antilinear"] = matrix_to_json(tau)
-    report["residuals"]["antilinear_commutation"] = antilinear_residual(
-        H, tau, cls.diagnostics["norm"])
-    return report, EXIT_OK
+    return report, _gated(report, {"antilinear_commutation": antilinear_residual(
+        H, tau, cls.diagnostics["norm"])}, antilinear=tau)
 
 
 def cmd_kg(args) -> tuple[dict, int]:

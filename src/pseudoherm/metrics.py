@@ -12,45 +12,29 @@ conj(lambda_n) and p[n] = n on real eigenvalues.  Every metric and tau is a
 factor times the signed pairing M = diag(s) P, P the permutation matrix of
 p, s_n = +/-1 on real eigenvalues and +1 on pairs: eta = Phi M Phi^dag
 (eta_+ is the all-+1 case on a real spectrum) and tau = Psi M Phi^T with
-all s = +1.  hermitize still maps through the square root of eta_+.
+all s = +1.  Such a metric keeps its Spectrum, and hermitize reads rho and h
+off one SVD of Phi: the polar route, with no inverse and no eigensolve.
 
 classify, pair_spectrum, decide_class, MetricOperator.from_matrix,
-build_general_metric, verify_intertwining, hermitize, antilinear_symmetry,
-antilinear_residual and eta_inner take a (k, n, n) stack too, as eig_full
-and herm_sqrt do, and give per-matrix arrays.  The class rule is written
-once, for every matrix of a stack at once: one band array in pair_spectrum
-and one precedence list in decide_class.
+build_general_metric, verify_intertwining, hermitize, similarity_residual,
+antilinear_symmetry, antilinear_residual and eta_inner take a (k, n, n)
+stack too, as eig_full and herm_sqrt do, and give per-matrix arrays.  The
+class rule is written once, for every matrix of a stack at once: one band
+array in pair_spectrum and one precedence list in decide_class.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    NoPositiveMetric,
-    NotAMetric,
-    NotCommuting,
-    NotInvertible,
-    NotPositiveDefinite,
-    UnpairedEigenvalue,
-)
-from .linalg import (
-    INVERTIBILITY_TOL,
-    KAPPA_MAX,
-    SELFADJOINT_TOL,
-    Spectrum,
-    as_square_matrix,
-    dagger,
-    eig_full,
-    frobenius_norm,
-    herm_residual,
-    herm_sqrt,
-    norm_lower_bound,
-    ratio,
-)
+from .errors import (NoPositiveMetric, NotAMetric, NotCommuting, NotInvertible,
+                     NotPositiveDefinite, UnpairedEigenvalue)
+from .linalg import (INVERTIBILITY_TOL, KAPPA_MAX, SELFADJOINT_TOL, Spectrum, as_square_matrix,
+                     dagger, eig_full, frobenius_norm, herm_residual, herm_sqrt,
+                     norm_lower_bound, ratio)
 
 # lambda is treated as real iff |Im lambda| <= REALITY_TOL*(1+|lambda|).
 REALITY_TOL = 1e-9
@@ -86,7 +70,8 @@ class Classification:
 class MetricOperator:
     """Invertible self-adjoint eta with cached signature and diagnostics.  For
     a stack the fields are arrays, and invertible marks the matrices that
-    from_matrix refuses as NotInvertible when given one alone."""
+    from_matrix refuses as NotInvertible when given one alone.  spectrum is the
+    Spectrum that build_general_metric built eta from, None for a plain matrix."""
 
     matrix: np.ndarray
     signature: tuple            # (n_plus, n_minus)
@@ -94,6 +79,7 @@ class MetricOperator:
     min_abs_eigenvalue: float
     norm: float                 # ||eta|| = max |eigenvalue|
     invertible: bool = True
+    spectrum: Spectrum | None = None
 
     @classmethod
     def from_matrix(cls, eta) -> "MetricOperator":
@@ -292,7 +278,7 @@ def build_general_metric(S: Spectrum, pairing, signs=None) -> MetricOperator:
             raise ValueError("signs must be +1 or -1")
         s[real] = signs
     eta = (S.left * s[..., None, :]) @ dagger(_partner(S.left, p))
-    return MetricOperator.from_matrix(0.5 * (eta + dagger(eta)))
+    return replace(MetricOperator.from_matrix(_hermitian(eta)), spectrum=S)
 
 
 def verify_intertwining(H, eta, h_norm=None):
@@ -326,19 +312,25 @@ def eta_inner(eta, psi, chi):
     return complex(inner) if inner.ndim == 0 else inner
 
 
+def _hermitian(A) -> np.ndarray:
+    """0.5 (A + A^dag), Hermitian bit for bit; halved first, so no sum overflows."""
+    return 0.5 * A + 0.5 * dagger(A)
+
+
 def hermitize(H, eta_plus, h_norm=None):
     """Similarity map to a Hermitian matrix: rho = eta_+^{1/2}, h = rho H rho^{-1}.
 
-    Requires eta_plus positive-definite and intertwining for H (checked);
-    h is Hermitian up to conditioning roundoff and isospectral with H.
-    Returns (rho, h, the residual of verify_intertwining(H, eta_plus, h_norm)).
-    One matrix runs as a stack of one and raises NotAMetric past the gate (a
-    NaN residual too) or herm_sqrt's NotPositiveDefinite.  In a (k, n, n)
-    stack such a matrix gets all-NaN rho and h and every other one its own
-    bits; only a gated eta_plus that is not self-adjoint raises, as in herm_sqrt.
+    eta_plus must intertwine H (checked) and be positive-definite.  On a
+    metric that carries its Spectrum, the polar route: Phi = U Sigma V^dag
+    gives rho = U Sigma U^dag and the unitary rho Psi = Q = U V^dag, so
+    h = Q diag(Re lambda) Q^dag (Higham, Functions of Matrices, ch. 8); it
+    refuses sigma_min^2 <= INVERTIBILITY_TOL sigma_max^2, as herm_sqrt does,
+    which with an inverse serves a plain matrix.  rho and h are built as
+    0.5 (A + A^dag).  Returns (rho, h, verify_intertwining(H, eta_plus, h_norm)).
+    One matrix raises NotAMetric past the gate (NaN too) or NotPositiveDefinite;
+    in a stack such a matrix gets all-NaN rho and h, every other one its own bits.
     """
     H = as_square_matrix(H, stack=True)
-    E = _metric_matrix(eta_plus)
     residual = verify_intertwining(H, eta_plus, h_norm)
     if H.ndim == 2 and not residual <= INTERTWINE_TOL:
         raise NotAMetric(
@@ -346,10 +338,36 @@ def hermitize(H, eta_plus, h_norm=None):
     stack = H.reshape(-1, *H.shape[-2:])
     rho, h = np.full((2, *stack.shape), np.nan, dtype=complex)
     gated = np.flatnonzero(residual <= INTERTWINE_TOL)
-    rho[gated] = herm_sqrt(E if H.ndim == 2 else E[gated])   # one matrix: its own refusal
-    root = gated[~np.isnan(rho[gated, 0, 0])]
-    h[root] = rho[root] @ stack[root] @ np.linalg.inv(rho[root])
+    pick = (lambda A: A) if H.ndim == 2 else (lambda A: A[gated])   # one matrix raises
+    S = getattr(eta_plus, "spectrum", None)
+    if S is None:
+        rho[gated] = herm_sqrt(pick(_metric_matrix(eta_plus)))
+        root = gated[~np.isnan(rho[gated, 0, 0])]
+        h[root] = rho[root] @ stack[root] @ np.linalg.inv(rho[root])
+    else:
+        U, sigma, Vh = np.linalg.svd(pick(S.left))
+        refused = ~pick(eta_plus.positive_definite) | (
+            sigma[..., -1] ** 2 <= INVERTIBILITY_TOL * sigma[..., 0] ** 2)
+        if H.ndim == 2 and refused:
+            raise NotPositiveDefinite(
+                f"no positive root: eta has signature {eta_plus.signature} and Phi "
+                f"sigma_min^2 / sigma_max^2 = {ratio(sigma[-1], sigma[0]) ** 2:.3e} "
+                f"(INVERTIBILITY_TOL = {INVERTIBILITY_TOL:g})")
+        U[refused] = np.nan   # and with it rho and h
+        Q = U @ Vh
+        rho[gated] = (U * sigma[..., None, :]) @ dagger(U)
+        h[gated] = (Q * pick(S.eigenvalues).real[..., None, :]) @ dagger(Q)
+    rho, h = _hermitian(rho), _hermitian(h)
     return (rho[0], h[0], residual) if H.ndim == 2 else (rho, h, residual)
+
+
+def similarity_residual(H, rho, h, h_norm=None):
+    """Certified bound on hermitize's relative residual ||rho H - h rho|| / (||rho|| ||H||):
+    the Frobenius norm over h_norm (||H||, else norm_lower_bound(H)), then over
+    norm_lower_bound(rho).  A float for one H, a (k,) array for a stack."""
+    H = as_square_matrix(H, stack=True)
+    h_norm = norm_lower_bound(H) if h_norm is None else h_norm
+    return ratio(ratio(frobenius_norm(rho @ H - h @ rho), h_norm), norm_lower_bound(rho))
 
 
 def antilinear_symmetry(S: Spectrum, pairing) -> np.ndarray:

@@ -12,9 +12,10 @@ one (k, n, n) stack, which goes once through the metrics functions:
 classify, whose classes and partner permutations are arrays decided in one
 pass, then build_general_metric, verify_intertwining, antilinear_symmetry
 and antilinear_residual on the stack of paired matrices, and the positive
-legs' hermitize and eta_inner on the stack of positive metrics.  Refusals
-are read off the stacked results (a pairing row of -1, invertible False, a
-NaN h), never re-derived here.  One seeded generator per instance draws its
+legs' hermitize (the polar route: one SVD of the stacked left systems)
+and eta_inner on the stack of positive metrics.  Refusals are read off
+the stacked results (a pairing row of -1, invertible False, a NaN h),
+never re-derived here.  One seeded generator per instance draws its
 matrix and then the vectors of leg d, so (kind, dim, seed) pins every
 number of an instance in any stack.  Each leg and residual is one array over
 the instances (equivalence_columns), which run_equivalence_suite reduces to
@@ -23,21 +24,22 @@ counts, worst residuals and the failing instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from .linalg import INVERTIBILITY_TOL, Spectrum, herm_residual
+from .linalg import INVERTIBILITY_TOL, Spectrum
 from .metrics import (INTERTWINE_TOL, Classification, MetricOperator, OperatorClass,
                       antilinear_residual, antilinear_symmetry, build_general_metric,
-                      classify, eta_inner, hermitize, verify_intertwining)
+                      classify, eta_inner, hermitize, similarity_residual,
+                      verify_intertwining)
 from .models import EnsembleSpec, generate
 
 INNER_PAIRS = 20
 CONJUGATION_LEGS = ("pair_ok", "metric_ok", "antilinear_ok")
 POSITIVE_LEGS = ("real_spectrum", "positive_ok", "hermitize_ok", "inner_ok")
 LEGS = CONJUGATION_LEGS + POSITIVE_LEGS
-RESIDUALS = ("metric_residual", "antilinear_residual", "hermiticity_residual",
+RESIDUALS = ("metric_residual", "antilinear_residual", "similarity_residual",
              "spectrum_drift", "inner_deviation")
 
 
@@ -72,12 +74,18 @@ class Group:
     residual: np.ndarray
 
 
+def _rows(stack, at):
+    """A stacked Spectrum or MetricOperator cut to the matrices at positions at."""
+    values = ((f.name, getattr(stack, f.name)) for f in fields(stack) if f.name != "dim")
+    return replace(stack, **{name: _rows(value, at) if is_dataclass(value) else value[at]
+                             for name, value in values})
+
+
 def classify_group(H) -> Group:
     """classify a stack and build the canonical metric of its paired matrices."""
     cls = classify(H)
     paired = np.flatnonzero(np.all(cls.pairing >= 0, axis=-1))
-    S = cls.spectrum
-    S = Spectrum(S.dim, *(a[paired] for a in (S.eigenvalues, S.right, S.left, S.diag_score)))
+    S = _rows(cls.spectrum, paired)
     pairing, norm = cls.pairing[paired], cls.diagnostics["norm"][paired]
     metric = build_general_metric(S, pairing)
     return Group(cls, paired, H[paired], S, pairing, norm, metric,
@@ -121,26 +129,26 @@ def check_positive_metric_equivalence(group: Group, rngs) -> dict:
 
     a: classified (quasi-)Hermitian; b: the canonical metric of an all-real
     pairing is invertible and positive-definite (eta_+); c: hermitize maps H
-    by eta_+ (not NaN) to an h that is Hermitian and isospectral with H
-    within 1e-8; d: Hermiticity of H in the eta_+ inner product on random
-    vector pairs.
+    by eta_+'s polar route (not NaN) to an h, Hermitian by construction,
+    with rho H = h rho and h isospectral with H within 1e-8; d: Hermiticity
+    of H in the eta_+ inner product on random vector pairs.
     """
     metric = group.metric
     k, n = len(group.cls.kind), group.spectrum.dim
     all_real = np.all(group.pairing == np.arange(n), axis=-1)
     built = np.flatnonzero(all_real & metric.invertible & metric.positive_definite)
     index = group.paired[built]
-    eta = MetricOperator(*(getattr(metric, field.name)[built] for field in fields(metric)))
+    eta = _rows(metric, built)
     H = group.H[built]
 
-    # Leg c: hermitize's h is NaN where it refuses eta_+.
-    h = hermitize(H, eta, group.norm[built])[1]
+    # Leg c: hermitize's rho and h are NaN where it refuses eta_+.
+    rho, h, _ = hermitize(H, eta, group.norm[built])
     mapped = np.flatnonzero(~np.isnan(h[:, 0, 0]))
-    h = h[mapped]
-    hermiticity = herm_residual(h)
+    similarity = similarity_residual(H[mapped], rho[mapped], h[mapped],
+                                     group.norm[built[mapped]])
     spec_in = np.sort_complex(group.spectrum.eigenvalues[built[mapped]])
-    spec_out = np.sort_complex(np.linalg.eigvals(h))
-    drift = np.max(np.abs(spec_out - spec_in) / (1.0 + np.abs(spec_in)), axis=-1)
+    drift = np.max(np.abs(np.linalg.eigvalsh(h[mapped]) - spec_in) / (1.0 + np.abs(spec_in)),
+                   axis=-1)
 
     # Leg d: one block per generator holds the numbers of the INNER_PAIRS successive
     # draws (psi.re, psi.im, chi.re, chi.im); all pairs go through one product.
@@ -158,10 +166,10 @@ def check_positive_metric_equivalence(group: Group, rngs) -> dict:
     hermitized = index[mapped]
     return {"real_spectrum": group.cls.diagnostics["n_real"] == n,
             "positive_ok": _spread(k, index, np.ones(len(index), dtype=bool)),
-            "hermitize_ok": _spread(k, hermitized, (hermiticity <= INTERTWINE_TOL)
+            "hermitize_ok": _spread(k, hermitized, (similarity <= INTERTWINE_TOL)
                                     & (drift <= INTERTWINE_TOL)),
             "inner_ok": _spread(k, index, inner <= INTERTWINE_TOL),
-            "hermiticity_residual": _spread(k, hermitized, hermiticity),
+            "similarity_residual": _spread(k, hermitized, similarity),
             "spectrum_drift": _spread(k, hermitized, drift),
             "inner_deviation": _spread(k, index, inner)}
 

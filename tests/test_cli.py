@@ -123,8 +123,8 @@ def test_hermitian_matrix_round_trips_packed(tmp_path, n):
 
 
 def test_report_blocks_read_back_bit_identical(matrix_file, capsys):
-    # eta and rho are built as 0.5 (A + A^dag): packed, and read back bit for bit.
-    # tau and hermitize's h are not Hermitian and keep the full layout.
+    # eta, rho and hermitize's h are built as 0.5 (A + A^dag): packed, and read back
+    # bit for bit.  tau is not Hermitian and keeps the full layout.
     quasi = generate(EnsembleSpec(6, 4, "quasi"))[0]
     paired = generate(EnsembleSpec(6, 4, "pseudo_nonquasi"))[0]
     for H in (quasi, paired):
@@ -147,7 +147,7 @@ def test_report_blocks_read_back_bit_identical(matrix_file, capsys):
     code, report = run_cli(capsys, ["hermitize", matrix_file(quasi)])
     assert code == EXIT_OK and report["rho"]["hermitian"] is True
     assert matrix_from_json(report["rho"]).tobytes() == rho.tobytes()
-    assert "hermitian" not in report["hermitized"]
+    assert report["hermitized"]["hermitian"] is True
     assert matrix_from_json(report["hermitized"]).tobytes() == h.tobytes()
 
 
@@ -183,7 +183,7 @@ def test_packed_layout_refusals(change, message):
 def test_classify_hermitian(matrix_file, capsys):
     code, report = run_cli(capsys, ["classify", matrix_file(SIGMA1)])
     assert code == EXIT_OK
-    assert report["schema"] == 4
+    assert report["schema"] == 5
     assert report["classification"] == "Hermitian"
     assert len(report["spectrum"]) == 2
 
@@ -374,7 +374,7 @@ def test_hermitize_reports_rho_and_h_but_not_eta(matrix_file, capsys):
     # eta = rho^2 is what metric emits; hermitize keeps its signature only.
     code, report = run_cli(capsys, ["hermitize", matrix_file(pt2x2(1, np.pi / 6, 1))])
     assert code == EXIT_OK
-    assert report["schema"] == 4 and report["metric"] is None
+    assert report["schema"] == 5 and report["metric"] is None
     assert report["signature"] == [2, 0]
     rho = matrix_from_json(report["rho"])
     assert np.allclose(rho, rho.conj().T) and np.all(np.linalg.eigvalsh(rho) > 0)
@@ -382,22 +382,47 @@ def test_hermitize_reports_rho_and_h_but_not_eta(matrix_file, capsys):
 
 
 @pytest.mark.parametrize("n, exponent, expected", [
-    (256, 2, EXIT_OK), (32, 5, None), (64, 4, None), (256, 5, EXIT_NUMERIC),
+    (256, 2, EXIT_OK), (32, 5, None), (64, 4, None), (256, 5, EXIT_OK),
 ], ids=["n256-kappa1e2", "n32-kappa1e5", "n64-kappa1e4", "n256-kappa1e5"])
 def test_hermitize_exits_3_exactly_when_h_is_past_its_gate(matrix_file, capsys, n,
                                                            exponent, expected):
-    # On planted real inputs hermiticity_of_h grows like kappa^2 eps: at n = 256 it reads
-    # about 4.5e-12 at kappa = 1e2 and 8.1e-7, 80 times the gate, at kappa = 1e5.
+    # h is Hermitian by construction, so hermiticity_of_h reads 0.0 and the gate is
+    # the similarity residual ||rho H - h rho||: on planted real n = 256 inputs it
+    # reads about 1e-14 at kappa = 1e2 and 1e-13 at kappa = 1e5.
     H, _ = planted(np.random.default_rng([7, n, exponent]), n, "real", 10.0 ** exponent)
     code, report = run_cli(capsys, ["hermitize", matrix_file(H)])
     assert report["classification"] == "QuasiHermitian" and report["signature"] == [n, 0]
     assert len(report["spectrum"]) == n and report["residuals"]["intertwining"] <= 1e-8
-    refused = report["residuals"]["hermiticity_of_h"] > 1e-8
+    assert report["residuals"]["hermiticity_of_h"] == 0.0
+    refused = report["residuals"]["similarity"] > 1e-8
     assert code == (EXIT_NUMERIC if refused else EXIT_OK)
     assert expected is None or code == expected
-    # A refused h is reported by its residual alone: no rho and no h.
+    # A refused h is reported by its residuals alone: no rho and no h.
     assert ("rho" in report, "hermitized" in report) == (not refused, not refused)
     assert ("INTERTWINE_TOL = 1e-08" in report["notes"]) == refused
+    if not refused:
+        assert report["hermitized"]["hermitian"] is True
+
+
+@pytest.mark.parametrize("exponent", [3, 4, 5])
+def test_polar_hermitize_matches_the_planted_truth(matrix_file, capsys, exponent):
+    # The planted real n = 256 inputs of the gate test above, where the square-root
+    # route's h was skew past the gate from kappa = 1e4 on: the polar h is Hermitian,
+    # rho H = h rho holds to roundoff, h has the planted spectrum, and rho^2 is
+    # metric's eta.
+    H, lam = planted(np.random.default_rng([7, 256, exponent]), 256, "real", 10.0 ** exponent)
+    path = matrix_file(H)
+    code, report = run_cli(capsys, ["hermitize", path])
+    assert code == EXIT_OK and report["residuals"]["hermiticity_of_h"] == 0.0
+    assert report["residuals"]["similarity"] <= 1e-8
+    h, rho = (matrix_from_json(report[key]) for key in ("hermitized", "rho"))
+    assert report["hermitized"]["hermitian"] is True
+    lam = np.sort(lam.real)
+    assert np.all(np.abs(np.linalg.eigvalsh(h) - lam) <= 1e-8 * (1 + np.abs(lam)))
+    code, report = run_cli(capsys, ["metric", path])
+    assert code == EXIT_OK
+    eta = matrix_from_json(report["metric"])
+    assert np.linalg.norm(rho @ rho - eta) <= 1e-12 * np.linalg.norm(eta)
 
 
 def test_hermitize_command_refuses_complex_pair(matrix_file, capsys):
@@ -722,7 +747,7 @@ VERIFY_12 = ["verify", "--count", "12", "--dims", "2-4"]
     (VERIFY_12, "metrics.classify", 3, 12),                # verify routes each stack through
     (VERIFY_12, "metrics.build_general_metric", 3, 12),    # the metrics functions, once each
     (VERIFY_12, "metrics.hermitize", 3, 8),                # leg c: the 8 positive metrics
-    (VERIFY_12, "linalg.herm_sqrt", 3, 8),
+    (VERIFY_12, "linalg.herm_sqrt", 0, 0),                 # leg c takes the polar route
 ], ids=["classify", "metric", "hermitize", "symmetry", "kg", "verify", "verify-classify",
         "verify-build_general_metric", "verify-hermitize", "verify-herm_sqrt"])
 def test_one_decomposition_per_matrix(matrix_file, capsys, monkeypatch, argv, counted,
@@ -774,7 +799,9 @@ def test_norms_computed_once(matrix_file, capsys, monkeypatch, argv):
     out = capsys.readouterr().out
     monkeypatch.undo()
     assert exact == []
-    assert svds == []   # diag_score and every residual are O(n^2) past eig and inv
+    # diag_score and every residual are O(n^2) past eig and inv; hermitize's one SVD is
+    # the polar factorization of Phi.
+    assert svds == (["svd"] if argv[0] == "hermitize" else [])
     assert out.count("\n") == 1 and out.endswith("\n")   # one compact line
     report = json.loads(out, parse_constant=_reject_constant)
 
@@ -784,13 +811,12 @@ def test_norms_computed_once(matrix_file, capsys, monkeypatch, argv):
         return np.linalg.norm(numerator) / np.prod(factors)
 
     H, _ = load_matrix(argv[1])
-    E, T, h = (matrix_from_json(report[key]) if report.get(key) else None
-               for key in ("metric", "antilinear", "hermitized"))
+    E, T, h, rho = (matrix_from_json(report[key]) if report.get(key) else None
+                    for key in ("metric", "antilinear", "hermitized", "rho"))
     if argv[0] == "hermitize":
         # hermitize emits rho, not eta = rho^2: rebuild the eta it used, bit for bit.
         cls = classify(H)
         E = build_positive_metric(cls.spectrum, cls.pairing).matrix
-        rho = matrix_from_json(report["rho"])
         assert np.linalg.norm(rho @ rho - E) <= 1e-12 * np.linalg.norm(E)
     lb = norm_lower_bound
     formulas = {
@@ -799,6 +825,7 @@ def test_norms_computed_once(matrix_file, capsys, monkeypatch, argv):
         "metric_selfadjoint": lambda: bound(E - E.conj().T, lb(E)),
         "antilinear_commutation": lambda: bound(H @ T - T @ H.conj(), lb(H), lb(T)),
         "hermiticity_of_h": lambda: bound(h - h.conj().T, lb(h)),
+        "similarity": lambda: bound(rho @ H - h @ rho, lb(H), lb(rho)),
     }
     residuals = {k: v for k, v in report["residuals"].items() if k != "diag_score"}
     assert residuals
@@ -807,7 +834,8 @@ def test_norms_computed_once(matrix_file, capsys, monkeypatch, argv):
 
 
 def test_verify_makes_no_residual_svd(capsys, monkeypatch):
-    # Per dimension group: generate's two and tau's invertibility test.
+    # Per dimension group: generate's two, tau's invertibility test and leg c's
+    # polar factorization of the stacked left systems in hermitize.
     import pseudoherm.linalg as linalg
 
     exact = count_calls(monkeypatch, linalg.spectral_norm)
@@ -820,7 +848,7 @@ def test_verify_makes_no_residual_svd(capsys, monkeypatch):
     assert code == EXIT_OK and report["suite"]["failures"] == 0
     assert exact == []
     assert sorted(callers) == sorted(3 * ["_similar", "_similar",
-                                          "check_conjugation_equivalence"])
+                                          "check_conjugation_equivalence", "hermitize"])
 
 
 @pytest.mark.parametrize("n", [8, 16, 64])

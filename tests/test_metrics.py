@@ -30,7 +30,7 @@ from pseudoherm import (
 )
 from pseudoherm.kleingordon import fv_modes, make_grid
 from pseudoherm.linalg import KAPPA_MAX, Spectrum
-from pseudoherm.metrics import REALITY_TOL, MetricOperator
+from pseudoherm.metrics import REALITY_TOL, MetricOperator, similarity_residual
 from pseudoherm.models import KINDS, EnsembleSpec, generate
 from pseudoherm.physical import restrict_to_physical
 from pseudoherm.suites import classify_group
@@ -538,10 +538,11 @@ def test_stacked_hermitize_marks_what_a_single_call_refuses():
         else:
             one_rho, one_h, _ = hermitize(one_H, one_eta)
             assert np.array_equal(rho[i], one_rho) and np.array_equal(h[i], one_h), i
-    # A stacked MetricOperator gives its norms, and the same roots.
+    # A stacked MetricOperator gives its norms, and the same roots as the plain
+    # matrices, which take herm_sqrt's route as the stacked metric does.
     metric = MetricOperator.from_matrix(np.stack([eta_plus.matrix, np.eye(4)]))
     rho, h, _ = hermitize(H[[0, 3]], metric)
-    assert np.array_equal(rho[0], hermitize(quasi, eta_plus)[0])
+    assert np.array_equal(rho[0], hermitize(quasi, eta_plus.matrix)[0])
     assert np.array_equal(h[1], hermitize(H[3], np.eye(4))[1])
 
 
@@ -550,6 +551,39 @@ def test_single_hermitize_keeps_the_square_root_refusal():
     # still raises herm_sqrt's own NotPositiveDefinite with its message.
     with pytest.raises(NotPositiveDefinite, match="minimum eigenvalue"):
         hermitize(np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([1.0, -1.0, 1.0, 1.0]))
+
+
+def test_polar_route_agrees_with_the_square_root_and_refuses_an_indefinite_metric(monkeypatch):
+    # A built metric carries its Spectrum and takes the polar route; its plain matrix
+    # takes herm_sqrt's.  Both give the same rho and h to roundoff, both Hermitian bit
+    # for bit.  A built metric with a negative sign intertwines H too, but Phi Phi^dag
+    # is not it: the polar route refuses it, one matrix by raising, a stack by a NaN row.
+    H, lam, _ = generate(EnsembleSpec(4, 2, "quasi"))
+    S = eig_full(H)
+    eta = build_positive_metric(S)
+    assert eta.spectrum is S and MetricOperator.from_matrix(eta.matrix).spectrum is None
+    with monkeypatch.context() as patch:   # the polar route inverts and eigensolves nothing
+        for name in ("inv", "eig", "eigh", "eigvals", "eigvalsh"):
+            patch.setattr(np.linalg, name, lambda *args, **kwargs: pytest.fail("decomposed"))
+        rho, h, _ = hermitize(H, eta)
+    plain_rho, plain_h, _ = hermitize(H, eta.matrix)
+    for A in (rho, h, plain_rho, plain_h):
+        assert np.array_equal(A, A.conj().T)
+    assert spectral_norm(rho - plain_rho) <= 1e-12 * spectral_norm(rho)
+    assert spectral_norm(h - plain_h) <= 1e-12 * spectral_norm(h)
+    assert similarity_residual(H, rho, h) <= 1e-14
+    assert spectra_mismatch(np.linalg.eigvalsh(h), lam) <= 1e-12
+    signs = [1.0, -1.0, 1.0, 1.0]
+    indefinite = build_general_metric(S, np.arange(4), signs)
+    assert verify_intertwining(H, indefinite) <= 1e-12
+    with pytest.raises(NotPositiveDefinite, match=r"signature \(3, 1\)"):
+        hermitize(H, indefinite)
+    stacked = build_general_metric(eig_full(np.stack([H, H])), np.tile(np.arange(4), (2, 1)),
+                                   [1.0] * 4 + signs)
+    rho, h, _ = hermitize(np.stack([H, H]), stacked)
+    one_rho, one_h, _ = hermitize(H, eta)
+    assert np.array_equal(rho[0], one_rho) and np.array_equal(h[0], one_h)
+    assert np.all(np.isnan(rho[1])) and np.all(np.isnan(h[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ COMMANDS = {"classify": ["classify", "--emit-metric"], "metric": ["metric"],
             "hermitize": ["hermitize"], "symmetry": ["symmetry"]}
 PLANTED_CLASS = {"real": "QuasiHermitian", "pairs": "PseudoHermitianOnly"}
 REFUSAL_CLASSES = ("NonDiagonalizable", "Indeterminate")
-GATED = ("intertwining", "metric_selfadjoint", "hermiticity_of_h", "antilinear_commutation")
+GATED = ("intertwining", "metric_selfadjoint", "hermiticity_of_h", "similarity",
+         "antilinear_commutation")
 GATE = 1e-8
 
 # (n, log10 kappa, kind, scale): n in {2, 6, 32} over kappa 1e1 ... 1e7 and three
@@ -125,9 +126,6 @@ KNOWN_WRONG = {
         **cells(256, "real", 1.0, (7,), ALL),
         **cells(256, "pairs", 1.0, (7,), ALL),
     },
-    # Item 5, gated emission: symmetry exits 0 with antilinear_commutation
-    # 6.8e-8, 1.1e-5 and 7.9e-4, past 1e-8.
-    "item 5": cells(2, "real", 1e-300, (5, 6, 7), ("symmetry",)),
 }
 
 

@@ -18,7 +18,7 @@ import pseudoherm.linalg as linalg
 import pseudoherm.metrics as metrics
 import pseudoherm.suites as suites
 from pseudoherm.cli import EXIT_OK, EXIT_SUITE_FAIL, main, save_matrix
-from pseudoherm.errors import PseudohermError
+from pseudoherm.errors import NotPositiveDefinite, PseudohermError
 from pseudoherm.linalg import eig_full, herm_residual
 from pseudoherm.metrics import (
     OperatorClass,
@@ -29,6 +29,7 @@ from pseudoherm.metrics import (
     classify,
     eta_inner,
     hermitize,
+    similarity_residual,
     verify_intertwining,
 )
 from pseudoherm.models import KINDS, EnsembleSpec, generate, jordan_block
@@ -113,13 +114,14 @@ def oracle_positive(H, cls, rng):
     result["positive_ok"] = eta.positive_definite
     result["metric_min_eig"] = eta.min_abs_eigenvalue
     try:
-        _, h, _ = hermitize(H, eta, cls.diagnostics["norm"])
-        result["hermiticity_residual"] = herm_residual(h)
+        rho, h, _ = hermitize(H, eta, cls.diagnostics["norm"])
+        assert herm_residual(h) == 0.0   # h is Hermitian by construction
+        result["similarity_residual"] = similarity_residual(H, rho, h, cls.diagnostics["norm"])
         spec_in = np.sort_complex(cls.spectrum.eigenvalues)
-        spec_out = np.sort_complex(np.linalg.eigvals(h))
+        spec_out = np.linalg.eigvalsh(h)
         result["spectrum_drift"] = float(np.max(np.abs(spec_out - spec_in)
                                                 / (1.0 + np.abs(spec_in))))
-        result["hermitize_ok"] = (result["hermiticity_residual"] <= metrics.INTERTWINE_TOL
+        result["hermitize_ok"] = (result["similarity_residual"] <= metrics.INTERTWINE_TOL
                                   and result["spectrum_drift"] <= metrics.INTERTWINE_TOL)
     except PseudohermError:
         result["hermitize_ok"] = False
@@ -244,16 +246,32 @@ def test_batched_suite_matches_per_instance_oracle(name):
 
 
 def test_refused_roots_match_the_oracle(monkeypatch):
-    # A ceiling of 1e-2 in linalg refuses the square root of 59 of the 320
-    # positive metrics of "mixed dims 1-8"; no lambda_min/lambda_max lies within
-    # 1% of it.  metrics keeps its own binding of INVERTIBILITY_TOL, so
-    # from_matrix still accepts those metrics and leg c's refusal is reached.
-    # The oracle's hermitize refuses the same ones, one at a time.
-    monkeypatch.setattr(linalg, "INVERTIBILITY_TOL", 1e-2)
+    # hermitize's polar route refuses sigma_min^2 <= INVERTIBILITY_TOL sigma_max^2 of
+    # Phi.  A ceiling of 1e-2 there refuses 59 of the 320 positive metrics of "mixed
+    # dims 1-8"; no sigma_min^2/sigma_max^2 lies within 1% of it.  The metrics are
+    # still built at the package's ceiling, so from_matrix accepts them and leg c's
+    # refusal is reached: a NaN row of the stacked hermitize, and the oracle's
+    # single hermitize raising NotPositiveDefinite for the same ones.
+    build = metrics.build_general_metric
+
+    def built_at_the_package_ceiling(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics, "INVERTIBILITY_TOL", linalg.INVERTIBILITY_TOL)
+            return build(*args)
+
+    monkeypatch.setattr(metrics, "INVERTIBILITY_TOL", 1e-2)
+    for module in (metrics, suites):
+        monkeypatch.setattr(module, "build_general_metric", built_at_the_package_ceiling)
+    monkeypatch.setitem(globals(), "build_general_metric", built_at_the_package_ceiling)
     specs = ENSEMBLES["mixed dims 1-8"]
     columns = equivalence_columns(specs)
     assert_columns_match(columns, [oracle_record(spec) for spec in specs])
-    assert np.count_nonzero(columns["positive_ok"] & ~columns["hermitize_ok"]) == 59
+    refused = np.flatnonzero(columns["positive_ok"] & ~columns["hermitize_ok"])
+    assert len(refused) == 59 and np.all(np.isnan(columns["similarity_residual"][refused]))
+    H = generate(specs[refused[0]])[0]
+    cls = classify(H)
+    with pytest.raises(NotPositiveDefinite, match="INVERTIBILITY_TOL = 0.01"):
+        hermitize(H, build_positive_metric(cls.spectrum, cls.pairing))
 
 
 def test_stacked_eig_full_matches_per_matrix():
