@@ -9,7 +9,7 @@ i holding columns i..n-1; tau is the only full-layout matrix, and
 matrix_from_json reads both.  Reports are schema-versioned JSON on stdout,
 one line each; an overflowing norm or residual refuses the input, and a
 gate residual past INTERTWINE_TOL (NaN too) withholds the matrix and names
-the gate in notes, exit 3.
+the gate in notes, exit 3 (hermitize's gates raise: the error names them).
 Exit codes: 0 success / full pass, 1 property-suite failure, 2 input error,
 3 numerical failure.
 """
@@ -24,14 +24,38 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import InvalidGrid, NonDiagonalizableError, ParseError, PseudohermError
-from .kleingordon import (KGState, evolve, fv_components, fv_modes, fv_propagate, kg_inner,
-                          make_grid, pd_inner, random_state)
+from .errors import (
+    InvalidGrid,
+    NonDiagonalizableError,
+    ParseError,
+    PseudohermError,
+)
+from .kleingordon import (
+    KGState,
+    fv_components,
+    fv_modes,
+    fv_propagate,
+    make_grid,
+    pd_inner,
+    kg_inner,
+    random_state,
+    evolve,
+)
 from .linalg import frobenius_norm, herm_residual
-from .metrics import (INTERTWINE_TOL, REALITY_TOL, OperatorClass, antilinear_residual,
-                      antilinear_symmetry, build_general_metric, build_positive_metric,
-                      classify, decide_class, hermitize, similarity_residual,
-                      verify_intertwining)
+from .metrics import (
+    INTERTWINE_TOL,
+    OperatorClass,
+    REALITY_TOL,
+    antilinear_residual,
+    antilinear_symmetry,
+    build_general_metric,
+    build_positive_metric,
+    classify,
+    decide_class,
+    hermitize,
+    similarity_residual,
+    verify_intertwining,
+)
 from .physical import norm_signs
 from .suites import make_ensemble, run_equivalence_suite
 
@@ -234,10 +258,12 @@ def cmd_hermitize(args) -> tuple[dict, int]:
         report["notes"] = ("Hermitization needs a real diagonalizable spectrum; "
                            f"operator is {cls.kind.value}")
         return report, EXIT_NUMERIC
-    eta, norm = build_positive_metric(cls.spectrum, cls.pairing), cls.diagnostics["norm"]
-    rho, h, intertwining = hermitize(H, eta, norm)   # the polar route: eta carries its Spectrum
+    # The Spectrum stands for eta_+ = Phi Phi^dag, whose root hermitize reads off one
+    # SVD of Phi (the polar route); it raises past either of its two gates.
+    norm = cls.diagnostics["norm"]
+    rho, h, intertwining = hermitize(H, cls.spectrum, norm)
     report["spectrum"] = _spectrum_list(cls.spectrum.eigenvalues)
-    report["signature"] = list(eta.signature)   # eta = rho^2 is metric's output
+    report["signature"] = [len(h), 0]   # of eta_+ = rho^2, metric's output
     # h is built Hermitian, so hermiticity_of_h reads 0.0; its error shows in similarity.
     return report, _gated(report, {"intertwining": intertwining,
                                    "hermiticity_of_h": herm_residual(h),

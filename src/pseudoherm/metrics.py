@@ -30,11 +30,28 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (NoPositiveMetric, NotAMetric, NotCommuting, NotInvertible,
-                     NotPositiveDefinite, UnpairedEigenvalue)
-from .linalg import (INVERTIBILITY_TOL, KAPPA_MAX, SELFADJOINT_TOL, Spectrum, as_square_matrix,
-                     dagger, eig_full, frobenius_norm, herm_residual, herm_sqrt,
-                     norm_lower_bound, ratio)
+from .errors import (
+    NoPositiveMetric,
+    NotAMetric,
+    NotCommuting,
+    NotInvertible,
+    NotPositiveDefinite,
+    UnpairedEigenvalue,
+)
+from .linalg import (
+    INVERTIBILITY_TOL,
+    KAPPA_MAX,
+    SELFADJOINT_TOL,
+    Spectrum,
+    as_square_matrix,
+    dagger,
+    eig_full,
+    frobenius_norm,
+    herm_residual,
+    herm_sqrt,
+    norm_lower_bound,
+    ratio,
+)
 
 # lambda is treated as real iff |Im lambda| <= REALITY_TOL*(1+|lambda|).
 REALITY_TOL = 1e-9
@@ -320,45 +337,59 @@ def _hermitian(A) -> np.ndarray:
 def hermitize(H, eta_plus, h_norm=None):
     """Similarity map to a Hermitian matrix: rho = eta_+^{1/2}, h = rho H rho^{-1}.
 
-    eta_plus must intertwine H (checked) and be positive-definite.  On a
-    metric that carries its Spectrum, the polar route: Phi = U Sigma V^dag
-    gives rho = U Sigma U^dag and the unitary rho Psi = Q = U V^dag, so
-    h = Q diag(Re lambda) Q^dag (Higham, Functions of Matrices, ch. 8); it
-    refuses sigma_min^2 <= INVERTIBILITY_TOL sigma_max^2, as herm_sqrt does,
-    which with an inverse serves a plain matrix.  rho and h are built as
-    0.5 (A + A^dag).  Returns (rho, h, verify_intertwining(H, eta_plus, h_norm)).
-    One matrix raises NotAMetric past the gate (NaN too) or NotPositiveDefinite;
-    in a stack such a matrix gets all-NaN rho and h, every other one its own bits.
+    eta_plus must intertwine H (checked) and be positive-definite.  A Spectrum,
+    standing for its eta_+ = Phi Phi^dag, or a metric that carries one takes
+    the polar route: Phi = U Sigma V^dag gives eta_+ = U Sigma^2 U^dag (the
+    matrix the intertwining gate checks, with norm sigma_max^2), rho =
+    U Sigma U^dag and the unitary rho Psi = Q = U V^dag, so h = Q diag(Re
+    lambda) Q^dag (Higham, Functions of Matrices, ch. 8); it refuses sigma_min^2
+    <= INVERTIBILITY_TOL sigma_max^2, as herm_sqrt does, which with an inverse
+    serves a plain matrix.  rho and h are built as 0.5 (A + A^dag), and h must
+    pass a second gate, similarity_residual: eta_+ intertwines H + c I too, and
+    only rho H = h rho ties h to H itself.  Returns (rho, h, the intertwining
+    residual).  One matrix raises NotAMetric past either gate (NaN too) or
+    NotPositiveDefinite; in a stack such a matrix gets all-NaN rho and h,
+    every other one its own bits.
     """
     H = as_square_matrix(H, stack=True)
-    residual = verify_intertwining(H, eta_plus, h_norm)
-    if H.ndim == 2 and not residual <= INTERTWINE_TOL:
-        raise NotAMetric(
-            f"eta does not intertwine H (residual {residual:.3e} > {INTERTWINE_TOL:g})")
     stack = H.reshape(-1, *H.shape[-2:])
+    S = eta_plus if isinstance(eta_plus, Spectrum) else getattr(eta_plus, "spectrum", None)
+    if S is not None:
+        given = getattr(eta_plus, "signature", (S.dim, 0))
+        # A built metric with a negative sign intertwines H too, but Phi Phi^dag is not it.
+        positive = np.ravel(getattr(eta_plus, "positive_definite", True))
+        U, sigma, Vh = np.linalg.svd(S.left.reshape(stack.shape))
+        low, top = sigma[:, -1] ** 2, sigma[:, 0] ** 2
+        eta_plus = MetricOperator(_hermitian((U * sigma[:, None, :] ** 2) @ dagger(U)), (S.dim, 0),
+                                  0.0, low, top, positive & (low > INVERTIBILITY_TOL * top), S)
+    residual = verify_intertwining(stack, eta_plus, h_norm)
+    if H.ndim == 2 and not residual[0] <= INTERTWINE_TOL:
+        raise NotAMetric(
+            f"eta does not intertwine H (residual {residual[0]:.3e} > {INTERTWINE_TOL:g})")
     rho, h = np.full((2, *stack.shape), np.nan, dtype=complex)
     gated = np.flatnonzero(residual <= INTERTWINE_TOL)
-    pick = (lambda A: A) if H.ndim == 2 else (lambda A: A[gated])   # one matrix raises
-    S = getattr(eta_plus, "spectrum", None)
     if S is None:
-        rho[gated] = herm_sqrt(pick(_metric_matrix(eta_plus)))
+        E = _metric_matrix(eta_plus)
+        rho[gated] = herm_sqrt(E if H.ndim == 2 else E[gated])   # one matrix: its own refusal
         root = gated[~np.isnan(rho[gated, 0, 0])]
         h[root] = rho[root] @ stack[root] @ np.linalg.inv(rho[root])
     else:
-        U, sigma, Vh = np.linalg.svd(pick(S.left))
-        refused = ~pick(eta_plus.positive_definite) | (
-            sigma[..., -1] ** 2 <= INVERTIBILITY_TOL * sigma[..., 0] ** 2)
-        if H.ndim == 2 and refused:
+        if H.ndim == 2 and not eta_plus.invertible[0]:
             raise NotPositiveDefinite(
-                f"no positive root: eta has signature {eta_plus.signature} and Phi "
-                f"sigma_min^2 / sigma_max^2 = {ratio(sigma[-1], sigma[0]) ** 2:.3e} "
+                f"no positive root: eta has signature {given} and Phi sigma_min^2 / "
+                f"sigma_max^2 = {ratio(low[0], top[0]):.3e} "
                 f"(INVERTIBILITY_TOL = {INVERTIBILITY_TOL:g})")
-        U[refused] = np.nan   # and with it rho and h
-        Q = U @ Vh
-        rho[gated] = (U * sigma[..., None, :]) @ dagger(U)
-        h[gated] = (Q * pick(S.eigenvalues).real[..., None, :]) @ dagger(Q)
+        root = gated[eta_plus.invertible[gated]]
+        Q = U[root] @ Vh[root]
+        rho[root] = (U[root] * sigma[root, None, :]) @ dagger(U[root])
+        h[root] = (Q * S.eigenvalues.reshape(sigma.shape)[root].real[:, None, :]) @ dagger(Q)
     rho, h = _hermitian(rho), _hermitian(h)
-    return (rho[0], h[0], residual) if H.ndim == 2 else (rho, h, residual)
+    similarity = similarity_residual(stack, rho, h, h_norm)
+    if H.ndim == 2 and not similarity[0] <= INTERTWINE_TOL:
+        raise NotAMetric(f"rho H != h rho: similarity {similarity[0]:.3e} > "
+                         f"INTERTWINE_TOL = {INTERTWINE_TOL:g}")
+    rho[similarity > INTERTWINE_TOL] = h[similarity > INTERTWINE_TOL] = np.nan
+    return (rho[0], h[0], float(residual[0])) if H.ndim == 2 else (rho, h, residual)
 
 
 def similarity_residual(H, rho, h, h_norm=None):

@@ -129,9 +129,9 @@ def check_positive_metric_equivalence(group: Group, rngs) -> dict:
 
     a: classified (quasi-)Hermitian; b: the canonical metric of an all-real
     pairing is invertible and positive-definite (eta_+); c: hermitize maps H
-    by eta_+'s polar route (not NaN) to an h, Hermitian by construction,
-    with rho H = h rho and h isospectral with H within 1e-8; d: Hermiticity
-    of H in the eta_+ inner product on random vector pairs.
+    by eta_+'s polar route (not NaN: past its gates) to an h, Hermitian by
+    construction, with rho H = h rho and h isospectral with H within 1e-8;
+    d: Hermiticity of H in the eta_+ inner product on random vector pairs.
     """
     metric = group.metric
     k, n = len(group.cls.kind), group.spectrum.dim

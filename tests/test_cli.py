@@ -381,27 +381,35 @@ def test_hermitize_reports_rho_and_h_but_not_eta(matrix_file, capsys):
     assert report["hermitized"]["dim"] == 2
 
 
-@pytest.mark.parametrize("n, exponent, expected", [
-    (256, 2, EXIT_OK), (32, 5, None), (64, 4, None), (256, 5, EXIT_OK),
-], ids=["n256-kappa1e2", "n32-kappa1e5", "n64-kappa1e4", "n256-kappa1e5"])
-def test_hermitize_exits_3_exactly_when_h_is_past_its_gate(matrix_file, capsys, n,
-                                                           exponent, expected):
+@pytest.mark.parametrize("n, exponent, shift", [
+    (256, 2, 0.0), (32, 5, 0.0), (64, 4, 0.0), (256, 5, 0.0), (32, 2, 3.0), (256, 5, 3.0),
+], ids=["n256-kappa1e2", "n32-kappa1e5", "n64-kappa1e4", "n256-kappa1e5",
+        "n32-kappa1e2-shifted", "n256-kappa1e5-shifted"])
+def test_hermitize_exits_3_exactly_when_h_is_past_its_gate(matrix_file, capsys, monkeypatch,
+                                                           n, exponent, shift):
     # h is Hermitian by construction, so hermiticity_of_h reads 0.0 and the gate is
     # the similarity residual ||rho H - h rho||: on planted real n = 256 inputs it
-    # reads about 1e-14 at kappa = 1e2 and 1e-13 at kappa = 1e5.
+    # reads about 1e-14 at kappa = 1e2 and 1e-13 at kappa = 1e5.  The eta_+ of
+    # H + 3 I intertwines H as well, and its h is that of H + 3 I: classifying the
+    # shifted matrix leaves the similarity gate alone to refuse it.
+    import pseudoherm.cli as cli
+
     H, _ = planted(np.random.default_rng([7, n, exponent]), n, "real", 10.0 ** exponent)
-    code, report = run_cli(capsys, ["hermitize", matrix_file(H)])
+    monkeypatch.setattr(cli, "classify", lambda M, tol: classify(M + shift * np.eye(n), tol))
+    code = main(["hermitize", matrix_file(H)])
+    out, err = capsys.readouterr()
+    if shift:
+        # A refused h: exit 3, the gate named in the error, and no report, so no rho and no h.
+        assert code == EXIT_NUMERIC and out == ""
+        assert "rho H != h rho: similarity" in err and "> INTERTWINE_TOL = 1e-08" in err
+        return
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert code == EXIT_OK and report["notes"] == ""
     assert report["classification"] == "QuasiHermitian" and report["signature"] == [n, 0]
     assert len(report["spectrum"]) == n and report["residuals"]["intertwining"] <= 1e-8
     assert report["residuals"]["hermiticity_of_h"] == 0.0
-    refused = report["residuals"]["similarity"] > 1e-8
-    assert code == (EXIT_NUMERIC if refused else EXIT_OK)
-    assert expected is None or code == expected
-    # A refused h is reported by its residuals alone: no rho and no h.
-    assert ("rho" in report, "hermitized" in report) == (not refused, not refused)
-    assert ("INTERTWINE_TOL = 1e-08" in report["notes"]) == refused
-    if not refused:
-        assert report["hermitized"]["hermitian"] is True
+    assert report["residuals"]["similarity"] <= 1e-8
+    assert report["rho"]["hermitian"] is True and report["hermitized"]["hermitian"] is True
 
 
 @pytest.mark.parametrize("exponent", [3, 4, 5])
@@ -741,6 +749,7 @@ VERIFY_12 = ["verify", "--count", "12", "--dims", "2-4"]
     (["classify", "MATRIX", "--emit-metric"], "linalg.eig_full", 1, 1),
     (["metric", "MATRIX"], "linalg.eig_full", 1, 1),
     (["hermitize", "MATRIX"], "linalg.eig_full", 1, 1),
+    (["hermitize", "MATRIX"], "metrics.build_positive_metric", 0, 0),   # eta_+ from the SVD
     (["symmetry", "MATRIX"], "linalg.eig_full", 1, 1),
     (["kg", "--n", "8", "--samples", "2"], "linalg.eig_full", 0, 0),   # closed-form 2x2 blocks
     (VERIFY_12, "linalg.eig_full", 3, 12),                 # one stack per dim
@@ -748,8 +757,9 @@ VERIFY_12 = ["verify", "--count", "12", "--dims", "2-4"]
     (VERIFY_12, "metrics.build_general_metric", 3, 12),    # the metrics functions, once each
     (VERIFY_12, "metrics.hermitize", 3, 8),                # leg c: the 8 positive metrics
     (VERIFY_12, "linalg.herm_sqrt", 0, 0),                 # leg c takes the polar route
-], ids=["classify", "metric", "hermitize", "symmetry", "kg", "verify", "verify-classify",
-        "verify-build_general_metric", "verify-hermitize", "verify-herm_sqrt"])
+], ids=["classify", "metric", "hermitize", "hermitize-build_positive_metric", "symmetry", "kg",
+        "verify", "verify-classify", "verify-build_general_metric", "verify-hermitize",
+        "verify-herm_sqrt"])
 def test_one_decomposition_per_matrix(matrix_file, capsys, monkeypatch, argv, counted,
                                       decompositions, matrices):
     import pseudoherm
@@ -814,9 +824,11 @@ def test_norms_computed_once(matrix_file, capsys, monkeypatch, argv):
     E, T, h, rho = (matrix_from_json(report[key]) if report.get(key) else None
                     for key in ("metric", "antilinear", "hermitized", "rho"))
     if argv[0] == "hermitize":
-        # hermitize emits rho, not eta = rho^2: rebuild the eta it used, bit for bit.
-        cls = classify(H)
-        E = build_positive_metric(cls.spectrum, cls.pairing).matrix
+        # hermitize emits rho, not eta_+ = rho^2: rebuild the eta_+ = U Sigma^2 U^dag
+        # of Phi's SVD that its intertwining gate checks.
+        U, sigma, _ = np.linalg.svd(classify(H).spectrum.left)
+        E = 0.5 * (U * sigma ** 2) @ U.conj().T
+        E = E + E.conj().T
         assert np.linalg.norm(rho @ rho - E) <= 1e-12 * np.linalg.norm(E)
     lb = norm_lower_bound
     formulas = {

@@ -554,10 +554,11 @@ def test_single_hermitize_keeps_the_square_root_refusal():
 
 
 def test_polar_route_agrees_with_the_square_root_and_refuses_an_indefinite_metric(monkeypatch):
-    # A built metric carries its Spectrum and takes the polar route; its plain matrix
-    # takes herm_sqrt's.  Both give the same rho and h to roundoff, both Hermitian bit
-    # for bit.  A built metric with a negative sign intertwines H too, but Phi Phi^dag
-    # is not it: the polar route refuses it, one matrix by raising, a stack by a NaN row.
+    # A built metric carries its Spectrum and takes the polar route, as does the
+    # Spectrum itself, bit for bit; its plain matrix takes herm_sqrt's.  Both routes
+    # give the same rho and h to roundoff, both Hermitian bit for bit.  A built metric
+    # with a negative sign intertwines H too, but Phi Phi^dag is not it: the polar
+    # route refuses it, one matrix by raising, a stack by a NaN row.
     H, lam, _ = generate(EnsembleSpec(4, 2, "quasi"))
     S = eig_full(H)
     eta = build_positive_metric(S)
@@ -565,7 +566,8 @@ def test_polar_route_agrees_with_the_square_root_and_refuses_an_indefinite_metri
     with monkeypatch.context() as patch:   # the polar route inverts and eigensolves nothing
         for name in ("inv", "eig", "eigh", "eigvals", "eigvalsh"):
             patch.setattr(np.linalg, name, lambda *args, **kwargs: pytest.fail("decomposed"))
-        rho, h, _ = hermitize(H, eta)
+        rho, h, residual = hermitize(H, eta)
+        assert all(np.array_equal(a, b) for a, b in zip(hermitize(H, S), (rho, h, residual)))
     plain_rho, plain_h, _ = hermitize(H, eta.matrix)
     for A in (rho, h, plain_rho, plain_h):
         assert np.array_equal(A, A.conj().T)
@@ -584,6 +586,28 @@ def test_polar_route_agrees_with_the_square_root_and_refuses_an_indefinite_metri
     one_rho, one_h, _ = hermitize(H, eta)
     assert np.array_equal(rho[0], one_rho) and np.array_equal(h[0], one_h)
     assert np.all(np.isnan(rho[1])) and np.all(np.isnan(h[1]))
+
+
+def test_hermitize_gives_the_h_of_the_h_it_is_given_or_refuses():
+    # The eta_+ of H intertwines H + 3 I and 2 H as well, so they pass the
+    # intertwining gate.  The square-root route maps them by rho to their own h;
+    # the polar route reads h off H's Spectrum, so only the similarity gate
+    # rho H = h rho can refuse them: one matrix raises NotAMetric, a stack gets
+    # a NaN row beside the right one.
+    H, lam, _ = generate(EnsembleSpec(4, 2, "quasi"))
+    eta = build_positive_metric(eig_full(H))
+    for wrong, wrong_lam in ((H + 3 * np.eye(4), lam + 3), (2 * H, 2 * lam)):
+        assert verify_intertwining(wrong, eta) <= 1e-12
+        with pytest.raises(NotAMetric, match=r"rho H != h rho: similarity \S+ > INTERTWINE_TOL"):
+            hermitize(wrong, eta)
+        rho, h, _ = hermitize(wrong, eta.matrix)
+        assert similarity_residual(wrong, rho, h) <= 1e-12
+        assert spectra_mismatch(np.linalg.eigvalsh(h), wrong_lam) <= 1e-12 * np.max(wrong_lam)
+        stacked = build_general_metric(eig_full(np.stack([H, H])), np.tile(np.arange(4), (2, 1)))
+        rho, h, _ = hermitize(np.stack([H, wrong]), stacked)
+        one_rho, one_h, _ = hermitize(H, eta)
+        assert np.array_equal(rho[0], one_rho) and np.array_equal(h[0], one_h)
+        assert np.all(np.isnan(rho[1])) and np.all(np.isnan(h[1]))
 
 
 # ---------------------------------------------------------------------------
