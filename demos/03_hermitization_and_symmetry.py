@@ -15,22 +15,19 @@ from pseudoherm import (
     EnsembleSpec,
     antilinear_residual,
     antilinear_symmetry,
-    build_positive_metric,
     eig_full,
     generate,
     herm_residual,
     hermitize,
     pair_spectrum,
     pt2x2,
-    similarity_residual,
 )
 
 print(__doc__)
 
 H, planted, _ = generate(EnsembleSpec(5, 11, "quasi"))
 S = eig_full(H)
-eta = build_positive_metric(S)
-rho, h, _ = hermitize(H, eta)
+rho, h, residuals = hermitize(H, S)   # the Spectrum stands for eta_+ = Phi Phi^dag
 
 print("Random quasi-Hermitian 5x5 with planted real spectrum:")
 print(f"    hermiticity residual of H : {herm_residual(H):.3f}   (plainly non-Hermitian)")
@@ -38,7 +35,7 @@ print(f"    hermiticity residual of h : {herm_residual(h):.2e}   (built Hermitia
 Q = rho @ S.right
 print(f"    unitarity ||Q^dag Q - I|| of Q = rho Psi : "
       f"{np.linalg.norm(Q.conj().T @ Q - np.eye(5), 2):.2e}")
-print(f"    similarity residual ||rho H - h rho||    : {similarity_residual(H, rho, h):.2e}")
+print(f"    similarity residual ||rho H - h rho||    : {residuals['similarity']:.2e}")
 print(f"    planted spectrum  : {np.round(np.sort(planted.real), 6)}")
 print(f"    spectrum of h     : {np.round(np.linalg.eigvalsh(h), 6)}")
 print()

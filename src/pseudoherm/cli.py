@@ -53,7 +53,6 @@ from .metrics import (
     classify,
     decide_class,
     hermitize,
-    similarity_residual,
     verify_intertwining,
 )
 from .physical import norm_signs
@@ -103,8 +102,8 @@ def matrix_from_json(data, booleans: bool = True) -> np.ndarray:
         if key not in data:
             raise ParseError(f"matrix object is missing the mandatory key {key!r}")
     n = data["dim"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ParseError(f"dim must be an integer, got {n!r}")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ParseError(f"dim must be an integer of at least 1, got {n!r}")
     packed = data.get("hermitian", False)
     if type(packed) is not bool:
         raise ParseError(f"hermitian must be true or false, got {packed!r}")
@@ -260,15 +259,14 @@ def cmd_hermitize(args) -> tuple[dict, int]:
         return report, EXIT_NUMERIC
     # The Spectrum stands for eta_+ = Phi Phi^dag, whose root hermitize reads off one
     # SVD of Phi (the polar route); it raises past either of its two gates.
-    norm = cls.diagnostics["norm"]
-    rho, h, intertwining = hermitize(H, cls.spectrum, norm)
+    rho, h, residuals = hermitize(H, cls.spectrum, cls.diagnostics["norm"])
     report["spectrum"] = _spectrum_list(cls.spectrum.eigenvalues)
     report["signature"] = [len(h), 0]   # of eta_+ = rho^2, metric's output
     # h is built Hermitian, so hermiticity_of_h reads 0.0 (bench/checks.py still reads
     # the key); h's error shows in similarity.
-    return report, _gated(report, {"intertwining": intertwining,
+    return report, _gated(report, {"intertwining": residuals["intertwining"],
                                    "hermiticity_of_h": herm_residual(h),
-                                   "similarity": similarity_residual(H, rho, h, norm)},
+                                   "similarity": residuals["similarity"]},
                           rho=rho, hermitized=h)
 
 
@@ -342,11 +340,14 @@ def cmd_kg(args) -> tuple[dict, int]:
 
 
 def _parse_dims(text) -> list[int]:
-    if "-" in text and "," not in text:
-        lo, hi = text.split("-", 1)
-        dims = list(range(int(lo), int(hi) + 1))
-    else:
-        dims = [int(part) for part in text.split(",") if part]
+    try:
+        if "-" in text and "," not in text:
+            lo, hi = text.split("-", 1)
+            dims = list(range(int(lo), int(hi) + 1))
+        else:
+            dims = [int(part) for part in text.split(",") if part]
+    except ValueError:   # int()'s own message would not name --dims
+        dims = []
     if not dims or any(d < 1 for d in dims):
         raise ParseError(f"bad --dims value {text!r}")
     return dims

@@ -12,8 +12,8 @@ conj(lambda_n) and p[n] = n on real eigenvalues.  Every metric and tau is a
 factor times the signed pairing M = diag(s) P, P the permutation matrix of
 p, s_n = +/-1 on real eigenvalues and +1 on pairs: eta = Phi M Phi^dag
 (eta_+ is the all-+1 case on a real spectrum) and tau = Psi M Phi^T with
-all s = +1.  Such a metric keeps its Spectrum, and hermitize reads rho and h
-off one SVD of Phi: the polar route, with no inverse and no eigensolve.
+all s = +1.  hermitize, handed a Spectrum for its eta_+, reads rho and h off
+one SVD of Phi: the polar route, with no inverse and no eigensolve.
 
 classify, pair_spectrum, decide_class, MetricOperator.from_matrix,
 build_general_metric, verify_intertwining, hermitize, similarity_residual,
@@ -26,7 +26,7 @@ array in pair_spectrum and one precedence list in decide_class.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,8 +87,7 @@ class Classification:
 class MetricOperator:
     """Invertible self-adjoint eta with cached signature and diagnostics.  For
     a stack the fields are arrays, and invertible marks the matrices that
-    from_matrix refuses as NotInvertible when given one alone.  spectrum is the
-    Spectrum that build_general_metric built eta from, None for a plain matrix."""
+    from_matrix refuses as NotInvertible when given one alone."""
 
     matrix: np.ndarray
     signature: tuple            # (n_plus, n_minus)
@@ -96,7 +95,6 @@ class MetricOperator:
     min_abs_eigenvalue: float
     norm: float                 # ||eta|| = max |eigenvalue|
     invertible: bool = True
-    spectrum: Spectrum | None = None
 
     @classmethod
     def from_matrix(cls, eta) -> "MetricOperator":
@@ -295,7 +293,7 @@ def build_general_metric(S: Spectrum, pairing, signs=None) -> MetricOperator:
             raise ValueError("signs must be +1 or -1")
         s[real] = signs
     eta = (S.left * s[..., None, :]) @ dagger(_partner(S.left, p))
-    return replace(MetricOperator.from_matrix(_hermitian(eta)), spectrum=S)
+    return MetricOperator.from_matrix(_hermitian(eta))
 
 
 def verify_intertwining(H, eta, h_norm=None):
@@ -337,37 +335,34 @@ def _hermitian(A) -> np.ndarray:
 def hermitize(H, eta_plus, h_norm=None):
     """Similarity map to a Hermitian matrix: rho = eta_+^{1/2}, h = rho H rho^{-1}.
 
-    eta_plus must intertwine H (checked) and be positive-definite.  A Spectrum,
-    standing for its eta_+ = Phi Phi^dag, or a metric that carries one takes
-    the polar route: Phi = U Sigma V^dag gives eta_+ = U Sigma^2 U^dag (the
-    matrix the intertwining gate checks, with norm sigma_max^2), rho =
-    U Sigma U^dag and the unitary rho Psi = Q = U V^dag, so h = Q diag(Re
-    lambda) Q^dag (Higham, Functions of Matrices, ch. 8); it refuses sigma_min^2
-    <= INVERTIBILITY_TOL sigma_max^2, as herm_sqrt does, which with an inverse
-    serves a plain matrix.  rho and h are built as 0.5 (A + A^dag), and h must
+    eta_plus must intertwine H (checked) and be positive-definite.  A Spectrum
+    stands for its eta_+ = Phi Phi^dag and takes the polar route: Phi =
+    U Sigma V^dag gives eta_+ = U Sigma^2 U^dag (the matrix the intertwining
+    gate checks, with norm sigma_max^2), rho = U Sigma U^dag and the unitary
+    rho Psi = Q = U V^dag, so h = Q diag(Re lambda) Q^dag (Higham, Functions of
+    Matrices, ch. 8); it refuses sigma_min^2 <= INVERTIBILITY_TOL sigma_max^2, as
+    herm_sqrt does, which with an inverse serves any other metric, an array or a
+    MetricOperator, as given.  rho and h are built as 0.5 (A + A^dag), and h must
     pass a second gate, similarity_residual: eta_+ intertwines H + c I too, and
-    only rho H = h rho ties h to H itself.  Returns (rho, h, the intertwining
-    residual).  One matrix raises NotAMetric past either gate (NaN too) or
-    NotPositiveDefinite; in a stack such a matrix gets all-NaN rho and h,
-    every other one its own bits.
+    only rho H = h rho ties h to H itself.  Returns (rho, h, residuals), the two
+    gated values as residuals["intertwining"] and ["similarity"].  One matrix gets
+    floats, or raises NotAMetric past either gate (NaN too) or NotPositiveDefinite;
+    a stack gets (k,) arrays, and all-NaN rho and h where one matrix would raise.
     """
     H = as_square_matrix(H, stack=True)
     stack = H.reshape(-1, *H.shape[-2:])
-    S = eta_plus if isinstance(eta_plus, Spectrum) else getattr(eta_plus, "spectrum", None)
+    S = eta_plus if isinstance(eta_plus, Spectrum) else None
     if S is not None:
-        given = getattr(eta_plus, "signature", (S.dim, 0))
-        # A built metric with a negative sign intertwines H too, but Phi Phi^dag is not it.
-        positive = np.ravel(getattr(eta_plus, "positive_definite", True))
         U, sigma, Vh = np.linalg.svd(S.left.reshape(stack.shape))
         low, top = sigma[:, -1] ** 2, sigma[:, 0] ** 2
         eta_plus = MetricOperator(_hermitian((U * sigma[:, None, :] ** 2) @ dagger(U)), (S.dim, 0),
-                                  0.0, low, top, positive & (low > INVERTIBILITY_TOL * top), S)
-    residual = verify_intertwining(stack, eta_plus, h_norm)
-    if H.ndim == 2 and not residual[0] <= INTERTWINE_TOL:
+                                  0.0, low, top, low > INVERTIBILITY_TOL * top)
+    intertwining = verify_intertwining(stack, eta_plus, h_norm)
+    if H.ndim == 2 and not intertwining[0] <= INTERTWINE_TOL:
         raise NotAMetric(
-            f"eta does not intertwine H (residual {residual[0]:.3e} > {INTERTWINE_TOL:g})")
+            f"eta does not intertwine H (residual {intertwining[0]:.3e} > {INTERTWINE_TOL:g})")
     rho, h = np.full((2, *stack.shape), np.nan, dtype=complex)
-    gated = np.flatnonzero(residual <= INTERTWINE_TOL)
+    gated = np.flatnonzero(intertwining <= INTERTWINE_TOL)
     if S is None:
         E = _metric_matrix(eta_plus)
         rho[gated] = herm_sqrt(E if H.ndim == 2 else E[gated])   # one matrix: its own refusal
@@ -376,9 +371,8 @@ def hermitize(H, eta_plus, h_norm=None):
     else:
         if H.ndim == 2 and not eta_plus.invertible[0]:
             raise NotPositiveDefinite(
-                f"no positive root: eta has signature {given} and Phi sigma_min^2 / "
-                f"sigma_max^2 = {ratio(low[0], top[0]):.3e} "
-                f"(INVERTIBILITY_TOL = {INVERTIBILITY_TOL:g})")
+                f"no positive root: Phi has sigma_min^2 / sigma_max^2 = "
+                f"{ratio(low[0], top[0]):.3e} (INVERTIBILITY_TOL = {INVERTIBILITY_TOL:g})")
         root = gated[eta_plus.invertible[gated]]
         Q = U[root] @ Vh[root]
         rho[root] = (U[root] * sigma[root, None, :]) @ dagger(U[root])
@@ -389,7 +383,9 @@ def hermitize(H, eta_plus, h_norm=None):
         raise NotAMetric(f"rho H != h rho: similarity {similarity[0]:.3e} > "
                          f"INTERTWINE_TOL = {INTERTWINE_TOL:g}")
     rho[similarity > INTERTWINE_TOL] = h[similarity > INTERTWINE_TOL] = np.nan
-    return (rho[0], h[0], float(residual[0])) if H.ndim == 2 else (rho, h, residual)
+    if H.ndim == 2:
+        rho, h, intertwining, similarity = rho[0], h[0], float(intertwining[0]), float(similarity[0])
+    return rho, h, {"intertwining": intertwining, "similarity": similarity}
 
 
 def similarity_residual(H, rho, h, h_norm=None):

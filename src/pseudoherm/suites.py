@@ -11,28 +11,27 @@ The suite runs by dimension.  models builds the instances of one size as
 one (k, n, n) stack, which goes once through the metrics functions:
 classify, whose classes and partner permutations are arrays decided in one
 pass, then build_general_metric, verify_intertwining, antilinear_symmetry
-and antilinear_residual on the stack of paired matrices, and the positive
-legs' hermitize (the polar route: one SVD of the stacked left systems)
-and eta_inner on the stack of positive metrics.  Refusals are read off
-the stacked results (a pairing row of -1, invertible False, a NaN h),
-never re-derived here.  One seeded generator per instance draws its
-matrix and then the vectors of leg d, so (kind, dim, seed) pins every
-number of an instance in any stack.  Each leg and residual is one array over
-the instances (equivalence_columns), which run_equivalence_suite reduces to
-counts, worst residuals and the failing instances.
+and antilinear_residual on the stack of paired matrices, then hermitize on
+the Spectrum rows of the positive metrics (the polar route: one SVD of their
+stacked left systems) and eta_inner on those metrics.  Refusals and residuals
+are read off the stacked results (a pairing row of -1, invertible False, a
+NaN h, hermitize's similarity), never re-derived here.  One seeded generator
+per instance draws its matrix and then the vectors of leg d, so (kind, dim,
+seed) pins every number of an instance in any stack.  Each leg and residual
+is one array over the instances (equivalence_columns), which
+run_equivalence_suite reduces to counts, worst residuals and failing instances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .linalg import INVERTIBILITY_TOL, Spectrum
 from .metrics import (INTERTWINE_TOL, Classification, MetricOperator, OperatorClass,
                       antilinear_residual, antilinear_symmetry, build_general_metric,
-                      classify, eta_inner, hermitize, similarity_residual,
-                      verify_intertwining)
+                      classify, eta_inner, hermitize, verify_intertwining)
 from .models import EnsembleSpec, generate
 
 INNER_PAIRS = 20
@@ -76,9 +75,8 @@ class Group:
 
 def _rows(stack, at):
     """A stacked Spectrum or MetricOperator cut to the matrices at positions at."""
-    values = ((f.name, getattr(stack, f.name)) for f in fields(stack) if f.name != "dim")
-    return replace(stack, **{name: _rows(value, at) if is_dataclass(value) else value[at]
-                             for name, value in values})
+    return replace(stack, **{f.name: getattr(stack, f.name)[at] for f in fields(stack)
+                             if f.name != "dim"})
 
 
 def classify_group(H) -> Group:
@@ -141,11 +139,9 @@ def check_positive_metric_equivalence(group: Group, rngs) -> dict:
     eta = _rows(metric, built)
     H = group.H[built]
 
-    # Leg c: hermitize's rho and h are NaN where it refuses eta_+ or h (its similarity gate).
-    rho, h, _ = hermitize(H, eta, group.norm[built])
+    # Leg c: hermitize's h is NaN where it refuses eta_+ or h (its similarity gate).
+    _, h, residuals = hermitize(H, _rows(group.spectrum, built), group.norm[built])
     mapped = np.flatnonzero(~np.isnan(h[:, 0, 0]))
-    similarity = similarity_residual(H[mapped], rho[mapped], h[mapped],
-                                     group.norm[built[mapped]])
     spec_in = np.sort_complex(group.spectrum.eigenvalues[built[mapped]])
     drift = np.max(np.abs(np.linalg.eigvalsh(h[mapped]) - spec_in) / (1.0 + np.abs(spec_in)),
                    axis=-1)
@@ -168,7 +164,7 @@ def check_positive_metric_equivalence(group: Group, rngs) -> dict:
             "positive_ok": _spread(k, index, np.ones(len(index), dtype=bool)),
             "hermitize_ok": _spread(k, hermitized, drift <= INTERTWINE_TOL),
             "inner_ok": _spread(k, index, inner <= INTERTWINE_TOL),
-            "similarity_residual": _spread(k, hermitized, similarity),
+            "similarity_residual": _spread(k, hermitized, residuals["similarity"][mapped]),
             "spectrum_drift": _spread(k, hermitized, drift),
             "inner_deviation": _spread(k, index, inner)}
 

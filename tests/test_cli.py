@@ -142,8 +142,7 @@ def test_report_blocks_read_back_bit_identical(matrix_file, capsys):
         assert code == EXIT_OK and "hermitian" not in report["antilinear"]
         tau = antilinear_symmetry(cls.spectrum, cls.pairing)
         assert matrix_from_json(report["antilinear"]).tobytes() == tau.tobytes()
-    cls = classify(quasi)
-    rho, h, _ = hermitize(quasi, build_positive_metric(cls.spectrum, cls.pairing))
+    rho, h, _ = hermitize(quasi, classify(quasi).spectrum)   # the command's polar route
     code, report = run_cli(capsys, ["hermitize", matrix_file(quasi)])
     assert code == EXIT_OK and report["rho"]["hermitian"] is True
     assert matrix_from_json(report["rho"]).tobytes() == rho.tobytes()
@@ -169,8 +168,11 @@ PACKED = {"dim": 2, "hermitian": True, "re": [[1, 2], [3]], "im": [[0, 0.5], [0]
     ({"re": [[1, [2]], [3]]}, "'re' has entries"),
     ({"re": [[1, float("inf")], [3]]}, "non-finite"),
     ({"im": [[0, float("nan")], [0]]}, "non-finite"),
+    ({"dim": 0, "re": [], "im": []}, "dim must be an integer of at least 1, got 0"),
+    ({"dim": -1, "re": [], "im": []}, "dim must be an integer of at least 1, got -1"),
 ], ids=["full_rows", "missing_row", "flat", "complex_diagonal", "string_flag", "int_flag",
-        "null_flag", "true", "false", "string", "null", "nested", "inf", "nan"])
+        "null_flag", "true", "false", "string", "null", "nested", "inf", "nan", "zero_dim",
+        "negative_dim"])
 def test_packed_layout_refusals(change, message):
     assert np.array_equal(matrix_from_json(PACKED), [[1, 2 + 0.5j], [2 - 0.5j, 3]])
     with pytest.raises(ParseError, match=message):
@@ -229,10 +231,13 @@ def test_classify_dimension_mismatch(tmp_path, capsys):
     ({"dim": 2, "re": [[1, 2], [0, 0]], "im": [[0, None], [0, 0]]}, "'im' has entries"),
     ({"dim": "2", "re": [[1, 2], [0, 0]], "im": [[0, 0], [0, 0]]}, "dim must be an integer"),
     ({"dim": 2.0, "re": [[1, 2], [0, 0]], "im": [[0, 0], [0, 0]]}, "dim must be an integer"),
+    ({"dim": 0, "re": [], "im": []}, "dim must be an integer of at least 1, got 0"),
+    ({"dim": -1, "re": [], "im": []}, "dim must be an integer of at least 1, got -1"),
     # numpy converts these to int64 and float64: true would read as 1.
     ({"dim": 2, "re": [[True, 1], [0, 0]], "im": [[0, 0], [0, 0]]}, "true/false entries"),
     ({"dim": 2, "re": [[0, 1.5], [0, 0]], "im": [[0, 0], [False, 0]]}, "true/false entries"),
-], ids=["object", "strings", "null", "string_dim", "float_dim", "bool_int", "bool_float"])
+], ids=["object", "strings", "null", "string_dim", "float_dim", "zero_dim", "negative_dim",
+        "bool_int", "bool_float"])
 def test_classify_refuses_entries_that_are_not_numbers(tmp_path, capsys, matrix, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(matrix))
@@ -689,8 +694,11 @@ def test_dims_parsing(capsys):
     code, report = run_cli(capsys, ["verify", "--ensemble", "quasi",
                                     "--count", "4", "--dims", "3"])
     assert code == EXIT_OK
-    code = main(["verify", "--dims", "0-3"])
-    assert code == EXIT_INPUT and "bad --dims" in capsys.readouterr().err
+    # Every malformed value names the flag, never int()'s "invalid literal".
+    for value in ("0-3", "3-", "a-b", "-3", "2-8-9"):
+        code = main(["verify", "--dims", value])
+        assert code == EXIT_INPUT, value
+        assert capsys.readouterr().err == f"error: bad --dims value {value!r}\n", value
 
 
 # ---------------------------------------------------------------------------
@@ -757,9 +765,11 @@ VERIFY_12 = ["verify", "--count", "12", "--dims", "2-4"]
     (VERIFY_12, "metrics.build_general_metric", 3, 12),    # the metrics functions, once each
     (VERIFY_12, "metrics.hermitize", 3, 8),                # leg c: the 8 positive metrics
     (VERIFY_12, "linalg.herm_sqrt", 0, 0),                 # leg c takes the polar route
+    (["hermitize", "MATRIX"], "metrics.similarity_residual", 1, 1),   # the report reads
+    (VERIFY_12, "metrics.similarity_residual", 3, 8),      # hermitize's, as leg c does
 ], ids=["classify", "metric", "hermitize", "hermitize-build_positive_metric", "symmetry", "kg",
         "verify", "verify-classify", "verify-build_general_metric", "verify-hermitize",
-        "verify-herm_sqrt"])
+        "verify-herm_sqrt", "hermitize-similarity_residual", "verify-similarity_residual"])
 def test_one_decomposition_per_matrix(matrix_file, capsys, monkeypatch, argv, counted,
                                       decompositions, matrices):
     import pseudoherm

@@ -114,7 +114,7 @@ def oracle_positive(H, cls, rng):
     result["positive_ok"] = eta.positive_definite
     result["metric_min_eig"] = eta.min_abs_eigenvalue
     try:
-        rho, h, _ = hermitize(H, eta, cls.diagnostics["norm"])
+        rho, h, _ = hermitize(H, cls.spectrum, cls.diagnostics["norm"])   # eta_+'s polar route
         assert herm_residual(h) == 0.0   # h is Hermitian by construction
         result["similarity_residual"] = similarity_residual(H, rho, h, cls.diagnostics["norm"])
         spec_in = np.sort_complex(cls.spectrum.eigenvalues)
@@ -269,9 +269,8 @@ def test_refused_roots_match_the_oracle(monkeypatch):
     refused = np.flatnonzero(columns["positive_ok"] & ~columns["hermitize_ok"])
     assert len(refused) == 59 and np.all(np.isnan(columns["similarity_residual"][refused]))
     H = generate(specs[refused[0]])[0]
-    cls = classify(H)
     with pytest.raises(NotPositiveDefinite, match="INVERTIBILITY_TOL = 0.01"):
-        hermitize(H, build_positive_metric(cls.spectrum, cls.pairing))
+        hermitize(H, classify(H).spectrum)
 
 
 def test_stacked_eig_full_matches_per_matrix():
