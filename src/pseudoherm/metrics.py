@@ -91,7 +91,6 @@ class MetricOperator:
 
     matrix: np.ndarray
     signature: tuple            # (n_plus, n_minus)
-    selfadjoint_residual: float
     min_abs_eigenvalue: float
     norm: float                 # ||eta|| = max |eigenvalue|
     invertible: bool = True
@@ -111,8 +110,8 @@ class MetricOperator:
             if not invertible:
                 raise NotInvertible(
                     f"metric has an eigenvalue within {INVERTIBILITY_TOL:g} of zero")
-            return cls(eta, tuple(signature.tolist()), residual, float(smallest), float(scale))
-        return cls(eta, signature, residual, smallest, scale, invertible)
+            return cls(eta, tuple(signature.tolist()), float(smallest), float(scale))
+        return cls(eta, signature, smallest, scale, invertible)
 
     @property
     def positive_definite(self):
@@ -342,10 +341,10 @@ def hermitize(H, eta_plus, h_norm=None):
     rho Psi = Q = U V^dag, so h = Q diag(Re lambda) Q^dag (Higham, Functions of
     Matrices, ch. 8); it refuses sigma_min^2 <= INVERTIBILITY_TOL sigma_max^2, as
     herm_sqrt does, which with an inverse serves any other metric, an array or a
-    MetricOperator, as given.  rho and h are built as 0.5 (A + A^dag), and h must
-    pass a second gate, similarity_residual: eta_+ intertwines H + c I too, and
-    only rho H = h rho ties h to H itself.  Returns (rho, h, residuals), the two
-    gated values as residuals["intertwining"] and ["similarity"].  One matrix gets
+    MetricOperator broadcast to H, as given.  rho and h are built as 0.5 (A + A^dag),
+    and h must pass a second gate, similarity_residual: eta_+ intertwines H + c I
+    too, and only rho H = h rho ties h to H itself.  Returns (rho, h, residuals), the
+    two gated values as residuals["intertwining"] and ["similarity"].  One matrix gets
     floats, or raises NotAMetric past either gate (NaN too) or NotPositiveDefinite;
     a stack gets (k,) arrays, and all-NaN rho and h where one matrix would raise.
     """
@@ -356,7 +355,13 @@ def hermitize(H, eta_plus, h_norm=None):
         U, sigma, Vh = np.linalg.svd(S.left.reshape(stack.shape))
         low, top = sigma[:, -1] ** 2, sigma[:, 0] ** 2
         eta_plus = MetricOperator(_hermitian((U * sigma[:, None, :] ** 2) @ dagger(U)), (S.dim, 0),
-                                  0.0, low, top, low > INVERTIBILITY_TOL * top)
+                                  low, top, low > INVERTIBILITY_TOL * top)
+    else:   # one metric for all of H, or one per matrix
+        E = _metric_matrix(eta_plus)
+        try:
+            E = np.broadcast_to(E, H.shape)
+        except ValueError:
+            raise ValueError(f"metric shape {E.shape} cannot broadcast to H's {H.shape}") from None
     intertwining = verify_intertwining(stack, eta_plus, h_norm)
     if H.ndim == 2 and not intertwining[0] <= INTERTWINE_TOL:
         raise NotAMetric(
@@ -364,7 +369,6 @@ def hermitize(H, eta_plus, h_norm=None):
     rho, h = np.full((2, *stack.shape), np.nan, dtype=complex)
     gated = np.flatnonzero(intertwining <= INTERTWINE_TOL)
     if S is None:
-        E = _metric_matrix(eta_plus)
         rho[gated] = herm_sqrt(E if H.ndim == 2 else E[gated])   # one matrix: its own refusal
         root = gated[~np.isnan(rho[gated, 0, 0])]
         h[root] = rho[root] @ stack[root] @ np.linalg.inv(rho[root])

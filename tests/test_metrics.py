@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -190,7 +192,7 @@ def test_metric_operator_signature_counts_fill_dimension():
         eta = build_general_metric(S, pair_spectrum(S), signs=[1, 1, -1, 1, -1])
         assert sum(eta.signature) == 5
         assert eta.min_abs_eigenvalue > 0
-        assert eta.selfadjoint_residual <= 1e-10
+        assert herm_residual(eta.matrix) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +292,7 @@ def test_positive_metric_pt_real_phase():
     assert verify_intertwining(H, eta) <= 1e-10
     assert eta.min_abs_eigenvalue > 0
     assert eta.positive_definite
-    assert eta.selfadjoint_residual <= 1e-10
+    assert herm_residual(eta.matrix) <= 1e-10
 
 
 def test_positive_metric_refused_for_complex_pair():
@@ -547,6 +549,36 @@ def test_stacked_hermitize_marks_what_a_single_call_refuses():
     assert np.array_equal(h[1], hermitize(H[3], np.eye(4))[1])
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_one_metric_serves_a_stack_of_h(k):
+    # One (n, n) metric for a (k, n, n) stack: each row gets its own single call
+    # bit for bit, and a NaN row where that call raises (the diagonal H, which
+    # eta does not intertwine), whatever k is next to n = 3.
+    H, _, _ = generate(EnsembleSpec(3, 2, "quasi"))
+    eta = build_positive_metric(eig_full(H))
+    stack = np.stack([H] * k + [np.diag([1.0, 2.0, 3.0])])
+    for metric in (eta.matrix, eta):
+        one_rho, one_h, one = hermitize(H, metric)
+        rho, h, residuals = hermitize(stack, metric)
+        for i in range(k):
+            assert np.array_equal(rho[i], one_rho) and np.array_equal(h[i], one_h), i
+            assert [residuals[key][i] for key in one] == list(one.values()), i
+        with pytest.raises(NotAMetric):
+            hermitize(stack[k], metric)
+        assert np.all(np.isnan(rho[k])) and np.all(np.isnan(h[k]))
+
+
+def test_hermitize_refuses_a_metric_that_does_not_broadcast_to_h():
+    H, _, _ = generate(EnsembleSpec(3, 2, "quasi"))
+    eta = build_positive_metric(eig_full(H)).matrix
+    for one_H, metric in ((H, np.stack([eta] * 2)), (H, eta[None]),
+                          (np.stack([H] * 3), np.stack([eta] * 2)),
+                          (H, MetricOperator.from_matrix(np.stack([eta] * 2)))):
+        shapes = f"{np.shape(getattr(metric, 'matrix', metric))} cannot broadcast to H's {one_H.shape}"
+        with pytest.raises(ValueError, match=re.escape(shapes)):
+            hermitize(one_H, metric)
+
+
 def test_single_hermitize_keeps_the_square_root_refusal():
     # One matrix runs as a stack of one, yet an indefinite eta that intertwines H
     # still raises herm_sqrt's own NotPositiveDefinite with its message.
@@ -761,7 +793,7 @@ def test_stacked_metrics_functions_match_single_calls():
                           (signed, build_general_metric(one.spectrum, one.pairing, signs[j]))):
             assert np.array_equal(got.matrix[j], want.matrix), i
             assert tuple(got.signature[j].tolist()) == want.signature, i
-            assert got.selfadjoint_residual[j] == want.selfadjoint_residual, i
+            assert herm_residual(got.matrix)[j] == herm_residual(want.matrix), i
             assert got.min_abs_eigenvalue[j] == want.min_abs_eigenvalue, i
             assert got.norm[j] == want.norm and got.invertible[j], i
         single_eta = build_general_metric(one.spectrum, one.pairing)

@@ -35,8 +35,7 @@ COMMANDS = {"classify": ["classify", "--emit-metric"], "metric": ["metric"],
             "hermitize": ["hermitize"], "symmetry": ["symmetry"]}
 PLANTED_CLASS = {"real": "QuasiHermitian", "pairs": "PseudoHermitianOnly"}
 REFUSAL_CLASSES = ("NonDiagonalizable", "Indeterminate")
-GATED = ("intertwining", "metric_selfadjoint", "hermiticity_of_h", "similarity",
-         "antilinear_commutation")
+GATED = ("intertwining", "hermiticity_of_h", "similarity", "antilinear_commutation")
 GATE = 1e-8
 
 # (n, log10 kappa, kind, scale): n in {2, 6, 32} over kappa 1e1 ... 1e7 and three
