@@ -239,13 +239,13 @@ def cmd_classify(args) -> tuple[dict, int]:
             report["notes"] = f"no metric emitted: operator is {cls.kind.value}"
         else:
             return report, _attach_metric(report, H, cls)
-    return report, EXIT_OK
+    return report, EXIT_NUMERIC if cls.kind is OperatorClass.INDETERMINATE else EXIT_OK
 
 
 def cmd_metric(args) -> tuple[dict, int]:
     H, cls, report = _classified(args)
     if cls.pairing is None:
-        report["notes"] = f"no metric operator exists: {cls.kind.value}"
+        report["notes"] = f"no metric operator constructed: {cls.kind.value}"
         return report, EXIT_NUMERIC
     report["spectrum"] = _spectrum_list(cls.spectrum.eigenvalues)
     return report, _attach_metric(report, H, cls)
@@ -291,12 +291,14 @@ def cmd_kg(args) -> tuple[dict, int]:
     # t = k^2/(2m); a block-diagonal matrix's norm is its largest block norm.  Closed forms:
     # ||h_k|| = 2t + m and ||h_k - h_k^dag|| = 2t.  diag_score is linalg's ||V||_F ||V^-1||_F
     # per block, whose two eigenvectors share a norm as eig_full's unit columns do: its max
-    # over k bounds cond_2 of the whole V, for any N.
+    # over k bounds cond_2 of the whole V, for any N.  kappa_n = ||psi_n|| ||phi_n|| by hypot.
     modes = fv_modes(grid)
     psi, sigma3, t_max = modes.right, np.diag([1.0, -1.0]), float(np.max(modes.blocks[:, 0, 1]))
     diag_score = float(np.max(frobenius_norm(psi) * frobenius_norm(modes.left)))
-    kind, _, diagnostics = decide_class(modes.eigenvalues.ravel(), diag_score,
-                                        2 * t_max / (2 * t_max + mu))
+    kappa = np.hypot(psi[:, 0], psi[:, 1]) * np.hypot(modes.left[:, 0], modes.left[:, 1])
+    norm = 2 * t_max + mu   # ||H||
+    kind, _, diagnostics = decide_class(modes.eigenvalues.ravel(), diag_score, 2 * t_max / norm,
+                                        kappa.ravel(), norm)
     if kind == OperatorClass.NON_DIAGONALIZABLE:   # +/- omega_k are real: the only refusal
         raise NonDiagonalizableError(
             f"diag_score {diag_score:.3e} exceeds the diagonalizability cutoff")

@@ -25,8 +25,8 @@ from .errors import EigFailure, NotPositiveDefinite
 # is treated as numerically defective.
 KAPPA_MAX = 1e8
 
-# A matrix is singular when sigma_min <= INVERTIBILITY_TOL * sigma_max; herm_sqrt
-# refuses lambda_min <= INVERTIBILITY_TOL * lambda_max.
+# The ceiling of a metric the caller supplies (MetricOperator.from_matrix, herm_sqrt)
+# and of verify's invertibility legs: singular at min |lambda| <= this times max |lambda|.
 INVERTIBILITY_TOL = 1e-12
 
 # Largest self-adjointness residual ||A - A^dag|| / ||A|| of a metric or of
@@ -188,12 +188,11 @@ def herm_sqrt(P) -> np.ndarray:
     """Positive-definite square root of a Hermitian positive-definite matrix.
 
     Standard spectral functional calculus: eigendecompose, take sqrt of the
-    (strictly positive) eigenvalues.  A smallest eigenvalue at or below
-    INVERTIBILITY_TOL times the largest, where MetricOperator.from_matrix
-    marks a positive metric not invertible, flags a failed positive-metric
-    construction upstream: one matrix raises NotPositiveDefinite, and in a
-    (k, n, n) stack that matrix's root is all NaN, every other root
-    bit-identical to its own herm_sqrt.  Input that is not self-adjoint raises.
+    (strictly positive) eigenvalues.  It refuses a smallest eigenvalue at or
+    below INVERTIBILITY_TOL times the largest, as MetricOperator.from_matrix
+    does: one matrix raises NotPositiveDefinite, and in a (k, n, n) stack that
+    matrix's root is all NaN, every other root bit-identical to its own
+    herm_sqrt.  Input that is not self-adjoint raises.
     """
     P = as_square_matrix(P, stack=True)
     residual = herm_residual(P)

@@ -11,16 +11,17 @@ partner permutation p, an integer array with p[n] the index of
 conj(lambda_n) and p[n] = n on real eigenvalues.  Every metric and tau is a
 factor times the signed pairing M = diag(s) P, P the permutation matrix of
 p, s_n = +/-1 on real eigenvalues and +1 on pairs: eta = Phi M Phi^dag
-(eta_+ is the all-+1 case on a real spectrum) and tau = Psi M Phi^T with
-all s = +1.  hermitize, handed a Spectrum for its eta_+, reads rho and h off
+(eta_+ is the all-+1 case on a real spectrum; each eta is invertible, of
+Sylvester's signature, by construction) and tau = Psi M Phi^T with all
+s = +1.  hermitize, handed a Spectrum for its eta_+, reads rho and h off
 one SVD of Phi: the polar route, with no inverse and no eigensolve.
 
-classify, pair_spectrum, decide_class, MetricOperator.from_matrix,
-build_general_metric, verify_intertwining, hermitize, similarity_residual,
-antilinear_symmetry, antilinear_residual and eta_inner take a (k, n, n)
-stack too, as eig_full and herm_sqrt do, and give per-matrix arrays.  The
-class rule is written once, for every matrix of a stack at once: one band
-array in pair_spectrum and one precedence list in decide_class.
+classify, pair_spectrum, decide_class, build_general_metric,
+verify_intertwining, hermitize, similarity_residual, antilinear_symmetry,
+antilinear_residual and eta_inner take a (k, n, n) stack too, as eig_full
+and herm_sqrt do, and give per-matrix arrays.  The class rule is written
+once, for every matrix of a stack at once: one band array and one
+precedence list in decide_class.
 """
 
 from __future__ import annotations
@@ -30,14 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NoPositiveMetric,
-    NotAMetric,
-    NotCommuting,
-    NotInvertible,
-    NotPositiveDefinite,
-    UnpairedEigenvalue,
-)
+from .errors import NoPositiveMetric, NotAMetric, NotCommuting, NotInvertible, UnpairedEigenvalue
 from .linalg import (
     INVERTIBILITY_TOL,
     KAPPA_MAX,
@@ -53,7 +47,7 @@ from .linalg import (
     ratio,
 )
 
-# lambda is treated as real iff |Im lambda| <= REALITY_TOL*(1+|lambda|).
+# The floor REALITY_TOL ||H|| of decide_class's bands; pair_spectrum's own band.
 REALITY_TOL = 1e-9
 
 INTERTWINE_TOL = 1e-8
@@ -65,6 +59,7 @@ class OperatorClass(str, enum.Enum):
     PSEUDO_HERMITIAN_ONLY = "PseudoHermitianOnly"
     NOT_PSEUDO_HERMITIAN = "NotPseudoHermitian"
     NON_DIAGONALIZABLE = "NonDiagonalizable"
+    INDETERMINATE = "Indeterminate"
     __str__ = str.__str__   # the name, as in 3.11's StrEnum: numpy stores members as names
 
 
@@ -72,10 +67,10 @@ class OperatorClass(str, enum.Enum):
 class Classification:
     """Class of H with the decomposition and the partner permutation
     (pair_spectrum) that decided it; pairing is None exactly for
-    NonDiagonalizable and NotPseudoHermitian.  For a (k, n, n) stack, kind is
-    the (k,) array of class names (kind == OperatorClass.X is elementwise),
-    pairing the (k, n) permutations with rows of -1 where one matrix would
-    have None, and diagnostics a dict of (k,) arrays (decide_class's, and norm)."""
+    NonDiagonalizable, Indeterminate and NotPseudoHermitian.  For a (k, n, n)
+    stack, kind is the (k,) array of class names (kind == OperatorClass.X is
+    elementwise), pairing the (k, n) permutations with rows of -1 where one
+    matrix would have None, and diagnostics a dict of (k,) arrays (decide_class's, and norm)."""
 
     kind: OperatorClass | np.ndarray
     spectrum: Spectrum
@@ -85,33 +80,29 @@ class Classification:
 
 @dataclass(frozen=True, eq=False)
 class MetricOperator:
-    """Invertible self-adjoint eta with cached signature and diagnostics.  For
-    a stack the fields are arrays, and invertible marks the matrices that
-    from_matrix refuses as NotInvertible when given one alone."""
+    """Invertible self-adjoint eta with its signature and norm (arrays for a
+    stack built by build_general_metric)."""
 
     matrix: np.ndarray
     signature: tuple            # (n_plus, n_minus)
-    min_abs_eigenvalue: float
-    norm: float                 # ||eta|| = max |eigenvalue|
-    invertible: bool = True
+    norm: float                 # <= ||eta||_2: exact from from_matrix
 
     @classmethod
     def from_matrix(cls, eta) -> "MetricOperator":
-        eta = as_square_matrix(eta, stack=True)
+        """One metric the caller supplies: NotAMetric or NotInvertible past its ceilings."""
+        eta = as_square_matrix(eta)
         residual = herm_residual(eta)
-        if not np.all(residual <= SELFADJOINT_TOL):
-            raise NotAMetric(f"not self-adjoint: residual {np.max(residual):.3e}")
+        if not residual <= SELFADJOINT_TOL:
+            raise NotAMetric(f"not self-adjoint: residual {residual:.3e}")
         evals = np.linalg.eigvalsh(0.5 * (eta + dagger(eta)))
         size = np.abs(evals)
-        scale, smallest = size.max(axis=-1), size.min(axis=-1)
-        invertible = smallest > INVERTIBILITY_TOL * scale
-        signature = np.stack([np.sum(evals > 0, axis=-1), np.sum(evals < 0, axis=-1)], axis=-1)
-        if eta.ndim == 2:   # a single matrix: refuse a singular metric
-            if not invertible:
-                raise NotInvertible(
-                    f"metric has an eigenvalue within {INVERTIBILITY_TOL:g} of zero")
-            return cls(eta, tuple(signature.tolist()), float(smallest), float(scale))
-        return cls(eta, signature, smallest, scale, invertible)
+        if not size.min() > INVERTIBILITY_TOL * size.max():
+            raise NotInvertible(f"metric has an eigenvalue within {INVERTIBILITY_TOL:g} of zero")
+        return cls(eta, (int(np.sum(evals > 0)), int(np.sum(evals < 0))), float(size.max()))
+
+    @property
+    def min_abs_eigenvalue(self):   # by an eigvalsh when read
+        return np.min(np.abs(np.linalg.eigvalsh(self.matrix)), axis=-1)[()]
 
     @property
     def positive_definite(self):
@@ -129,24 +120,25 @@ def _metric_matrix(eta) -> np.ndarray:
     return as_square_matrix(eta, stack=True)
 
 
-def pair_spectrum(S: Spectrum | np.ndarray, tol: float = REALITY_TOL) -> np.ndarray:
+def pair_spectrum(S: Spectrum | np.ndarray, tol=REALITY_TOL) -> np.ndarray:
     """The partner permutation p of a Spectrum's, or an array's, (..., n)
     eigenvalues: lambda_{p[n]} ~ conj(lambda_n), and p[n] = n on real ones.
 
-    Each lambda_n has one band, tol*(1+|lambda_n|): lambda_n is real when
-    |Im lambda_n| lies within it, and an upper lambda_n (Im > 0) pairs with the
-    nearest remaining lower lambda_m (Im < 0) when |lambda_m - conj(lambda_n)|
-    does.  Uppers go largest Im first; ties go to the lowest index of the row.
-    An eigenvalue left unpaired certifies that no metric exists: one matrix
-    raises UnpairedEigenvalue with it, and a stack's row holds -1 there and is
-    the identity elsewhere.  Step j pairs the j-th upper of every row at once,
-    in O(n); a row whose upper misses stops there.  A real spectrum costs O(n).
+    Each lambda_n has one band, tol*(1+|lambda_n|) or an array tol's [..., n]:
+    lambda_n is real when |Im lambda_n| lies within it, and an upper lambda_n
+    (Im > 0) pairs with the nearest remaining lower lambda_m (Im < 0) when
+    |lambda_m - conj(lambda_n)| lies within both bands.  Uppers go largest Im
+    first; ties go to the lowest index of the row.  An eigenvalue left unpaired
+    certifies that no metric exists: one matrix raises UnpairedEigenvalue with
+    it, and a stack's row holds -1 there and is the identity elsewhere.  Step j
+    pairs the j-th upper of every row at once, in O(n); a row whose upper
+    misses stops there.  A real spectrum costs O(n).
     """
     w = S.eigenvalues if isinstance(S, Spectrum) else np.asarray(S)
     flat = w.reshape(-1, w.shape[-1])
     k, n = flat.shape
     p = np.arange(n) + np.zeros((k, 1), dtype=int)
-    band = tol * (1.0 + np.abs(flat))
+    band = tol * (1.0 + np.abs(flat)) if np.ndim(tol) == 0 else np.reshape(tol, flat.shape)
     nonreal = np.abs(flat.imag) > band
     if nonreal.any():
         lost = np.full(k, -1)   # the unpaired eigenvalue of each row
@@ -158,7 +150,7 @@ def pair_spectrum(S: Spectrum | np.ndarray, tol: float = REALITY_TOL) -> np.ndar
             a = order[r, j]
             gap = np.where(lower[r], np.abs(flat[r] - flat[r, a].conj()[:, None]), np.inf)
             b = np.argmin(gap, axis=-1)
-            hit = gap[np.arange(len(r)), b] <= band[r, a]
+            hit = gap[np.arange(len(r)), b] <= band[r, a] + band[r, b]
             lost[r[~hit]] = a[~hit]
             r, a, b = r[hit], a[hit], b[hit]
             lower[r, b] = False
@@ -174,36 +166,42 @@ def pair_spectrum(S: Spectrum | np.ndarray, tol: float = REALITY_TOL) -> np.ndar
     return p.reshape(w.shape)
 
 
-def decide_class(eigenvalues, diag_score, hermiticity_residual, tol: float = REALITY_TOL):
-    """The class rule of classify from its three inputs, for one matrix's
-    (n,) eigenvalues or a stack's (..., n): (kind, pairing, diagnostics).
-
-    kind is each matrix's class name, the first of this list that holds:
-    NonDiagonalizable if diag_score (||V||_F ||V^-1||_F) exceeds KAPPA_MAX;
-    Hermitian if the residual is within tol; NotPseudoHermitian if
-    pair_spectrum leaves an eigenvalue unpaired; QuasiHermitian if the
-    spectrum is real; else PseudoHermitianOnly.  pairing is pair_spectrum's
-    (the identity if Hermitian), -1 throughout for NonDiagonalizable and
-    NotPseudoHermitian.  diagnostics holds arrays: diag_score,
-    hermiticity_residual, n_real (-1 without a pairing), unpaired_eigenvalue
-    (nan unless NotPseudoHermitian).
+def decide_class(eigenvalues, diag_score, hermiticity_residual, kappa, norm, tol=REALITY_TOL):
+    """The class rule of classify for (n,) or (..., n) eigenvalues, each with the
+    band max(tol ||H||, kappa_n eps ||H||), kappa_n = ||psi_n|| ||phi_n|| (Golub &
+    Van Loan, sec. 7.2.2): (kind, pairing, diagnostics).  kind is the first that
+    holds of: NonDiagonalizable if diag_score (||V||_F ||V^-1||_F) exceeds
+    KAPPA_MAX; Hermitian if the residual is within tol; Indeterminate if a real
+    lambda_n lies within band_m + band_n of conj(lambda_m), lambda_m non-real;
+    NotPseudoHermitian if pair_spectrum leaves an eigenvalue unpaired;
+    QuasiHermitian if the spectrum is real; else PseudoHermitianOnly.  pairing
+    is pair_spectrum's (the identity if Hermitian), -1 throughout for the three
+    classes with no metric.  diagnostics holds arrays: diag_score,
+    hermiticity_residual, n_real (-1 without a pairing), unpaired_eigenvalue.
     """
     *lead, n = np.shape(eigenvalues)
     w = np.reshape(eigenvalues, (-1, n))
     score, residual = np.ravel(diag_score), np.ravel(hermiticity_residual)
-    pairing = pair_spectrum(w, tol)
+    band = np.reshape(norm, (-1, 1)) * np.maximum(tol, 2.0**-52 * np.reshape(kappa, w.shape))
+    pairing = pair_spectrum(w, band)
     nondiag = score > KAPPA_MAX
     hermitian = ~nondiag & (residual <= tol)
+    real = np.abs(w.imag) <= band
+    indeterminate = ~nondiag & ~hermitian & real.any(axis=-1) & ~real.all(axis=-1)
+    r = np.flatnonzero(indeterminate)   # rows with a real and a non-real eigenvalue
+    near = np.abs(w[r, :, None] - w[r, None, :].conj()) <= band[r, :, None] + band[r, None, :]
+    indeterminate[r] = np.any(near & real[r, :, None] & ~real[r, None, :], axis=(-2, -1))
     pairing[hermitian] = np.arange(n)
     lost = pairing < 0
-    unpaired = ~nondiag & lost.any(axis=-1)
+    unpaired = ~nondiag & ~indeterminate & lost.any(axis=-1)
     culprit = w[np.arange(len(w)), lost.argmax(axis=-1)]
-    none = nondiag | unpaired
+    none = nondiag | indeterminate | unpaired
     pairing[none] = -1
     n_real = np.where(none, -1, (pairing == np.arange(n)).sum(axis=-1))
-    kind = np.select([nondiag, hermitian, unpaired, n_real == n],
+    kind = np.select([nondiag, hermitian, indeterminate, unpaired, n_real == n],
                      [OperatorClass.NON_DIAGONALIZABLE, OperatorClass.HERMITIAN,
-                      OperatorClass.NOT_PSEUDO_HERMITIAN, OperatorClass.QUASI_HERMITIAN],
+                      OperatorClass.INDETERMINATE, OperatorClass.NOT_PSEUDO_HERMITIAN,
+                      OperatorClass.QUASI_HERMITIAN],
                      OperatorClass.PSEUDO_HERMITIAN_ONLY)
     diagnostics = {"diag_score": score, "hermiticity_residual": residual, "n_real": n_real,
                    "unpaired_eigenvalue": np.where(unpaired, culprit, np.nan)}
@@ -224,7 +222,11 @@ def classify(H, tol: float = REALITY_TOL) -> Classification:
     if not np.all(np.isfinite(residual)):
         raise ValueError("H is too large: its norm or Hermiticity residual overflows")
     S = eig_full(H)
-    kind, pairing, diagnostics = decide_class(S.eigenvalues, S.diag_score, residual, tol)
+    kappa = np.full(S.eigenvalues.shape, np.inf)   # ||psi_n|| ||phi_n||, psi_n of unit norm
+    kept = S.diag_score <= KAPPA_MAX   # past it no band matters, and a norm could overflow
+    kappa[kept] = np.linalg.norm(S.left[kept], axis=-2)
+    kind, pairing, diagnostics = decide_class(S.eigenvalues, S.diag_score, residual, kappa, norm,
+                                              tol)
     diagnostics["norm"] = np.asarray(norm)
     if H.ndim == 3:
         return Classification(kind, S, pairing, diagnostics)
@@ -244,17 +246,14 @@ def build_positive_metric(S: Spectrum, pairing=None) -> MetricOperator:
     The all-+1 case of build_general_metric on a real spectrum.  pairing is
     the spectrum's partner permutation, computed here when not given.
     Raises NoPositiveMetric when any conjugate pair is present.  The result
-    is self-adjoint positive-definite and intertwines H with H^dag.
+    is self-adjoint, of signature (n, 0), and intertwines H with H^dag.
     """
     if pairing is None:
         pairing = pair_spectrum(S)
     pairs = np.count_nonzero(pairing != np.arange(S.dim)) // 2
     if pairs:
         raise NoPositiveMetric(f"spectrum has {pairs} complex pair(s); no positive metric exists")
-    metric = build_general_metric(S, pairing)
-    if not np.all(metric.positive_definite):
-        raise NotPositiveDefinite("constructed metric is not positive-definite")
-    return metric
+    return build_general_metric(S, pairing)
 
 
 def _partner(A, pairing) -> np.ndarray:
@@ -273,26 +272,28 @@ def build_general_metric(S: Spectrum, pairing, signs=None) -> MetricOperator:
     p the partner permutation, one sign s_n = +/-1 per real eigenvalue (all
     +1 by default: the positive metric on a real spectrum), s = +1 on pairs.
     Pair blocks carry no free phase; the rest of the metric family is
-    reachable through transform_metric.  By Sylvester's law the signature is
-    (#positive signs + #pairs, #negative signs + #pairs).
+    reachable through transform_metric.  eta is invertible as Phi is, and by
+    Sylvester's law its signature is (#positive signs + #pairs, #negative signs
+    + #pairs), with no eigensolve; norm is norm_lower_bound(eta).
 
     pairing is the (n,) partner permutation, or (k, n) for a stacked
     Spectrum; on a stack signs run over the real eigenvalues matrix by
-    matrix.  A singular metric raises from_matrix's NotInvertible for one
-    matrix and is marked not invertible in a stack.
+    matrix, and signature and norm are arrays.
     """
     p = np.asarray(pairing)
-    s = np.ones(p.shape)
+    s, real = np.ones(p.shape), p == np.arange(S.dim)
     if signs is not None:
-        real = p == np.arange(S.dim)
         signs = np.asarray(signs)
         if signs.shape != (np.count_nonzero(real),):
             raise ValueError("need exactly one sign per real eigenvalue")
         if not np.all((signs == 1) | (signs == -1)):
             raise ValueError("signs must be +1 or -1")
         s[real] = signs
-    eta = (S.left * s[..., None, :]) @ dagger(_partner(S.left, p))
-    return MetricOperator.from_matrix(_hermitian(eta))
+    eta = _hermitian((S.left * s[..., None, :]) @ dagger(_partner(S.left, p)))
+    plus = np.count_nonzero(real & (s > 0), axis=-1) + np.count_nonzero(~real, axis=-1) // 2
+    signature = np.stack([plus, S.dim - plus], axis=-1)
+    return MetricOperator(eta, tuple(signature.tolist()) if p.ndim == 1 else signature,
+                          norm_lower_bound(eta))
 
 
 def verify_intertwining(H, eta, h_norm=None):
@@ -303,7 +304,7 @@ def verify_intertwining(H, eta, h_norm=None):
     Zero (up to roundoff) certifies eta as a metric operator for H;
     membership is declared at <= 1e-8.  h_norm is ||H|| when the caller has
     it (classify's diagnostics["norm"]), else norm_lower_bound(H); a
-    MetricOperator supplies ||eta||, a plain array its norm_lower_bound.
+    MetricOperator supplies its norm, a plain array its norm_lower_bound.
     A float for a single H, the (k,) array of residuals for a (k, n, n) stack.
     """
     H = as_square_matrix(H, stack=True)
@@ -339,23 +340,22 @@ def hermitize(H, eta_plus, h_norm=None):
     U Sigma V^dag gives eta_+ = U Sigma^2 U^dag (the matrix the intertwining
     gate checks, with norm sigma_max^2), rho = U Sigma U^dag and the unitary
     rho Psi = Q = U V^dag, so h = Q diag(Re lambda) Q^dag (Higham, Functions of
-    Matrices, ch. 8); it refuses sigma_min^2 <= INVERTIBILITY_TOL sigma_max^2, as
-    herm_sqrt does, which with an inverse serves any other metric, an array or a
-    MetricOperator broadcast to H, as given.  rho and h are built as 0.5 (A + A^dag),
-    and h must pass a second gate, similarity_residual: eta_+ intertwines H + c I
-    too, and only rho H = h rho ties h to H itself.  Returns (rho, h, residuals), the
-    two gated values as residuals["intertwining"] and ["similarity"].  One matrix gets
-    floats, or raises NotAMetric past either gate (NaN too) or NotPositiveDefinite;
-    a stack gets (k,) arrays, and all-NaN rho and h where one matrix would raise.
+    Matrices, ch. 8).  herm_sqrt, with an inverse, serves any other metric, an
+    array or a MetricOperator broadcast to H, as given.  rho and h are built as
+    0.5 (A + A^dag), and h must pass a second gate, similarity_residual: eta_+
+    intertwines H + c I too, and only rho H = h rho ties h to H itself.  Returns
+    (rho, h, residuals), the two gated values as residuals["intertwining"] and
+    ["similarity"].  One matrix gets floats, or raises NotAMetric past either
+    gate (NaN too) or herm_sqrt's NotPositiveDefinite; a stack gets (k,) arrays,
+    and all-NaN rho and h where one matrix would raise.
     """
     H = as_square_matrix(H, stack=True)
     stack = H.reshape(-1, *H.shape[-2:])
     S = eta_plus if isinstance(eta_plus, Spectrum) else None
     if S is not None:
         U, sigma, Vh = np.linalg.svd(S.left.reshape(stack.shape))
-        low, top = sigma[:, -1] ** 2, sigma[:, 0] ** 2
         eta_plus = MetricOperator(_hermitian((U * sigma[:, None, :] ** 2) @ dagger(U)), (S.dim, 0),
-                                  low, top, low > INVERTIBILITY_TOL * top)
+                                  sigma[:, 0] ** 2)
     else:   # one metric for all of H, or one per matrix
         E = _metric_matrix(eta_plus)
         try:
@@ -373,14 +373,9 @@ def hermitize(H, eta_plus, h_norm=None):
         root = gated[~np.isnan(rho[gated, 0, 0])]
         h[root] = rho[root] @ stack[root] @ np.linalg.inv(rho[root])
     else:
-        if H.ndim == 2 and not eta_plus.invertible[0]:
-            raise NotPositiveDefinite(
-                f"no positive root: Phi has sigma_min^2 / sigma_max^2 = "
-                f"{ratio(low[0], top[0]):.3e} (INVERTIBILITY_TOL = {INVERTIBILITY_TOL:g})")
-        root = gated[eta_plus.invertible[gated]]
-        Q = U[root] @ Vh[root]
-        rho[root] = (U[root] * sigma[root, None, :]) @ dagger(U[root])
-        h[root] = (Q * S.eigenvalues.reshape(sigma.shape)[root].real[:, None, :]) @ dagger(Q)
+        Q = U[gated] @ Vh[gated]
+        rho[gated] = (U[gated] * sigma[gated, None, :]) @ dagger(U[gated])
+        h[gated] = (Q * S.eigenvalues.reshape(sigma.shape)[gated].real[:, None, :]) @ dagger(Q)
     rho, h = _hermitian(rho), _hermitian(h)
     similarity = similarity_residual(stack, rho, h, h_norm)
     if H.ndim == 2 and not similarity[0] <= INTERTWINE_TOL:

@@ -10,16 +10,17 @@ square root works and the operator is Hermitian in the metric inner product.
 The suite runs by dimension.  models builds the instances of one size as
 one (k, n, n) stack, which goes once through the metrics functions:
 classify, whose classes and partner permutations are arrays decided in one
-pass, then build_general_metric, verify_intertwining, antilinear_symmetry
-and antilinear_residual on the stack of paired matrices, then hermitize on
-the Spectrum rows of the positive metrics (the polar route: one SVD of their
-stacked left systems) and eta_inner on those metrics.  Refusals and residuals
-are read off the stacked results (a pairing row of -1, invertible False, a
-NaN h, hermitize's similarity), never re-derived here.  One seeded generator
-per instance draws its matrix and then the vectors of leg d, so (kind, dim,
-seed) pins every number of an instance in any stack.  Each leg and residual
-is one array over the instances (equivalence_columns), which
-run_equivalence_suite reduces to counts, worst residuals and failing instances.
+pass, then build_general_metric, eigvalsh, verify_intertwining,
+antilinear_symmetry and antilinear_residual on the stack of paired matrices,
+then hermitize on the Spectrum rows of the positive metrics (the polar route:
+one SVD of their stacked left systems) and eta_inner on those metrics.
+Refusals and residuals are read off the stacked results (a pairing row of -1,
+a NaN h, hermitize's similarity), never re-derived here; leg b measures the
+built metrics by that eigvalsh.  One seeded generator per instance draws its
+matrix and then the vectors of leg d, so (kind, dim, seed) pins every number
+of an instance in any stack.  Each leg and residual is one array over the
+instances (equivalence_columns), which run_equivalence_suite reduces to
+counts, worst residuals and failing instances.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ def make_ensemble(kinds, count, dims, base_seed=0):
 class Group:
     """Instances of one size: their stacked Classification and, for those
     with a pairing (at positions paired), H, Spectrum, the (k, n) partner
-    permutations, ||H||, the canonical metric (all signs +1) and its
-    intertwining residual."""
+    permutations, ||H||, the canonical metric (all signs +1), its eigvalsh
+    and its intertwining residual."""
 
     cls: Classification
     paired: np.ndarray
@@ -70,6 +71,7 @@ class Group:
     pairing: np.ndarray
     norm: np.ndarray
     metric: MetricOperator
+    eigenvalues: np.ndarray
     residual: np.ndarray
 
 
@@ -87,7 +89,7 @@ def classify_group(H) -> Group:
     pairing, norm = cls.pairing[paired], cls.diagnostics["norm"][paired]
     metric = build_general_metric(S, pairing)
     return Group(cls, paired, H[paired], S, pairing, norm, metric,
-                 verify_intertwining(H[paired], metric, norm))
+                 np.linalg.eigvalsh(metric.matrix), verify_intertwining(H[paired], metric, norm))
 
 
 def _spread(k, at, values):
@@ -101,13 +103,14 @@ def check_conjugation_equivalence(group: Group) -> dict:
     """Legs of the metric-existence equivalence for a group, as (k,) arrays.
 
     a: spectrum closed under conjugation; b: the canonical metric is
-    invertible and intertwines within 1e-8; c: the antilinear symmetry
-    tau = Psi M Phi^T is invertible and commutes within 1e-8.  A failed
+    invertible (by its eigvalsh) and intertwines within 1e-8; c: the antilinear
+    symmetry tau = Psi M Phi^T is invertible and commutes within 1e-8.  A failed
     pairing leaves no construction to attempt, so legs b and c fail
     alongside leg a.  skipped marks the NonDiagonalizable matrices, whose
     legs all read False; a residual not computed reads NaN.
     """
-    k, at, invertible = len(group.cls.kind), group.paired, group.metric.invertible
+    k, at, size = len(group.cls.kind), group.paired, np.abs(group.eigenvalues)
+    invertible = size.min(axis=-1) > INVERTIBILITY_TOL * size.max(axis=-1)
     tau = antilinear_symmetry(group.spectrum, group.pairing)
     sv = np.linalg.svd(tau, compute_uv=False)   # invertibility only: ||tau|| is a lower bound
     antilinear = antilinear_residual(group.H, tau, group.norm)
@@ -126,15 +129,16 @@ def check_positive_metric_equivalence(group: Group, rngs) -> dict:
     generator per matrix, which draws leg d's vectors.
 
     a: classified (quasi-)Hermitian; b: the canonical metric of an all-real
-    pairing is invertible and positive-definite (eta_+); c: hermitize maps H
-    by eta_+'s polar route (not NaN: past its gates) to an h, Hermitian by
-    construction, with rho H = h rho and h isospectral with H within 1e-8;
+    pairing is invertible and positive-definite by its eigvalsh (eta_+); c:
+    hermitize maps H by eta_+'s polar route (not NaN: past its gates) to an h,
+    Hermitian by construction, with rho H = h rho and h isospectral with H within 1e-8;
     d: Hermiticity of H in the eta_+ inner product on random vector pairs.
     """
     metric = group.metric
     k, n = len(group.cls.kind), group.spectrum.dim
     all_real = np.all(group.pairing == np.arange(n), axis=-1)
-    built = np.flatnonzero(all_real & metric.invertible & metric.positive_definite)
+    low, top = group.eigenvalues[:, 0], group.eigenvalues[:, -1]   # ascending
+    built = np.flatnonzero(all_real & (low > INVERTIBILITY_TOL * top))
     index = group.paired[built]
     eta = _rows(metric, built)
     H = group.H[built]

@@ -249,11 +249,11 @@ def sample_instance(spec, redraws):
 
 def greedy_pairing(w, tol):
     """A frozen copy of the greedy loop metrics.pair_spectrum replaced, as the
-    partner permutation: eigenvalues with |Im| <= tol*(1+|lambda|) are real;
-    the others with Im > 0, largest |Im| first, each take the nearest
-    remaining conj(lambda) among those with Im < 0, within the same scaled
-    tolerance.  Returns the permutation, or the eigenvalue left unpaired as
-    a complex."""
+    partner permutation: eigenvalues with |Im| <= tol*(1+|lambda|), their
+    band, are real; the others with Im > 0, largest |Im| first, each take the
+    nearest remaining conj(lambda) among those with Im < 0, when it lies
+    within the sum of the two bands.  Returns the permutation, or the
+    eigenvalue left unpaired as a complex."""
     w = np.asarray(w, dtype=complex)
     upper, lower = [], []
     for n, lam in enumerate(w.tolist()):
@@ -267,7 +267,7 @@ def greedy_pairing(w, tol):
             return complex(w[n])
         target = np.conj(w[n])
         best = min(remaining, key=lambda j: abs(w[j] - target))
-        if abs(w[best] - target) > tol * (1.0 + abs(w[n])):
+        if abs(w[best] - target) > tol * (1.0 + abs(w[n])) + tol * (1.0 + abs(w[best])):
             return complex(w[n])
         remaining.remove(best)
         p[n], p[best] = best, n

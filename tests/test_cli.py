@@ -808,6 +808,25 @@ def test_one_decomposition_per_matrix(matrix_file, capsys, monkeypatch, argv, co
     assert sum(len(M) if np.ndim(M) == 3 else 1 for M in stacks) == matrices
 
 
+@pytest.mark.parametrize("argv", [
+    ["metric", "MATRIX"],
+    ["classify", "MATRIX", "--emit-metric"],
+    ["hermitize", "MATRIX"],
+], ids=["metric", "classify", "hermitize"])
+def test_built_metrics_take_no_hermitian_eigensolve(matrix_file, capsys, monkeypatch, argv):
+    # A built eta = Phi M Phi^dag is invertible, of Sylvester's signature, by
+    # construction: the one eigendecomposition is H's eig.
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, name=name, original=original, **k:
+                            calls.append(name) or original(*a, **k))
+    H, _, _ = generate(EnsembleSpec(4, 3, "quasi"))
+    code, report = run_cli(capsys, [matrix_file(H) if arg == "MATRIX" else arg for arg in argv])
+    assert code == EXIT_OK and report["signature"] == [4, 0]
+    assert calls == ["eig"]
+
+
 @pytest.mark.parametrize("argv, checks", [
     (["hermitize", "MATRIX"], 1),     # the residual hermitize measured is the one reported
 ], ids=["hermitize"])
@@ -849,7 +868,8 @@ def test_norms_computed_once(matrix_file, capsys, monkeypatch, argv):
     report = json.loads(out, parse_constant=_reject_constant)
 
     # Every residual by the bound's closed form: ||X||_F over norm_lower_bound
-    # of each factor, and ||eta|| exact, as the MetricOperator carries it.
+    # of each factor, the built eta's too, as the MetricOperator carries it; the
+    # polar route's eta_+ carries sigma_max^2, its exact norm.
     def bound(numerator, *factors):
         return np.linalg.norm(numerator) / np.prod(factors)
 
@@ -866,7 +886,8 @@ def test_norms_computed_once(matrix_file, capsys, monkeypatch, argv):
     lb = norm_lower_bound
     formulas = {
         "hermiticity": lambda: bound(H - H.conj().T, lb(H)),
-        "intertwining": lambda: bound(H.conj().T @ E - E @ H, lb(H), spectral_norm(E)),
+        "intertwining": lambda: bound(H.conj().T @ E - E @ H, lb(H),
+                                      spectral_norm(E) if argv[0] == "hermitize" else lb(E)),
         "antilinear_commutation": lambda: bound(H @ T - T @ H.conj(), lb(H), lb(T)),
         "hermiticity_of_h": lambda: bound(h - h.conj().T, lb(h)),
         "similarity": lambda: bound(rho @ H - h @ rho, lb(H), lb(rho)),

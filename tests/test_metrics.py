@@ -30,6 +30,7 @@ from pseudoherm import (
     transform_metric,
     verify_intertwining,
 )
+from pseudoherm.cli import main, save_matrix
 from pseudoherm.kleingordon import fv_modes, make_grid
 from pseudoherm.linalg import KAPPA_MAX, Spectrum
 from pseudoherm.metrics import REALITY_TOL, MetricOperator, similarity_residual
@@ -37,7 +38,7 @@ from pseudoherm.models import KINDS, EnsembleSpec, generate
 from pseudoherm.physical import restrict_to_physical
 from pseudoherm.suites import classify_group
 
-from oracles import greedy_pairing, signature_by_eigenvalues, spectra_mismatch
+from oracles import greedy_pairing, planted, signature_by_eigenvalues, spectra_mismatch
 
 EPS = np.finfo(float).eps
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -206,6 +207,42 @@ def test_classify_examples():
     assert classify(np.array([[1, 1], [0, 2j]], dtype=complex)).kind is OperatorClass.NOT_PSEUDO_HERMITIAN
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-6, 1e-10, 1e-200])
+def test_the_class_band_scales_with_h(c):
+    # Eigenvalues +/- i sqrt(3)/2 c: the band's floor tol ||H|| scales with them, so
+    # the pair stays a pair where a band of tol (1 + |lambda|) swallowed it (c <= 1e-10).
+    assert classify(c * pt2x2(1, np.pi / 2, 0.5)).kind is OperatorClass.PSEUDO_HERMITIAN_ONLY
+
+
+def test_the_class_band_follows_each_eigenvalues_conditioning():
+    # A planted real spectrum at n = 256, cond(S) = 1e5 (diag_score 1.2e6): the Im
+    # parts eig leaves lie within kappa_n eps ||H||, not within tol (1 + |lambda|).
+    H, _ = planted(np.random.default_rng([11, 5]), 256, "real", 1e5)
+    assert classify(H).kind is OperatorClass.QUASI_HERMITIAN
+
+
+def test_a_pair_within_the_bands_of_a_real_eigenvalue_is_indeterminate(tmp_path):
+    # U diag(2, 1, 1 + d i, 1 - d i) U^dag, U a random unitary: ||H|| = 2 and kappa_n = 1,
+    # so each band is 2e-9.  d = 3e-9 puts 1 + d i past its band but 1 within both
+    # bands of its conjugate: a pair and two reals are equally consistent, and classify
+    # refuses with Indeterminate, alone, in a stack and through the CLI (exit 3).
+    # d = 5e-9 is a pair and d = 1e-9 a real spectrum.
+    rng = np.random.default_rng(3)
+    U, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    stack = np.stack([(U * np.array([2, 1, 1 + d * 1j, 1 - d * 1j])) @ U.conj().T
+                      for d in (3e-9, 5e-9, 1e-9)])
+    cls = classify(stack)
+    assert cls.kind.tolist() == ["Indeterminate", "PseudoHermitianOnly", "QuasiHermitian"]
+    assert cls.pairing[0].tolist() == [-1] * 4 and cls.diagnostics["n_real"][0] == -1
+    one = classify(stack[0])
+    assert one.kind is OperatorClass.INDETERMINATE and one.pairing is None
+    path = tmp_path / "indeterminate.json"
+    save_matrix(stack[0], path)
+    for argv in (["classify"], ["classify", "--emit-metric"], ["metric"], ["hermitize"],
+                 ["symmetry"]):
+        assert main([*argv, str(path)]) == 3, argv
+
+
 def test_classify_reports_diagnostics():
     cls = classify(pt2x2(1, np.pi / 6, 1))
     assert cls.diagnostics["hermiticity_residual"] > 1e-9  # genuinely non-Hermitian
@@ -238,21 +275,30 @@ def test_classify_refuses_an_overflowing_norm_with_only_overflow_silenced():
 
 
 def test_decide_class_takes_the_first_class_that_holds():
-    # Rows 0 and 1 also have an unpaired eigenvalue, row 0 a Hermitian residual too:
-    # the first class of the precedence list that holds wins.
-    w = np.array([[1j, 2.0], [1j, 2.0], [1j, 2.0], [1.0, 2.0], [1 + 1j, 1 - 1j]])
-    score = np.array([10 * KAPPA_MAX, 1.0, 1.0, 1.0, 1.0])
-    residual = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
-    kind, pairing, diagnostics = decide_class(w, score, residual)
+    # Rows 0 and 1 also have an unpaired eigenvalue, row 0 a Hermitian residual too,
+    # and row 3 too: 1 + 1.5e-9 i is past its band of 1e-9, but 1 lies within the two
+    # bands of its conjugate.  The first class of the precedence list that holds wins.
+    # Row 6's kappa_n = 1e10 widens its band to 2.2e-6, past the 1e-6 Im part.
+    w = np.array([[1j, 2.0], [1j, 2.0], [1j, 2.0], [1.0, 1.0 + 1.5e-9j], [1.0, 2.0],
+                  [1 + 1j, 1 - 1j], [1.0, 2.0 + 1e-6j]])
+    score = np.array([10 * KAPPA_MAX, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    residual = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    kappa = np.ones(w.shape)
+    kappa[6, 1] = 1e10
+    norm = np.ones(len(w))
+    kind, pairing, diagnostics = decide_class(w, score, residual, kappa, norm)
     assert kind.tolist() == ["NonDiagonalizable", "Hermitian", "NotPseudoHermitian",
-                             "QuasiHermitian", "PseudoHermitianOnly"]
-    assert pairing.tolist() == [[-1, -1], [0, 1], [-1, -1], [0, 1], [1, 0]]
-    assert diagnostics["n_real"].tolist() == [-1, 2, -1, 2, 0]
+                             "Indeterminate", "QuasiHermitian", "PseudoHermitianOnly",
+                             "QuasiHermitian"]
+    assert pairing.tolist() == [[-1, -1], [0, 1], [-1, -1], [-1, -1], [0, 1], [1, 0], [0, 1]]
+    assert diagnostics["n_real"].tolist() == [-1, 2, -1, -1, 2, 0, 2]
     for i in range(len(w)):
-        one = decide_class(w[i], score[i], residual[i])
+        one = decide_class(w[i], score[i], residual[i], kappa[i], norm[i])
         assert one[0] == kind[i] and np.array_equal(one[1], pairing[i]), i
         for key, value in one[2].items():
             assert np.array_equal(value, diagnostics[key][i], equal_nan=True), (i, key)
+    kappa[6, 1] = 1.0
+    assert decide_class(w[6], score[6], residual[6], kappa[6], norm[6])[0] == "NotPseudoHermitian"
 
 
 def test_inclusion_chain_hermitian_passes_quasi_checks():
@@ -445,20 +491,21 @@ def test_stacked_eta_inner_matches_per_pair():
     rng = np.random.default_rng(21)
     k, pairs, n = 4, 6, 8
     G = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
-    eta = MetricOperator.from_matrix(G + np.swapaxes(G.conj(), -1, -2))   # indefinite
+    eta = G + np.swapaxes(G.conj(), -1, -2)   # indefinite
+    norm = spectral_norm(eta)
     psi, chi = rng.standard_normal((2, k, pairs, n)) + 1j * rng.standard_normal((2, k, pairs, n))
     psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
     chi /= np.linalg.norm(chi, axis=-1, keepdims=True)
     stacked = eta_inner(eta, psi, chi)                    # one eta per row of pairs
-    shared = eta_inner(eta.matrix[0], psi, chi)           # one eta for every pair
+    shared = eta_inner(eta[0], psi, chi)                  # one eta for every pair
     assert stacked.shape == shared.shape == (k, pairs)
     for i in range(k):
         for j in range(pairs):
-            one = eta_inner(eta.matrix[i], psi[i, j], chi[i, j])
+            one = eta_inner(eta[i], psi[i, j], chi[i, j])
             assert isinstance(one, complex)
-            assert abs(stacked[i, j] - one) <= 4 * EPS * eta.norm[i], (i, j)
-            one = eta_inner(eta.matrix[0], psi[i, j], chi[i, j])
-            assert abs(shared[i, j] - one) <= 4 * EPS * eta.norm[0], (i, j)
+            assert abs(stacked[i, j] - one) <= 4 * EPS * norm[i], (i, j)
+            one = eta_inner(eta[0], psi[i, j], chi[i, j])
+            assert abs(shared[i, j] - one) <= 4 * EPS * norm[0], (i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -541,12 +588,13 @@ def test_stacked_hermitize_marks_what_a_single_call_refuses():
         else:
             one_rho, one_h, _ = hermitize(one_H, one_eta)
             assert np.array_equal(rho[i], one_rho) and np.array_equal(h[i], one_h), i
-    # A stacked MetricOperator gives its norms, and the same roots as the plain
-    # matrices, which take herm_sqrt's route as the stacked metric does.
-    metric = MetricOperator.from_matrix(np.stack([eta_plus.matrix, np.eye(4)]))
+    # A stacked MetricOperator, built from a stacked Spectrum, gives its norms, and
+    # the same roots as its plain matrices, which take herm_sqrt's route as it does.
+    metric = build_positive_metric(eig_full(H[[0, 3]]))
+    assert np.array_equal(metric.matrix[0], eta_plus.matrix)
     rho, h, _ = hermitize(H[[0, 3]], metric)
     assert np.array_equal(rho[0], hermitize(quasi, eta_plus.matrix)[0])
-    assert np.array_equal(h[1], hermitize(H[3], np.eye(4))[1])
+    assert np.array_equal(h[1], hermitize(H[3], metric.matrix[1])[1])
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -573,7 +621,7 @@ def test_hermitize_refuses_a_metric_that_does_not_broadcast_to_h():
     eta = build_positive_metric(eig_full(H)).matrix
     for one_H, metric in ((H, np.stack([eta] * 2)), (H, eta[None]),
                           (np.stack([H] * 3), np.stack([eta] * 2)),
-                          (H, MetricOperator.from_matrix(np.stack([eta] * 2)))):
+                          (H, build_positive_metric(eig_full(np.stack([H] * 2))))):
         shapes = f"{np.shape(getattr(metric, 'matrix', metric))} cannot broadcast to H's {one_H.shape}"
         with pytest.raises(ValueError, match=re.escape(shapes)):
             hermitize(one_H, metric)
@@ -795,7 +843,7 @@ def test_stacked_metrics_functions_match_single_calls():
             assert tuple(got.signature[j].tolist()) == want.signature, i
             assert herm_residual(got.matrix)[j] == herm_residual(want.matrix), i
             assert got.min_abs_eigenvalue[j] == want.min_abs_eigenvalue, i
-            assert got.norm[j] == want.norm and got.invertible[j], i
+            assert got.norm[j] == want.norm, i
         single_eta = build_general_metric(one.spectrum, one.pairing)
         assert residual[j] == verify_intertwining(H, single_eta, one.diagnostics["norm"]), i
         assert (verify_intertwining(stack[keep], eta.matrix)[j]
@@ -816,26 +864,28 @@ def test_stacked_metrics_functions_match_single_calls():
     eta = build_general_metric(empty.spectrum, empty.pairing)
     tau = antilinear_symmetry(empty.spectrum, empty.pairing)
     assert eta.matrix.shape == tau.shape == (0, n, n)
-    assert eta.signature.shape == (0, 2) and eta.invertible.shape == (0,)
+    assert eta.signature.shape == (0, 2) and eta.norm.shape == (0,)
     assert verify_intertwining(none, eta, np.zeros(0)).shape == (0,)
     assert antilinear_residual(none, tau, np.zeros(0)).shape == (0,)
 
 
-def test_stacked_from_matrix_marks_what_a_single_call_refuses():
-    singular = np.diag([1.0, 0.0]).astype(complex)
-    metric = MetricOperator.from_matrix(np.stack([SIGMA3, singular, np.eye(2)]))
-    assert metric.invertible.tolist() == [True, False, True]
-    assert metric.signature.tolist() == [[1, 1], [1, 0], [2, 0]]
-    assert metric.positive_definite.tolist() == [False, True, True]
-    assert metric.indefinite.tolist() == [True, False, False]
-    single = MetricOperator.from_matrix(SIGMA3)
-    assert (metric.min_abs_eigenvalue[0], metric.norm[0]) == (single.min_abs_eigenvalue,
-                                                              single.norm)
+def test_from_matrix_takes_one_matrix_and_a_built_stack_carries_its_signatures():
+    # from_matrix serves one metric the caller supplies, and eigensolves it; a stack
+    # of metrics comes from build_general_metric, whose Sylvester signatures are arrays.
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        MetricOperator.from_matrix(np.stack([SIGMA3, np.eye(2)]))
     with pytest.raises(NotInvertible):
-        MetricOperator.from_matrix(singular)
-    # Not self-adjoint is no metric at all, for a stack as for one matrix.
-    with pytest.raises(NotAMetric):
-        MetricOperator.from_matrix(np.stack([SIGMA3, np.array([[0, 1], [0, 0]], dtype=complex)]))
+        MetricOperator.from_matrix(np.diag([1.0, 0.0]).astype(complex))
+    S = eig_full(np.stack([SIGMA1, SIGMA1, np.diag([1j, -1j])]))
+    metric = build_general_metric(S, pair_spectrum(S), [1, -1, 1, 1])
+    assert metric.signature.tolist() == [[1, 1], [2, 0], [1, 1]]
+    assert metric.positive_definite.tolist() == [False, True, False]
+    assert metric.indefinite.tolist() == [True, False, True]
+    for i, M in enumerate(metric.matrix):
+        given = MetricOperator.from_matrix(M)
+        assert given.signature == signature_by_eigenvalues(M) == tuple(metric.signature[i]), i
+        assert metric.min_abs_eigenvalue[i] == given.min_abs_eigenvalue > 0, i
+        assert metric.norm[i] <= given.norm * (1 + 4 * EPS), i
 
 
 def test_array_records_compare_by_identity():

@@ -28,6 +28,8 @@ import numpy as np
 import pytest
 
 from pseudoherm.cli import main, save_matrix
+from pseudoherm.metrics import build_general_metric, classify
+from pseudoherm.models import pt2x2
 
 from oracles import planted
 
@@ -83,49 +85,11 @@ def run_cell(path, n, kind):
     return verdicts
 
 
-ALL = ("classify", "metric", "hermitize", "symmetry")
-NOT_HERMITIZE = ("classify", "metric", "symmetry")
-
-
-def cells(n, kind, scale, exponents, commands):
-    """{(n, e, kind, scale): commands} for each log10 kappa e in exponents."""
-    return {(n, e, kind, scale): commands for e in exponents}
-
-
-# Each entry maps a cell (n, log10 kappa, kind, scale) to the commands that
-# are wrong there, under the ROADMAP item that fixes them.
-KNOWN_WRONG = {
-    # Item 2, the class rule.  From kappa = 1e4 (n = 2), 1e5 (n = 6 and 32) or
-    # 1e7 (n = 256) the band tol (1 + |lambda|) reads planted inputs as
-    # NotPseudoHermitian.  At scale 1e-300 the same band swallows every Im
-    # part, so paired inputs read QuasiHermitian (the tol ||H|| floor fixes
-    # both); hermitize raises an error there instead (at n = 2, kappa = 1e5
-    # and 1e6, its similarity gate: h = Q diag(Re lambda) Q^dag drops the Im
-    # parts), and at kappa = 1e7 so do classify and metric, while symmetry
-    # still reports the wrong class.
-    "item 2": {
-        **cells(2, "real", 1.0, (4, 5, 6, 7), ALL),
-        **cells(2, "real", 1e300, (4, 5, 6, 7), ALL),
-        **cells(2, "pairs", 1e-300, (1, 2, 3, 4, 5, 6), NOT_HERMITIZE),
-        **cells(2, "pairs", 1e-300, (7,), ("symmetry",)),
-        **cells(2, "pairs", 1.0, (5, 6, 7), ALL),
-        **cells(2, "pairs", 1e300, (4, 5, 6, 7), ALL),
-        **cells(6, "real", 1.0, (5, 6, 7), ALL),
-        **cells(6, "real", 1e300, (5, 6, 7), ALL),
-        **cells(6, "pairs", 1e-300, (1, 2, 3, 4, 5, 6), NOT_HERMITIZE),
-        **cells(6, "pairs", 1e-300, (7,), ("symmetry",)),
-        **cells(6, "pairs", 1.0, (5, 6, 7), ALL),
-        **cells(6, "pairs", 1e300, (4, 5, 6, 7), ALL),
-        **cells(32, "real", 1.0, (6, 7), ALL),
-        **cells(32, "real", 1e300, (5, 6, 7), ALL),
-        **cells(32, "pairs", 1e-300, (1, 2, 3, 4, 5, 6), NOT_HERMITIZE),
-        **cells(32, "pairs", 1e-300, (7,), ("symmetry",)),
-        **cells(32, "pairs", 1.0, (5, 6, 7), ALL),
-        **cells(32, "pairs", 1e300, (5, 6, 7), ALL),
-        **cells(256, "real", 1.0, (7,), ALL),
-        **cells(256, "pairs", 1.0, (7,), ALL),
-    },
-}
+# Each entry would map a cell (n, log10 kappa, kind, scale) to the commands that
+# are wrong there, under the ROADMAP item that fixes them.  Every call of the table
+# is right or refused since the class band of ROADMAP item 2 and the built metric's
+# invertibility by construction (item 3).
+KNOWN_WRONG: dict = {}
 
 
 def known_wrong(cell):
@@ -146,3 +110,39 @@ def test_each_command_is_right_or_refused(tmp_path, cell):
     verdicts = run_cell(path, n, kind)
     wrong = {command for command, verdict in verdicts.items() if verdict == "wrong"}
     assert wrong == known_wrong(cell), verdicts
+    if e == 7 and scale < 1e300:   # a built metric needs no ceiling but KAPPA_MAX's
+        assert [verdicts[command] for command in ("classify", "metric", "hermitize")] \
+            == ["right"] * 3, verdicts
+
+
+def transformed(H, seed):
+    """H and six maps of it that cannot change its class or its metric's signature:
+    2H, H + ||H||_2 I, H^T, U H U^dag (U a unitary drawn from seed), -H and conj(H)."""
+    rng = np.random.default_rng(seed)
+    n = H.shape[-1]
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return np.stack([H, 2 * H, H + np.linalg.norm(H, 2) * np.eye(n), H.T, U @ H @ U.conj().T,
+                     -H, H.conj()])
+
+
+def assert_invariant(stack):
+    """Every matrix of a transformed stack has the class of the first, and, where
+    that class has a pairing, its metric the signature of the first's."""
+    cls = classify(stack)
+    assert (cls.kind == cls.kind[0]).all(), cls.kind
+    if np.all(cls.pairing >= 0):
+        signature = build_general_metric(cls.spectrum, cls.pairing).signature
+        assert (signature == signature[0]).all(), signature
+
+
+@pytest.mark.parametrize("cell", [cell for cell in CELLS if cell[3] == 1.0],
+                         ids=lambda cell: "n{}-kappa1e{}-{}".format(*cell))
+def test_class_is_invariant_on_the_table(cell):
+    n, e, kind, _ = cell
+    assert_invariant(transformed(planted_input(*cell), [n, e, kind == "real", 1]))
+
+
+def test_class_is_invariant_on_the_pt2x2_walk():
+    # Acceptance criterion 3's walk across the exceptional point at s = sin(pi/4).
+    for s in np.arange(0.650, 0.7601, 1e-3):
+        assert_invariant(transformed(pt2x2(1.0, np.pi / 4, s), 0))

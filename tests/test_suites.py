@@ -14,13 +14,13 @@ import json
 import numpy as np
 import pytest
 
-import pseudoherm.linalg as linalg
 import pseudoherm.metrics as metrics
 import pseudoherm.suites as suites
 from pseudoherm.cli import EXIT_OK, EXIT_SUITE_FAIL, main, save_matrix
-from pseudoherm.errors import NotPositiveDefinite, PseudohermError
+from pseudoherm.errors import NotAMetric, PseudohermError
 from pseudoherm.linalg import eig_full, herm_residual
 from pseudoherm.metrics import (
+    MetricOperator,
     OperatorClass,
     antilinear_residual,
     antilinear_symmetry,
@@ -62,6 +62,7 @@ def oracle_conjugation(H, cls):
         return result
     try:
         eta = build_general_metric(S, pairing)
+        MetricOperator.from_matrix(eta.matrix)   # measures its invertibility, as leg b does
         result["metric_residual"] = verify_intertwining(H, eta, cls.diagnostics["norm"])
         result["metric_ok"] = result["metric_residual"] <= metrics.INTERTWINE_TOL
     except PseudohermError:
@@ -105,13 +106,14 @@ def oracle_positive(H, cls, rng):
     if cls.pairing is not None:
         try:
             eta = build_positive_metric(cls.spectrum, cls.pairing)
+            measured = MetricOperator.from_matrix(eta.matrix)   # as leg b measures it
         except PseudohermError:
             pass
     if eta is None:
         result.update(positive_ok=False, hermitize_ok=False, inner_ok=False)
         result["agree"] = result["real_spectrum"] == result["positive_ok"]
         return result
-    result["positive_ok"] = eta.positive_definite
+    result["positive_ok"] = measured.positive_definite
     result["metric_min_eig"] = eta.min_abs_eigenvalue
     try:
         rho, h, _ = hermitize(H, cls.spectrum, cls.diagnostics["norm"])   # eta_+'s polar route
@@ -246,31 +248,29 @@ def test_batched_suite_matches_per_instance_oracle(name):
 
 
 def test_refused_roots_match_the_oracle(monkeypatch):
-    # hermitize's polar route refuses sigma_min^2 <= INVERTIBILITY_TOL sigma_max^2 of
-    # Phi.  A ceiling of 1e-2 there refuses 59 of the 320 positive metrics of "mixed
-    # dims 1-8"; no sigma_min^2/sigma_max^2 lies within 1% of it.  The metrics are
-    # still built at the package's ceiling, so from_matrix accepts them and leg c's
-    # refusal is reached: a NaN row of the stacked hermitize, and the oracle's
-    # single hermitize raising NotPositiveDefinite for the same ones.
-    build = metrics.build_general_metric
+    # hermitize's gates decide its refusals.  Handed H + I with the Spectrum of H at
+    # the odd dimensions of "mixed dims 1-8", it passes the intertwining gate (eta_+
+    # intertwines H + I too) and refuses at the similarity gate, rho (H + I) != h rho:
+    # a NaN row of the stacked hermitize in leg c, and the oracle's single hermitize
+    # raising NotAMetric, for the same instances.
+    original = hermitize
 
-    def built_at_the_package_ceiling(*args):
-        with monkeypatch.context() as patch:
-            patch.setattr(metrics, "INVERTIBILITY_TOL", linalg.INVERTIBILITY_TOL)
-            return build(*args)
+    def shifted(H, S, h_norm):
+        n = H.shape[-1]
+        return original(H + (n % 2) * np.eye(n), S, h_norm)
 
-    monkeypatch.setattr(metrics, "INVERTIBILITY_TOL", 1e-2)
-    for module in (metrics, suites):
-        monkeypatch.setattr(module, "build_general_metric", built_at_the_package_ceiling)
-    monkeypatch.setitem(globals(), "build_general_metric", built_at_the_package_ceiling)
+    monkeypatch.setattr(suites, "hermitize", shifted)
+    monkeypatch.setitem(globals(), "hermitize", shifted)
     specs = ENSEMBLES["mixed dims 1-8"]
     columns = equivalence_columns(specs)
     assert_columns_match(columns, [oracle_record(spec) for spec in specs])
-    refused = np.flatnonzero(columns["positive_ok"] & ~columns["hermitize_ok"])
-    assert len(refused) == 59 and np.all(np.isnan(columns["similarity_residual"][refused]))
-    H = generate(specs[refused[0]])[0]
-    with pytest.raises(NotPositiveDefinite, match="INVERTIBILITY_TOL = 0.01"):
-        hermitize(H, classify(H).spectrum)
+    odd = np.array([spec.dim % 2 == 1 for spec in specs])
+    refused = columns["positive_ok"] & ~columns["hermitize_ok"]
+    assert np.array_equal(refused, columns["positive_ok"] & odd) and refused.any()
+    assert np.all(np.isnan(columns["similarity_residual"][refused]))
+    H = generate(specs[np.flatnonzero(refused)[0]])[0]
+    with pytest.raises(NotAMetric, match=r"rho H != h rho: similarity \S+ > INTERTWINE_TOL"):
+        shifted(H, classify(H).spectrum, None)
 
 
 def test_stacked_eig_full_matches_per_matrix():
