@@ -76,11 +76,11 @@ def _unit_scale(A):
     (e = 0 for a zero matrix): an exact rescaling under which no sum of
     squares in a norm overflows or underflows.  A norm n of A / 2^e is
     ldexp(n, e) for A, which overflows only where that norm does (2^e
-    alone would from a peak of 2^1023 up)."""
+    alone would from a peak of 2^1023 up).  The peak is one abs/max pass over
+    each matrix's 2 n^2 floats (an explicit length: an empty stack reshapes)."""
     A = np.ascontiguousarray(A, dtype=complex)
-    peak = np.maximum(np.max(np.abs(A.real), axis=(-2, -1), initial=0.0),
-                      np.max(np.abs(A.imag), axis=(-2, -1), initial=0.0))
-    e = np.frexp(peak)[1]
+    parts = A.view(float).reshape(A.shape[:-2] + (2 * A.shape[-2] * A.shape[-1],))
+    e = np.frexp(np.max(np.abs(parts), axis=-1, initial=0.0))[1]
     # ldexp on the real view: 1 / 2^e would overflow for a subnormal peak.
     return e, np.ldexp(A.view(float), -e[..., None, None]).view(complex)
 
@@ -100,17 +100,19 @@ def norm_lower_bound(A):
     is at most ||A||_2, and in exact arithmetic no less than any earlier
     half step's, the first of which is at least the column's norm; the
     result is the last growth, or the largest column norm when that is more.
-    A zero matrix gives 0.0; a (k, n, n) stack gives the (k,) array of bounds."""
+    A zero matrix gives 0.0; a (k, n, n) stack gives the (k,) array of bounds.
+    Each half step grows v by a factor in [0.5, sqrt(2) n] (B's entries are below
+    1, its largest column at least 0.5), so v needs no renormalization, and no
+    square in the last growth's plain 2-norms overflows or underflows."""
     e, B = _unit_scale(A)
     columns = np.sqrt(np.vecdot(B, B, axis=-2).real)
     top = np.max(columns, axis=-1, initial=0.0)
     if B.shape[-1]:
         v = np.take_along_axis(B, np.argmax(columns, axis=-1)[..., None, None], axis=-1)
-        # Each half step scales v by a growth in [0.5, sqrt(2) n] (B's entries are
-        # below 1, its largest column at least 0.5): no renormalization is needed.
         for op in (dagger(B), B) * POWER_STEPS:
             last, v = v, op @ v
-        top = np.maximum(top, ratio(frobenius_norm(v), frobenius_norm(last)))
+        grown, prior = (np.sqrt(np.vecdot(x[..., 0], x[..., 0]).real) for x in (v, last))
+        top = np.maximum(top, ratio(grown, prior))
     bound = np.ldexp(top, e)
     return float(bound) if bound.ndim == 0 else bound
 

@@ -338,16 +338,18 @@ def hermitize(H, eta_plus, h_norm=None):
     eta_plus must intertwine H (checked) and be positive-definite.  A Spectrum
     stands for its eta_+ = Phi Phi^dag and takes the polar route: Phi =
     U Sigma V^dag gives eta_+ = U Sigma^2 U^dag (the matrix the intertwining
-    gate checks, with norm sigma_max^2), rho = U Sigma U^dag and the unitary
-    rho Psi = Q = U V^dag, so h = Q diag(Re lambda) Q^dag (Higham, Functions of
-    Matrices, ch. 8).  herm_sqrt, with an inverse, serves any other metric, an
-    array or a MetricOperator broadcast to H, as given.  rho and h are built as
-    0.5 (A + A^dag), and h must pass a second gate, similarity_residual: eta_+
-    intertwines H + c I too, and only rho H = h rho ties h to H itself.  Returns
-    (rho, h, residuals), the two gated values as residuals["intertwining"] and
-    ["similarity"].  One matrix gets floats, or raises NotAMetric past either
-    gate (NaN too) or herm_sqrt's NotPositiveDefinite; a stack gets (k,) arrays,
-    and all-NaN rho and h where one matrix would raise.
+    gate checks) and rho = U Sigma U^dag, of norms sigma_max^2 and sigma_max,
+    and the unitary rho Psi = Q = U V^dag, so h = Q diag(Re lambda) Q^dag
+    (Higham, Functions of Matrices, ch. 8).  herm_sqrt, with an inverse, serves
+    any other metric, an array or a MetricOperator broadcast to H, as given:
+    once for one (n, n) metric, with rho's norm from norm_lower_bound.  rho and
+    h are built as 0.5 (A + A^dag), and h must pass a second gate,
+    similarity_residual: eta_+ intertwines H + c I too, and only rho H = h rho
+    ties h to H itself.  Returns (rho, h, residuals), the two gated values as
+    residuals["intertwining"] and ["similarity"].  One matrix gets floats, or
+    raises NotAMetric past either gate (NaN too) or herm_sqrt's
+    NotPositiveDefinite; a stack gets (k,) arrays, and all-NaN rho and h where
+    one matrix would raise.
     """
     H = as_square_matrix(H, stack=True)
     stack = H.reshape(-1, *H.shape[-2:])
@@ -369,15 +371,17 @@ def hermitize(H, eta_plus, h_norm=None):
     rho, h = np.full((2, *stack.shape), np.nan, dtype=complex)
     gated = np.flatnonzero(intertwining <= INTERTWINE_TOL)
     if S is None:
-        rho[gated] = herm_sqrt(E if H.ndim == 2 else E[gated])   # one matrix: its own refusal
-        root = gated[~np.isnan(rho[gated, 0, 0])]
-        h[root] = rho[root] @ stack[root] @ np.linalg.inv(rho[root])
+        shared = H.ndim == 3 and E.strides[0] == 0   # one metric broadcast over the stack
+        rho[gated] = root = herm_sqrt(E[:1] if shared else E[gated] if H.ndim == 3 else E)
+        ok = gated[~np.isnan(rho[gated, 0, 0])]
+        if ok.size:
+            h[ok] = rho[ok] @ stack[ok] @ np.linalg.inv(root if shared else rho[ok])
     else:
         Q = U[gated] @ Vh[gated]
         rho[gated] = (U[gated] * sigma[gated, None, :]) @ dagger(U[gated])
         h[gated] = (Q * S.eigenvalues.reshape(sigma.shape)[gated].real[:, None, :]) @ dagger(Q)
     rho, h = _hermitian(rho), _hermitian(h)
-    similarity = similarity_residual(stack, rho, h, h_norm)
+    similarity = similarity_residual(stack, rho, h, h_norm, None if S is None else sigma[:, 0])
     if H.ndim == 2 and not similarity[0] <= INTERTWINE_TOL:
         raise NotAMetric(f"rho H != h rho: similarity {similarity[0]:.3e} > "
                          f"INTERTWINE_TOL = {INTERTWINE_TOL:g}")
@@ -387,13 +391,15 @@ def hermitize(H, eta_plus, h_norm=None):
     return rho, h, {"intertwining": intertwining, "similarity": similarity}
 
 
-def similarity_residual(H, rho, h, h_norm=None):
+def similarity_residual(H, rho, h, h_norm=None, rho_norm=None):
     """Certified bound on hermitize's relative residual ||rho H - h rho|| / (||rho|| ||H||):
     the Frobenius norm over h_norm (||H||, else norm_lower_bound(H)), then over
-    norm_lower_bound(rho).  A float for one H, a (k,) array for a stack."""
+    rho_norm (||rho||, as the polar route's sigma_max of Phi gives it exactly,
+    else norm_lower_bound(rho)).  A float for one H, a (k,) array for a stack."""
     H = as_square_matrix(H, stack=True)
     h_norm = norm_lower_bound(H) if h_norm is None else h_norm
-    return ratio(ratio(frobenius_norm(rho @ H - h @ rho), h_norm), norm_lower_bound(rho))
+    rho_norm = norm_lower_bound(rho) if rho_norm is None else rho_norm
+    return ratio(ratio(frobenius_norm(rho @ H - h @ rho), h_norm), rho_norm)
 
 
 def antilinear_symmetry(S: Spectrum, pairing) -> np.ndarray:
@@ -415,15 +421,17 @@ def antilinear_symmetry(S: Spectrum, pairing) -> np.ndarray:
     return S.right @ np.swapaxes(_partner(S.left, pairing), -1, -2)
 
 
-def antilinear_residual(H, tau, h_norm=None):
+def antilinear_residual(H, tau, h_norm=None, tau_norm=None):
     """Certified bound on the relative residual ||H tau - tau conj(H)|| / (||H|| ||tau||):
     the Frobenius norm over h_norm, which is ||H|| when the caller has it,
-    else norm_lower_bound(H), then over norm_lower_bound of tau.  A float
-    for a single H, the (k,) array of residuals for a (k, n, n) stack."""
+    else norm_lower_bound(H), then over tau_norm, which is ||tau|| when the
+    caller has it (verify's sigma_max of tau), else norm_lower_bound(tau).  A
+    float for a single H, the (k,) array of residuals for a (k, n, n) stack."""
     H = as_square_matrix(H, stack=True)
     tau = as_square_matrix(tau, stack=True)
     h_norm = norm_lower_bound(H) if h_norm is None else h_norm
-    return ratio(ratio(frobenius_norm(H @ tau - tau @ H.conj()), h_norm), norm_lower_bound(tau))
+    tau_norm = norm_lower_bound(tau) if tau_norm is None else tau_norm
+    return ratio(ratio(frobenius_norm(H @ tau - tau @ H.conj()), h_norm), tau_norm)
 
 
 def transform_metric(eta, A, H) -> MetricOperator:

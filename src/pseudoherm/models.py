@@ -90,8 +90,8 @@ def _similar(rngs, lam):
     singular values floored at sigma_max / CONDITIONING_CAP, so cond_2(S) <=
     CONDITIONING_CAP keeps 1e-8 residual targets reachable; S = G where that holds."""
     k, n = lam.shape
-    S = np.array([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                  for rng in rngs]).reshape(k, n, n) / np.sqrt(2 * n)
+    Z = np.array([rng.standard_normal((2, n, n)) for rng in rngs]).reshape(k, 2, n, n)
+    S = (Z[:, 0] + 1j * Z[:, 1]) / np.sqrt(2 * n)   # one draw: X's numbers, then Y's
     sv = np.linalg.svd(S, compute_uv=False)
     over = np.flatnonzero(~(sv[:, 0] / sv[:, -1] <= CONDITIONING_CAP))
     U, sv, Wh = np.linalg.svd(S[over])
@@ -109,7 +109,8 @@ def generate(specs):
     hermitian and defective rows, S of the quasi and pseudo_nonquasi specs,
     generators): each spec's default_rng(seed), left just past the fixed
     draws of its matrix, so a caller draws on from the instance's one
-    stream.  Each matrix of a stack equals its spec's alone.
+    stream.  Each matrix of a stack equals its spec's alone.  A Gaussian
+    X + iY is one (2, n, n) draw: X's numbers, then Y's, as two draws give.
     """
     single = isinstance(specs, EnsembleSpec)
     specs = [specs] if single else list(specs)
@@ -125,8 +126,8 @@ def generate(specs):
     lam[paired] = _paired_spectra(rngs[paired], n)
     H = np.empty((len(specs), n, n), dtype=complex)
     H[similar], S = _similar(rngs[similar], lam[similar])
-    G = np.array([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                  for rng in rngs[hermitian]], dtype=complex).reshape(-1, n, n)
+    G = np.array([rng.standard_normal((2, n, n)) for rng in rngs[hermitian]]).reshape(-1, 2, n, n)
+    G = G[:, 0] + 1j * G[:, 1]
     H[hermitian] = 0.5 * (G + dagger(G))
     for i in defective:
         H[i] = jordan_block(n, complex(rngs[i].uniform(-1, 1), rngs[i].uniform(-1, 1)))

@@ -11,9 +11,11 @@ The suite runs by dimension.  models builds the instances of one size as
 one (k, n, n) stack, which goes once through the metrics functions:
 classify, whose classes and partner permutations are arrays decided in one
 pass, then build_general_metric, eigvalsh, verify_intertwining,
-antilinear_symmetry and antilinear_residual on the stack of paired matrices,
-then hermitize on the Spectrum rows of the positive metrics (the polar route:
-one SVD of their stacked left systems) and eta_inner on those metrics.
+antilinear_symmetry and antilinear_residual (over sigma_max of tau, from the
+SVD that tests its invertibility) on the stack of paired matrices, then
+hermitize on the Spectrum rows of the positive metrics (the polar route: one
+SVD of their stacked left systems, whose sigma_max is rho's norm) and
+eta_inner on those metrics.
 Refusals and residuals are read off the stacked results (a pairing row of -1,
 a NaN h, hermitize's similarity), never re-derived here; leg b measures the
 built metrics by that eigvalsh.  One seeded generator per instance draws its
@@ -112,8 +114,8 @@ def check_conjugation_equivalence(group: Group) -> dict:
     k, at, size = len(group.cls.kind), group.paired, np.abs(group.eigenvalues)
     invertible = size.min(axis=-1) > INVERTIBILITY_TOL * size.max(axis=-1)
     tau = antilinear_symmetry(group.spectrum, group.pairing)
-    sv = np.linalg.svd(tau, compute_uv=False)   # invertibility only: ||tau|| is a lower bound
-    antilinear = antilinear_residual(group.H, tau, group.norm)
+    sv = np.linalg.svd(tau, compute_uv=False)   # invertibility, and ||tau|| = sigma_max exactly
+    antilinear = antilinear_residual(group.H, tau, group.norm, sv[:, 0])
     antilinear_ok = (antilinear <= INTERTWINE_TOL) & (sv[:, -1] > INVERTIBILITY_TOL * sv[:, 0])
     return {"skipped": group.cls.kind == OperatorClass.NON_DIAGONALIZABLE,
             "pair_ok": _spread(k, at, np.ones(len(at), dtype=bool)),

@@ -304,3 +304,39 @@ def planted(rng, n, kind, kappa):
                               centres[pairs:]])
     S = (_haar(rng, n) * np.logspace(0.0, np.log10(kappa), n)) @ _haar(rng, n)
     return (S * lam) @ np.linalg.inv(S), lam
+
+
+# ---------------------------------------------------------------------------
+# norm helpers
+
+# A frozen copy of the norm helpers before _unit_scale took its peak in one
+# pass and norm_lower_bound's last growth dropped its two frobenius_norm
+# rescalings; the package's helpers must agree with these bit for bit.
+
+def unit_scale(A):
+    A = np.ascontiguousarray(A, dtype=complex)
+    peak = np.maximum(np.max(np.abs(A.real), axis=(-2, -1), initial=0.0),
+                      np.max(np.abs(A.imag), axis=(-2, -1), initial=0.0))
+    e = np.frexp(peak)[1]
+    return e, np.ldexp(A.view(float), -e[..., None, None]).view(complex)
+
+
+def frobenius_norm(A):
+    e, B = unit_scale(A)
+    flat = B.reshape(B.shape[:-2] + (B.shape[-2] * B.shape[-1],))
+    return np.ldexp(np.sqrt(np.vecdot(flat, flat).real), e)
+
+
+def norm_lower_bound(A, steps=8):
+    e, B = unit_scale(A)
+    columns = np.sqrt(np.vecdot(B, B, axis=-2).real)
+    top = np.max(columns, axis=-1, initial=0.0)
+    if B.shape[-1]:
+        v = np.take_along_axis(B, np.argmax(columns, axis=-1)[..., None, None], axis=-1)
+        for op in (np.swapaxes(B.conj(), -1, -2), B) * steps:
+            last, v = v, op @ v
+        num, den = frobenius_norm(v), frobenius_norm(last)
+        growth = np.divide(num, den, out=np.zeros(np.shape(num)), where=den != 0.0)
+        top = np.maximum(top, growth)
+    bound = np.ldexp(top, e)
+    return float(bound) if bound.ndim == 0 else bound

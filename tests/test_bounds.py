@@ -17,14 +17,18 @@ from pseudoherm import (
     antilinear_symmetry,
     build_general_metric,
     classify,
+    eig_full,
     herm_residual,
+    hermitize,
     norm_lower_bound,
     spectral_norm,
     transform_metric,
     verify_intertwining,
 )
-from pseudoherm.linalg import frobenius_norm
+from pseudoherm.linalg import _unit_scale, frobenius_norm
 from pseudoherm.suites import classify_group
+
+import oracles
 
 ROUNDOFF = 1e-12
 
@@ -97,6 +101,43 @@ def test_norm_lower_bound_sits_between_the_largest_column_and_the_norm(n, H):
         assert zero.any() and np.all(bound[zero] == 0.0)
 
 
+def frozen_cases():
+    """(id, A): single, stacked and empty stacks, n = 1, zero matrices, entries
+    of magnitude 1e-200 to 1, each at scales 2^+-1000 and 1e+-300 too."""
+    rng = np.random.default_rng(32)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    bases = {"single": draw(5, 5), "stack": draw(4, 5, 5), "empty": np.zeros((0, 5, 5)),
+             "n=1": draw(1, 1), "n=1-stack": draw(3, 1, 1), "zero": np.zeros((3, 3)),
+             "zero-row": np.stack([draw(3, 3), np.zeros((3, 3))]),
+             "wide": draw(6, 6) * np.logspace(-200, 0, 36).reshape(6, 6),
+             "hidden-top": hidden_top(8)}
+    scales = {"1": 1.0, "2^-1000": 2.0**-1000, "2^1000": 2.0**1000, "1e-300": 1e-300,
+              "1e300": 1e300}
+    for name, A in bases.items():
+        for label, scale in scales.items():
+            yield f"{name}*{label}", A * scale
+
+
+FROZEN = list(frozen_cases())
+
+
+@pytest.mark.parametrize("A", [A for _, A in FROZEN], ids=[name for name, _ in FROZEN])
+def test_norm_helpers_match_their_frozen_copies(A):
+    # _unit_scale's one-pass peak and norm_lower_bound's unscaled last growth
+    # change no bit of any result.
+    def same(x, y):
+        return type(x) is type(y) and np.shape(x) == np.shape(y) and \
+            np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+    for got, want in zip(_unit_scale(A), oracles.unit_scale(A)):
+        assert same(got, want)
+    assert same(frobenius_norm(A), oracles.frobenius_norm(A))
+    assert same(norm_lower_bound(A), oracles.norm_lower_bound(A))
+
+
 @pytest.mark.parametrize("exponent", [-1000, -560, 560, 1000])
 def test_norms_are_exact_under_power_of_two_scaling(exponent):
     # No sum of squares under- or overflows: 2^-1000 A is far below sqrt(tiny).
@@ -157,6 +198,15 @@ def test_residual_helpers_are_certified_bounds(n, H):
     truth = exact(H @ tau - tau @ H.conj(), H, tau)
     assert_certified(antilinear_residual(H, tau, group.norm), truth, n)
     assert_certified(antilinear_residual(H, tau), truth, n)
+    sigma_max = np.linalg.svd(tau, compute_uv=False)[:, 0]   # leg c's exact ||tau||
+    assert_certified(antilinear_residual(H, tau, group.norm, sigma_max), truth, n)
+
+    # The polar route's similarity, over ||rho|| = sigma_max of Phi, on the real spectra.
+    real = np.all(group.pairing == np.arange(H.shape[-1]), axis=-1)
+    if real.any():
+        rho, h, residuals = hermitize(H[real], eig_full(H[real]), group.norm[real])
+        truth = exact(rho @ H[real] - h @ rho, H[real], rho)
+        assert_certified(residuals["similarity"], truth, n)
 
 
 def test_transform_metric_refuses_by_the_commutator_bound():

@@ -790,9 +790,17 @@ VERIFY_12 = ["verify", "--count", "12", "--dims", "2-4"]
     (VERIFY_12, "linalg.herm_sqrt", 0, 0),                 # leg c takes the polar route
     (["hermitize", "MATRIX"], "metrics.similarity_residual", 1, 1),   # the report reads
     (VERIFY_12, "metrics.similarity_residual", 3, 8),      # hermitize's, as leg c does
+    # Bounded norms: ||H|| and a built eta's or tau's.  rho's is sigma_max of Phi's
+    # SVD and leg c's tau's is sigma_max of its invertibility SVD.
+    (["metric", "MATRIX"], "linalg.norm_lower_bound", 2, 2),
+    (["symmetry", "MATRIX"], "linalg.norm_lower_bound", 2, 2),
+    (["hermitize", "MATRIX"], "linalg.norm_lower_bound", 1, 1),
+    (VERIFY_12, "linalg.norm_lower_bound", 6, 24),         # H and eta, 12 each
 ], ids=["classify", "metric", "hermitize", "hermitize-build_positive_metric", "symmetry", "kg",
         "verify", "verify-classify", "verify-build_general_metric", "verify-hermitize",
-        "verify-herm_sqrt", "hermitize-similarity_residual", "verify-similarity_residual"])
+        "verify-herm_sqrt", "hermitize-similarity_residual", "verify-similarity_residual",
+        "metric-norm_lower_bound", "symmetry-norm_lower_bound", "hermitize-norm_lower_bound",
+        "verify-norm_lower_bound"])
 def test_one_decomposition_per_matrix(matrix_file, capsys, monkeypatch, argv, counted,
                                       decompositions, matrices):
     import pseudoherm
@@ -869,7 +877,7 @@ def test_norms_computed_once(matrix_file, capsys, monkeypatch, argv):
 
     # Every residual by the bound's closed form: ||X||_F over norm_lower_bound
     # of each factor, the built eta's too, as the MetricOperator carries it; the
-    # polar route's eta_+ carries sigma_max^2, its exact norm.
+    # polar route's eta_+ and rho carry sigma_max^2 and sigma_max, their exact norms.
     def bound(numerator, *factors):
         return np.linalg.norm(numerator) / np.prod(factors)
 
@@ -890,7 +898,7 @@ def test_norms_computed_once(matrix_file, capsys, monkeypatch, argv):
                                       spectral_norm(E) if argv[0] == "hermitize" else lb(E)),
         "antilinear_commutation": lambda: bound(H @ T - T @ H.conj(), lb(H), lb(T)),
         "hermiticity_of_h": lambda: bound(h - h.conj().T, lb(h)),
-        "similarity": lambda: bound(rho @ H - h @ rho, lb(H), lb(rho)),
+        "similarity": lambda: bound(rho @ H - h @ rho, lb(H), spectral_norm(rho)),
     }
     residuals = {k: v for k, v in report["residuals"].items() if k != "diag_score"}
     assert residuals

@@ -616,6 +616,26 @@ def test_one_metric_serves_a_stack_of_h(k):
         assert np.all(np.isnan(rho[k])) and np.all(np.isnan(h[k]))
 
 
+def test_one_metric_for_a_stack_is_rooted_and_inverted_once(monkeypatch):
+    # rho depends on the metric alone: one eigh and one inv, of one n x n matrix
+    # each, serve every row of the stack.
+    H, _, _ = generate(EnsembleSpec(3, 2, "quasi"))
+    eta = build_positive_metric(eig_full(H))
+    calls = []
+    for name in ("eigh", "inv"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda A, name=name, original=original:
+                            calls.append((name, np.shape(A))) or original(A))
+    rho, h, _ = hermitize(np.stack([H] * 4), eta)
+    assert calls == [("eigh", (1, 3, 3)), ("inv", (1, 3, 3))]
+    assert not np.isnan(h).any()
+    # A refused root is NaN in every row, with nothing to invert.
+    indefinite = build_general_metric(eig_full(H), np.arange(3), [1.0, -1.0, 1.0])
+    calls.clear()
+    rho, h, _ = hermitize(np.stack([H] * 4), indefinite)
+    assert calls == [("eigh", (1, 3, 3))] and np.isnan(rho).all() and np.isnan(h).all()
+
+
 def test_hermitize_refuses_a_metric_that_does_not_broadcast_to_h():
     H, _, _ = generate(EnsembleSpec(3, 2, "quasi"))
     eta = build_positive_metric(eig_full(H)).matrix
@@ -648,7 +668,11 @@ def test_polar_route_agrees_with_the_square_root_and_refuses_an_indefinite_metri
         for name in ("inv", "eig", "eigh", "eigvals", "eigvalsh"):
             patch.setattr(np.linalg, name, lambda *args, **kwargs: pytest.fail("decomposed"))
         rho, h, residuals = hermitize(H, S)
-    assert residuals["similarity"] == similarity_residual(H, rho, h)
+    # The gate divides by ||rho|| = sigma_max of Phi, from the SVD it took.
+    sigma_max = np.linalg.svd(S.left[None])[1][0, 0]
+    assert residuals["similarity"] == similarity_residual(H, rho, h, rho_norm=sigma_max)
+    bounded = similarity_residual(H, rho, h)   # over norm_lower_bound(rho), up to rho's roundoff
+    assert residuals["similarity"] <= bounded * (1 + 4 * len(H) * np.finfo(float).eps)
     plain_rho, plain_h, _ = hermitize(H, eta.matrix)
     built_rho, built_h, _ = hermitize(H, eta)
     assert np.array_equal(built_rho, plain_rho) and np.array_equal(built_h, plain_h)

@@ -68,8 +68,8 @@ def oracle_conjugation(H, cls):
     except PseudohermError:
         result["metric_ok"] = False
     tau = antilinear_symmetry(S, pairing)
-    sv = np.linalg.svd(tau, compute_uv=False)
-    result["antilinear_residual"] = antilinear_residual(H, tau, cls.diagnostics["norm"])
+    sv = np.linalg.svd(tau, compute_uv=False)   # ||tau|| = sigma_max, as leg c reads it
+    result["antilinear_residual"] = antilinear_residual(H, tau, cls.diagnostics["norm"], sv[0])
     result["antilinear_ok"] = (result["antilinear_residual"] <= metrics.INTERTWINE_TOL
                                and sv[-1] > 1e-12 * sv[0])
     result["agree"] = result["pair_ok"] == result["metric_ok"] == result["antilinear_ok"]
@@ -116,9 +116,14 @@ def oracle_positive(H, cls, rng):
     result["positive_ok"] = measured.positive_definite
     result["metric_min_eig"] = eta.min_abs_eigenvalue
     try:
-        rho, h, _ = hermitize(H, cls.spectrum, cls.diagnostics["norm"])   # eta_+'s polar route
+        # eta_+'s polar route, whose similarity divides by ||rho|| = sigma_max of Phi
+        rho, h, residuals = hermitize(H, cls.spectrum, cls.diagnostics["norm"])
         assert herm_residual(h) == 0.0   # h is Hermitian by construction
-        result["similarity_residual"] = similarity_residual(H, rho, h, cls.diagnostics["norm"])
+        result["similarity_residual"] = residuals["similarity"]
+        # sigma_max is ||rho|| up to rho's roundoff, so at most norm_lower_bound(rho)'s
+        # residual to within that roundoff.
+        assert result["similarity_residual"] <= similarity_residual(
+            H, rho, h, cls.diagnostics["norm"]) * (1 + 4 * len(H) * EPS)
         spec_in = np.sort_complex(cls.spectrum.eigenvalues)
         spec_out = np.linalg.eigvalsh(h)
         result["spectrum_drift"] = float(np.max(np.abs(spec_out - spec_in)
