@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,14 +79,23 @@ class Classification:
     diagnostics: dict
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MetricOperator:
     """Invertible self-adjoint eta with its signature and norm (arrays for a
-    stack built by build_general_metric)."""
+    stack built by build_general_metric).  norm <= ||eta||_2 is the one given,
+    exact from from_matrix, or norm_lower_bound(eta), taken when first read."""
 
     matrix: np.ndarray
     signature: tuple            # (n_plus, n_minus)
-    norm: float                 # <= ||eta||_2: exact from from_matrix
+
+    def __init__(self, matrix, signature, norm=None):
+        vars(self).update(matrix=matrix, signature=signature)
+        if norm is not None:
+            vars(self)["norm"] = norm
+
+    @cached_property
+    def norm(self):
+        return norm_lower_bound(self.matrix)
 
     @classmethod
     def from_matrix(cls, eta) -> "MetricOperator":
@@ -120,11 +130,23 @@ def _metric_matrix(eta) -> np.ndarray:
     return as_square_matrix(eta, stack=True)
 
 
+def _kappa(S: Spectrum) -> np.ndarray:
+    """kappa_n = ||psi_n|| ||phi_n|| = ||phi_n|| (psi_n of unit norm), or 0 past
+    diag_score KAPPA_MAX: no band tells such eigenvalues apart, and a norm could
+    overflow (kappa_n <= diag_score below it)."""
+    kappa = np.zeros(S.eigenvalues.shape)
+    kept = S.diag_score <= KAPPA_MAX
+    kappa[kept] = np.linalg.norm(S.left[kept], axis=-2)
+    return kappa
+
+
 def pair_spectrum(S: Spectrum | np.ndarray, tol=REALITY_TOL) -> np.ndarray:
     """The partner permutation p of a Spectrum's, or an array's, (..., n)
     eigenvalues: lambda_{p[n]} ~ conj(lambda_n), and p[n] = n on real ones.
 
-    Each lambda_n has one band, tol*(1+|lambda_n|) or an array tol's [..., n]:
+    Each lambda_n has one band: an array tol's [..., n]; on a Spectrum with a
+    float tol, decide_class's, with max |lambda| in place of ||H||, so that it
+    scales with H; on an array, tol*(1+|lambda_n|).
     lambda_n is real when |Im lambda_n| lies within it, and an upper lambda_n
     (Im > 0) pairs with the nearest remaining lower lambda_m (Im < 0) when
     |lambda_m - conj(lambda_n)| lies within both bands.  Uppers go largest Im
@@ -135,6 +157,8 @@ def pair_spectrum(S: Spectrum | np.ndarray, tol=REALITY_TOL) -> np.ndarray:
     misses stops there.  A real spectrum costs O(n).
     """
     w = S.eigenvalues if isinstance(S, Spectrum) else np.asarray(S)
+    if isinstance(S, Spectrum) and np.ndim(tol) == 0:
+        tol = np.max(np.abs(w), axis=-1, keepdims=True) * np.maximum(tol, 2.0**-52 * _kappa(S))
     flat = w.reshape(-1, w.shape[-1])
     k, n = flat.shape
     p = np.arange(n) + np.zeros((k, 1), dtype=int)
@@ -222,11 +246,8 @@ def classify(H, tol: float = REALITY_TOL) -> Classification:
     if not np.all(np.isfinite(residual)):
         raise ValueError("H is too large: its norm or Hermiticity residual overflows")
     S = eig_full(H)
-    kappa = np.full(S.eigenvalues.shape, np.inf)   # ||psi_n|| ||phi_n||, psi_n of unit norm
-    kept = S.diag_score <= KAPPA_MAX   # past it no band matters, and a norm could overflow
-    kappa[kept] = np.linalg.norm(S.left[kept], axis=-2)
-    kind, pairing, diagnostics = decide_class(S.eigenvalues, S.diag_score, residual, kappa, norm,
-                                              tol)
+    kind, pairing, diagnostics = decide_class(S.eigenvalues, S.diag_score, residual, _kappa(S),
+                                              norm, tol)
     diagnostics["norm"] = np.asarray(norm)
     if H.ndim == 3:
         return Classification(kind, S, pairing, diagnostics)
@@ -274,7 +295,7 @@ def build_general_metric(S: Spectrum, pairing, signs=None) -> MetricOperator:
     Pair blocks carry no free phase; the rest of the metric family is
     reachable through transform_metric.  eta is invertible as Phi is, and by
     Sylvester's law its signature is (#positive signs + #pairs, #negative signs
-    + #pairs), with no eigensolve; norm is norm_lower_bound(eta).
+    + #pairs), with no eigensolve; norm is norm_lower_bound(eta), when read.
 
     pairing is the (n,) partner permutation, or (k, n) for a stacked
     Spectrum; on a stack signs run over the real eigenvalues matrix by
@@ -292,8 +313,7 @@ def build_general_metric(S: Spectrum, pairing, signs=None) -> MetricOperator:
     eta = _hermitian((S.left * s[..., None, :]) @ dagger(_partner(S.left, p)))
     plus = np.count_nonzero(real & (s > 0), axis=-1) + np.count_nonzero(~real, axis=-1) // 2
     signature = np.stack([plus, S.dim - plus], axis=-1)
-    return MetricOperator(eta, tuple(signature.tolist()) if p.ndim == 1 else signature,
-                          norm_lower_bound(eta))
+    return MetricOperator(eta, tuple(signature.tolist()) if p.ndim == 1 else signature)
 
 
 def verify_intertwining(H, eta, h_norm=None):

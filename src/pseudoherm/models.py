@@ -4,14 +4,18 @@ Every generator returns enough information to check the downstream
 machinery against construction-time facts: planted spectra, planted
 similarity transforms, closed-form eigenvalues.  generate builds the
 matrices of one dimension as a (k, n, n) stack: each spec draws from its
-own default_rng(seed) as it would alone, and every draw is built into its
-planted property, with no test and no redraw, so each spec draws a fixed
-sequence.  generate(spec) is the k = 1 case; the suites draw their test
-vectors from the same generators, right after the matrix.
+own generator, bit-identical to default_rng(seed), as it would alone, and
+every draw is built into its planted property, with no test and no redraw,
+so each spec draws a fixed sequence.  The generators of a stack are seeded
+in one array pass: numpy's SeedSequence hash, whose streams NEP 19 keeps
+stable, runs on the uint32 words of all the seeds at once.  generate(spec)
+is the k = 1 case; the suites draw their test vectors from the same
+generators, right after the matrix.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +29,10 @@ GAP = 1e-3
 
 # Largest cond_2 of a planted similarity S.
 CONDITIONING_CAP = 1e3
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx), on uint32 words.
+INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R, XSHIFT = 0xCA01F9DD, 0x4973F715, 16
 
 
 @dataclass(frozen=True)
@@ -61,6 +69,63 @@ def jordan_block(n: int, lam: complex) -> np.ndarray:
     if n < 2:
         raise ValueError("jordan_block needs n >= 2")
     return lam * np.eye(n, dtype=complex) + np.eye(n, k=1, dtype=complex)
+
+
+def _hasher(const, mult):
+    """SeedSequence's hashmix on uint32 arrays, with its running hash constant:
+    value ^= const, const *= mult, value *= const, value ^= value >> XSHIFT."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ value >> XSHIFT
+    return hashmix
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 arrays."""
+    value = x * np.uint32(MIX_MULT_L) - y * np.uint32(MIX_MULT_R)
+    return value ^ value >> XSHIFT
+
+
+def _default_rngs(seeds):
+    """default_rng(seed) for every seed, bit for bit, from one array pass: each
+    SeedSequence(seed)'s entropy words (little-endian 32-bit digits), 4-word pool
+    and generate_state(4, np.uint64) words, as rows of uint32 arithmetic over
+    all seeds; PCG64 takes each row through a seed sequence that hands it back."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    seeds = [operator.index(seed) for seed in seeds]
+    if min(seeds) < 0:
+        raise ValueError("expected non-negative integer")
+    width = max(4, -(-max(seeds).bit_length() // 32))
+    entropy = np.frombuffer(b"".join(seed.to_bytes(4 * width, "little") for seed in seeds),
+                            dtype="<u4").reshape(-1, width).astype(np.uint32)
+    hashmix = _hasher(INIT_A, MULT_A)
+    pool = [hashmix(entropy[:, i]) for i in range(4)]   # words past a seed's own are 0
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    if width > 4:   # entropy past the pool, where a seed has it (seeds of 2^128 and up)
+        words = np.array([-(-seed.bit_length() // 32) for seed in seeds])
+        for src in range(4, width):
+            for dst in range(4):
+                mixed = _mix(pool[dst], hashmix(entropy[:, src]))
+                pool[dst] = np.where(words > src, mixed, pool[dst])
+    hashmix = _hasher(INIT_B, MULT_B)
+    state = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=-1)
+    state = state.astype("<u4").view("<u8").astype(np.uint64)   # word pairs, low word first
+    return [Generator(PCG64(Words(row))) for row in state]
 
 
 def _spaced(rngs, count):
@@ -107,17 +172,18 @@ def generate(specs):
     pseudo_nonquasi, H for hermitian and defective (a Jordan block with a
     random eigenvalue).  A sequence returns (H, planted eigenvalues, NaN in
     hermitian and defective rows, S of the quasi and pseudo_nonquasi specs,
-    generators): each spec's default_rng(seed), left just past the fixed
-    draws of its matrix, so a caller draws on from the instance's one
-    stream.  Each matrix of a stack equals its spec's alone.  A Gaussian
-    X + iY is one (2, n, n) draw: X's numbers, then Y's, as two draws give.
+    generators): each spec's default_rng(seed), seeded by _default_rngs, left
+    just past the fixed draws of its matrix, so a caller draws on from the
+    instance's one stream.  Each matrix of a stack equals its spec's alone.
+    A Gaussian X + iY is one (2, n, n) draw: X's numbers, then Y's, as two
+    draws give.
     """
     single = isinstance(specs, EnsembleSpec)
     specs = [specs] if single else list(specs)
     if not specs or len({spec.dim for spec in specs}) > 1:
         raise ValueError("generate takes one spec or a nonempty sequence of specs of one dim")
     n = specs[0].dim
-    rngs = np.array([np.random.default_rng(spec.seed) for spec in specs])
+    rngs = np.array(_default_rngs([spec.seed for spec in specs]))
     kinds = np.array([spec.kind for spec in specs])
     quasi, paired, hermitian, defective = (np.flatnonzero(kinds == kind) for kind in KINDS)
     similar = np.union1d(quasi, paired)

@@ -18,7 +18,8 @@ SVD of their stacked left systems, whose sigma_max is rho's norm) and
 eta_inner on those metrics.
 Refusals and residuals are read off the stacked results (a pairing row of -1,
 a NaN h, hermitize's similarity), never re-derived here; leg b measures the
-built metrics by that eigvalsh.  One seeded generator per instance draws its
+built metrics by that eigvalsh, whose max |lambda| is each metric's exact
+norm for legs b and d.  One seeded generator per instance draws its
 matrix and then the vectors of leg d, so (kind, dim, seed) pins every number
 of an instance in any stack.  Each leg and residual is one array over the
 instances (equivalence_columns), which run_equivalence_suite reduces to
@@ -63,8 +64,8 @@ def make_ensemble(kinds, count, dims, base_seed=0):
 class Group:
     """Instances of one size: their stacked Classification and, for those
     with a pairing (at positions paired), H, Spectrum, the (k, n) partner
-    permutations, ||H||, the canonical metric (all signs +1), its eigvalsh
-    and its intertwining residual."""
+    permutations, ||H||, the canonical metric (all signs +1) with its norm
+    read off its eigvalsh, that eigvalsh and its intertwining residual."""
 
     cls: Classification
     paired: np.ndarray
@@ -78,7 +79,7 @@ class Group:
 
 
 def _rows(stack, at):
-    """A stacked Spectrum or MetricOperator cut to the matrices at positions at."""
+    """A stacked Spectrum cut to the matrices at positions at."""
     return replace(stack, **{f.name: getattr(stack, f.name)[at] for f in fields(stack)
                              if f.name != "dim"})
 
@@ -90,8 +91,11 @@ def classify_group(H) -> Group:
     S = _rows(cls.spectrum, paired)
     pairing, norm = cls.pairing[paired], cls.diagnostics["norm"][paired]
     metric = build_general_metric(S, pairing)
-    return Group(cls, paired, H[paired], S, pairing, norm, metric,
-                 np.linalg.eigvalsh(metric.matrix), verify_intertwining(H[paired], metric, norm))
+    eigenvalues = np.linalg.eigvalsh(metric.matrix)
+    metric = MetricOperator(metric.matrix, metric.signature,
+                            np.max(np.abs(eigenvalues), axis=-1))   # ||eta||, exactly
+    return Group(cls, paired, H[paired], S, pairing, norm, metric, eigenvalues,
+                 verify_intertwining(H[paired], metric, norm))
 
 
 def _spread(k, at, values):
@@ -136,13 +140,12 @@ def check_positive_metric_equivalence(group: Group, rngs) -> dict:
     Hermitian by construction, with rho H = h rho and h isospectral with H within 1e-8;
     d: Hermiticity of H in the eta_+ inner product on random vector pairs.
     """
-    metric = group.metric
     k, n = len(group.cls.kind), group.spectrum.dim
     all_real = np.all(group.pairing == np.arange(n), axis=-1)
     low, top = group.eigenvalues[:, 0], group.eigenvalues[:, -1]   # ascending
     built = np.flatnonzero(all_real & (low > INVERTIBILITY_TOL * top))
     index = group.paired[built]
-    eta = _rows(metric, built)
+    eta, eta_norm = group.metric.matrix[built], group.metric.norm[built]
     H = group.H[built]
 
     # Leg c: hermitize's h is NaN where it refuses eta_+ or h (its similarity gate).
@@ -163,7 +166,7 @@ def check_positive_metric_equivalence(group: Group, rngs) -> dict:
     HT = np.swapaxes(H, -1, -2)
     lhs = eta_inner(eta, psi, chi @ HT)          # <psi, eta H chi>
     rhs = eta_inner(eta, chi, psi @ HT).conj()   # <chi, eta H psi>*
-    inner = np.max(np.abs(lhs - rhs), axis=-1) / (group.norm[built] * eta.norm)
+    inner = np.max(np.abs(lhs - rhs), axis=-1) / (group.norm[built] * eta_norm)
 
     hermitized = index[mapped]
     return {"real_spectrum": group.cls.diagnostics["n_real"] == n,

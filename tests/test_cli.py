@@ -1,7 +1,10 @@
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -699,6 +702,26 @@ def test_verify_defective_ensemble_skips(capsys):
     assert report["suite"]["skipped"] == 8
 
 
+def test_verify_seeds_past_two_to_the_64_and_refuses_a_negative_seed(capsys):
+    # Instance i is seeded as default_rng(--seed + i): any non-negative size of seed
+    # works, and a negative one is refused as default_rng refuses it, with exit 2.
+    assert main(["verify", "--seed", "-1"]) == EXIT_INPUT
+    assert "expected non-negative integer" in capsys.readouterr().err
+    code, report = run_cli(capsys, ["verify", "--count", "12", "--seed", "18446744073709551610"])
+    assert code == EXIT_OK
+    assert report["suite"]["failures"] == 0 and report["suite"]["instances"] == 12
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy.random takes 10-16 ms to import; generate loads it when it first seeds,
+    # so no command pays for it at start-up.
+    code = "import sys, pseudoherm.cli; sys.exit('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr or "numpy.random was imported"
+
+
 def test_verify_reports_failure_exit_code(capsys, monkeypatch):
     # force a failed suite to confirm the suite-failure exit path
     import pseudoherm.suites as suites
@@ -791,11 +814,12 @@ VERIFY_12 = ["verify", "--count", "12", "--dims", "2-4"]
     (["hermitize", "MATRIX"], "metrics.similarity_residual", 1, 1),   # the report reads
     (VERIFY_12, "metrics.similarity_residual", 3, 8),      # hermitize's, as leg c does
     # Bounded norms: ||H|| and a built eta's or tau's.  rho's is sigma_max of Phi's
-    # SVD and leg c's tau's is sigma_max of its invertibility SVD.
+    # SVD, leg c's tau's is sigma_max of its invertibility SVD, and verify's eta's is
+    # the max |lambda| of leg b's eigvalsh.
     (["metric", "MATRIX"], "linalg.norm_lower_bound", 2, 2),
     (["symmetry", "MATRIX"], "linalg.norm_lower_bound", 2, 2),
     (["hermitize", "MATRIX"], "linalg.norm_lower_bound", 1, 1),
-    (VERIFY_12, "linalg.norm_lower_bound", 6, 24),         # H and eta, 12 each
+    (VERIFY_12, "linalg.norm_lower_bound", 3, 12),         # H alone, one stack per dim
 ], ids=["classify", "metric", "hermitize", "hermitize-build_positive_metric", "symmetry", "kg",
         "verify", "verify-classify", "verify-build_general_metric", "verify-hermitize",
         "verify-herm_sqrt", "hermitize-similarity_residual", "verify-similarity_residual",

@@ -346,6 +346,22 @@ def test_positive_metric_refused_for_complex_pair():
         build_positive_metric(eig_full(pt2x2(1, np.pi / 2, 0.5)))
 
 
+def test_a_spectrum_alone_is_paired_at_any_scale():
+    # Eigenvalues +/-0.866e-10 i.  A Spectrum with a float tol gets decide_class's band,
+    # max |lambda| standing in for ||H||, so the pair stays a pair at 1e-10 as at 1;
+    # a bare array keeps tol (1 + |lambda|) and reads the pair as real.
+    for scale in (1.0, 1e-10):
+        S = eig_full(scale * pt2x2(1, np.pi / 2, 0.5))
+        assert pair_spectrum(S).tolist() == [1, 0], scale
+        with pytest.raises(NoPositiveMetric):
+            build_positive_metric(S)
+    assert pair_spectrum(S.eigenvalues).tolist() == [0, 1]
+    stacked = eig_full(1e-10 * np.stack([pt2x2(1, np.pi / 2, 0.5), pt2x2(1, np.pi / 6, 1)]))
+    assert pair_spectrum(stacked).tolist() == [[1, 0], [0, 1]]
+    H = 1e-10 * pt2x2(1, np.pi / 6, 1)   # a real spectrum keeps its positive metric
+    assert verify_intertwining(H, build_positive_metric(eig_full(H))) <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # general metric
 

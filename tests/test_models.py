@@ -134,6 +134,25 @@ def test_ensemble_spec_refuses_dims_the_gaps_do_not_fit():
     assert np.diff(np.sort(vals)).min() >= GAP * (1 - 1e-9)
 
 
+@pytest.mark.parametrize("seeds", [range(2000), [2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 3]],
+                         ids=["0-1999", "word-boundaries"])
+def test_generate_seeds_each_instance_as_default_rng(seeds):
+    # One array pass seeds a group's generators; each stream is default_rng(seed)'s bit
+    # for bit, for seeds of one to five 32-bit words (2^128 + 3 is past SeedSequence's
+    # 4-word pool) in one group.  A defective instance's first draws are its eigenvalue.
+    H, _, _, rngs = generate([EnsembleSpec(2, seed, "defective") for seed in seeds])
+    for seed, M, rng in zip(seeds, H, rngs):
+        want = np.random.default_rng(seed)
+        assert M[0, 0] == complex(want.uniform(-1, 1), want.uniform(-1, 1)), seed
+        assert rng.bit_generator.state == want.bit_generator.state, seed
+        assert np.array_equal(rng.standard_normal(3), want.standard_normal(3)), seed
+
+
+def test_generate_refuses_a_negative_seed_as_default_rng_does():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        generate([EnsembleSpec(2, 0, "defective"), EnsembleSpec(2, -1, "defective")])
+
+
 def test_generate_refuses_empty_and_mixed_dims():
     with pytest.raises(ValueError):
         generate([])

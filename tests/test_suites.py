@@ -62,8 +62,9 @@ def oracle_conjugation(H, cls):
         return result
     try:
         eta = build_general_metric(S, pairing)
-        MetricOperator.from_matrix(eta.matrix)   # measures its invertibility, as leg b does
-        result["metric_residual"] = verify_intertwining(H, eta, cls.diagnostics["norm"])
+        # Its eigvalsh measures its invertibility and gives ||eta||, as leg b reads them.
+        measured = MetricOperator.from_matrix(eta.matrix)
+        result["metric_residual"] = verify_intertwining(H, measured, cls.diagnostics["norm"])
         result["metric_ok"] = result["metric_residual"] <= metrics.INTERTWINE_TOL
     except PseudohermError:
         result["metric_ok"] = False
@@ -133,7 +134,7 @@ def oracle_positive(H, cls, rng):
     except PseudohermError:
         result["hermitize_ok"] = False
     n = H.shape[0]
-    scale = cls.diagnostics["norm"] * eta.norm
+    scale = cls.diagnostics["norm"] * measured.norm   # ||eta|| by eigvalsh, as leg d reads it
     worst = 0.0
     for _ in range(INNER_PAIRS):
         psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
