@@ -49,7 +49,6 @@ from .metrics import (
     antilinear_residual,
     antilinear_symmetry,
     build_general_metric,
-    build_positive_metric,
     classify,
     decide_class,
     hermitize,
@@ -206,10 +205,7 @@ def _gated(report, residuals: dict, **matrices) -> int:
 
 
 def _attach_metric(report, H, cls) -> int:
-    if cls.kind in (OperatorClass.HERMITIAN, OperatorClass.QUASI_HERMITIAN):
-        eta = build_positive_metric(cls.spectrum, cls.pairing)
-    else:
-        eta = build_general_metric(cls.spectrum, cls.pairing)
+    eta = build_general_metric(cls.spectrum, cls.pairing)   # eta_+ on a real spectrum
     report["signature"] = list(eta.signature)
     return _gated(report, {"intertwining": verify_intertwining(H, eta, cls.diagnostics["norm"])},
                   metric=eta.matrix)

@@ -38,10 +38,10 @@ POWER_STEPS = 8
 
 
 def as_square_matrix(M, stack: bool = False) -> np.ndarray:
-    """Validate and return M as a square complex128 array with finite entries;
-    with stack, a (k, n, n) stack of square matrices passes too."""
+    """Validate and return M as a square complex128 array with n >= 1 and finite
+    entries; with stack, a (k, n, n) stack of square matrices passes too (k = 0 too)."""
     A = np.asarray(M, dtype=complex)
-    if A.ndim not in ((2, 3) if stack else (2,)) or A.shape[-1] != A.shape[-2]:
+    if A.ndim not in ((2, 3) if stack else (2,)) or A.shape[-1] != A.shape[-2] or not A.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
         raise ValueError("matrix has non-finite entries")

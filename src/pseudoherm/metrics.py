@@ -14,7 +14,10 @@ p, s_n = +/-1 on real eigenvalues and +1 on pairs: eta = Phi M Phi^dag
 (eta_+ is the all-+1 case on a real spectrum; each eta is invertible, of
 Sylvester's signature, by construction) and tau = Psi M Phi^T with all
 s = +1.  hermitize, handed a Spectrum for its eta_+, reads rho and h off
-one SVD of Phi: the polar route, with no inverse and no eigensolve.
+one SVD of Phi: the polar route, with no inverse and no eigensolve.  A
+MetricOperator is eta and its signature alone: each residual helper takes the
+norms it divides by as arguments (h_norm, eta_norm, rho_norm, tau_norm), and
+bounds a norm not given by norm_lower_bound.
 
 classify, pair_spectrum, decide_class, build_general_metric,
 verify_intertwining, hermitize, similarity_residual, antilinear_symmetry,
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -79,23 +81,13 @@ class Classification:
     diagnostics: dict
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class MetricOperator:
-    """Invertible self-adjoint eta with its signature and norm (arrays for a
-    stack built by build_general_metric).  norm <= ||eta||_2 is the one given,
-    exact from from_matrix, or norm_lower_bound(eta), taken when first read."""
+    """Invertible self-adjoint eta with its signature (arrays for a stack
+    built by build_general_metric)."""
 
     matrix: np.ndarray
     signature: tuple            # (n_plus, n_minus)
-
-    def __init__(self, matrix, signature, norm=None):
-        vars(self).update(matrix=matrix, signature=signature)
-        if norm is not None:
-            vars(self)["norm"] = norm
-
-    @cached_property
-    def norm(self):
-        return norm_lower_bound(self.matrix)
 
     @classmethod
     def from_matrix(cls, eta) -> "MetricOperator":
@@ -108,7 +100,7 @@ class MetricOperator:
         size = np.abs(evals)
         if not size.min() > INVERTIBILITY_TOL * size.max():
             raise NotInvertible(f"metric has an eigenvalue within {INVERTIBILITY_TOL:g} of zero")
-        return cls(eta, (int(np.sum(evals > 0)), int(np.sum(evals < 0))), float(size.max()))
+        return cls(eta, (int(np.sum(evals > 0)), int(np.sum(evals < 0))))
 
     @property
     def min_abs_eigenvalue(self):   # by an eigvalsh when read
@@ -144,9 +136,9 @@ def pair_spectrum(S: Spectrum | np.ndarray, tol=REALITY_TOL) -> np.ndarray:
     """The partner permutation p of a Spectrum's, or an array's, (..., n)
     eigenvalues: lambda_{p[n]} ~ conj(lambda_n), and p[n] = n on real ones.
 
-    Each lambda_n has one band: an array tol's [..., n]; on a Spectrum with a
-    float tol, decide_class's, with max |lambda| in place of ||H||, so that it
-    scales with H; on an array, tol*(1+|lambda_n|).
+    Each lambda_n has one band: an array tol's [..., n]; with a float tol,
+    decide_class's, with max |lambda| in place of ||H||, so that it scales
+    with H (on bare eigenvalues kappa_n is unknown: the floor tol max |lambda|).
     lambda_n is real when |Im lambda_n| lies within it, and an upper lambda_n
     (Im > 0) pairs with the nearest remaining lower lambda_m (Im < 0) when
     |lambda_m - conj(lambda_n)| lies within both bands.  Uppers go largest Im
@@ -157,12 +149,13 @@ def pair_spectrum(S: Spectrum | np.ndarray, tol=REALITY_TOL) -> np.ndarray:
     misses stops there.  A real spectrum costs O(n).
     """
     w = S.eigenvalues if isinstance(S, Spectrum) else np.asarray(S)
-    if isinstance(S, Spectrum) and np.ndim(tol) == 0:
-        tol = np.max(np.abs(w), axis=-1, keepdims=True) * np.maximum(tol, 2.0**-52 * _kappa(S))
+    if np.ndim(tol) == 0:
+        kappa = _kappa(S) if isinstance(S, Spectrum) else 0.0
+        tol = np.max(np.abs(w), axis=-1, keepdims=True) * np.maximum(tol, 2.0**-52 * kappa)
     flat = w.reshape(-1, w.shape[-1])
     k, n = flat.shape
     p = np.arange(n) + np.zeros((k, 1), dtype=int)
-    band = tol * (1.0 + np.abs(flat)) if np.ndim(tol) == 0 else np.reshape(tol, flat.shape)
+    band = np.broadcast_to(tol, w.shape).reshape(flat.shape)
     nonreal = np.abs(flat.imag) > band
     if nonreal.any():
         lost = np.full(k, -1)   # the unpaired eigenvalue of each row
@@ -295,11 +288,11 @@ def build_general_metric(S: Spectrum, pairing, signs=None) -> MetricOperator:
     Pair blocks carry no free phase; the rest of the metric family is
     reachable through transform_metric.  eta is invertible as Phi is, and by
     Sylvester's law its signature is (#positive signs + #pairs, #negative signs
-    + #pairs), with no eigensolve; norm is norm_lower_bound(eta), when read.
+    + #pairs), with no eigensolve.
 
     pairing is the (n,) partner permutation, or (k, n) for a stacked
     Spectrum; on a stack signs run over the real eigenvalues matrix by
-    matrix, and signature and norm are arrays.
+    matrix, and signature is an array.
     """
     p = np.asarray(pairing)
     s, real = np.ones(p.shape), p == np.arange(S.dim)
@@ -316,21 +309,22 @@ def build_general_metric(S: Spectrum, pairing, signs=None) -> MetricOperator:
     return MetricOperator(eta, tuple(signature.tolist()) if p.ndim == 1 else signature)
 
 
-def verify_intertwining(H, eta, h_norm=None):
+def verify_intertwining(H, eta, h_norm=None, eta_norm=None):
     """Certified bound on the relative residual ||H^dag eta - eta H|| / (||H|| ||eta||):
     the Frobenius norm of the numerator over lower bounds of the two norms,
     divided by one at a time so that their product never overflows.
 
     Zero (up to roundoff) certifies eta as a metric operator for H;
     membership is declared at <= 1e-8.  h_norm is ||H|| when the caller has
-    it (classify's diagnostics["norm"]), else norm_lower_bound(H); a
-    MetricOperator supplies its norm, a plain array its norm_lower_bound.
+    it (classify's diagnostics["norm"]), else norm_lower_bound(H); eta_norm
+    is ||eta|| when the caller has it (verify's max |eigvalsh|, the polar
+    route's sigma_max^2), else norm_lower_bound of eta's matrix.
     A float for a single H, the (k,) array of residuals for a (k, n, n) stack.
     """
     H = as_square_matrix(H, stack=True)
     E = _metric_matrix(eta)
-    eta_norm = eta.norm if isinstance(eta, MetricOperator) else norm_lower_bound(E)
     h_norm = norm_lower_bound(H) if h_norm is None else h_norm
+    eta_norm = norm_lower_bound(E) if eta_norm is None else eta_norm
     return ratio(ratio(frobenius_norm(dagger(H) @ E - E @ H), h_norm), eta_norm)
 
 
@@ -362,8 +356,8 @@ def hermitize(H, eta_plus, h_norm=None):
     and the unitary rho Psi = Q = U V^dag, so h = Q diag(Re lambda) Q^dag
     (Higham, Functions of Matrices, ch. 8).  herm_sqrt, with an inverse, serves
     any other metric, an array or a MetricOperator broadcast to H, as given:
-    once for one (n, n) metric, with rho's norm from norm_lower_bound.  rho and
-    h are built as 0.5 (A + A^dag), and h must pass a second gate,
+    once for one (n, n) metric, with its norm and rho's from norm_lower_bound.
+    rho and h are built as 0.5 (A + A^dag), and h must pass a second gate,
     similarity_residual: eta_+ intertwines H + c I too, and only rho H = h rho
     ties h to H itself.  Returns (rho, h, residuals), the two gated values as
     residuals["intertwining"] and ["similarity"].  One matrix gets floats, or
@@ -376,15 +370,15 @@ def hermitize(H, eta_plus, h_norm=None):
     S = eta_plus if isinstance(eta_plus, Spectrum) else None
     if S is not None:
         U, sigma, Vh = np.linalg.svd(S.left.reshape(stack.shape))
-        eta_plus = MetricOperator(_hermitian((U * sigma[:, None, :] ** 2) @ dagger(U)), (S.dim, 0),
-                                  sigma[:, 0] ** 2)
-    else:   # one metric for all of H, or one per matrix
-        E = _metric_matrix(eta_plus)
+        eta_plus, eta_norm = _hermitian((U * sigma[:, None, :] ** 2) @ dagger(U)), sigma[:, 0] ** 2
+    else:   # one metric for all of H, or one per matrix; its norm is bounded unbroadcast
+        E = eta_plus = _metric_matrix(eta_plus)
+        eta_norm = None
         try:
             E = np.broadcast_to(E, H.shape)
         except ValueError:
             raise ValueError(f"metric shape {E.shape} cannot broadcast to H's {H.shape}") from None
-    intertwining = verify_intertwining(stack, eta_plus, h_norm)
+    intertwining = verify_intertwining(stack, eta_plus, h_norm, eta_norm)
     if H.ndim == 2 and not intertwining[0] <= INTERTWINE_TOL:
         raise NotAMetric(
             f"eta does not intertwine H (residual {intertwining[0]:.3e} > {INTERTWINE_TOL:g})")

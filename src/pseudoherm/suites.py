@@ -18,12 +18,13 @@ SVD of their stacked left systems, whose sigma_max is rho's norm) and
 eta_inner on those metrics.
 Refusals and residuals are read off the stacked results (a pairing row of -1,
 a NaN h, hermitize's similarity), never re-derived here; leg b measures the
-built metrics by that eigvalsh, whose max |lambda| is each metric's exact
-norm for legs b and d.  One seeded generator per instance draws its
-matrix and then the vectors of leg d, so (kind, dim, seed) pins every number
-of an instance in any stack.  Each leg and residual is one array over the
-instances (equivalence_columns), which run_equivalence_suite reduces to
-counts, worst residuals and failing instances.
+built metrics by that eigvalsh, whose max |lambda|, each metric's exact norm,
+is the eta_norm of verify_intertwining and leg d's scale.  One seeded
+generator per instance draws its matrix and then the vectors of leg d, so
+(kind, dim, seed) pins every number of an instance in any stack.  Each leg
+and residual is one array over the instances (equivalence_columns), which
+run_equivalence_suite reduces to counts, worst residuals and failing
+instances.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ def make_ensemble(kinds, count, dims, base_seed=0):
 class Group:
     """Instances of one size: their stacked Classification and, for those
     with a pairing (at positions paired), H, Spectrum, the (k, n) partner
-    permutations, ||H||, the canonical metric (all signs +1) with its norm
-    read off its eigvalsh, that eigvalsh and its intertwining residual."""
+    permutations, ||H||, the canonical metric (all signs +1), its eigvalsh and
+    its intertwining residual over ||eta|| = max |eigvalsh|."""
 
     cls: Classification
     paired: np.ndarray
@@ -92,10 +93,9 @@ def classify_group(H) -> Group:
     pairing, norm = cls.pairing[paired], cls.diagnostics["norm"][paired]
     metric = build_general_metric(S, pairing)
     eigenvalues = np.linalg.eigvalsh(metric.matrix)
-    metric = MetricOperator(metric.matrix, metric.signature,
-                            np.max(np.abs(eigenvalues), axis=-1))   # ||eta||, exactly
     return Group(cls, paired, H[paired], S, pairing, norm, metric, eigenvalues,
-                 verify_intertwining(H[paired], metric, norm))
+                 verify_intertwining(H[paired], metric, norm,
+                                     np.max(np.abs(eigenvalues), axis=-1)))   # ||eta||, exactly
 
 
 def _spread(k, at, values):
@@ -145,7 +145,7 @@ def check_positive_metric_equivalence(group: Group, rngs) -> dict:
     low, top = group.eigenvalues[:, 0], group.eigenvalues[:, -1]   # ascending
     built = np.flatnonzero(all_real & (low > INVERTIBILITY_TOL * top))
     index = group.paired[built]
-    eta, eta_norm = group.metric.matrix[built], group.metric.norm[built]
+    eta, eta_norm = group.metric.matrix[built], top[built]   # ||eta_+||: its eigenvalues are > 0
     H = group.H[built]
 
     # Leg c: hermitize's h is NaN where it refuses eta_+ or h (its similarity gate).

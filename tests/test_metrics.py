@@ -24,6 +24,7 @@ from pseudoherm import (
     herm_residual,
     hermitize,
     jordan_block,
+    norm_lower_bound,
     pair_spectrum,
     pt2x2,
     spectral_norm,
@@ -32,7 +33,7 @@ from pseudoherm import (
 )
 from pseudoherm.cli import main, save_matrix
 from pseudoherm.kleingordon import fv_modes, make_grid
-from pseudoherm.linalg import KAPPA_MAX, Spectrum
+from pseudoherm.linalg import KAPPA_MAX, Spectrum, herm_sqrt
 from pseudoherm.metrics import REALITY_TOL, MetricOperator, similarity_residual
 from pseudoherm.models import KINDS, EnsembleSpec, generate
 from pseudoherm.physical import restrict_to_physical
@@ -153,19 +154,21 @@ def _oracle_spectra():
 
 
 def test_pair_spectrum_matches_the_frozen_greedy_loop():
+    # The oracle's band REALITY_TOL (1 + |lambda|), handed over as an array band.
     by_dim = {}
     for w in _oracle_spectra():
         want = greedy_pairing(w, REALITY_TOL)
         if isinstance(want, complex):
             with pytest.raises(UnpairedEigenvalue) as info:
-                pair_spectrum(w)
+                pair_spectrum(w, REALITY_TOL * (1 + np.abs(w)))
             assert info.value.eigenvalue == want
         else:
-            assert np.array_equal(pair_spectrum(w), want), w
+            assert np.array_equal(pair_spectrum(w, REALITY_TOL * (1 + np.abs(w))), want), w
         by_dim.setdefault(len(w), []).append((w, want))
     unpaired = 0
     for cases in by_dim.values():
-        stacked = pair_spectrum(np.stack([w for w, _ in cases]))
+        spectra = np.stack([w for w, _ in cases])
+        stacked = pair_spectrum(spectra, REALITY_TOL * (1 + np.abs(spectra)))
         for row, (w, want) in zip(stacked, cases):
             if isinstance(want, complex):   # -1 at the unpaired eigenvalue, n -> n elsewhere
                 unpaired += 1
@@ -347,15 +350,15 @@ def test_positive_metric_refused_for_complex_pair():
 
 
 def test_a_spectrum_alone_is_paired_at_any_scale():
-    # Eigenvalues +/-0.866e-10 i.  A Spectrum with a float tol gets decide_class's band,
-    # max |lambda| standing in for ||H||, so the pair stays a pair at 1e-10 as at 1;
-    # a bare array keeps tol (1 + |lambda|) and reads the pair as real.
+    # Eigenvalues +/-0.866e-10 i.  A float tol gets decide_class's band, max |lambda|
+    # standing in for ||H||, so the pair stays a pair at 1e-10 as at 1: on a Spectrum,
+    # and on the bare eigenvalues too, whose band is that floor tol max |lambda| alone.
     for scale in (1.0, 1e-10):
         S = eig_full(scale * pt2x2(1, np.pi / 2, 0.5))
         assert pair_spectrum(S).tolist() == [1, 0], scale
         with pytest.raises(NoPositiveMetric):
             build_positive_metric(S)
-    assert pair_spectrum(S.eigenvalues).tolist() == [0, 1]
+    assert pair_spectrum(S.eigenvalues).tolist() == [1, 0]
     stacked = eig_full(1e-10 * np.stack([pt2x2(1, np.pi / 2, 0.5), pt2x2(1, np.pi / 6, 1)]))
     assert pair_spectrum(stacked).tolist() == [[1, 0], [0, 1]]
     H = 1e-10 * pt2x2(1, np.pi / 6, 1)   # a real spectrum keeps its positive metric
@@ -883,7 +886,7 @@ def test_stacked_metrics_functions_match_single_calls():
             assert tuple(got.signature[j].tolist()) == want.signature, i
             assert herm_residual(got.matrix)[j] == herm_residual(want.matrix), i
             assert got.min_abs_eigenvalue[j] == want.min_abs_eigenvalue, i
-            assert got.norm[j] == want.norm, i
+            assert norm_lower_bound(got.matrix)[j] == norm_lower_bound(want.matrix), i
         single_eta = build_general_metric(one.spectrum, one.pairing)
         assert residual[j] == verify_intertwining(H, single_eta, one.diagnostics["norm"]), i
         assert (verify_intertwining(stack[keep], eta.matrix)[j]
@@ -904,9 +907,37 @@ def test_stacked_metrics_functions_match_single_calls():
     eta = build_general_metric(empty.spectrum, empty.pairing)
     tau = antilinear_symmetry(empty.spectrum, empty.pairing)
     assert eta.matrix.shape == tau.shape == (0, n, n)
-    assert eta.signature.shape == (0, 2) and eta.norm.shape == (0,)
+    assert eta.signature.shape == (0, 2) and norm_lower_bound(eta.matrix).shape == (0,)
     assert verify_intertwining(none, eta, np.zeros(0)).shape == (0,)
     assert antilinear_residual(none, tau, np.zeros(0)).shape == (0,)
+
+
+def test_verify_intertwining_divides_by_a_given_eta_norm():
+    # eta_norm is ||eta|| when the caller has it, norm_lower_bound of eta's matrix when not.
+    H = np.stack([generate(EnsembleSpec(5, seed, "pseudo_nonquasi"))[0] for seed in range(3)])
+    S = eig_full(H)
+    eta = build_general_metric(S, pair_spectrum(S))
+    h_norm, bound = norm_lower_bound(H), norm_lower_bound(eta.matrix)
+    residual = verify_intertwining(H, eta, h_norm, bound)
+    assert np.array_equal(verify_intertwining(H, eta, h_norm), residual)
+    assert np.array_equal(verify_intertwining(H, eta.matrix, h_norm, bound), residual)
+    # The numerator over h_norm, then over eta_norm: a power of two scales it exactly.
+    assert np.array_equal(verify_intertwining(H, eta, h_norm, 2 * bound), residual / 2)
+    assert verify_intertwining(H[0], eta.matrix[0], h_norm[0], 0.5 * bound[0]) == 2 * residual[0]
+
+
+def test_an_empty_matrix_is_refused_by_its_shape():
+    # n = 0 is refused with the shape named, not deep in eig_full's reshape; a (0, n, n)
+    # stack of n >= 1 matrices still passes.
+    message = re.escape("expected a square matrix, got shape (0, 0)")
+    for call in (classify, eig_full, herm_sqrt, MetricOperator.from_matrix,
+                 lambda M: hermitize(M, np.eye(1))):
+        with pytest.raises(ValueError, match=message):
+            call(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match=re.escape("got shape (2, 0, 0)")):
+        classify(np.zeros((2, 0, 0)))
+    assert classify(np.zeros((0, 3, 3))).kind.shape == eig_full(np.zeros((0, 3, 3))).diag_score.shape \
+        == (0,)
 
 
 def test_from_matrix_takes_one_matrix_and_a_built_stack_carries_its_signatures():
@@ -925,7 +956,8 @@ def test_from_matrix_takes_one_matrix_and_a_built_stack_carries_its_signatures()
         given = MetricOperator.from_matrix(M)
         assert given.signature == signature_by_eigenvalues(M) == tuple(metric.signature[i]), i
         assert metric.min_abs_eigenvalue[i] == given.min_abs_eigenvalue > 0, i
-        assert metric.norm[i] <= given.norm * (1 + 4 * EPS), i
+        exact = np.max(np.abs(np.linalg.eigvalsh(M)))
+        assert norm_lower_bound(metric.matrix)[i] <= exact * (1 + 4 * EPS), i
 
 
 def test_array_records_compare_by_identity():

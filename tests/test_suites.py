@@ -50,6 +50,11 @@ EPS = np.finfo(float).eps
 # ---------------------------------------------------------------------------
 # reference oracle: the per-instance loop
 
+def exact_norm(eta):
+    """||eta||_2 of a built metric as max |eigvalsh|, as legs b and d read it."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(eta.matrix))))
+
+
 def oracle_conjugation(H, cls):
     S, pairing = cls.spectrum, cls.pairing
     result = {"diag_score": S.diag_score, "skipped": False}
@@ -63,8 +68,9 @@ def oracle_conjugation(H, cls):
     try:
         eta = build_general_metric(S, pairing)
         # Its eigvalsh measures its invertibility and gives ||eta||, as leg b reads them.
-        measured = MetricOperator.from_matrix(eta.matrix)
-        result["metric_residual"] = verify_intertwining(H, measured, cls.diagnostics["norm"])
+        MetricOperator.from_matrix(eta.matrix)
+        result["metric_residual"] = verify_intertwining(H, eta, cls.diagnostics["norm"],
+                                                        exact_norm(eta))
         result["metric_ok"] = result["metric_residual"] <= metrics.INTERTWINE_TOL
     except PseudohermError:
         result["metric_ok"] = False
@@ -134,7 +140,7 @@ def oracle_positive(H, cls, rng):
     except PseudohermError:
         result["hermitize_ok"] = False
     n = H.shape[0]
-    scale = cls.diagnostics["norm"] * measured.norm   # ||eta|| by eigvalsh, as leg d reads it
+    scale = cls.diagnostics["norm"] * exact_norm(eta)   # ||eta|| by eigvalsh, as leg d reads it
     worst = 0.0
     for _ in range(INNER_PAIRS):
         psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
