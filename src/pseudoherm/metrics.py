@@ -146,9 +146,11 @@ def pair_spectrum(S: Spectrum | np.ndarray, tol=REALITY_TOL) -> np.ndarray:
     certifies that no metric exists: one matrix raises UnpairedEigenvalue with
     it, and a stack's row holds -1 there and is the identity elsewhere.  Step j
     pairs the j-th upper of every row at once, in O(n); a row whose upper
-    misses stops there.  A real spectrum costs O(n).
+    misses stops there.  A real spectrum costs O(n); n = 0 raises ValueError.
     """
     w = S.eigenvalues if isinstance(S, Spectrum) else np.asarray(S)
+    if w.ndim == 0 or not w.shape[-1]:
+        raise ValueError(f"expected (..., n) eigenvalues with n >= 1, got shape {w.shape}")
     if np.ndim(tol) == 0:
         kappa = _kappa(S) if isinstance(S, Spectrum) else 0.0
         tol = np.max(np.abs(w), axis=-1, keepdims=True) * np.maximum(tol, 2.0**-52 * kappa)

@@ -6,11 +6,11 @@ similarity transforms, closed-form eigenvalues.  generate builds the
 matrices of one dimension as a (k, n, n) stack: each spec draws from its
 own generator, bit-identical to default_rng(seed), as it would alone, and
 every draw is built into its planted property, with no test and no redraw,
-so each spec draws a fixed sequence.  The generators of a stack are seeded
-in one array pass: numpy's SeedSequence hash, whose streams NEP 19 keeps
-stable, runs on the uint32 words of all the seeds at once.  generate(spec)
-is the k = 1 case; the suites draw their test vectors from the same
-generators, right after the matrix.
+so each spec draws a fixed sequence.  Generators are seeded in one array
+pass, a stack's or, in verify, the whole ensemble's: numpy's SeedSequence
+hash, whose streams NEP 19 keeps stable, runs on the uint32 words of all the
+seeds at once.  generate(spec) is the k = 1 case; the suites draw their test
+vectors from the same generators, right after the matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger
+from .linalg import biorthonormalize, dagger, frobenius_norm
 
 KINDS = ("quasi", "pseudo_nonquasi", "hermitian", "defective")
 
@@ -105,9 +105,9 @@ def _default_rngs(seeds):
             return self.words
 
     seeds = [operator.index(seed) for seed in seeds]
-    if min(seeds) < 0:
+    if min(seeds, default=0) < 0:
         raise ValueError("expected non-negative integer")
-    width = max(4, -(-max(seeds).bit_length() // 32))
+    width = max(4, -(-max(seeds, default=0).bit_length() // 32))
     entropy = np.frombuffer(b"".join(seed.to_bytes(4 * width, "little") for seed in seeds),
                             dtype="<u4").reshape(-1, width).astype(np.uint32)
     hashmix = _hasher(INIT_A, MULT_A)
@@ -126,6 +126,14 @@ def _default_rngs(seeds):
     state = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=-1)
     state = state.astype("<u4").view("<u8").astype(np.uint64)   # word pairs, low word first
     return [Generator(PCG64(Words(row))) for row in state]
+
+
+def normal_rows(rngs, shape):
+    """Per generator, one standard_normal(shape) draw, as the rows of one array."""
+    out = np.empty((len(rngs),) + shape)
+    for rng, row in zip(rngs, out):
+        rng.standard_normal(out=row)
+    return out
 
 
 def _spaced(rngs, count):
@@ -153,18 +161,23 @@ def _paired_spectra(rngs, dim):
 def _similar(rngs, lam):
     """(S diag(lam) S^{-1}, S) per row of lam: S is G / sqrt(2n), G Gaussian, with
     singular values floored at sigma_max / CONDITIONING_CAP, so cond_2(S) <=
-    CONDITIONING_CAP keeps 1e-8 residual targets reachable; S = G where that holds."""
-    k, n = lam.shape
-    Z = np.array([rng.standard_normal((2, n, n)) for rng in rngs]).reshape(k, 2, n, n)
+    CONDITIONING_CAP keeps 1e-8 residual targets reachable; S = G where that holds:
+    where ||S||_F ||S^{-1}||_F <= CONDITIONING_CAP / 2, else by a value-only SVD."""
+    n = lam.shape[-1]
+    Z = normal_rows(rngs, (2, n, n))
     S = (Z[:, 0] + 1j * Z[:, 1]) / np.sqrt(2 * n)   # one draw: X's numbers, then Y's
-    sv = np.linalg.svd(S, compute_uv=False)
-    over = np.flatnonzero(~(sv[:, 0] / sv[:, -1] <= CONDITIONING_CAP))
+    W, refused = biorthonormalize(S)
+    bound = frobenius_norm(S) * frobenius_norm(W)
+    rows = np.flatnonzero(refused | ~(bound <= CONDITIONING_CAP / 2))   # 2: far past roundoff
+    sv = np.linalg.svd(S[rows], compute_uv=False)
+    over = rows[~(sv[:, 0] / sv[:, -1] <= CONDITIONING_CAP)]
     U, sv, Wh = np.linalg.svd(S[over])
     S[over] = (U * np.maximum(sv, sv[:, :1] / CONDITIONING_CAP)[:, None, :]) @ Wh
-    return (S * lam[:, None, :]) @ np.linalg.inv(S), S
+    W[over] = np.linalg.inv(S[over])
+    return (S * lam[:, None, :]) @ W, S
 
 
-def generate(specs):
+def generate(specs, rngs=None):
     """The matrices of one EnsembleSpec, or the (k, n, n) stack of a sequence
     of specs of one dim, in spec order with kinds mixed.
 
@@ -176,14 +189,14 @@ def generate(specs):
     just past the fixed draws of its matrix, so a caller draws on from the
     instance's one stream.  Each matrix of a stack equals its spec's alone.
     A Gaussian X + iY is one (2, n, n) draw: X's numbers, then Y's, as two
-    draws give.
+    draws give.  rngs, if given, are _default_rngs of the specs' seeds, in order.
     """
     single = isinstance(specs, EnsembleSpec)
     specs = [specs] if single else list(specs)
     if not specs or len({spec.dim for spec in specs}) > 1:
         raise ValueError("generate takes one spec or a nonempty sequence of specs of one dim")
     n = specs[0].dim
-    rngs = np.array(_default_rngs([spec.seed for spec in specs]))
+    rngs = np.array(_default_rngs([spec.seed for spec in specs]) if rngs is None else rngs)
     kinds = np.array([spec.kind for spec in specs])
     quasi, paired, hermitian, defective = (np.flatnonzero(kinds == kind) for kind in KINDS)
     similar = np.union1d(quasi, paired)
@@ -192,7 +205,7 @@ def generate(specs):
     lam[paired] = _paired_spectra(rngs[paired], n)
     H = np.empty((len(specs), n, n), dtype=complex)
     H[similar], S = _similar(rngs[similar], lam[similar])
-    G = np.array([rng.standard_normal((2, n, n)) for rng in rngs[hermitian]]).reshape(-1, 2, n, n)
+    G = normal_rows(rngs[hermitian], (2, n, n))
     G = G[:, 0] + 1j * G[:, 1]
     H[hermitian] = 0.5 * (G + dagger(G))
     for i in defective:

@@ -20,11 +20,11 @@ Refusals and residuals are read off the stacked results (a pairing row of -1,
 a NaN h, hermitize's similarity), never re-derived here; leg b measures the
 built metrics by that eigvalsh, whose max |lambda|, each metric's exact norm,
 is the eta_norm of verify_intertwining and leg d's scale.  One seeded
-generator per instance draws its matrix and then the vectors of leg d, so
-(kind, dim, seed) pins every number of an instance in any stack.  Each leg
-and residual is one array over the instances (equivalence_columns), which
-run_equivalence_suite reduces to counts, worst residuals and failing
-instances.
+generator per instance, all seeded in one pass, draws its matrix and then leg
+d's vectors, so (kind, dim, seed) pins every number of an instance in any
+stack.  Each leg and residual is one array over the instances
+(equivalence_columns), which run_equivalence_suite reduces to counts, worst
+residuals and failing instances.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .linalg import INVERTIBILITY_TOL, Spectrum
 from .metrics import (INTERTWINE_TOL, Classification, MetricOperator, OperatorClass,
                       antilinear_residual, antilinear_symmetry, build_general_metric,
                       classify, eta_inner, hermitize, verify_intertwining)
-from .models import EnsembleSpec, generate
+from .models import EnsembleSpec, _default_rngs, generate, normal_rows
 
 INNER_PAIRS = 20
 CONJUGATION_LEGS = ("pair_ok", "metric_ok", "antilinear_ok")
@@ -157,8 +157,7 @@ def check_positive_metric_equivalence(group: Group, rngs) -> dict:
 
     # Leg d: one block per generator holds the numbers of the INNER_PAIRS successive
     # draws (psi.re, psi.im, chi.re, chi.im); all pairs go through one product.
-    draws = np.array([rngs[i].standard_normal(INNER_PAIRS * 4 * n)
-                      for i in index]).reshape(-1, INNER_PAIRS, 4, n)
+    draws = normal_rows(rngs[index], (INNER_PAIRS, 4, n))
     psi = draws[:, :, 0] + 1j * draws[:, :, 1]
     chi = draws[:, :, 2] + 1j * draws[:, :, 3]
     psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
@@ -188,8 +187,9 @@ def equivalence_columns(specs) -> dict:
         by_dim.setdefault(spec.dim, []).append(i)
     columns = ({key: np.zeros(len(specs), dtype=bool) for key in ("skipped",) + LEGS}
                | {key: np.full(len(specs), np.nan) for key in RESIDUALS})
+    seeded = np.array(_default_rngs([spec.seed for spec in specs]))
     for positions in by_dim.values():
-        H, _, _, rngs = generate([specs[i] for i in positions])
+        H, _, _, rngs = generate([specs[i] for i in positions], rngs=seeded[positions])
         group = classify_group(H)
         checks = check_conjugation_equivalence(group)
         for key, value in (checks | check_positive_metric_equivalence(group, rngs)).items():

@@ -244,6 +244,20 @@ def sample_instance(spec, redraws):
     return random_defective(spec)
 
 
+def svd_capped_similar(rngs, lam):
+    """A frozen copy of models._similar before ||S||_F ||S^-1||_F screened the
+    cap: a value-only SVD of every S decides it, and S is inverted after the floor."""
+    k, n = lam.shape
+    Z = np.array([rng.standard_normal((2, n, n)) for rng in rngs]).reshape(k, 2, n, n)
+    S = (Z[:, 0] + 1j * Z[:, 1]) / np.sqrt(2 * n)
+    cap = models.CONDITIONING_CAP   # read at call time
+    sv = np.linalg.svd(S, compute_uv=False)
+    over = np.flatnonzero(~(sv[:, 0] / sv[:, -1] <= cap))
+    U, sv, Wh = np.linalg.svd(S[over])
+    S[over] = (U * np.maximum(sv, sv[:, :1] / cap)[:, None, :]) @ Wh
+    return (S * lam[:, None, :]) @ np.linalg.inv(S), S
+
+
 # ---------------------------------------------------------------------------
 # greedy conjugate pairing
 

@@ -948,6 +948,27 @@ def test_verify_makes_no_residual_svd(capsys, monkeypatch):
                                           "check_conjugation_equivalence", "hermitize"])
 
 
+def test_verify_seeds_once_and_screens_the_cap_by_the_bound(capsys, monkeypatch):
+    # The benchmark's ensemble: one _default_rngs pass seeds all 500 generators (one
+    # per dimension group before), and at seed 0 and the default CONDITIONING_CAP the
+    # bound ||S||_F ||S^-1||_F settles every planted similarity, so _similar's value-only
+    # SVD takes 0 rows in each of the 7 groups (every quasi and pseudo_nonquasi row before).
+    import pseudoherm.models as models
+
+    seeded = count_calls(monkeypatch, models._default_rngs)
+    rows, svd = [], np.linalg.svd
+
+    def recording(A, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_similar" and kwargs.get("compute_uv") is False:
+            rows.append(len(A))
+        return svd(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    code, report = run_cli(capsys, ["verify", "--count", "500", "--dims", "2-8"])
+    assert code == EXIT_OK and report["suite"]["failures"] == 0
+    assert len(seeded) == 1 and rows == 7 * [0]
+
+
 @pytest.mark.parametrize("n", [8, 16, 64])
 def test_kg_report_matches_dense_oracle(capsys, monkeypatch, n):
     import pseudoherm.linalg as linalg

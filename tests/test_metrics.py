@@ -81,6 +81,13 @@ def test_pair_spectrum_unpaired_raises():
     assert abs(info.value.eigenvalue - 2j) < 1e-12
 
 
+def test_pair_spectrum_refuses_empty_eigenvalues_by_shape():
+    for w in (np.array([]), np.zeros((3, 0))):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {w.shape}")):
+            pair_spectrum(w)
+    assert pair_spectrum(np.zeros((0, 3))).shape == (0, 3)   # an empty stack pairs
+
+
 def test_pair_spectrum_tolerance_scales_with_magnitude():
     # |Im| = 1e-4 is above tol = 1e-9 but within tol * (1 + |lambda|) ~ 1e-3.
     P = pair_spectrum(np.array([1e6 + 1e-4j, 2.0]), tol=1e-9)

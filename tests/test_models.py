@@ -160,8 +160,10 @@ def test_generate_refuses_empty_and_mixed_dims():
         generate([EnsembleSpec(3, 0), EnsembleSpec(4, 1, "hermitian")])
 
 
-# Mixed-kind stacks: dims 1-8 and 40, and a dim-6 stack generated under
-# CONDITIONING_CAP = 8, where most Gaussian draws exceed the cap.
+# Mixed-kind stacks: dims 1-8 and 40, and stacks generated under tight values of
+# CONDITIONING_CAP.  At dim 6, cap 8 most Gaussian draws exceed the cap.  At the
+# other three the cap interleaves with ||S||_F ||S^-1||_F: the stacks hold rows that
+# bound settles, rows it leaves to the SVD that pass, and rows the SVD floors.
 ORACLE_STACKS = {
     f"dim {dim}": [EnsembleSpec(dim, 97 * dim + i, kinds[i % len(kinds)])
                    for i in range(32 if dim == 40 else 24)]
@@ -170,6 +172,10 @@ ORACLE_STACKS = {
 }
 ORACLE_STACKS["dim 6, cap 8"] = [EnsembleSpec(6, 700 + i, KINDS[i % 4]) for i in range(24)]
 TIGHT_CAPS = {"dim 6, cap 8": 8.0}
+for dim, cap, base in ((4, 3.0, 800), (5, 20.0, 900), (8, 60.0, 1000)):
+    name = f"dim {dim}, cap {cap:g}"
+    ORACLE_STACKS[name] = [EnsembleSpec(dim, base + i, KINDS[i % 4]) for i in range(48)]
+    TIGHT_CAPS[name] = cap
 
 
 def oracle_stacks(monkeypatch):
@@ -226,6 +232,74 @@ def test_stacked_generate_matches_single_specs(monkeypatch):
             assert len(got) == (3 if spec.kind in ("quasi", "pseudo_nonquasi") else 1), spec
             assert got[0].dtype == H.dtype and np.array_equal(got[0], H), spec
             assert all(a.dtype == complex for a in got), spec
+
+
+def same_generation(got, want):
+    """Two generate results of one stack agree bit for bit: H, planted
+    eigenvalues, S and each generator's next draws."""
+    return (all(a.tobytes() == b.tobytes() for a, b in zip(got[:3], want[:3]))
+            and all(np.array_equal(a.standard_normal(4), b.standard_normal(4))
+                    for a, b in zip(got[3], want[3])))
+
+
+def test_generate_matches_the_svd_capped_similarity(monkeypatch):
+    for name, specs in oracle_stacks(monkeypatch):
+        got = generate(specs)
+        with monkeypatch.context() as frozen:
+            frozen.setattr(models, "_similar", oracles.svd_capped_similar)
+            assert same_generation(got, generate(specs)), name
+
+
+def test_only_rows_the_bound_leaves_open_reach_the_svd(monkeypatch):
+    # cond_2(S) <= ||S||_F ||S^-1||_F: a row bounded by half the cap skips the
+    # value-only SVD, which takes exactly the others (the frozen _similar takes all).
+    drawn, seen, rows = [], [], Counter()
+    biorthonormalize, svd = models.biorthonormalize, np.linalg.svd
+    monkeypatch.setattr(models, "biorthonormalize",
+                        lambda S: drawn.append(S.copy()) or biorthonormalize(S))
+
+    def recording(A, *args, **kwargs):
+        if kwargs.get("compute_uv") is False:
+            seen.append(A)
+        return svd(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    for name, specs in oracle_stacks(monkeypatch):
+        drawn.clear()
+        seen.clear()
+        S = generate(specs)[2]
+        (draw,), (open_rows,) = drawn, seen
+        bound = (np.linalg.norm(draw, axis=(-2, -1))
+                 * np.linalg.norm(np.linalg.inv(draw), axis=(-2, -1)))
+        settled = bound <= models.CONDITIONING_CAP / 2
+        assert np.array_equal(open_rows, draw[~settled]), name
+        floored = np.count_nonzero(np.any(S != draw, axis=(-2, -1)))
+        tight = name in TIGHT_CAPS
+        rows[tight, "settled"] += np.count_nonzero(settled)
+        rows[tight, "open, passed"] += len(open_rows) - floored
+        rows[tight, "floored"] += floored
+    assert min(rows[True, key] for key in ("settled", "open, passed", "floored")) > 0, rows
+    assert rows[False, "open, passed"] + rows[False, "floored"] < rows[False, "settled"], rows
+
+
+def test_a_refused_inverse_is_floored_and_inverted_again(monkeypatch):
+    # Where LAPACK refuses S, biorthonormalize's pinv stands in and the row goes to
+    # the SVD, which floors it; the floored S is inverted again.  Here inv refuses
+    # every S past twice the cap, as it refuses an exactly singular one.
+    inv, refused = np.linalg.inv, []
+
+    def refusing(A):
+        if np.any(np.linalg.cond(A) > 2 * models.CONDITIONING_CAP):
+            refused.append(len(A))
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(A)
+
+    for name, specs in oracle_stacks(monkeypatch):
+        want = generate(specs)
+        with monkeypatch.context() as lapack:
+            lapack.setattr(np.linalg, "inv", refusing)
+            assert same_generation(generate(specs), want), name
+    assert refused.count(1) > 0   # a matrix biorthonormalize inverted alone, refused
 
 
 def test_stacked_planted_eigenvalues_are_nan_where_none_are_planted():
